@@ -1,6 +1,7 @@
 #include "dma/transfer_engine.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "prof/profiler.hh"
 #include "sim/ticks.hh"
@@ -79,13 +80,10 @@ TransferEngine::start(Addr src, Addr dst, Addr size,
         [this, id, src, dst, size, span, queued_at = now(),
          cb = std::move(on_complete)]() {
             ULDMA_PROF_SCOPE("dma.transfer_complete");
-            bool cancelled = false;
-            for (const Flight &f : flights_) {
-                if (f.id == id) {
-                    cancelled = f.cancelled;
-                    break;
-                }
-            }
+            ULDMA_ASSERT(!flights_.empty() && flights_.front().id == id,
+                         name_, ": transfer ", id,
+                         " completed out of issue order");
+            const bool cancelled = flights_.front().cancelled;
             const Tick extra =
                 cancelled ? 0 : backend_.moveBytes(src, dst, size);
             ++completed_;
@@ -100,21 +98,7 @@ TransferEngine::start(Addr src, Addr dst, Addr size,
             }
             ULDMA_TRACE_EVENT(name_, now(), "xfer_complete",
                               "id ", id, " size ", size);
-            for (Flight &f : flights_) {
-                if (f.id == id) {
-                    f.applied = true;
-                    break;
-                }
-            }
-            // Garbage-collect old applied flights.
-            if (flights_.size() > 64) {
-                flights_.erase(
-                    std::remove_if(flights_.begin(), flights_.end(),
-                                   [](const Flight &f) {
-                                       return f.applied;
-                                   }),
-                    flights_.end());
-            }
+            flights_.pop_front();
             if (cb) {
                 if (extra == 0) {
                     cb();
@@ -129,51 +113,56 @@ TransferEngine::start(Addr src, Addr dst, Addr size,
     return id;
 }
 
+const TransferEngine::Flight *
+TransferEngine::findFlight(TransferId id) const
+{
+    if (flights_.empty() || id < flights_.front().id)
+        return nullptr;
+    const TransferId index = id - flights_.front().id;
+    return index < flights_.size() ? &flights_[index] : nullptr;
+}
+
+TransferEngine::Flight *
+TransferEngine::findFlight(TransferId id)
+{
+    return const_cast<Flight *>(std::as_const(*this).findFlight(id));
+}
+
 Addr
 TransferEngine::remaining(TransferId id) const
 {
-    for (const Flight &f : flights_) {
-        if (f.id != id)
-            continue;
-        const Tick t = now();
-        if (t >= f.endTick)
-            return 0;
-        if (t <= f.startTick)
-            return f.size;
-        // Linear interpolation across the active window.
-        const double frac = static_cast<double>(t - f.startTick) /
-                            static_cast<double>(f.endTick - f.startTick);
-        const Addr moved = static_cast<Addr>(frac *
-                                             static_cast<double>(f.size));
-        return f.size - std::min(moved, f.size);
-    }
-    return 0;
+    const Flight *f = findFlight(id);
+    if (f == nullptr)
+        return 0;
+    const Tick t = now();
+    if (t >= f->endTick)
+        return 0;
+    if (t <= f->startTick)
+        return f->size;
+    // Linear interpolation across the active window.
+    const double frac = static_cast<double>(t - f->startTick) /
+                        static_cast<double>(f->endTick - f->startTick);
+    const Addr moved = static_cast<Addr>(frac * static_cast<double>(f->size));
+    return f->size - std::min(moved, f->size);
 }
 
 bool
 TransferEngine::cancel(TransferId id)
 {
-    for (Flight &f : flights_) {
-        if (f.id != id)
-            continue;
-        if (f.applied)
-            return false;
-        f.cancelled = true;
-        ULDMA_TRACE("Dma", now(), name_, ": transfer ", id,
-                    " cancelled (payload suppressed)");
-        return true;
-    }
-    return false;
+    Flight *f = findFlight(id);
+    if (f == nullptr)
+        return false;
+    f->cancelled = true;
+    ULDMA_TRACE("Dma", now(), name_, ": transfer ", id,
+                " cancelled (payload suppressed)");
+    return true;
 }
 
 bool
 TransferEngine::complete(TransferId id) const
 {
-    for (const Flight &f : flights_) {
-        if (f.id == id)
-            return now() >= f.endTick;
-    }
-    return true;
+    const Flight *f = findFlight(id);
+    return f == nullptr || now() >= f->endTick;
 }
 
 } // namespace uldma

@@ -13,6 +13,7 @@
 #define ULDMA_DMA_TRANSFER_ENGINE_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 
@@ -103,9 +104,12 @@ class TransferEngine : public Clocked
         Addr size;
         Tick startTick;
         Tick endTick;
-        bool applied = false;
         bool cancelled = false;
     };
+
+    /** The pending flight @p id, or null once retired / never issued. */
+    Flight *findFlight(TransferId id);
+    const Flight *findFlight(TransferId id) const;
 
     std::string name_;
     TransferTiming timing_;
@@ -118,8 +122,13 @@ class TransferEngine : public Clocked
      *  must stay byte-identical for disabled configurations. */
     std::uint64_t cancelledCount_ = 0;
 
-    /** Recent transfers (kept until applied + queried once). */
-    std::vector<Flight> flights_;
+    /**
+     * Transfers not yet applied, in id order with consecutive ids, so
+     * transfer `id` sits at index `id - front().id`.  Completions
+     * retire from the front: busyUntil_ serializes end ticks, and
+     * same-tick completions fire in schedule (= id) order.
+     */
+    std::deque<Flight> flights_;
 
     stats::Group statsGroup_;
     stats::Scalar started_;

@@ -6,31 +6,35 @@
 
 namespace uldma {
 
-PhysicalMemory::PhysicalMemory(Addr size_bytes) : store_(size_bytes, 0)
+PhysicalMemory::PhysicalMemory(Addr size_bytes)
+    : size_(size_bytes),
+      store_(static_cast<std::uint8_t *>(std::calloc(size_bytes, 1)))
 {
     ULDMA_ASSERT(size_bytes > 0, "zero-sized physical memory");
+    ULDMA_ASSERT(store_ != nullptr, "cannot allocate 0x", std::hex,
+                 size_bytes, " bytes of physical memory");
 }
 
 void
 PhysicalMemory::checkSpan(Addr addr, Addr size) const
 {
-    ULDMA_ASSERT(addr <= store_.size() && size <= store_.size() - addr,
+    ULDMA_ASSERT(addr <= size_ && size <= size_ - addr,
                  "physical access [0x", std::hex, addr, ", +0x", size,
-                 ") outside memory of size 0x", store_.size());
+                 ") outside memory of size 0x", size_);
 }
 
 void
 PhysicalMemory::read(Addr addr, void *dst, Addr size) const
 {
     checkSpan(addr, size);
-    std::memcpy(dst, store_.data() + addr, size);
+    std::memcpy(dst, store_.get() + addr, size);
 }
 
 void
 PhysicalMemory::write(Addr addr, const void *src, Addr size)
 {
     checkSpan(addr, size);
-    std::memcpy(store_.data() + addr, src, size);
+    std::memcpy(store_.get() + addr, src, size);
     notifyWritten(addr, size);
 }
 
@@ -56,7 +60,7 @@ void
 PhysicalMemory::fill(Addr addr, std::uint8_t byte, Addr size)
 {
     checkSpan(addr, size);
-    std::memset(store_.data() + addr, byte, size);
+    std::memset(store_.get() + addr, byte, size);
     notifyWritten(addr, size);
 }
 
@@ -65,7 +69,7 @@ PhysicalMemory::copy(Addr dst, Addr src, Addr size)
 {
     checkSpan(dst, size);
     checkSpan(src, size);
-    std::memmove(store_.data() + dst, store_.data() + src, size);
+    std::memmove(store_.get() + dst, store_.get() + src, size);
     notifyWritten(dst, size);
 }
 

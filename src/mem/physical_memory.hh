@@ -2,14 +2,18 @@
  * @file
  * The DRAM of one simulated workstation: a flat byte array with typed
  * accessors.  Timing is modeled by the owning MemoryDevice / bus; this
- * class is purely functional state.
+ * class is purely functional state.  The array comes from calloc, so
+ * pages the simulation never writes stay the OS's shared zero page
+ * instead of being zero-filled up front.
  */
 
 #ifndef ULDMA_MEM_PHYSICAL_MEMORY_HH
 #define ULDMA_MEM_PHYSICAL_MEMORY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "mem/addr_range.hh"
@@ -23,7 +27,7 @@ class PhysicalMemory
   public:
     explicit PhysicalMemory(Addr size_bytes);
 
-    Addr size() const { return store_.size(); }
+    Addr size() const { return size_; }
     AddrRange range() const { return AddrRange(0, size()); }
 
     /** Read @p size bytes at @p addr into @p dst. */
@@ -49,8 +53,8 @@ class PhysicalMemory
      * Writers through this pointer must call notifyWritten()
      * afterwards so caches stay coherent.
      */
-    std::uint8_t *data() { return store_.data(); }
-    const std::uint8_t *data() const { return store_.data(); }
+    std::uint8_t *data() { return store_.get(); }
+    const std::uint8_t *data() const { return store_.get(); }
 
     /**
      * Register a snooper invoked with (addr, size) after every write
@@ -74,7 +78,13 @@ class PhysicalMemory
   private:
     void checkSpan(Addr addr, Addr size) const;
 
-    std::vector<std::uint8_t> store_;
+    struct FreeDeleter
+    {
+        void operator()(std::uint8_t *p) const { std::free(p); }
+    };
+
+    Addr size_;
+    std::unique_ptr<std::uint8_t[], FreeDeleter> store_;
     std::vector<std::function<void(Addr, Addr)>> observers_;
 };
 

@@ -1,7 +1,5 @@
 #include "sim/event.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace uldma {
@@ -16,14 +14,25 @@ Event::~Event()
 
 EventQueue::~EventQueue()
 {
-    for (auto &owned : ownedPending_) {
-        if (owned->scheduled())
-            deschedule(owned.get());
+    // Free the owned lambdas that never fired.  Other entries are not
+    // dereferenced: a stale one may name an already-destroyed event.
+    for (; !queue_.empty(); queue_.pop()) {
+        const QueueEntry &entry = queue_.top();
+        if (entry.owned) {
+            entry.event->scheduled_ = false;
+            delete entry.event;
+        }
     }
 }
 
 void
 EventQueue::schedule(Event *event, Tick when)
+{
+    push(event, when, /*owned=*/false);
+}
+
+void
+EventQueue::push(Event *event, Tick when, bool owned)
 {
     ULDMA_ASSERT(event != nullptr, "scheduling null event");
     ULDMA_ASSERT(!event->scheduled_, "event '", event->name(),
@@ -32,10 +41,10 @@ EventQueue::schedule(Event *event, Tick when)
                  "' scheduled in the past (", when, " < ", now_, ")");
 
     event->scheduled_ = true;
-    event->squashed_ = false;
     event->when_ = when;
     event->sequence_ = nextSequence_++;
-    queue_.push(QueueEntry{when, event->priority(), event->sequence_, event});
+    queue_.push(QueueEntry{when, event->priority(), owned, event->sequence_,
+                           event});
     ++numScheduled_;
 }
 
@@ -44,9 +53,8 @@ EventQueue::deschedule(Event *event)
 {
     ULDMA_ASSERT(event != nullptr && event->scheduled_,
                  "descheduling an unscheduled event");
-    // Lazy removal: mark squashed; the entry is skipped when popped.
+    // Lazy removal: the entry is skipped when popped.
     event->scheduled_ = false;
-    event->squashed_ = true;
     --numScheduled_;
 }
 
@@ -62,39 +70,22 @@ void
 EventQueue::scheduleLambda(std::string name, Tick when,
                            std::function<void()> fn, int priority)
 {
-    auto owned = std::make_unique<LambdaEvent>(std::move(name),
-                                               std::move(fn), priority);
-    schedule(owned.get(), when);
-    ownedPending_.push_back(std::move(owned));
-}
-
-void
-EventQueue::reclaimOwned(Event *event)
-{
-    auto it = std::find_if(ownedPending_.begin(), ownedPending_.end(),
-                           [event](const std::unique_ptr<LambdaEvent> &p) {
-                               return p.get() == event;
-                           });
-    if (it != ownedPending_.end())
-        ownedPending_.erase(it);
+    push(new LambdaEvent(std::move(name), std::move(fn), priority), when,
+         /*owned=*/true);
 }
 
 void
 EventQueue::purgeStale()
 {
     while (!queue_.empty()) {
-        const QueueEntry &top = queue_.top();
-        Event *event = top.event;
-        if (event->scheduled_ && event->sequence_ == top.sequence)
+        const QueueEntry top = queue_.top();
+        if (top.event->scheduled_ && top.event->sequence_ == top.sequence)
             return;
-        // Stale or squashed entry: drop it; reclaim squashed owned
-        // lambdas so they do not leak for the queue's lifetime.
-        const bool reclaim = event->squashed_;
+        // Stale or squashed entry: drop it.  An owned lambda has no
+        // other entry, so a squashed one is freed here.
         queue_.pop();
-        if (reclaim) {
-            event->squashed_ = false;
-            reclaimOwned(event);
-        }
+        if (top.owned)
+            delete top.event;
     }
 }
 
@@ -112,7 +103,7 @@ EventQueue::step()
     if (queue_.empty())
         return false;
 
-    QueueEntry entry = queue_.top();
+    const QueueEntry entry = queue_.top();
     queue_.pop();
     Event *event = entry.event;
 
@@ -122,7 +113,8 @@ EventQueue::step()
     --numScheduled_;
     ++numProcessed_;
     event->process();
-    reclaimOwned(event);
+    if (entry.owned)
+        delete event;
     return true;
 }
 

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <string>
 #include <vector>
@@ -70,12 +69,11 @@ class Event
     std::string name_;
     int priority_;
     bool scheduled_ = false;
-    bool squashed_ = false;
     Tick when_ = 0;
     std::uint64_t sequence_ = 0;
 };
 
-/** One-shot event wrapping a std::function. Owns itself when fired. */
+/** One-shot event wrapping a std::function; see scheduleLambda(). */
 class LambdaEvent : public Event
 {
   public:
@@ -101,13 +99,18 @@ class EventQueue
     /** Still-pending owned lambda events are descheduled and freed. */
     ~EventQueue();
 
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
     /** Current simulated time. */
     Tick now() const { return now_; }
 
     /**
      * Schedule @p event at absolute tick @p when (>= now).  The event
      * must not already be scheduled.  Ownership stays with the caller;
-     * the event must outlive its firing or be deschedule()d first.
+     * the event must outlive its firing.  A deschedule()d event leaves
+     * a stale entry that is dropped lazily: it must outlive the queue
+     * running past @p when, unless the queue is destroyed first.
      */
     void schedule(Event *event, Tick when);
 
@@ -119,7 +122,8 @@ class EventQueue
 
     /**
      * Schedule a one-shot callback at @p when; the wrapper event is
-     * owned by the queue and reclaimed after it fires.
+     * owned by the queue and freed right after it fires (or when the
+     * queue is destroyed first).
      */
     void scheduleLambda(std::string name, Tick when,
                         std::function<void()> fn,
@@ -153,8 +157,8 @@ class EventQueue
     std::uint64_t numProcessed() const { return numProcessed_; }
 
   private:
-    /** Release an owned one-shot lambda event after it fires. */
-    void reclaimOwned(Event *event);
+    /** Enqueue @p event; @p owned marks a queue-owned lambda. */
+    void push(Event *event, Tick when, bool owned);
     /** Drop squashed/stale entries from the head of the queue. */
     void purgeStale();
 
@@ -162,6 +166,11 @@ class EventQueue
     {
         Tick when;
         int priority;
+        /** The queue frees the event once this entry is popped.  Owned
+         *  events are never rescheduled, so this is their only entry;
+         *  only owned entries are dereferenced at teardown, when a
+         *  caller-owned event behind a stale entry may already be gone. */
+        bool owned;
         std::uint64_t sequence;
         Event *event;
 
@@ -182,7 +191,6 @@ class EventQueue
     std::uint64_t nextSequence_ = 0;
     std::uint64_t numProcessed_ = 0;
     std::size_t numScheduled_ = 0;
-    std::vector<std::unique_ptr<LambdaEvent>> ownedPending_;
 };
 
 } // namespace uldma

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -129,6 +130,108 @@ TEST(EventStress, InterleavedLambdaStorm)
     eq.runToExhaustion();
     EXPECT_EQ(sum, 2000ull * 1999 / 2);
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventStress, TeardownFreesOwnedLambdasAndSkipsStaleEntries)
+{
+    auto token = std::make_shared<int>(0);
+    std::vector<std::pair<int, Tick>> log;
+    {
+        EventQueue eq;
+        for (int i = 0; i < 100; ++i)
+            eq.scheduleLambda("pending", 1000 + i, [token] { ++*token; });
+
+        // Stale heap entries whose caller-owned events are already
+        // destroyed: one descheduled, one rescheduled then descheduled.
+        // Teardown must not dereference them (the sanitizer build
+        // turns that into a use-after-free report).  They lie past the
+        // drain below, which does look at the events behind the
+        // entries it pops.
+        auto gone = std::make_unique<LogEvent>(0, eq, log);
+        eq.schedule(gone.get(), 5000);
+        eq.deschedule(gone.get());
+        auto moved = std::make_unique<LogEvent>(1, eq, log);
+        eq.schedule(moved.get(), 6000);
+        eq.reschedule(moved.get(), 7000);
+        eq.deschedule(moved.get());
+        gone.reset();
+        moved.reset();
+
+        // Fired lambdas are freed as they fire, not at teardown.
+        eq.runUntil(1009);
+        EXPECT_EQ(*token, 10);
+        EXPECT_EQ(eq.size(), 90u);
+        EXPECT_EQ(token.use_count(), 91);
+    }
+    // The 90 still pending were freed, with their token copies,
+    // without firing.
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 10);
+    EXPECT_TRUE(log.empty());
+}
+
+TEST(EventStress, SameTickLambdasFireInPriorityThenSequenceOrder)
+{
+    EventQueue eq;
+    std::vector<std::string> order;
+    eq.scheduleLambda("a", 10, [&] {
+        order.push_back("a");
+        // Scheduled while "e" (same tick, older sequence) is pending.
+        eq.scheduleLambda("c", 10, [&] { order.push_back("c"); });
+        eq.scheduleLambda("b", 10, [&] { order.push_back("b"); },
+                          Event::DevicePrio);
+        eq.scheduleLambda("d", 10, [&] { order.push_back("d"); },
+                          Event::CpuPrio);
+    });
+    eq.scheduleLambda("e", 10, [&] {
+        order.push_back("e");
+        eq.scheduleLambda("f", 10, [&] { order.push_back("f"); },
+                          Event::DevicePrio);
+    });
+    eq.runToExhaustion();
+    // After "a": b (device), d (cpu), then the default-priority pair
+    // e, c by sequence; "f" is scheduled by "e" and, as a device
+    // event, overtakes the older default-priority "c".
+    const std::vector<std::string> expected{"a", "b", "d", "e", "f", "c"};
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(eq.now(), 10u);
+    EXPECT_EQ(eq.numProcessed(), 6u);
+}
+
+TEST(EventStress, TenThousandPendingLambdasDrainInOrder)
+{
+    constexpr std::size_t count = 10000;
+    auto prio_of = [](std::size_t i) {
+        return i % 3 == 0 ? Event::DevicePrio : Event::DefaultPrio;
+    };
+    EventQueue eq;
+    Random rng(0x10000);
+    // (tick, schedule index) of each firing; many ticks repeat.
+    std::vector<std::pair<Tick, std::size_t>> fired;
+    for (std::size_t i = 0; i < count; ++i) {
+        eq.scheduleLambda(
+            "deep", rng.below(2000),
+            [&fired, &eq, i] { fired.emplace_back(eq.now(), i); },
+            prio_of(i));
+    }
+    ASSERT_EQ(eq.size(), count);
+
+    while (eq.step())
+        ASSERT_EQ(eq.size() + eq.numProcessed(), count);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.numProcessed(), count);
+    ASSERT_EQ(fired.size(), count);
+    for (std::size_t k = 1; k < count; ++k) {
+        const auto &[t0, i0] = fired[k - 1];
+        const auto &[t1, i1] = fired[k];
+        ASSERT_LE(t0, t1);
+        if (t0 == t1) {
+            ASSERT_LE(prio_of(i0), prio_of(i1));
+            if (prio_of(i0) == prio_of(i1)) {
+                ASSERT_LT(i0, i1);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -88,6 +88,19 @@ TEST(PhysicalMemory, BulkReadWrite)
         EXPECT_EQ(out[i], in[i]);
 }
 
+TEST(PhysicalMemory, FreshMemoryReadsZeroEverywhere)
+{
+    constexpr Addr size = 64 * 1024 * 1024;
+    PhysicalMemory mem(size);
+    EXPECT_EQ(mem.size(), size);
+    EXPECT_EQ(mem.readInt(0, 8), 0u);
+    EXPECT_EQ(mem.readInt(size - 1, 1), 0u);
+    std::uint8_t page[4096];
+    mem.read(size / 2 + 4096 * 3, page, sizeof(page));
+    for (const std::uint8_t byte : page)
+        ASSERT_EQ(byte, 0u);
+}
+
 TEST(PhysicalMemoryDeath, OutOfRangePanics)
 {
     PhysicalMemory mem(4096);
