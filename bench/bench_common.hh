@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "sim/json.hh"
+#include "util/output.hh"
 
 namespace uldma::benchutil {
 
@@ -241,19 +241,19 @@ benchMain(int argc, char **argv, ExhibitFn &&exhibit)
             .count());
 
     if (!json_path.empty()) {
-        std::ofstream os(json_path);
-        if (!os) {
-            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+        const bool written = writeOutput(json_path, [&](std::ostream &os) {
+            if (documentWriterStorage())
+                documentWriterStorage()(os, wall_ns);
+            else
+                reporter.writeJson(os, basenameOf(argv[0]), wall_ns);
+        });
+        if (!written)
             return 1;
-        }
-        if (documentWriterStorage()) {
-            documentWriterStorage()(os, wall_ns);
+        if (documentWriterStorage())
             std::printf("\nwrote %s\n", json_path.c_str());
-        } else {
-            reporter.writeJson(os, basenameOf(argv[0]), wall_ns);
+        else
             std::printf("\nwrote %zu records to %s\n", reporter.size(),
                         json_path.c_str());
-        }
     }
 
     if (exhibit_only)

@@ -1,69 +1,113 @@
 #include "sim/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/logging.hh"
 
 namespace uldma::json {
+
+namespace {
+
+/**
+ * Escape @p s for a JSON string body, handing each run of bytes that
+ * needs no escape, and each escape sequence, to @p emit(data, size).
+ */
+template <typename Emit>
+void
+escapeTo(std::string_view s, Emit &&emit)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = s[i];
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        emit(s.data() + run, i - run);
+        run = i + 1;
+        char esc[] = {'\\', static_cast<char>(c), '0', '0', hex[c >> 4],
+                      hex[c & 0xf]};
+        std::size_t n = 2;
+        switch (c) {
+          case '"': case '\\': break;
+          case '\b': esc[1] = 'b'; break;
+          case '\f': esc[1] = 'f'; break;
+          case '\n': esc[1] = 'n'; break;
+          case '\r': esc[1] = 'r'; break;
+          case '\t': esc[1] = 't'; break;
+          default: esc[1] = 'u'; n = 6;  // the u00XX form
+        }
+        emit(esc, n);
+    }
+    emit(s.data() + run, s.size() - run);
+}
+
+/** Long enough for "%.17g" of any double and any int64/uint64. */
+constexpr std::size_t numberBufSize = 32;
+
+/** formatNumber() into @p buf; returns the length. */
+std::size_t
+formatNumberTo(char (&buf)[numberBufSize], double v)
+{
+    char *const last = buf + numberBufSize;
+    if (!std::isfinite(v)) {
+        std::memcpy(buf, "null", 4);
+        return 4;
+    }
+    // Integral values within the exact range of double print without
+    // an exponent or decimal point, as "%.0f" would ("-0" included).
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+        char *p = buf;
+        if (v == 0.0 && std::signbit(v))
+            *p++ = '-';
+        return std::to_chars(p, last, static_cast<std::int64_t>(v)).ptr -
+               buf;
+    }
+    for (int prec = 15;; ++prec) {
+        const char *end =
+            std::to_chars(buf, last, v, std::chars_format::general, prec)
+                .ptr;
+        double back = 0.0;
+        const bool exact =
+            std::from_chars(buf, end, back).ec == std::errc() && back == v;
+        // 17 significant digits always round-trip.
+        if (exact || prec == 17)
+            return end - buf;
+    }
+}
+
+} // namespace
 
 std::string
 escape(const std::string &s)
 {
     std::string out;
     out.reserve(s.size() + 2);
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
+    escapeTo(s, [&out](const char *p, std::size_t n) { out.append(p, n); });
     return out;
 }
 
 std::string
 formatNumber(double v)
 {
-    if (!std::isfinite(v))
-        return "null";
-    // Integral values within the exact range of double print without
-    // an exponent or decimal point.
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        return buf;
-    }
-    for (int prec = 15; prec <= 17; ++prec) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            return buf;
-    }
-    return "null";  // unreachable: %.17g always round-trips
+    char buf[numberBufSize];
+    return std::string(buf, formatNumberTo(buf, v));
 }
 
-Writer::Writer(std::ostream &os, bool pretty) : os_(os), pretty_(pretty) {}
+Writer::Writer(std::ostream &os, bool pretty)
+    : os_(os), buf_(os.rdbuf()), pretty_(pretty)
+{
+}
 
 Writer::~Writer()
 {
     // A trailing newline makes the file friendly to text tools.
     if (rootWritten_ && stack_.empty() && pretty_)
-        os_ << '\n';
+        put('\n');
 }
 
 bool
@@ -73,13 +117,44 @@ Writer::complete() const
 }
 
 void
+Writer::write(const char *s, std::size_t n)
+{
+    if (os_.good() &&
+        buf_->sputn(s, static_cast<std::streamsize>(n)) !=
+            static_cast<std::streamsize>(n))
+        os_.setstate(std::ios::badbit);
+}
+
+void
+Writer::put(char c)
+{
+    if (os_.good() &&
+        buf_->sputc(c) == std::streambuf::traits_type::eof())
+        os_.setstate(std::ios::badbit);
+}
+
+void
+Writer::writeEscaped(std::string_view s)
+{
+    escapeTo(s, [this](const char *p, std::size_t n) { write(p, n); });
+}
+
+void
 Writer::indent()
 {
     if (!pretty_)
         return;
-    os_ << '\n';
-    for (std::size_t i = 0; i < stack_.size(); ++i)
-        os_ << "  ";
+    // A newline and two spaces per level; deeper levels take more than
+    // one write.
+    static constexpr std::string_view pad =
+        "\n                                ";
+    std::size_t n = 1 + 2 * stack_.size();
+    std::size_t chunk = std::min(n, pad.size());
+    write(pad.data(), chunk);
+    for (n -= chunk; n > 0; n -= chunk) {
+        chunk = std::min(n, pad.size() - 1);
+        write(pad.data() + 1, chunk);
+    }
 }
 
 void
@@ -97,25 +172,25 @@ Writer::prepareValue()
         keyPending_ = false;
     } else {
         if (top.hasItems)
-            os_ << ',';
+            put(',');
         indent();
         top.hasItems = true;
     }
 }
 
 void
-Writer::key(const std::string &k)
+Writer::key(std::string_view k)
 {
     ULDMA_ASSERT(!stack_.empty() && stack_.back().scope == Scope::Object,
                  "json: key() outside an object");
     ULDMA_ASSERT(!keyPending_, "json: two keys in a row");
     if (stack_.back().hasItems)
-        os_ << ',';
+        put(',');
     indent();
     stack_.back().hasItems = true;
-    os_ << '"' << escape(k) << "\":";
-    if (pretty_)
-        os_ << ' ';
+    put('"');
+    writeEscaped(k);
+    write(pretty_ ? std::string_view("\": ") : std::string_view("\":"));
     keyPending_ = true;
 }
 
@@ -123,7 +198,7 @@ void
 Writer::beginObject()
 {
     prepareValue();
-    os_ << '{';
+    put('{');
     stack_.push_back({Scope::Object, false});
 }
 
@@ -137,14 +212,14 @@ Writer::endObject()
     stack_.pop_back();
     if (had)
         indent();
-    os_ << '}';
+    put('}');
 }
 
 void
 Writer::beginArray()
 {
     prepareValue();
-    os_ << '[';
+    put('[');
     stack_.push_back({Scope::Array, false});
 }
 
@@ -157,55 +232,60 @@ Writer::endArray()
     stack_.pop_back();
     if (had)
         indent();
-    os_ << ']';
+    put(']');
 }
 
 void
-Writer::value(const std::string &v)
+Writer::value(std::string_view v)
 {
     prepareValue();
-    os_ << '"' << escape(v) << '"';
+    put('"');
+    writeEscaped(v);
+    put('"');
 }
 
 void
 Writer::value(const char *v)
 {
-    value(std::string(v));
+    value(std::string_view(v));
 }
 
 void
 Writer::value(double v)
 {
     prepareValue();
-    os_ << formatNumber(v);
+    char buf[numberBufSize];
+    write(buf, formatNumberTo(buf, v));
 }
 
 void
 Writer::value(std::int64_t v)
 {
     prepareValue();
-    os_ << v;
+    char buf[numberBufSize];
+    write(buf, std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
 }
 
 void
 Writer::value(std::uint64_t v)
 {
     prepareValue();
-    os_ << v;
+    char buf[numberBufSize];
+    write(buf, std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
 }
 
 void
 Writer::value(bool v)
 {
     prepareValue();
-    os_ << (v ? "true" : "false");
+    write(v ? std::string_view("true") : std::string_view("false"));
 }
 
 void
 Writer::valueNull()
 {
     prepareValue();
-    os_ << "null";
+    write("null", 4);
 }
 
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace uldma::json {
@@ -24,9 +25,11 @@ namespace uldma::json {
 std::string escape(const std::string &s);
 
 /**
- * Render a double deterministically with the fewest digits that
- * round-trip (tries %.15g, %.16g, %.17g).  Non-finite values render
- * as null per the JSON grammar.
+ * Render a double deterministically, independent of the locale.
+ * Integral values below 1e15 in magnitude print as integers ("%.0f");
+ * every other finite value prints in printf "%g" layout with the
+ * fewest of 15, 16 or 17 significant digits that parse back to the
+ * same double.  Non-finite values render as null per the JSON grammar.
  */
 std::string formatNumber(double v);
 
@@ -34,6 +37,11 @@ std::string formatNumber(double v);
  * Streaming JSON writer.  Call begin/end and key/value in document
  * order; commas and indentation are handled automatically.  Misuse
  * (e.g. a key outside an object) trips an assertion.
+ *
+ * Tokens go straight to the stream's buffer, so bytes the caller
+ * writes to the stream between calls land in document order.  As with
+ * operator<<, nothing is written once the stream is not good(), and a
+ * short write sets badbit.
  */
 class Writer
 {
@@ -50,9 +58,9 @@ class Writer
     void endArray();
 
     /** Emit the key of the next object member. */
-    void key(const std::string &k);
+    void key(std::string_view k);
 
-    void value(const std::string &v);
+    void value(std::string_view v);
     void value(const char *v);
     void value(double v);
     void value(std::int64_t v);
@@ -63,7 +71,7 @@ class Writer
     /** key() + value() in one call. */
     template <typename T>
     void
-    member(const std::string &k, T &&v)
+    member(std::string_view k, T &&v)
     {
         key(k);
         value(std::forward<T>(v));
@@ -78,8 +86,14 @@ class Writer
 
     void prepareValue();
     void indent();
+    void write(const char *s, std::size_t n);
+    void write(std::string_view s) { write(s.data(), s.size()); }
+    void put(char c);
+    /** Write @p s escaped, without the surrounding quotes. */
+    void writeEscaped(std::string_view s);
 
     std::ostream &os_;
+    std::streambuf *buf_;
     bool pretty_;
     bool rootWritten_ = false;
     bool keyPending_ = false;

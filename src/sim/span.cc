@@ -231,24 +231,38 @@ writeQuantiles(json::Writer &w, std::vector<double> samples)
     w.endObject();
 }
 
+/** One exported span: its capture, its emitted id and its shard
+ *  (-1 = omit the "shard" member, i.e. a single-tracker export). */
+struct Row
+{
+    const Span *span;
+    SpanId id;
+    int shard;
+};
+
 /**
- * Serialisation core shared by the single-tracker and merged exports:
- * @p rows pairs each span with the shard it came from (-1 = omit the
- * "shard" member, i.e. a single-tracker export), @p opened is the
- * total open count across all sources.  Ids are emitted as given —
- * the merged path renumbers before calling.
+ * Serialisation core shared by the single-tracker and merged exports;
+ * @p opened is the total open count across all sources.
  */
 void
 writeSpansDocument(std::ostream &os, bool pretty,
-                   const std::vector<std::pair<const Span *, int>> &rows,
-                   std::uint64_t opened)
+                   const std::vector<Row> &rows, std::uint64_t opened)
 {
     // Protocols keyed by first appearance — deterministic, depends
-    // only on the captured spans and their order.
+    // only on the captured spans and their order.  The summary follows
+    // the span array, so one pass writes the spans and aggregates it.
     std::vector<std::string> order;
     std::map<std::string, ProtocolSummary> summaries;
-    for (const auto &[span, shard] : rows) {
-        const Span &s = *span;
+
+    json::Writer w(os, pretty);
+    w.beginObject();
+    w.member("schema", "uldma-spans-v1");
+    w.member("opened", opened);
+
+    w.key("spans");
+    w.beginArray();
+    for (const Row &row : rows) {
+        const Span &s = *row.span;
         auto [it, inserted] = summaries.try_emplace(s.protocol);
         if (inserted)
             order.push_back(s.protocol);
@@ -260,31 +274,11 @@ writeSpansDocument(std::ostream &os, bool pretty,
           case Outcome::Aborted: ++ps.aborted; break;
           case Outcome::InFlight: ++ps.inFlight; break;
         }
-        if (s.outcome == Outcome::Completed) {
-            const Phases p = phasesOf(s);
-            ps.initiation.push_back(p.initiation);
-            if (s.translated)
-                ps.translation.push_back(p.translation);
-            ps.queue.push_back(p.queue);
-            ps.bus.push_back(p.bus);
-            ps.delivery.push_back(p.delivery);
-            ps.total.push_back(p.total);
-        }
-    }
 
-    json::Writer w(os, pretty);
-    w.beginObject();
-    w.member("schema", "uldma-spans-v1");
-    w.member("opened", opened);
-
-    w.key("spans");
-    w.beginArray();
-    for (const auto &[span, shard] : rows) {
-        const Span &s = *span;
         w.beginObject();
-        w.member("id", s.id);
-        if (shard >= 0)
-            w.member("shard", static_cast<std::uint64_t>(shard));
+        w.member("id", row.id);
+        if (row.shard >= 0)
+            w.member("shard", static_cast<std::uint64_t>(row.shard));
         w.member("engine", s.engine);
         w.member("protocol", s.protocol);
         w.member("ctx", static_cast<std::uint64_t>(s.ctx));
@@ -307,6 +301,14 @@ writeSpansDocument(std::ostream &os, bool pretty,
         w.endObject();
         if (s.outcome == Outcome::Completed) {
             const Phases p = phasesOf(s);
+            ps.initiation.push_back(p.initiation);
+            if (s.translated)
+                ps.translation.push_back(p.translation);
+            ps.queue.push_back(p.queue);
+            ps.bus.push_back(p.bus);
+            ps.delivery.push_back(p.delivery);
+            ps.total.push_back(p.total);
+
             w.key("phases_us");
             w.beginObject();
             w.member("initiation", p.initiation);
@@ -366,10 +368,10 @@ writeSpansDocument(std::ostream &os, bool pretty,
 void
 Tracker::exportJson(std::ostream &os, bool pretty) const
 {
-    std::vector<std::pair<const Span *, int>> rows;
+    std::vector<Row> rows;
     rows.reserve(spans_.size());
     for (const Span &s : spans_)
-        rows.emplace_back(&s, -1);
+        rows.push_back({&s, s.id, -1});
     writeSpansDocument(os, pretty, rows, opened_);
 }
 
@@ -379,26 +381,17 @@ exportMergedSpansJson(std::ostream &os,
 {
     // Renumber ids sequentially in (shard, capture) order so the
     // merged document never depends on per-shard id sequences.
-    std::vector<Span> renumbered;
     std::size_t total = 0;
     for (const ShardSpans &shard : shards)
         total += shard.spans.size();
-    renumbered.reserve(total);
+    std::vector<Row> rows;
+    rows.reserve(total);
     std::uint64_t opened = 0;
     SpanId next = 1;
-    std::vector<std::pair<const Span *, int>> rows;
-    rows.reserve(total);
     for (const ShardSpans &shard : shards) {
         opened += shard.opened;
-        for (const Span &s : shard.spans) {
-            renumbered.push_back(s);
-            renumbered.back().id = next++;
-        }
-    }
-    std::size_t i = 0;
-    for (const ShardSpans &shard : shards) {
-        for (std::size_t j = 0; j < shard.spans.size(); ++j, ++i)
-            rows.emplace_back(&renumbered[i], static_cast<int>(shard.shard));
+        for (const Span &s : shard.spans)
+            rows.push_back({&s, next++, static_cast<int>(shard.shard)});
     }
     writeSpansDocument(os, pretty, rows, opened);
 }

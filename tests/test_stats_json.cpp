@@ -10,12 +10,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <streambuf>
 
 #include "core/experiment.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
+#include "sim/ticks.hh"
 
 namespace uldma {
 namespace {
@@ -64,6 +74,305 @@ TEST(JsonNumber, FormattingIsRoundTripSafe)
     // Integral values render without an exponent or decimal point.
     EXPECT_EQ(json::formatNumber(42.0), "42");
     EXPECT_EQ(json::formatNumber(-7.0), "-7");
+}
+
+// Reference implementations: the snprintf/strtod number formatter and
+// the snprintf-built escapes that wrote every committed export.
+// json::formatNumber and json::escape must match them byte for byte.
+
+std::string
+referenceFormatNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+        return buf;
+    }
+    for (int prec = 15; prec <= 17; ++prec) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            return buf;
+    }
+    return "null";
+}
+
+std::string
+referenceEscape(const std::string &s)
+{
+    std::string out;
+    for (unsigned char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (c < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += static_cast<char>(c);
+            }
+        }
+    }
+    return out;
+}
+
+/** 1.4 M values (1 M bit patterns) in four shards, so ctest -j runs
+ *  them side by side. */
+class RandomDoubles : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(RandomDoubles, MatchPrintfReference)
+{
+    std::mt19937_64 rng(20240917 + GetParam());
+    std::size_t checked = 0, mismatches = 0;
+    const auto check = [&](double d) {
+        ++checked;
+        const std::string got = json::formatNumber(d);
+        const std::string want = referenceFormatNumber(d);
+        if (got != want && ++mismatches <= 10)
+            ADD_FAILURE() << "formatNumber(" << want << ") gave " << got;
+    };
+    // Uniform over every bit pattern: all exponents, subnormals, NaNs.
+    for (int i = 0; i < 250000; ++i) {
+        const std::uint64_t bits = rng();
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        check(d);
+    }
+    // What the exporters print: tick counts converted to microseconds,
+    // and ratios of them.
+    for (int i = 0; i < 50000; ++i) {
+        const Tick t = rng() >> (rng() % 64);
+        check(ticksToUs(t));
+        check(ticksToUs(t) / static_cast<double>(1 + rng() % 1000));
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << checked;
+}
+
+INSTANTIATE_TEST_SUITE_P(JsonNumber, RandomDoubles,
+                         ::testing::Range(0, 4));
+
+TEST(JsonNumber, MatchesPrintfReferenceOnEdgeCases)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> cases = {
+        0.0, -0.0, 1e-5, -1e-5, 0.1, 0.5, 1e15, -1e15, 1e16, 1e17,
+        999999999999999.0, -999999999999999.0, 999999999999999.5,
+        9007199254740993.0, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        DBL_MIN - std::numeric_limits<double>::denorm_min(), 1e-310,
+        DBL_EPSILON, 1.0 + DBL_EPSILON, inf, -inf,
+        std::numeric_limits<double>::quiet_NaN()};
+    for (double edge : {1e15, -1e15, 1e-5, DBL_MIN, DBL_MAX, 1.0}) {
+        double up = edge, down = edge;
+        for (int i = 0; i < 4; ++i) {
+            up = std::nextafter(up, inf);
+            down = std::nextafter(down, -inf);
+            cases.push_back(up);
+            cases.push_back(down);
+        }
+    }
+    for (double d : cases)
+        EXPECT_EQ(json::formatNumber(d), referenceFormatNumber(d))
+            << "value " << referenceFormatNumber(d);
+
+    EXPECT_EQ(json::formatNumber(-0.0), "-0");
+    EXPECT_EQ(json::formatNumber(1e15), "1e+15");
+    EXPECT_EQ(json::formatNumber(999999999999999.0), "999999999999999");
+    EXPECT_EQ(json::formatNumber(1e-5), "1e-05");
+    EXPECT_EQ(json::formatNumber(inf), "null");
+    EXPECT_EQ(json::formatNumber(-inf), "null");
+    EXPECT_EQ(json::formatNumber(std::nan("")), "null");
+}
+
+std::string
+render(const std::function<void(json::Writer &)> &body, bool pretty = false)
+{
+    std::ostringstream os;
+    {
+        json::Writer w(os, pretty);
+        body(w);
+    }
+    return os.str();
+}
+
+TEST(JsonWriter, IntegerExtremes)
+{
+    EXPECT_EQ(render([](json::Writer &w) {
+                  w.beginArray();
+                  w.value(std::numeric_limits<std::int64_t>::min());
+                  w.value(std::numeric_limits<std::int64_t>::max());
+                  w.value(std::numeric_limits<std::uint64_t>::max());
+                  w.value(std::uint64_t{0});
+                  w.endArray();
+              }),
+              "[-9223372036854775808,9223372036854775807,"
+              "18446744073709551615,0]");
+}
+
+TEST(JsonWriter, EscapesEveryControlByteQuoteAndBackslash)
+{
+    std::vector<unsigned char> bytes = {'"', '\\'};
+    for (unsigned char c = 0; c < 0x20; ++c)
+        bytes.push_back(c);
+    for (unsigned char c : bytes) {
+        const std::string k = std::string("k") + char(c) + "k";
+        const std::string v = std::string(1, char(c)) + "v" + char(c);
+        EXPECT_EQ(json::escape(v), referenceEscape(v)) << int(c);
+        const std::string doc = render([&](json::Writer &w) {
+            w.beginObject();
+            w.member(k, v);
+            w.key(v);
+            w.value(k);
+            w.endObject();
+        });
+        EXPECT_EQ(doc, "{\"" + referenceEscape(k) + "\":\"" +
+                           referenceEscape(v) + "\",\"" +
+                           referenceEscape(v) + "\":\"" +
+                           referenceEscape(k) + "\"}")
+            << int(c);
+        const json::Value parsed = json::parse(doc);
+        EXPECT_EQ(parsed[k].asString(), v) << int(c);
+        EXPECT_EQ(parsed[v].asString(), k) << int(c);
+    }
+}
+
+TEST(JsonWriter, PrettyNestingDeeperThanAnyIndentBuffer)
+{
+    constexpr int depth = 60;
+    const std::string doc = render(
+        [](json::Writer &w) {
+            for (int d = 0; d < depth; ++d)
+                w.beginArray();
+            w.value(std::int64_t{1});
+            for (int d = 0; d < depth; ++d)
+                w.endArray();
+        },
+        /*pretty=*/true);
+    std::string want;
+    for (int d = 0; d < depth; ++d)
+        want += (d ? "\n" + std::string(2 * d, ' ') : "") + "[";
+    want += "\n" + std::string(2 * depth, ' ') + "1";
+    for (int d = depth - 1; d >= 0; --d)
+        want += "\n" + std::string(2 * d, ' ') + "]";
+    EXPECT_EQ(doc, want + "\n");
+}
+
+TEST(JsonWriter, DirectStreamWritesLandInDocumentOrder)
+{
+    std::ostringstream os;
+    {
+        json::Writer w(os, /*pretty=*/false);
+        w.beginObject();
+        w.member("a", 1.5);
+        w.endObject();
+        os << "\ntrailer";
+    }
+    EXPECT_EQ(os.str(), "{\"a\":1.5}\ntrailer");
+
+    std::ostringstream pretty;
+    {
+        json::Writer w(pretty, /*pretty=*/true);
+        w.beginArray();
+        w.value(true);
+        w.endArray();
+        pretty << '#';
+    }
+    EXPECT_EQ(pretty.str(), "[\n  true\n]#\n");
+}
+
+/** Accepts the first @p budget bytes, then refuses every write. */
+class BudgetBuf : public std::streambuf
+{
+  public:
+    explicit BudgetBuf(std::size_t budget) : budget_(budget) {}
+
+    std::string taken;
+
+  protected:
+    int_type
+    overflow(int_type c) override
+    {
+        if (traits_type::eq_int_type(c, traits_type::eof()))
+            return traits_type::not_eof(c);
+        if (taken.size() >= budget_)
+            return traits_type::eof();
+        taken += traits_type::to_char_type(c);
+        return c;
+    }
+
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        const auto room = static_cast<std::streamsize>(budget_ - taken.size());
+        const std::streamsize k = std::min(n, room);
+        taken.append(s, static_cast<std::size_t>(k));
+        return k;
+    }
+
+  private:
+    std::size_t budget_;
+};
+
+TEST(JsonWriter, RefusedWriteSetsBadbit)
+{
+    const auto body = [](json::Writer &w) {
+        w.beginObject();
+        w.member("key", "value");
+        w.member("n", std::uint64_t{12345});
+        w.member("x", 0.25);
+        w.endObject();
+    };
+    const std::string full = render(body, /*pretty=*/true);
+    for (std::size_t budget : {0ul, 1ul, 5ul, 17ul}) {
+        BudgetBuf buf(budget);
+        std::ostream os(&buf);
+        {
+            json::Writer w(os, /*pretty=*/true);
+            body(w);
+        }
+        EXPECT_TRUE(os.bad()) << budget;
+        EXPECT_EQ(buf.taken, full.substr(0, budget));
+    }
+    BudgetBuf roomy(full.size());
+    std::ostream os(&roomy);
+    {
+        json::Writer w(os, /*pretty=*/true);
+        body(w);
+    }
+    EXPECT_TRUE(os.good());
+    EXPECT_EQ(roomy.taken, full);
+
+    // A multi-byte token cut short.
+    BudgetBuf two(2);
+    std::ostream cut(&two);
+    {
+        json::Writer w(cut, /*pretty=*/false);
+        w.value(std::uint64_t{12345});
+    }
+    EXPECT_TRUE(cut.bad());
+    EXPECT_EQ(two.taken, "12");
+
+    // As with operator<<, a stream that has already failed gets nothing.
+    BudgetBuf untouched(full.size());
+    std::ostream failed(&untouched);
+    failed.setstate(std::ios::failbit);
+    {
+        json::Writer w(failed, /*pretty=*/true);
+        body(w);
+    }
+    EXPECT_EQ(untouched.taken, "");
 }
 
 TEST(JsonParser, RejectsMalformedDocuments)

@@ -33,6 +33,7 @@
 #include "check/runner.hh"
 #include "check/schedule.hh"
 #include "util/options.hh"
+#include "util/output.hh"
 
 namespace {
 
@@ -50,13 +51,9 @@ bool
 writeReport(const std::string &path, const Schedule &schedule,
             const Outcome &outcome)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        std::cerr << "uldma_check: cannot write '" << path << "'\n";
-        return false;
-    }
-    writeScheduleJson(out, schedule, outcome);
-    return true;
+    return writeOutput(path, [&](std::ostream &os) {
+        writeScheduleJson(os, schedule, outcome);
+    });
 }
 
 void
@@ -146,21 +143,19 @@ fuzzMode(const FuzzConfig &config, const std::string &report,
     }
 
     if (!fuzzReport.empty()) {
-        std::ofstream out(fuzzReport, std::ios::binary);
-        if (!out) {
-            std::cerr << "uldma_check: cannot write '" << fuzzReport
-                      << "'\n";
+        const bool written = writeOutput(fuzzReport, [&](std::ostream &os) {
+            if (hostTime) {
+                const double perSec =
+                    wallNs ? result.execs * 1e9 /
+                                 static_cast<double>(wallNs)
+                           : 0.0;
+                writeFuzzJson(os, result, wallNs, perSec);
+            } else {
+                writeFuzzJson(os, result);
+            }
+        });
+        if (!written)
             return 2;
-        }
-        if (hostTime) {
-            const double perSec =
-                wallNs ? result.execs * 1e9 /
-                             static_cast<double>(wallNs)
-                       : 0.0;
-            writeFuzzJson(out, result, wallNs, perSec);
-        } else {
-            writeFuzzJson(out, result);
-        }
         std::cout << "fuzz report written to " << fuzzReport << "\n";
     }
     if (!report.empty() && !result.findings.empty()) {

@@ -15,7 +15,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -27,6 +26,7 @@
 #include "sim/span.hh"
 #include "sim/trace.hh"
 #include "util/options.hh"
+#include "util/output.hh"
 #include "util/strutil.hh"
 
 using namespace uldma;
@@ -301,47 +301,32 @@ main(int argc, char **argv)
     }
 
     // Machine-readable exports (see docs/OBSERVABILITY.md).
-    auto writeTo = [](const std::string &path, auto &&emit) -> bool {
-        if (path == "-") {
-            emit(std::cout);
-            return true;
-        }
-        std::ofstream out(path);
-        if (!out) {
-            std::fprintf(stderr, "cannot open '%s' for writing\n",
-                         path.c_str());
-            return false;
-        }
-        emit(out);
-        return out.good();
-    };
-
     bool io_ok = true;
     if (!stats_json_path.empty()) {
-        io_ok &= writeTo(stats_json_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(stats_json_path, [&](std::ostream &os) {
             machine.dumpStatsJson(os);
         });
     }
     if (!trace_out_path.empty()) {
-        io_ok &= writeTo(trace_out_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(trace_out_path, [&](std::ostream &os) {
             trace::eventRing().exportChromeTracing(os);
         });
         trace::eventRing().disable();
     }
     if (!spans_json_path.empty()) {
-        io_ok &= writeTo(spans_json_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(spans_json_path, [&](std::ostream &os) {
             span::tracker().exportJson(os);
         });
         span::tracker().disable();
     }
     if (!timeseries_json_path.empty()) {
-        io_ok &= writeTo(timeseries_json_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(timeseries_json_path, [&](std::ostream &os) {
             machine.dumpTimeseriesJson(os);
         });
     }
     if (!profile_json_path.empty()) {
         const prof::ProfileNode tree = prof::profiler().snapshot();
-        io_ok &= writeTo(profile_json_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(profile_json_path, [&](std::ostream &os) {
             prof::ProfileWriteOptions pw;
             pw.includeHost = opts.getFlag("profile-host-time");
             prof::writeProfileJson(os, tree, pw);
@@ -349,5 +334,7 @@ main(int argc, char **argv)
         prof::profiler().disable();
     }
 
-    return (failures == 0 && io_ok) ? 0 : 1;
+    if (!io_ok)
+        return 2;
+    return failures == 0 ? 0 : 1;
 }

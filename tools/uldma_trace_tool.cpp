@@ -70,6 +70,7 @@
 #include <vector>
 
 #include "sim/json.hh"
+#include "util/output.hh"
 
 using uldma::json::Value;
 
@@ -2173,24 +2174,15 @@ cmdBenchPerturb(const std::string &in_path, const std::string &out_path,
         return v;
     };
 
-    std::ofstream file;
-    std::ostream *os = &std::cout;
-    if (out_path != "-") {
-        file.open(out_path);
-        if (!file) {
-            std::fprintf(stderr, "cannot open '%s' for writing\n",
-                         out_path.c_str());
-            return 2;
+    const bool written = uldma::writeOutput(out_path, [&](std::ostream &os) {
+        {
+            uldma::json::Writer w(os, /*pretty=*/true);
+            std::vector<std::string> keypath;
+            writeValueTransformed(w, doc, keypath, transform);
         }
-        os = &file;
-    }
-    {
-        uldma::json::Writer w(*os, /*pretty=*/true);
-        std::vector<std::string> keypath;
-        writeValueTransformed(w, doc, keypath, transform);
-    }
-    *os << "\n";
-    return os->good() ? 0 : 2;
+        os << "\n";
+    });
+    return written ? 0 : 2;
 }
 
 int

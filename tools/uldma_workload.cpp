@@ -22,7 +22,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -31,6 +30,7 @@
 #include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "util/options.hh"
+#include "util/output.hh"
 #include "workload/parallel.hh"
 #include "workload/report.hh"
 #include "workload/scenario.hh"
@@ -203,45 +203,30 @@ main(int argc, char **argv)
         }
     }
 
-    auto writeTo = [](const std::string &path, auto &&emit) -> bool {
-        if (path == "-") {
-            emit(std::cout);
-            return true;
-        }
-        std::ofstream out(path);
-        if (!out) {
-            std::fprintf(stderr, "cannot open '%s' for writing\n",
-                         path.c_str());
-            return false;
-        }
-        emit(out);
-        return out.good();
-    };
-
     bool io_ok = true;
     const std::string report_path = opts.getString("report");
     if (!report_path.empty()) {
         const std::vector<ShardReportInfo> infos = run.shardInfos();
-        io_ok &= writeTo(report_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(report_path, [&](std::ostream &os) {
             writeWorkloadReport(os, scenario, result, /*pretty=*/true,
                                 &infos);
         });
     }
     const std::string spans_path = opts.getString("spans-json");
     if (!spans_path.empty()) {
-        io_ok &= writeTo(spans_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(spans_path, [&](std::ostream &os) {
             span::exportMergedSpansJson(os, run.shardSpans());
         });
     }
     const std::string stats_path = opts.getString("stats-json");
     if (!stats_path.empty()) {
-        io_ok &= writeTo(stats_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(stats_path, [&](std::ostream &os) {
             stats::writeStatsJson(os, run.mergedStats());
         });
     }
     const std::string trace_path = opts.getString("trace-json");
     if (!trace_path.empty()) {
-        io_ok &= writeTo(trace_path, [&](std::ostream &os) {
+        io_ok &= writeOutput(trace_path, [&](std::ostream &os) {
             trace::exportMergedChromeTracing(os, run.shardTraces());
         });
     }
@@ -251,14 +236,14 @@ main(int argc, char **argv)
     if (!profile_path.empty() || !collapsed_path.empty()) {
         const prof::ProfileNode merged_profile = run.mergedProfile();
         if (!profile_path.empty()) {
-            io_ok &= writeTo(profile_path, [&](std::ostream &os) {
+            io_ok &= writeOutput(profile_path, [&](std::ostream &os) {
                 prof::ProfileWriteOptions pw;
                 pw.includeHost = profile_host;
                 prof::writeProfileJson(os, merged_profile, pw);
             });
         }
         if (!collapsed_path.empty()) {
-            io_ok &= writeTo(collapsed_path, [&](std::ostream &os) {
+            io_ok &= writeOutput(collapsed_path, [&](std::ostream &os) {
                 prof::writeCollapsedProfile(os, merged_profile,
                                             profile_host);
             });
