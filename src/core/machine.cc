@@ -115,6 +115,18 @@ Machine::run(Tick limit)
     // host time.  The guard restores the previous source on every
     // return path below.
     prof::TickSourceScope prof_ticks([this] { return now(); });
+    // While nothing observes the boundaries between events (sampler,
+    // run hook, profile capture), a CPU runs its next op in place when
+    // no other event can come first (EventQueue::advanceInline).  The
+    // event order is the same either way.  The guard turns inlining
+    // back off on every return path.
+    struct InlineHorizon
+    {
+        EventQueue &eq;
+        ~InlineHorizon() { eq.setInlineHorizon(0); }
+    } inline_horizon{eventq_};
+    if (!sampler_ && !runHook_ && !prof::captureOn())
+        eventq_.setInlineHorizon(limit);
     while (eventq_.nextEventTick() <= limit) {
         {
             ULDMA_PROF_SCOPE("machine.step");

@@ -129,6 +129,9 @@ class Machine
     /**
      * Run until all processes on all nodes have finished (and the
      * event queue has drained of consequences), or @p limit is hit.
+     * Without a sampler, run hook or profile capture, CPU ops due
+     * before every other event run in place instead of through the
+     * queue; the event order and every output stay the same.
      * @return true if everything finished.
      */
     bool run(Tick limit = maxTick);

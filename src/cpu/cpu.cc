@@ -89,32 +89,37 @@ Cpu::kernelBusAccess(Packet &pkt)
 void
 Cpu::tick()
 {
-    if (current_ == nullptr)
-        return;   // idled; the kernel restarts us
+    // current_ == nullptr: idled; the kernel restarts us.
+    while (current_ != nullptr) {
+        ExecContext &ctx = *current_;
+        Tick cost = executeOne(ctx);
 
-    ExecContext &ctx = *current_;
-    Tick cost = executeOne(ctx);
-
-    // Quantum accounting happens at instruction boundaries only —
-    // exactly where the paper's context-switch races live.
-    if (current_ != nullptr && os_ != nullptr) {
-        bool expire = false;
-        if (sliceLimited_ && current_ == &ctx) {
-            ULDMA_ASSERT(sliceInstrLeft_ > 0, "slice underflow");
-            if (--sliceInstrLeft_ == 0)
+        // Quantum accounting happens at instruction boundaries only —
+        // exactly where the paper's context-switch races live.
+        if (current_ != nullptr && os_ != nullptr) {
+            bool expire = false;
+            if (sliceLimited_ && current_ == &ctx) {
+                ULDMA_ASSERT(sliceInstrLeft_ > 0, "slice underflow");
+                if (--sliceInstrLeft_ == 0)
+                    expire = true;
+            }
+            if (!expire && now() + cost >= quantumDeadline_ &&
+                quantumDeadline_ != maxTick) {
                 expire = true;
+            }
+            if (expire)
+                cost += os_->quantumExpired();
         }
-        if (!expire && now() + cost >= quantumDeadline_ &&
-            quantumDeadline_ != maxTick) {
-            expire = true;
-        }
-        if (expire)
-            cost += os_->quantumExpired();
-    }
 
-    if (current_ != nullptr && !tickEvent_.scheduled()) {
+        if (current_ == nullptr || tickEvent_.scheduled())
+            return;
+        // Run the next op here when nothing else can come first; the
+        // queue would fire this tick event next anyway.
         const Tick next = now() + (cost > 0 ? cost : clockPeriod());
-        eventq().schedule(&tickEvent_, next);
+        if (!eventq().advanceInline(next)) {
+            eventq().schedule(&tickEvent_, next);
+            return;
+        }
     }
 }
 
@@ -127,7 +132,9 @@ Cpu::executeOne(ExecContext &ctx)
         return os_->exited();
     }
 
-    const MicroOp op = ctx.currentOp();
+    // By reference: nothing replaces a running context's program
+    // (Kernel::launch asserts it), so the op outlives its execution.
+    const MicroOp &op = ctx.currentOp();
     int next_pc = ctx.pc() + 1;
     ++instrs_;
     ctx.countRetired();

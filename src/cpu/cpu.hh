@@ -13,6 +13,10 @@
  * executes all of its micro-ops inside a single tick event and is
  * therefore uninterruptible, which is precisely the property the PAL
  * solution (paper §2.7) relies on.
+ *
+ * When the next tick is due before every other event, the next op runs
+ * in place instead (EventQueue::advanceInline): the event order is the
+ * same, without the queue round trip.
  */
 
 #ifndef ULDMA_CPU_CPU_HH
@@ -168,7 +172,8 @@ class Cpu : public Clocked
         Cpu &cpu_;
     };
 
-    /** Execute one instruction and reschedule. */
+    /** Execute instructions until another event may come first, then
+     *  reschedule. */
     void tick();
 
     /** Execute the current op of @p ctx. @return cost in ticks. */

@@ -107,6 +107,8 @@ Kernel::process(Pid pid)
 void
 Kernel::launch(Process &process, Program program)
 {
+    ULDMA_ASSERT(&process.context() != cpu_.currentContext(), name_,
+                 ": relaunching running process ", process.pid());
     process.context().setProgram(std::move(program));
     scheduler_.enqueue(process);
 }

@@ -106,7 +106,10 @@ class Kernel : public OsCallbacks
         return processes_;
     }
 
-    /** Install @p program and make the process runnable. */
+    /**
+     * Install @p program and make the process runnable.  The process
+     * must not be on the CPU: the CPU executes the current op in place.
+     */
     void launch(Process &process, Program program);
 
     /**

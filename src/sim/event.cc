@@ -136,4 +136,15 @@ EventQueue::advanceTo(Tick when)
     now_ = when;
 }
 
+bool
+EventQueue::advanceInline(Tick when)
+{
+    ULDMA_ASSERT(when >= now_, "cannot advance time backwards");
+    if (when > inlineHorizon_ || when >= nextEventTick())
+        return false;
+    now_ = when;
+    ++numProcessed_;
+    return true;
+}
+
 } // namespace uldma

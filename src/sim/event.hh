@@ -153,6 +153,24 @@ class EventQueue
     /** Advance time to @p when without firing later events. */
     void advanceTo(Tick when);
 
+    /**
+     * Let advanceInline() move time up to @p horizon.  The default, 0,
+     * keeps every later event on the queue.  Only Machine::run sets
+     * it, for the span of a run whose loop observes nothing between
+     * events.
+     */
+    void setInlineHorizon(Tick horizon) { inlineHorizon_ = horizon; }
+
+    /**
+     * Take an event at @p when without a queue round trip: succeeds
+     * only if @p when is within the inline horizon and strictly before
+     * every live entry, so the caller's work runs exactly where the
+     * queue would have run it.  A same-tick tie refuses whatever its
+     * priority.  On success now() moves to @p when and the event
+     * counts in numProcessed().
+     */
+    bool advanceInline(Tick when);
+
     /** Total number of events processed so far. */
     std::uint64_t numProcessed() const { return numProcessed_; }
 
@@ -191,6 +209,7 @@ class EventQueue
     std::uint64_t nextSequence_ = 0;
     std::uint64_t numProcessed_ = 0;
     std::size_t numScheduled_ = 0;
+    Tick inlineHorizon_ = 0;
 };
 
 } // namespace uldma

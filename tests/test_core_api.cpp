@@ -1,15 +1,19 @@
 /**
  * @file
  * Tests for the core public API: method traits, the DmaSession facade,
- * the experiment drivers (which the Table-1 bench builds on), and the
- * wire-time model used by the crossover exhibit.
+ * the experiment drivers (which the Table-1 bench builds on), the
+ * wire-time model used by the crossover exhibit, and Machine::run's
+ * inline CPU path.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/experiment.hh"
 #include "core/machine.hh"
 #include "core/methods.hh"
+#include "prof/profiler.hh"
 
 namespace uldma {
 namespace {
@@ -254,6 +258,105 @@ TEST(Experiment, MergeBufferAblationBreaksRepeated5)
     const InitiationMeasurement b = measureInitiation(without);
     EXPECT_EQ(a.successes, 50u);
     EXPECT_EQ(b.successes, 50u);
+}
+
+// ---------------------------------------------------------------------
+// Machine::run: the inline and queue paths stop at the same boundary.
+// ---------------------------------------------------------------------
+
+/** Architectural state at the point a run stopped. */
+struct RunStop
+{
+    bool finished = false;
+    Tick now = 0;
+    std::uint64_t retired = 0;
+    std::vector<std::uint64_t> regs;
+    std::vector<int> pcs;
+
+    bool operator==(const RunStop &) const = default;
+};
+
+/**
+ * Two processes under a 2 us round-robin quantum, each looping over
+ * compute, register and cached-memory ops around a user-level DMA
+ * initiation: the state after run(@p limit) and after a run to the
+ * end.  @p queue_path captures the profiler, which keeps every CPU op
+ * on the event queue; without it the CPU runs ops in place.
+ */
+std::vector<RunStop>
+runStops(Tick limit, bool queue_path)
+{
+    const DmaMethod method = DmaMethod::ExtShadow;
+    MachineConfig config;
+    configureNode(config.node, method);
+    config.node.makeScheduler = []() {
+        return std::make_unique<RoundRobinScheduler>(2 * tickPerUs);
+    };
+    Machine machine(config);
+    prepareMachine(machine, method);
+    Kernel &kernel = machine.node(0).kernel();
+
+    std::vector<Process *> procs;
+    for (const char *name : {"a", "b"}) {
+        Process &p = kernel.createProcess(name);
+        EXPECT_TRUE(prepareProcess(kernel, p, method));
+        const Addr src = kernel.allocate(p, pageSize, Rights::ReadWrite);
+        const Addr dst = kernel.allocate(p, pageSize, Rights::ReadWrite);
+        kernel.createShadowMappings(p, src, pageSize);
+        kernel.createShadowMappings(p, dst, pageSize);
+
+        Program prog;
+        prog.move(reg::t0, 0);
+        const int loop = prog.here();
+        emitInitiation(prog, kernel, p, method, src, dst, 64);
+        prog.membar();
+        prog.addImm(reg::t0, reg::t0, 1);
+        prog.storeReg(src + 8, reg::t0);
+        prog.load(reg::t1, src + 8);
+        prog.compute(7);
+        prog.branchNe(reg::t0, 40, loop);
+        prog.exit();
+        kernel.launch(p, std::move(prog));
+        procs.push_back(&p);
+    }
+
+    if (queue_path)
+        prof::profiler().enable();
+    machine.start();
+    std::vector<RunStop> stops;
+    for (Tick until : {limit, maxTick}) {
+        RunStop stop;
+        stop.finished = machine.run(until);
+        stop.now = machine.now();
+        stop.retired = machine.node(0).cpu().instructionsRetired();
+        for (Process *p : procs) {
+            for (unsigned r = 0; r < numRegs; ++r)
+                stop.regs.push_back(p->context().reg(static_cast<int>(r)));
+            stop.pcs.push_back(p->context().pc());
+        }
+        stops.push_back(stop);
+        // The inline horizon does not outlive the run.
+        EXPECT_FALSE(machine.eventq().advanceInline(machine.now() + 1));
+    }
+    if (queue_path)
+        prof::profiler().disable();
+    return stops;
+}
+
+TEST(MachineRun, LimitStopsInlineAndQueuePathsAtTheSameBoundary)
+{
+    // Limits between op boundaries, early and late in the programs.
+    for (Tick limit : {3 * tickPerUs + 1234, 41 * tickPerUs + 7}) {
+        SCOPED_TRACE(limit);
+        const std::vector<RunStop> inline_path = runStops(limit, false);
+        const std::vector<RunStop> queue_path = runStops(limit, true);
+        ASSERT_EQ(inline_path.size(), 2u);
+        EXPECT_FALSE(inline_path[0].finished);
+        EXPECT_LE(inline_path[0].now, limit);
+        EXPECT_GT(inline_path[0].retired, 0u);
+        EXPECT_TRUE(inline_path[1].finished);
+        EXPECT_EQ(inline_path, queue_path);
+    }
 }
 
 } // namespace

@@ -483,5 +483,28 @@ TEST(KernelHooks, Shrimp2HookInvalidatesLatch)
     EXPECT_EQ(engine.numInitiations(), 0u);
 }
 
+TEST(KernelLaunch, RelaunchingTheRunningProcessAborts)
+{
+    // The CPU executes the current op by reference, so a hook must not
+    // replace the program it is running from.
+    EXPECT_DEATH(
+        {
+            Machine machine(MachineConfig{});
+            Kernel &kernel = machine.node(0).kernel();
+            Process &p = kernel.createProcess("p");
+            Program prog;
+            prog.callback([&kernel, &p](ExecContext &) {
+                Program again;
+                again.exit();
+                kernel.launch(p, std::move(again));
+            });
+            prog.exit();
+            kernel.launch(p, std::move(prog));
+            machine.start();
+            machine.run();
+        },
+        "relaunching running process");
+}
+
 } // namespace
 } // namespace uldma

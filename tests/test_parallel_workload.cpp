@@ -4,9 +4,10 @@
  * function of the scenario (connected components of the remote_node
  * graph), and the determinism contract — for every shipped scenario,
  * `threads = 4` must serialise the merged report, spans, stats and
- * trace exports byte-identically to `threads = 1`, and the merged
- * aggregate must match what the unsharded single-machine driver
- * produces for the same (scenario, seed).
+ * trace exports byte-identically to `threads = 1`, the inline CPU path
+ * must export what the queue path exports, and the merged aggregate
+ * must match what the unsharded single-machine driver produces for the
+ * same (scenario, seed).
  *
  * Scenario files are read from ULDMA_SCENARIO_DIR (injected by
  * tests/CMakeLists.txt as the source-tree scenarios/ directory), so
@@ -15,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -161,14 +164,17 @@ struct Artifacts
     std::string trace;
 };
 
+/** @p profile also captures the profiler, which keeps every CPU op on
+ *  the event queue (Machine::run). */
 Artifacts
 artifactsFor(const Scenario &scenario, std::uint64_t seed,
-             unsigned threads)
+             unsigned threads, bool profile = false)
 {
     ParallelOptions options;
     options.threads = threads;
     options.captureStats = true;
     options.captureTrace = true;
+    options.captureProfile = profile;
     const ParallelResult run =
         runParallelWorkload(scenario, seed, options);
 
@@ -209,6 +215,37 @@ TEST(ParallelDeterminism, EveryShippedScenarioIsThreadCountInvariant)
         EXPECT_EQ(one.spans, four.spans);
         EXPECT_EQ(one.stats, four.stats);
         EXPECT_EQ(one.trace, four.trace);
+    }
+}
+
+TEST(ParallelDeterminism, InlineAndQueuePathsExportTheSameBytes)
+{
+    // Without profile capture, Machine::run lets a CPU run its next op
+    // in place; with it, every op goes through the event queue.  Both
+    // paths must serialise every scenario file identically.
+    std::vector<std::string> paths;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(ULDMA_SCENARIO_DIR)) {
+        if (entry.path().extension() == ".json")
+            paths.push_back(entry.path().string());
+    }
+    std::sort(paths.begin(), paths.end());
+    ASSERT_FALSE(paths.empty());
+    for (const std::string &path : paths) {
+        Scenario scenario;
+        std::string error;
+        ASSERT_TRUE(loadScenarioFile(path, scenario, &error))
+            << path << ": " << error;
+        for (std::uint64_t seed : {0, 1}) {
+            SCOPED_TRACE(path + " seed " + std::to_string(seed));
+            const Artifacts inline_path = artifactsFor(scenario, seed, 1);
+            const Artifacts queue_path =
+                artifactsFor(scenario, seed, 1, /*profile=*/true);
+            EXPECT_EQ(inline_path.report, queue_path.report);
+            EXPECT_EQ(inline_path.spans, queue_path.spans);
+            EXPECT_EQ(inline_path.stats, queue_path.stats);
+            EXPECT_EQ(inline_path.trace, queue_path.trace);
+        }
     }
 }
 

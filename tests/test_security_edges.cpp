@@ -76,6 +76,9 @@ TEST(SecurityEdges, ContextIdCannotBeForged)
     Process &mal = kernel.createProcess("mal");
     ASSERT_TRUE(kernel.grantShadowContext(victim));
     ASSERT_TRUE(kernel.grantShadowContext(mal));
+    // The grant is reaped when the victim exits, so read its
+    // CONTEXT_ID now.
+    const unsigned victim_ctx = *victim.dmaGrant().shadowContext;
 
     const Addr va = kernel.allocate(victim, pageSize, Rights::ReadWrite);
     const Addr vb = kernel.allocate(victim, pageSize, Rights::ReadWrite);
@@ -120,11 +123,14 @@ TEST(SecurityEdges, ContextIdCannotBeForged)
     // The victim never failed: per-CONTEXT_ID latches isolate it.
     EXPECT_EQ(failures, 0u);
     // Every victim transfer went exactly where intended.
+    unsigned victim_initiations = 0;
     for (const auto &rec : machine.node(0).dmaEngine().initiations()) {
-        if (rec.ctx == *victim.dmaGrant().shadowContext) {
+        if (rec.ctx == victim_ctx) {
+            ++victim_initiations;
             EXPECT_EQ(rec.dst, paddr_b);
         }
     }
+    EXPECT_GT(victim_initiations, 0u);
 }
 
 TEST(SecurityEdges, KernelDmaChecksCallerRights)

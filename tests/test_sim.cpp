@@ -167,6 +167,73 @@ TEST(EventQueue, CountsProcessedEvents)
     EXPECT_EQ(eq.numProcessed(), 7u);
 }
 
+TEST(EventQueue, AdvanceInlineRefusesAtTheDefaultHorizon)
+{
+    EventQueue eq;
+    EXPECT_FALSE(eq.advanceInline(10));
+    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_EQ(eq.numProcessed(), 0u);
+}
+
+TEST(EventQueue, AdvanceInlineRefusesASameTickTieAtEveryPriority)
+{
+    for (int prio : {Event::DevicePrio, Event::CpuPrio,
+                     Event::SchedulerPrio, Event::DefaultPrio}) {
+        SCOPED_TRACE(prio);
+        EventQueue eq;
+        eq.setInlineHorizon(maxTick);
+        std::vector<std::string> log;
+        TagEvent head("head", log, prio);
+        eq.schedule(&head, 100);
+        EXPECT_FALSE(eq.advanceInline(100));
+        EXPECT_EQ(eq.now(), 0u);
+        EXPECT_TRUE(eq.advanceInline(99));
+        eq.runToExhaustion();
+        EXPECT_EQ(log, std::vector<std::string>{"head"});
+    }
+}
+
+TEST(EventQueue, AdvanceInlineLooksPastAStaleHead)
+{
+    EventQueue eq;
+    eq.setInlineHorizon(maxTick);
+    std::vector<std::string> log;
+    TagEvent squashed("squashed", log), moved("moved", log),
+        live("live", log);
+    eq.schedule(&squashed, 50);
+    eq.schedule(&moved, 60);
+    eq.schedule(&live, 200);
+    eq.deschedule(&squashed);
+    eq.reschedule(&moved, 300);   // leaves a stale entry at 60
+    EXPECT_TRUE(eq.advanceInline(150));
+    EXPECT_EQ(eq.now(), 150u);
+    EXPECT_FALSE(eq.advanceInline(200));
+    eq.runToExhaustion();
+    EXPECT_EQ(log, (std::vector<std::string>{"live", "moved"}));
+}
+
+TEST(EventQueue, AdvanceInlineRefusesPastTheHorizon)
+{
+    EventQueue eq;
+    eq.setInlineHorizon(100);
+    EXPECT_FALSE(eq.advanceInline(101));
+    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_TRUE(eq.advanceInline(100));
+    EXPECT_EQ(eq.now(), 100u);
+}
+
+TEST(EventQueue, AdvanceInlineMovesTimeAndCountsTheEvent)
+{
+    EventQueue eq;
+    eq.setInlineHorizon(maxTick);
+    eq.scheduleLambda("e", 10, [] {});
+    eq.runToExhaustion();
+    EXPECT_TRUE(eq.advanceInline(25));
+    EXPECT_EQ(eq.now(), 25u);
+    EXPECT_EQ(eq.numProcessed(), 2u);
+    EXPECT_TRUE(eq.empty());
+}
+
 // ---------------------------------------------------------------------
 // ClockDomain
 // ---------------------------------------------------------------------
