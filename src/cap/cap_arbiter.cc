@@ -1,5 +1,6 @@
 #include "cap/cap_arbiter.hh"
 
+#include "util/fnv.hh"
 #include "util/logging.hh"
 
 namespace uldma {
@@ -109,25 +110,19 @@ CapArbiter::purgeSlot(unsigned slot)
 std::uint64_t
 CapArbiter::stateHash() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    mix(cursor_);
+    Fnv1a f;
+    f.mix(cursor_);
     for (unsigned c = 0; c < queues_.size(); ++c) {
-        mix(credits_[c]);
+        f.mix(credits_[c]);
         for (const CapRequest &r : queues_[c]) {
-            mix(r.slot);
-            mix(r.src);
-            mix(r.dst);
-            mix(r.size);
-            mix(r.enqueued);
+            f.mix(r.slot);
+            f.mix(r.src);
+            f.mix(r.dst);
+            f.mix(r.size);
+            f.mix(r.enqueued);
         }
     }
-    return h;
+    return f.h;
 }
 
 } // namespace uldma

@@ -1,5 +1,6 @@
 #include "cap/cap_table.hh"
 
+#include "util/fnv.hh"
 #include "util/logging.hh"
 
 namespace uldma {
@@ -183,27 +184,21 @@ CapTable::jainIndex() const
 std::uint64_t
 CapTable::stateHash() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
+    Fnv1a f;
     for (const Entry &e : slots_) {
         if (!e.valid && e.generation == 0 && e.bytes == 0)
             continue;  // untouched slots contribute nothing
-        mix(e.valid ? 1 : 0);
-        mix(e.rights | (std::uint64_t(e.rateClass) << 8));
-        mix(e.generation);
-        mix(e.secret);
-        mix(e.bytes);
+        f.mix(e.valid ? 1 : 0);
+        f.mix(e.rights | (std::uint64_t(e.rateClass) << 8));
+        f.mix(e.generation);
+        f.mix(e.secret);
+        f.mix(e.bytes);
         for (const CapSpan &s : e.spans) {
-            mix(s.base);
-            mix(s.limit);
+            f.mix(s.base);
+            f.mix(s.limit);
         }
     }
-    return h;
+    return f.h;
 }
 
 } // namespace uldma

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "sim/json.hh"
+#include "util/fnv.hh"
 #include "util/random.hh"
 
 namespace uldma::check {
@@ -25,12 +26,9 @@ mix64(std::uint64_t x)
 std::uint64_t
 fnv1a(const std::string &s)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    Fnv1a f;
+    f.mixBytes(s);
+    return f.h;
 }
 
 /** Stable identity of a scenario config: every knob that changes what

@@ -9,6 +9,7 @@
 #include "cpu/program.hh"
 #include "os/scheduler.hh"
 #include "sim/ticks.hh"
+#include "util/fnv.hh"
 #include "util/logging.hh"
 #include "vm/layout.hh"
 
@@ -21,21 +22,6 @@ constexpr Addr payloadSize = 192;
 constexpr Addr burstBytes = 48;
 /// Byte pattern of the victim's source buffer.
 constexpr std::uint8_t pattern = 0xD5;
-
-/** 64-bit FNV-1a accumulator (matches DmaEngine::stateHash style). */
-struct Fnv1a
-{
-    std::uint64_t h = 14695981039346656037ULL;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-};
 
 /** Micro-ops of one adversary gap burst for @p method. */
 std::uint64_t
@@ -74,8 +60,10 @@ runSchedule(const RunnerConfig &config,
     const DmaMethod method = config.method;
 
     MachineConfig mconfig;
-    // The checker builds thousands of machines per exploration; a
-    // small DRAM keeps construction cheap (4 data pages are used).
+    // The checker builds thousands of machines per exploration.  DRAM
+    // is mapped on demand (mem/physical_memory.hh), so a machine pays
+    // for the pages a run touches, not for its size; 2 MiB holds the
+    // 4 data pages used.
     mconfig.node.memBytes = 2 * 1024 * 1024;
     configureNode(mconfig.node, method);
     mconfig.node.dma.weakRecognizer = config.weakRecognizer;

@@ -1,5 +1,6 @@
 #include "check/schedule.hh"
 
+#include <cmath>
 #include <ostream>
 #include <sstream>
 
@@ -120,6 +121,20 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
+/** Read @p v into @p out if it is a non-negative integer that fits in
+ *  uint64_t; casting any other double is lossy or undefined. */
+bool
+getCount(const json::Value &v, std::uint64_t &out)
+{
+    if (!v.isNumber())
+        return false;
+    const double d = v.asNumber();
+    if (!(d >= 0.0 && d < 0x1p64 && d == std::floor(d)))
+        return false;
+    out = static_cast<std::uint64_t>(d);
+    return true;
+}
+
 } // namespace
 
 bool
@@ -156,8 +171,8 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
     // weakened_cap postdates the original schema too.
     if (!doc["weakened_cap"].isNull() && !doc["weakened_cap"].isBool())
         return fail(error, "weakened_cap must be a boolean");
-    if (!doc["boundary_space"].isNumber())
-        return fail(error, "boundary_space must be a number");
+    if (!getCount(doc["boundary_space"], schedule.boundarySpace))
+        return fail(error, "boundary_space must be a non-negative integer");
     if (!doc["preempt_after"].isArray())
         return fail(error, "preempt_after must be an array");
 
@@ -176,15 +191,15 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
     schedule.weakCap = doc["weakened_cap"].isBool()
                            ? doc["weakened_cap"].asBool()
                            : false;
-    schedule.boundarySpace =
-        static_cast<std::uint64_t>(doc["boundary_space"].asNumber());
     schedule.preemptAfter.clear();
     std::uint64_t last = 0;
     for (std::size_t i = 0; i < doc["preempt_after"].size(); ++i) {
-        const json::Value &b = doc["preempt_after"][i];
-        if (!b.isNumber())
-            return fail(error, "preempt_after entries must be numbers");
-        const auto v = static_cast<std::uint64_t>(b.asNumber());
+        std::uint64_t v = 0;
+        if (!getCount(doc["preempt_after"][i], v)) {
+            return fail(error,
+                        "preempt_after entries must be non-negative "
+                        "integers");
+        }
         if (v >= schedule.boundarySpace)
             return fail(error, "preempt_after entry out of range");
         if (i > 0 && v < last)
@@ -196,8 +211,10 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
     const json::Value &oc = doc["outcome"];
     if (!oc.isObject())
         return fail(error, "outcome must be an object");
-    if (!oc["finished"].isBool() || !oc["initiations"].isNumber())
+    if (!oc["finished"].isBool() ||
+        !getCount(oc["initiations"], outcome.initiations)) {
         return fail(error, "outcome.finished/initiations malformed");
+    }
     if (!oc["status"].isString() ||
         !parseHex(oc["status"].asString(), outcome.status)) {
         return fail(error, "outcome.status must be a 0x hex string");
@@ -209,8 +226,6 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
     if (!oc["violations"].isArray())
         return fail(error, "outcome.violations must be an array");
     outcome.finished = oc["finished"].asBool();
-    outcome.initiations =
-        static_cast<std::uint64_t>(oc["initiations"].asNumber());
     outcome.violations.clear();
     for (std::size_t i = 0; i < oc["violations"].size(); ++i) {
         const json::Value &v = oc["violations"][i];

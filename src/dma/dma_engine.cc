@@ -7,6 +7,7 @@
 #include "sim/event.hh"
 #include "sim/ticks.hh"
 #include "sim/trace.hh"
+#include "util/fnv.hh"
 #include "util/logging.hh"
 
 namespace uldma {
@@ -1698,25 +1699,6 @@ DmaEngine::tryStartUser(Addr src, Addr dst, Addr size, unsigned ctx,
 // ---------------------------------------------------------------------
 // State hashing for the model checker.
 // ---------------------------------------------------------------------
-
-namespace {
-
-/** 64-bit FNV-1a accumulator. */
-struct Fnv1a
-{
-    std::uint64_t h = 14695981039346656037ULL;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-};
-
-} // namespace
 
 std::uint64_t
 DmaEngine::stateHash() const

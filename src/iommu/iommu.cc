@@ -1,5 +1,6 @@
 #include "iommu/iommu.hh"
 
+#include "util/fnv.hh"
 #include "util/logging.hh"
 
 namespace uldma {
@@ -165,22 +166,16 @@ Iommu::translate(unsigned ctx, Addr iova, Rights need)
 std::uint64_t
 Iommu::stateHash() const
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFF;
-            h *= 1099511628211ULL;
-        }
-    };
+    Fnv1a f;
     for (std::size_t i = 0; i < ctxs_.size(); ++i) {
         const Ctx &c = ctxs_[i];
-        mix(i);
-        mix(c.table.size());
-        mix(c.table.generation());
-        mix(c.pinnedLru.size());
+        f.mix(i);
+        f.mix(c.table.size());
+        f.mix(c.table.generation());
+        f.mix(c.pinnedLru.size());
     }
-    mix(iotlb_.stateHash());
-    return h;
+    f.mix(iotlb_.stateHash());
+    return f.h;
 }
 
 } // namespace uldma

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/fnv.hh"
+
 namespace uldma {
 
 IoTlb::IoTlb(unsigned entries, unsigned ways)
@@ -75,23 +77,17 @@ IoTlb::invalidateContext(unsigned ctx)
 std::uint64_t
 IoTlb::stateHash() const
 {
-    std::uint64_t h = 14695981039346656037ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFF;
-            h *= 1099511628211ULL;
-        }
-    };
+    Fnv1a f;
     for (const Entry &e : entries_) {
         if (!e.valid)
             continue;
-        mix(e.ctx);
-        mix(e.vpn);
-        mix(e.pte.pfn);
-        mix(static_cast<std::uint64_t>(e.pte.rights));
-        mix(e.gen);
+        f.mix(e.ctx);
+        f.mix(e.vpn);
+        f.mix(e.pte.pfn);
+        f.mix(static_cast<std::uint64_t>(e.pte.rights));
+        f.mix(e.gen);
     }
-    return h;
+    return f.h;
 }
 
 } // namespace uldma

@@ -1,19 +1,37 @@
 #include "mem/physical_memory.hh"
 
+#include <sys/mman.h>
+
 #include <cstring>
 
 #include "util/logging.hh"
 
 namespace uldma {
+namespace {
+
+/** Map @p size bytes of zero pages (see the file comment). */
+std::uint8_t *
+mapZeroed(Addr size)
+{
+    ULDMA_ASSERT(size > 0, "zero-sized physical memory");
+    void *p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ULDMA_ASSERT(p != MAP_FAILED, "cannot allocate 0x", std::hex, size,
+                 " bytes of physical memory");
+    return static_cast<std::uint8_t *>(p);
+}
+
+} // namespace
+
+void
+PhysicalMemory::Unmapper::operator()(std::uint8_t *p) const
+{
+    munmap(p, size);
+}
 
 PhysicalMemory::PhysicalMemory(Addr size_bytes)
-    : size_(size_bytes),
-      store_(static_cast<std::uint8_t *>(std::calloc(size_bytes, 1)))
-{
-    ULDMA_ASSERT(size_bytes > 0, "zero-sized physical memory");
-    ULDMA_ASSERT(store_ != nullptr, "cannot allocate 0x", std::hex,
-                 size_bytes, " bytes of physical memory");
-}
+    : size_(size_bytes), store_(mapZeroed(size_bytes), Unmapper{size_bytes})
+{}
 
 void
 PhysicalMemory::checkSpan(Addr addr, Addr size) const

@@ -2,16 +2,20 @@
  * @file
  * The DRAM of one simulated workstation: a flat byte array with typed
  * accessors.  Timing is modeled by the owning MemoryDevice / bus; this
- * class is purely functional state.  The array comes from calloc, so
- * pages the simulation never writes stay the OS's shared zero page
- * instead of being zero-filled up front.
+ * class is purely functional state.  The array is an anonymous
+ * private mapping, so pages the simulation never writes stay the
+ * kernel's shared zero page instead of being zero-filled up front.
+ * calloc is no substitute: glibc maps a block only above its mmap
+ * threshold, and freeing a mapped block raises the threshold to that
+ * block's size (up to 32 MiB).  So after the model checker freed its
+ * first 2 MiB machine, every later one would come from dirty heap and
+ * be cleared byte by byte.
  */
 
 #ifndef ULDMA_MEM_PHYSICAL_MEMORY_HH
 #define ULDMA_MEM_PHYSICAL_MEMORY_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -78,13 +82,14 @@ class PhysicalMemory
   private:
     void checkSpan(Addr addr, Addr size) const;
 
-    struct FreeDeleter
+    struct Unmapper
     {
-        void operator()(std::uint8_t *p) const { std::free(p); }
+        Addr size;
+        void operator()(std::uint8_t *p) const;
     };
 
     Addr size_;
-    std::unique_ptr<std::uint8_t[], FreeDeleter> store_;
+    std::unique_ptr<std::uint8_t[], Unmapper> store_;
     std::vector<std::function<void(Addr, Addr)>> observers_;
 };
 

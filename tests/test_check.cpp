@@ -240,6 +240,43 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
         EXPECT_FALSE(parseScheduleJson(os.str(), s, o, &error));
     }
 
+    // Counts must be non-negative integers that fit in uint64_t: a
+    // fraction would be truncated, and casting a negative or too
+    // large double is undefined.  2^64 itself is one past the range.
+    const auto withField = [](const std::string &from,
+                              const std::string &to) {
+        std::string text = validScheduleText();
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    for (const char *v : {"12.5", "-1", "1e30", "18446744073709551616"}) {
+        EXPECT_FALSE(parseScheduleJson(
+            withField("\"boundary_space\": 12",
+                      std::string("\"boundary_space\": ") + v),
+            s, o, &error))
+            << "boundary_space " << v;
+        EXPECT_FALSE(parseScheduleJson(
+            withField("\"initiations\": 0",
+                      std::string("\"initiations\": ") + v),
+            s, o, &error))
+            << "initiations " << v;
+    }
+    for (const char *v : {"2.5", "-1", "-0.5", "1e30"}) {
+        EXPECT_FALSE(parseScheduleJson(
+            withField("\"preempt_after\": [\n    2",
+                      std::string("\"preempt_after\": [\n    ") + v),
+            s, o, &error))
+            << "preempt_after " << v;
+    }
+    // The largest double below 2^64 still fits.
+    ASSERT_TRUE(parseScheduleJson(
+        withField("\"initiations\": 0",
+                  "\"initiations\": 18446744073709549568"),
+        s, o, &error))
+        << error;
+    EXPECT_EQ(o.initiations, 18446744073709549568ULL);
+
     EXPECT_FALSE(parseScheduleJson("not json at all", s, o, &error));
     EXPECT_FALSE(error.empty());
 }

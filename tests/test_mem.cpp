@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/addr_range.hh"
 #include "mem/bus.hh"
 #include "mem/memory_device.hh"
@@ -101,11 +104,45 @@ TEST(PhysicalMemory, FreshMemoryReadsZeroEverywhere)
         ASSERT_EQ(byte, 0u);
 }
 
+TEST(PhysicalMemory, ReusedMemoryReadsZeroEverywhere)
+{
+    // The model checker builds and frees one 2 MiB machine per
+    // schedule, so a new memory may reuse the pages the previous one
+    // dirtied.  Three rounds reach reuse under any allocator.
+    constexpr Addr size = 2 * 1024 * 1024;
+    std::vector<std::uint8_t> bytes(size);
+    for (int round = 0; round < 3; ++round) {
+        PhysicalMemory mem(size);
+        mem.read(0, bytes.data(), size);
+        const auto dirty = std::find_if(
+            bytes.begin(), bytes.end(),
+            [](std::uint8_t b) { return b != 0; });
+        ASSERT_EQ(dirty, bytes.end())
+            << "round " << round << ": nonzero byte at offset "
+            << (dirty - bytes.begin());
+        mem.fill(0, 0xA5, size);
+    }
+}
+
+TEST(PhysicalMemory, SizeNeedNotBeAPageMultiple)
+{
+    PhysicalMemory mem(4097);
+    EXPECT_EQ(mem.readInt(4096, 1), 0u);
+    mem.writeInt(4096, 0x5C, 1);
+    EXPECT_EQ(mem.readInt(4096, 1), 0x5Cu);
+    EXPECT_EQ(mem.readInt(4095, 1), 0u);
+}
+
 TEST(PhysicalMemoryDeath, OutOfRangePanics)
 {
     PhysicalMemory mem(4096);
     EXPECT_DEATH(mem.readInt(4096, 8), "outside memory");
     EXPECT_DEATH(mem.writeInt(4090, 0, 8), "outside memory");
+}
+
+TEST(PhysicalMemoryDeath, ZeroSizePanics)
+{
+    EXPECT_DEATH({ PhysicalMemory mem(0); }, "zero-sized physical memory");
 }
 
 // ---------------------------------------------------------------------

@@ -1,14 +1,16 @@
 /**
  * @file
- * Unit tests for the util module: bitfields, integer math, RNG,
- * string helpers, option parsing.
+ * Unit tests for the util module: bitfields, integer math, FNV-1a,
+ * RNG, string helpers, option parsing.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "util/bitfield.hh"
+#include "util/fnv.hh"
 #include "util/options.hh"
 #include "util/random.hh"
 #include "util/strutil.hh"
@@ -158,6 +160,80 @@ TEST(Random, ReseedReproduces)
     rng.next64();
     rng.reseed(5);
     EXPECT_EQ(rng.next64(), first);
+}
+
+// ---------------------------------------------------------------------
+// fnv.hh
+// ---------------------------------------------------------------------
+
+/** The plain byte-wise FNV-1a step that Fnv1a::mix must reproduce. */
+std::uint64_t
+referenceMix(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (i * 8)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(Fnv1a, MixMatchesTheByteWiseLoop)
+{
+    Fnv1a f;
+    std::uint64_t ref = 0xcbf29ce484222325ULL;
+    ASSERT_EQ(f.h, ref);
+    const auto both = [&](std::uint64_t v) {
+        f.mix(v);
+        ref = referenceMix(ref, v);
+        return f.h == ref;
+    };
+    for (const std::uint64_t v :
+         {0x0ULL, 0x1ULL, 0xffULL, 0x100ULL, 0xff00ULL, 1ULL << 56,
+          0x0100000000000001ULL, 0x00ff00000000ff00ULL,
+          0x8000000000000000ULL, ~0ULL}) {
+        ASSERT_TRUE(both(v)) << std::hex << v;
+    }
+    // Random values shifted right by 0-64 bits, so every count of
+    // leading zero bytes is common.
+    Random rng(15);
+    for (int i = 0; i < 1000000; ++i) {
+        const unsigned shift = static_cast<unsigned>(rng.below(65));
+        const std::uint64_t v = shift == 64 ? 0 : rng.next64() >> shift;
+        ASSERT_TRUE(both(v)) << "value " << i << ": " << std::hex << v;
+    }
+}
+
+TEST(Fnv1a, PinnedDigest)
+{
+    Fnv1a f;
+    for (const std::uint64_t v :
+         {0x0ULL, 0x1ULL, 0xffULL, 0x100ULL, 0xdeadbeefULL, 1ULL << 56,
+          0x0100000000000001ULL, ~0ULL}) {
+        f.mix(v);
+    }
+    EXPECT_EQ(f.h, 0x81fdc247c56d8f43ULL);
+}
+
+TEST(Fnv1a, StringFormHashesEachByte)
+{
+    const auto digest = [](const std::string &s) {
+        Fnv1a f;
+        f.mixBytes(s);
+        return f.h;
+    };
+    // The published FNV-1a 64-bit test vectors.
+    EXPECT_EQ(digest(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(digest("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(digest("foobar"), 0x85944171f73967e8ULL);
+
+    // mix(v) is mixBytes over v's eight little-endian bytes.
+    const std::uint64_t v = 0x0000001200340056ULL;
+    std::string bytes;
+    for (int i = 0; i < 8; ++i)
+        bytes.push_back(static_cast<char>((v >> (i * 8)) & 0xff));
+    Fnv1a f;
+    f.mix(v);
+    EXPECT_EQ(digest(bytes), f.h);
 }
 
 // ---------------------------------------------------------------------

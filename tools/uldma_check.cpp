@@ -11,7 +11,8 @@
  * Replay mode: --replay=FILE re-executes a recorded schedule and
  * compares the reproduced outcome against the recorded one; --report
  * re-serialises the reproduced document (byte-identical to the
- * original when the run reproduces).
+ * original when the run reproduces).  A file whose boundary_space is
+ * not the configuration's real one exits 2 before the run.
  *
  * Fuzz mode: --fuzz runs the coverage-guided mutational loop
  * (docs/FUZZING.md) instead of the exhaustive DFS; --swarm re-draws
@@ -87,6 +88,16 @@ replayMode(const std::string &path, const std::string &report)
     config.useIommu = schedule.iommu;
     config.weakIommu = schedule.weakIommu;
     config.weakCap = schedule.weakCap;
+    // runSchedule asserts that every boundary lies inside the real
+    // boundary space, so a file recording another one is refused
+    // before the run (the empty schedule's run measures the space).
+    const std::uint64_t space = runSchedule(config, {}).boundarySpace;
+    if (space != schedule.boundarySpace) {
+        return usageError(path + ": boundary_space " +
+                          std::to_string(schedule.boundarySpace) +
+                          " is not this configuration's " +
+                          std::to_string(space));
+    }
     const RunResult r = runSchedule(config, schedule.preemptAfter);
     const Outcome reproduced = outcomeOf(r);
 
@@ -95,12 +106,6 @@ replayMode(const std::string &path, const std::string &report)
         return 2;
     }
 
-    if (r.boundarySpace != schedule.boundarySpace) {
-        std::cout << "replay DIVERGED: boundary space "
-                  << r.boundarySpace << " != recorded "
-                  << schedule.boundarySpace << "\n";
-        return 1;
-    }
     if (!(reproduced == recorded)) {
         std::cout << "replay DIVERGED from the recorded outcome\n";
         printViolations(reproduced.violations);
