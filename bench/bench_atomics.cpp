@@ -59,36 +59,10 @@ printExhibit(benchutil::Reporter &reporter)
                 "overhead per operation (paper §3.5).\n");
 }
 
-void
-registerBenchmarks()
-{
-    for (AtomicOp op : {AtomicOp::Add, AtomicOp::CompareSwap}) {
-        for (bool user : {true, false}) {
-            benchmark::RegisterBenchmark(
-                (std::string("atomics/") + toString(op) +
-                 (user ? "/user" : "/kernel"))
-                    .c_str(),
-                [op, user](benchmark::State &state) {
-                    double us = 0;
-                    for (auto _ : state) {
-                        AtomicMeasureConfig config;
-                        config.op = op;
-                        config.userLevel = user;
-                        config.iterations = 100;
-                        us = measureAtomic(config).avgUs;
-                    }
-                    state.counters["sim_us_per_op"] = us;
-                })
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

@@ -87,31 +87,10 @@ printExhibit(benchutil::Reporter &reporter)
                 "PAL approaches stay clean (paper §3.3.1).\n");
 }
 
-void
-registerBenchmarks()
-{
-    benchmark::RegisterBenchmark(
-        "attacks/randomized_repeated5",
-        [](benchmark::State &state) {
-            std::uint64_t violations = 0;
-            for (auto _ : state) {
-                RandomAttackConfig config;
-                config.method = DmaMethod::Repeated5;
-                config.seed = benchutil::seedBase() + 7;
-                const RandomAttackResult r = runRandomizedAttack(config);
-                violations += r.violations;
-            }
-            state.counters["violations"] =
-                static_cast<double>(violations);
-        })
-        ->Unit(benchmark::kMillisecond);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

@@ -72,37 +72,10 @@ printExhibit(benchutil::Reporter &reporter)
                 "dominates (paper §3.4).\n");
 }
 
-void
-registerBenchmarks()
-{
-    for (DmaMethod method :
-         {DmaMethod::ExtShadow, DmaMethod::KeyBased}) {
-        for (const BusGen &gen : busGens) {
-            benchmark::RegisterBenchmark(
-                (std::string("bus_speed/") + toString(method) + "/" +
-                 gen.name)
-                    .c_str(),
-                [method, params = gen.params](benchmark::State &state) {
-                    double us = 0;
-                    for (auto _ : state) {
-                        MeasureConfig config;
-                        config.method = method;
-                        config.iterations = 100;
-                        config.bus = params;
-                        us = measureInitiation(config).avgUs;
-                    }
-                    state.counters["sim_us_per_initiation"] = us;
-                })
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

@@ -1,36 +1,34 @@
 /**
  * @file
  * Shared helpers for the benchmark binaries: table printing, the
- * machine-readable JSON reporter, and the standard main() that first
- * prints the paper-vs-measured exhibit and then runs the registered
- * google-benchmark timers.
+ * machine-readable JSON reporter, and the standard main() that prints
+ * the paper-vs-measured exhibit.
  *
- * Every bench binary accepts:
- *   --exhibit-only        print the exhibit and skip the timing loop
+ * Every bench binary accepts exactly two options, each also in the
+ * --opt=value form:
  *   --json <path>         additionally write the exhibit's measurements
  *                         as one JSON document (schema uldma-bench-v1;
- *                         see docs/OBSERVABILITY.md)
+ *                         see docs/SCHEMAS.md)
  *   --seed <N>            base seed added to every seeded measurement
  *                         (randomized storms etc.); default 0 keeps
  *                         each bench's historical seed sequence.  The
  *                         value is recorded in the JSON report so two
  *                         reports are comparable only when their seeds
  *                         match.
+ * Anything else, or a seed that is not a whole number, exits 2 with a
+ * usage line.  A bench exits 1 when a claim its exhibit checks does
+ * not hold (Reporter::claim) or the JSON cannot be written.
  */
 
 #ifndef ULDMA_BENCH_BENCH_COMMON_HH
 #define ULDMA_BENCH_BENCH_COMMON_HH
 
-#include <benchmark/benchmark.h>
-
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -146,6 +144,22 @@ class Reporter
 
     std::size_t size() const { return records_.size(); }
 
+    /**
+     * Check one claim the exhibit makes about its own numbers.  A
+     * false claim is printed and makes benchMain exit 1, after the
+     * --json report is written so the numbers behind it survive.
+     */
+    void
+    claim(bool holds, const std::string &what)
+    {
+        if (holds)
+            return;
+        std::fprintf(stderr, "CLAIM FAILED: %s\n", what.c_str());
+        claimsHold_ = false;
+    }
+
+    bool claimsHold() const { return claimsHold_; }
+
     void
     writeJson(std::ostream &os, const std::string &benchmark,
               std::uint64_t wall_ns) const
@@ -166,6 +180,7 @@ class Reporter
 
   private:
     std::vector<std::unique_ptr<Record>> records_;
+    bool claimsHold_ = true;
 };
 
 inline std::string
@@ -175,66 +190,48 @@ basenameOf(const std::string &path)
     return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/** The optional whole-document writer benchMain uses for --json in
- *  place of Reporter::writeJson (see setDocumentWriter). */
-inline std::function<void(std::ostream &, std::uint64_t)> &
-documentWriterStorage()
+/** Parse @p text as a whole unsigned decimal number. */
+inline bool
+parseSeed(const std::string &text, std::uint64_t &out)
 {
-    static std::function<void(std::ostream &, std::uint64_t)> writer;
-    return writer;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
 }
 
 /**
- * Replace the uldma-bench-v1 record list benchMain writes for --json
- * with a custom document.  For the one bench whose natural report is
- * not a flat record list (bench_ring's uldma-ring-v1 crossover
- * curve): call before benchMain so every binary still shares one
- * main() and one --json/--seed/--exhibit-only surface.
+ * Standard main: parse --json/--seed, run the exhibit, which
+ * publishes its measurements through the Reporter, and write them as
+ * a JSON document when --json is given.
  */
-inline void
-setDocumentWriter(std::function<void(std::ostream &, std::uint64_t)> writer)
+inline int
+benchMain(int argc, char **argv, void (*exhibit)(Reporter &))
 {
-    documentWriterStorage() = std::move(writer);
-}
-
-/**
- * Standard main: print the exhibit (callback), then run benchmarks.
- * The exhibit callback may optionally take a Reporter& to publish its
- * measurements; --json <path> writes them as a JSON document.
- * Passing --exhibit-only skips the google-benchmark timing loop.
- */
-template <typename ExhibitFn>
-int
-benchMain(int argc, char **argv, ExhibitFn &&exhibit)
-{
-    Reporter reporter;
     std::string json_path;
-    bool exhibit_only = false;
-    std::vector<char *> passthrough;
-    passthrough.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--exhibit-only") {
-            exhibit_only = true;
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg.rfind("--json=", 0) == 0) {
-            json_path = arg.substr(7);
-        } else if (arg == "--seed" && i + 1 < argc) {
-            seedBaseStorage() = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            seedBaseStorage() = std::strtoull(arg.c_str() + 7, nullptr,
-                                              10);
-        } else {
-            passthrough.push_back(argv[i]);
+        const auto eq = arg.find('=');
+        const std::string opt = arg.substr(0, eq);
+        std::string value;
+        if (eq != std::string::npos)
+            value = arg.substr(eq + 1);
+        else if (i + 1 < argc)
+            value = argv[++i];
+        if (opt == "--json" && !value.empty()) {
+            json_path = value;
+        } else if (opt != "--seed" ||
+                   !parseSeed(value, seedBaseStorage())) {
+            std::fprintf(stderr,
+                         "%s: bad argument '%s'\n"
+                         "usage: %s [--json <path>] [--seed <N>]\n",
+                         argv[0], arg.c_str(), argv[0]);
+            return 2;
         }
     }
 
+    Reporter reporter;
     const auto wall_start = std::chrono::steady_clock::now();
-    if constexpr (std::is_invocable_v<ExhibitFn &, Reporter &>)
-        exhibit(reporter);
-    else
-        exhibit();
+    exhibit(reporter);
     const auto wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wall_start)
@@ -242,27 +239,14 @@ benchMain(int argc, char **argv, ExhibitFn &&exhibit)
 
     if (!json_path.empty()) {
         const bool written = writeOutput(json_path, [&](std::ostream &os) {
-            if (documentWriterStorage())
-                documentWriterStorage()(os, wall_ns);
-            else
-                reporter.writeJson(os, basenameOf(argv[0]), wall_ns);
+            reporter.writeJson(os, basenameOf(argv[0]), wall_ns);
         });
         if (!written)
             return 1;
-        if (documentWriterStorage())
-            std::printf("\nwrote %s\n", json_path.c_str());
-        else
-            std::printf("\nwrote %zu records to %s\n", reporter.size(),
-                        json_path.c_str());
+        std::printf("\nwrote %zu records to %s\n", reporter.size(),
+                    json_path.c_str());
     }
-
-    if (exhibit_only)
-        return 0;
-    int pass_argc = static_cast<int>(passthrough.size());
-    ::benchmark::Initialize(&pass_argc, passthrough.data());
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::benchmark::Shutdown();
-    return 0;
+    return reporter.claimsHold() ? 0 : 1;
 }
 
 } // namespace uldma::benchutil

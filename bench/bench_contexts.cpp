@@ -128,26 +128,10 @@ printExhibit(benchutil::Reporter &reporter)
                 "workloads.\n");
 }
 
-void
-registerBenchmarks()
-{
-    benchmark::RegisterBenchmark(
-        "contexts/provision_8procs_4ctx",
-        [](benchmark::State &state) {
-            Provisioning p{};
-            for (auto _ : state)
-                p = provision(DmaMethod::KeyBased, 4, 8);
-            state.counters["granted"] = p.granted;
-            state.counters["fallback"] = p.fallback;
-        })
-        ->Unit(benchmark::kMillisecond);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

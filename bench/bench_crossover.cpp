@@ -121,29 +121,10 @@ printExhibit(benchutil::Reporter &reporter)
     }
 }
 
-void
-registerBenchmarks()
-{
-    benchmark::RegisterBenchmark(
-        "crossover/kernel_vs_user",
-        [](benchmark::State &state) {
-            double k = 0, u = 0;
-            for (auto _ : state) {
-                k = measuredUs(DmaMethod::Kernel, 2300);
-                u = measuredUs(DmaMethod::ExtShadow, 2300);
-            }
-            state.counters["kernel_us"] = k;
-            state.counters["user_us"] = u;
-            state.counters["ratio"] = k / u;
-        })
-        ->Unit(benchmark::kMillisecond);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

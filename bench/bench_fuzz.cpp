@@ -114,28 +114,10 @@ printExhibit(benchutil::Reporter &reporter)
                 "execs/s is the only wall-clock number.\n");
 }
 
-void
-registerBenchmarks()
-{
-    benchmark::RegisterBenchmark(
-        "fuzz/exec_loop",
-        [](benchmark::State &state) {
-            FuzzReport r;
-            for (auto _ : state)
-                r = fuzz(campaignConfig(kCampaigns[0], 50));
-            state.counters["edges_per_exec"] =
-                r.execs ? static_cast<double>(r.coverageEdges) /
-                              static_cast<double>(r.execs)
-                        : 0.0;
-        })
-        ->Unit(benchmark::kMillisecond);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

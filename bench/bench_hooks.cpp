@@ -124,29 +124,10 @@ printExhibit(benchutil::Reporter &reporter)
     }
 }
 
-void
-registerBenchmarks()
-{
-    benchmark::RegisterBenchmark(
-        "hooks/flash_vs_clean",
-        [](benchmark::State &state) {
-            HookResult clean{}, hooked{};
-            for (auto _ : state) {
-                clean = runWorkload(DmaMethod::KeyBased,
-                                    100 * tickPerUs);
-                hooked = runWorkload(DmaMethod::Flash, 100 * tickPerUs);
-            }
-            state.counters["clean_ms"] = clean.totalMs;
-            state.counters["hooked_ms"] = hooked.totalMs;
-        })
-        ->Unit(benchmark::kMillisecond);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

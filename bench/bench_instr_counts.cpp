@@ -65,34 +65,10 @@ printExhibit(benchutil::Reporter &reporter)
                 "harness.\n");
 }
 
-void
-registerBenchmarks()
-{
-    for (DmaMethod method : table1Methods) {
-        benchmark::RegisterBenchmark(
-            (std::string("instr_counts/") + toString(method)).c_str(),
-            [method](benchmark::State &state) {
-                InitiationMeasurement m{};
-                for (auto _ : state) {
-                    MeasureConfig config;
-                    config.method = method;
-                    config.iterations = 100;
-                    m = measureInitiation(config);
-                }
-                state.counters["ni_accesses"] =
-                    initiationAccessCount(method);
-                state.counters["uncached_per_init"] = m.uncachedAccesses;
-                state.counters["microops_per_init"] = m.instructions;
-            })
-            ->Unit(benchmark::kMillisecond);
-    }
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

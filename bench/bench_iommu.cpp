@@ -14,9 +14,8 @@
  * the working set.  On-demand points run against a deliberately small
  * pin budget so the pin-eviction path shows up in the counters.
  *
- * Like bench_ring, --json here writes a dedicated document (schema
- * uldma-iommu-v1, consumed by CI as BENCH_iommu.json) instead of the
- * generic uldma-bench-v1 record list.
+ * The exhibit exits 1 when the cold sweep is not slower than the hot
+ * one or no on-demand point evicts a pin.
  */
 
 #include "bench_common.hh"
@@ -180,23 +179,18 @@ measurePoint(PinPolicy pinning, unsigned slots)
     return m;
 }
 
-/** Results stashed by the exhibit for the uldma-iommu-v1 document. */
-std::vector<IommuMeasurement> g_points;
-double g_hotUs = 0.0;
-double g_coldUs = 0.0;
-
 void
-printExhibit()
+printExhibit(benchutil::Reporter &reporter)
 {
-    g_points.clear();
+    std::vector<IommuMeasurement> points;
     for (PinPolicy pinning : {PinPolicy::OnMap, PinPolicy::OnDemand})
         for (unsigned slots : kSlotSweep)
-            g_points.push_back(measurePoint(pinning, slots));
+            points.push_back(measurePoint(pinning, slots));
 
     // Headline on the map-time-pinned sweep: tightest vs widest
     // working set, same transfers, same pinning.
-    g_hotUs = g_points.front().amortizedUs;
-    g_coldUs = g_points[std::size(kSlotSweep) - 1].amortizedUs;
+    const double hot_us = points.front().amortizedUs;
+    const double cold_us = points[std::size(kSlotSweep) - 1].amortizedUs;
 
     benchutil::header("IOMMU: IOTLB locality vs walk-bound virtual DMA");
     std::printf("%u x %llu B ring transfers per point through a "
@@ -209,7 +203,8 @@ printExhibit()
                 "hit rate", "amortized us", "xlate p50", "pins",
                 "evictions");
     benchutil::rule(92);
-    for (const IommuMeasurement &m : g_points) {
+    bool evicted = false;
+    for (const IommuMeasurement &m : points) {
         std::printf("%-10s %-6u %-7llu %-7llu %-7llu %-9.3f %-13.3f "
                     "%-10.3f %-6llu %llu\n",
                     m.pinning.c_str(), m.slots,
@@ -219,73 +214,37 @@ printExhibit()
                     m.amortizedUs, m.translationP50Us,
                     static_cast<unsigned long long>(m.demandPins),
                     static_cast<unsigned long long>(m.pinEvictions));
+        reporter.record("iommu/point")
+            .config("pinning", m.pinning)
+            .config("slots", m.slots)
+            .config("transfers", kTransfers)
+            .config("transfer_bytes", kTransferBytes)
+            .config("iotlb_entries", kIotlbEntries)
+            .config("iotlb_ways", kIotlbWays)
+            .metric("hits", static_cast<double>(m.hits))
+            .metric("misses", static_cast<double>(m.misses))
+            .metric("walks", static_cast<double>(m.walks))
+            .metric("hit_rate", m.hitRate)
+            .metric("amortized_us", m.amortizedUs)
+            .metric("translation_p50_us", m.translationP50Us)
+            .metric("demand_pins", static_cast<double>(m.demandPins))
+            .metric("pin_evictions", static_cast<double>(m.pinEvictions));
+        evicted = evicted || m.pinEvictions > 0;
     }
+    reporter.record("iommu/headline")
+        .config("pinning", points.front().pinning)
+        .metric("hot_us", hot_us)
+        .metric("cold_us", cold_us)
+        .metric("walk_penalty_us", cold_us - hot_us);
 
     std::printf("\nhot (IOTLB-resident) %.3f us/transfer vs cold "
                 "(walk-bound) %.3f us/transfer:\nthe same transfers "
                 "cost %.3f us more each once the working set defeats "
                 "the IOTLB.\n",
-                g_hotUs, g_coldUs, g_coldUs - g_hotUs);
-    if (g_coldUs <= g_hotUs)
-        std::printf("\nWARNING: no walk penalty observed -- the cold "
-                    "sweep was not slower than the hot one.\n");
-}
-
-void
-writeIommuJson(std::ostream &os, std::uint64_t wall_ns)
-{
-    json::Writer w(os, /*pretty=*/true);
-    w.beginObject();
-    w.member("schema", "uldma-iommu-v1");
-    w.member("benchmark", "bench_iommu");
-    w.member("wall_ns", wall_ns);
-    w.member("seed", benchutil::seedBase());
-    w.member("transfers", std::uint64_t{kTransfers});
-    w.member("transfer_bytes", std::uint64_t{kTransferBytes});
-    w.member("iotlb_entries", std::uint64_t{kIotlbEntries});
-    w.member("iotlb_ways", std::uint64_t{kIotlbWays});
-
-    w.key("points");
-    w.beginArray();
-    for (const IommuMeasurement &m : g_points) {
-        w.beginObject();
-        w.member("pinning", m.pinning);
-        w.member("slots", std::uint64_t{m.slots});
-        w.member("hits", m.hits);
-        w.member("misses", m.misses);
-        w.member("walks", m.walks);
-        w.member("hit_rate", m.hitRate);
-        w.member("amortized_us", m.amortizedUs);
-        w.member("translation_p50_us", m.translationP50Us);
-        w.member("demand_pins", m.demandPins);
-        w.member("pin_evictions", m.pinEvictions);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.member("hot_us", g_hotUs);
-    w.member("cold_us", g_coldUs);
-    w.member("walk_penalty_us", g_coldUs - g_hotUs);
-    w.endObject();
-    os << "\n";
-}
-
-void
-registerBenchmarks()
-{
-    benchmark::RegisterBenchmark(
-        "iommu/amortized",
-        [](benchmark::State &state) {
-            const unsigned slots =
-                static_cast<unsigned>(state.range(0));
-            IommuMeasurement m;
-            for (auto _ : state)
-                m = measurePoint(PinPolicy::OnMap, slots);
-            state.counters["amortized_us"] = m.amortizedUs;
-        })
-        ->Arg(4)
-        ->Arg(64)
-        ->Unit(benchmark::kMillisecond);
+                hot_us, cold_us, cold_us - hot_us);
+    reporter.claim(cold_us > hot_us, "the walk-bound sweep is slower "
+                                     "than the IOTLB-resident one");
+    reporter.claim(evicted, "the on-demand sweep evicts a pin");
 }
 
 } // namespace
@@ -293,9 +252,5 @@ registerBenchmarks()
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
-    // This binary's --json report is the uldma-iommu-v1 locality
-    // sweep, not the shared uldma-bench-v1 record list.
-    uldma::benchutil::setDocumentWriter(writeIommuJson);
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

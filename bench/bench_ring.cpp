@@ -16,11 +16,8 @@
  * are Table 1's pure initiation overhead with the transfers
  * themselves overlapped.
  *
- * Unlike the other bench binaries, --json here writes schema
- * uldma-ring-v1 (the crossover curve consumed by CI as
- * BENCH_ring.json), not the generic uldma-bench-v1 record list —
- * installed via benchutil::setDocumentWriter so the binary still
- * shares the standard benchMain() option surface.
+ * The exhibit exits 1 when no swept depth crosses below the cheapest
+ * baseline.
  */
 
 #include "bench_common.hh"
@@ -158,12 +155,6 @@ measureRing(unsigned depth, Addr transfer_bytes)
     return m;
 }
 
-/** Results stashed by the exhibit for the uldma-ring-v1 document. */
-std::vector<RingMeasurement> g_sweep;
-InitiationMeasurement g_keyBaseline;
-InitiationMeasurement g_cheapBaseline;
-unsigned g_crossoverDepth = 0;
-
 InitiationMeasurement
 measureBaseline(DmaMethod method)
 {
@@ -176,19 +167,22 @@ measureBaseline(DmaMethod method)
 }
 
 void
-printExhibit()
+printExhibit(benchutil::Reporter &reporter)
 {
-    g_keyBaseline = measureBaseline(DmaMethod::KeyBased);
-    g_cheapBaseline = measureBaseline(DmaMethod::ExtShadow);
-
-    g_sweep.clear();
-    g_crossoverDepth = 0;
-    for (unsigned depth : kDepths) {
-        g_sweep.push_back(measureRing(depth, kTransferBytes));
-        const RingMeasurement &m = g_sweep.back();
-        if (g_crossoverDepth == 0 &&
-            m.amortizedUs < g_cheapBaseline.avgUs)
-            g_crossoverDepth = depth;
+    const InitiationMeasurement key_based =
+        measureBaseline(DmaMethod::KeyBased);
+    const InitiationMeasurement cheapest =
+        measureBaseline(DmaMethod::ExtShadow);
+    for (const InitiationMeasurement *b : {&key_based, &cheapest}) {
+        reporter.record("ring/baseline")
+            .config("protocol", toString(b->method))
+            .config("transfers", kTransfers)
+            .config("transfer_bytes", kTransferBytes)
+            // Table-1 style: initiation only, transfers overlap.
+            .config("includes_completion", "false")
+            .metric("per_transfer_us", b->avgUs)
+            .metric("instructions_per_transfer", b->instructions)
+            .metric("uncached_per_transfer", b->uncachedAccesses);
     }
 
     benchutil::header("Ring crossover: amortized batched initiation vs "
@@ -197,110 +191,56 @@ printExhibit()
                 "ext-shadow (cheapest) %.2f us\n\n",
                 kTransfers,
                 static_cast<unsigned long long>(kTransferBytes),
-                g_keyBaseline.avgUs, g_cheapBaseline.avgUs);
+                key_based.avgUs, cheapest.avgUs);
     std::printf("%-7s %-8s %-14s %-11s %-11s %-12s %s\n", "depth",
                 "batches", "amortized us", "vs keyed", "vs cheap",
                 "instr/xfer", "uncached/xfer");
     benchutil::rule(72);
-    for (const RingMeasurement &m : g_sweep) {
+
+    // Smallest depth strictly below the cheapest per-transfer
+    // baseline.  "None" reads as twice the deepest swept depth, the
+    // next one a doubling sweep would try, so losing the crossover
+    // also trips the lower-is-better gate.
+    const unsigned deepest = kDepths[std::size(kDepths) - 1];
+    unsigned crossover = 2 * deepest;
+    for (unsigned depth : kDepths) {
+        const RingMeasurement m = measureRing(depth, kTransferBytes);
+        if (crossover > depth && m.amortizedUs < cheapest.avgUs)
+            crossover = depth;
         std::printf("%-7u %-8u %-14.2f %-11.2f %-11.2f %-12.1f %.2f\n",
                     m.depth, m.batches, m.amortizedUs,
-                    m.amortizedUs / g_keyBaseline.avgUs,
-                    m.amortizedUs / g_cheapBaseline.avgUs,
+                    m.amortizedUs / key_based.avgUs,
+                    m.amortizedUs / cheapest.avgUs,
                     m.instructionsPerTransfer, m.uncachedPerTransfer);
+        reporter.record("ring/depth")
+            .config("depth", m.depth)
+            .config("transfers", kTransfers)
+            .config("transfer_bytes", kTransferBytes)
+            // Each batch runs to completion before the next enqueue.
+            .config("includes_completion", "true")
+            .metric("batches", m.batches)
+            .metric("amortized_us", m.amortizedUs)
+            .metric("total_us", m.totalUs)
+            .metric("instructions_per_transfer", m.instructionsPerTransfer)
+            .metric("uncached_per_transfer", m.uncachedPerTransfer)
+            .metric("initiations_started",
+                    static_cast<double>(m.initiationsStarted))
+            .metric("successes", static_cast<double>(m.successes));
     }
+    reporter.record("ring/crossover")
+        .config("baseline", toString(cheapest.method))
+        .metric("crossover_depth", crossover);
 
-    if (g_crossoverDepth != 0) {
+    const bool crossed = crossover <= deepest;
+    if (crossed)
         std::printf("\ncrossover: ring amortized cost drops strictly "
                     "below the cheapest\nper-transfer baseline "
                     "(ext-shadow) at queue depth %u -- and the ring\n"
                     "numbers include the batch completion drain the "
                     "baselines exclude.\n",
-                    g_crossoverDepth);
-    } else {
-        std::printf("\nWARNING: no crossover observed -- ring batching "
-                    "never beat the\ncheapest per-transfer baseline at "
-                    "any swept depth.\n");
-    }
-}
-
-void
-writeRingJson(std::ostream &os, std::uint64_t wall_ns)
-{
-    json::Writer w(os, /*pretty=*/true);
-    w.beginObject();
-    w.member("schema", "uldma-ring-v1");
-    w.member("benchmark", "bench_ring");
-    w.member("wall_ns", wall_ns);
-    w.member("seed", benchutil::seedBase());
-    w.member("transfers", std::uint64_t{kTransfers});
-    w.member("transfer_bytes", std::uint64_t{kTransferBytes});
-
-    w.key("baselines");
-    w.beginArray();
-    const struct
-    {
-        const char *protocol;
-        const InitiationMeasurement *m;
-    } baselines[] = {
-        {"key-based", &g_keyBaseline},
-        {"ext-shadow", &g_cheapBaseline},
-    };
-    for (const auto &b : baselines) {
-        w.beginObject();
-        w.member("protocol", b.protocol);
-        w.member("per_transfer_us", b.m->avgUs);
-        w.member("instructions_per_transfer", b.m->instructions);
-        w.member("uncached_per_transfer", b.m->uncachedAccesses);
-        // Table-1 style: initiation only, transfers overlap.
-        w.member("includes_completion", false);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("depths");
-    w.beginArray();
-    for (const RingMeasurement &m : g_sweep) {
-        w.beginObject();
-        w.member("depth", std::uint64_t{m.depth});
-        w.member("batches", std::uint64_t{m.batches});
-        w.member("amortized_us", m.amortizedUs);
-        w.member("total_us", m.totalUs);
-        w.member("instructions_per_transfer", m.instructionsPerTransfer);
-        w.member("uncached_per_transfer", m.uncachedPerTransfer);
-        w.member("initiations_started", m.initiationsStarted);
-        w.member("successes", m.successes);
-        // Each batch runs to completion before the next enqueue.
-        w.member("includes_completion", true);
-        w.endObject();
-    }
-    w.endArray();
-
-    // Smallest depth strictly below the cheapest per-transfer
-    // baseline; 0 = no crossover.
-    w.member("crossover_depth", std::uint64_t{g_crossoverDepth});
-    w.member("crossover_baseline", "ext-shadow");
-    w.endObject();
-    os << "\n";
-}
-
-void
-registerBenchmarks()
-{
-    benchmark::RegisterBenchmark(
-        "ring/amortized",
-        [](benchmark::State &state) {
-            const unsigned depth =
-                static_cast<unsigned>(state.range(0));
-            RingMeasurement m;
-            for (auto _ : state)
-                m = measureRing(depth, kTransferBytes);
-            state.counters["amortized_us"] = m.amortizedUs;
-        })
-        ->Arg(1)
-        ->Arg(4)
-        ->Arg(16)
-        ->Unit(benchmark::kMillisecond);
+                    crossover);
+    reporter.claim(crossed, "ring batching beats the cheapest "
+                            "per-transfer baseline at some swept depth");
 }
 
 } // namespace
@@ -308,9 +248,5 @@ registerBenchmarks()
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
-    // This binary's --json report is the uldma-ring-v1 crossover
-    // document, not the shared uldma-bench-v1 record list.
-    uldma::benchutil::setDocumentWriter(writeRingJson);
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

@@ -114,31 +114,10 @@ printTable1(benchutil::Reporter &reporter)
     }
 }
 
-void
-registerBenchmarks()
-{
-    for (DmaMethod method : table1Methods) {
-        benchmark::RegisterBenchmark(
-            (std::string("table1/") + toString(method)).c_str(),
-            [method](benchmark::State &state) {
-                double us = 0;
-                for (auto _ : state) {
-                    MeasureConfig config;
-                    config.method = method;
-                    config.iterations = 200;
-                    us = measureInitiation(config).avgUs;
-                }
-                state.counters["sim_us_per_initiation"] = us;
-            })
-            ->Unit(benchmark::kMillisecond);
-    }
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printTable1);
 }

@@ -159,28 +159,10 @@ printExhibit(benchutil::Reporter &reporter)
                 "most.\n");
 }
 
-void
-registerBenchmarks()
-{
-    for (Addr size : {Addr(256), Addr(8192)}) {
-        benchmark::RegisterBenchmark(
-            (std::string("transfer/local/") + formatBytes(size)).c_str(),
-            [size](benchmark::State &state) {
-                TransferResult r{};
-                for (auto _ : state)
-                    r = localTransfer(size);
-                state.counters["sim_latency_us"] = r.latencyUs;
-                state.counters["sim_MBps"] = r.bandwidthMBs;
-            })
-            ->Unit(benchmark::kMillisecond);
-    }
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    registerBenchmarks();
     return uldma::benchutil::benchMain(argc, argv, printExhibit);
 }

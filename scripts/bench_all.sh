@@ -45,7 +45,7 @@ for bench in "$build_dir"/bench/bench_*; do
     out="BENCH_${suffix}.json"
     echo "== $name -> $out"
     t0=$(date +%s%N)
-    if ! "$bench" --exhibit-only --json "$out" --seed "$seed"; then
+    if ! "$bench" --json "$out" --seed "$seed"; then
         echo "bench_all.sh: FAILED: $name;" \
              "stopping before remaining benches" >&2
         exit 1
@@ -155,16 +155,6 @@ for path, wall_s in zip(paths, walls):
         key = (f"{doc.get('scenario', '?')}: "
                f"duration_us={doc.get('duration_us', 0):g}, "
                f"{len(doc.get('per_protocol', []))} protocol row(s)")
-        rows.append((path, schema, wall_s, key))
-    elif schema == "uldma-iommu-v1":
-        key = (f"{len(doc.get('points', []))} point(s), "
-               f"walk_penalty_us={doc.get('walk_penalty_us', 0):g}")
-        rows.append((path, schema, wall_s, key))
-    elif schema == "uldma-cap-v1":
-        fair = doc.get("fairness", {})
-        key = (f"{fair.get('tenants', 0)} tenant(s), "
-               f"jain_index={fair.get('jain_index', 0):g}, "
-               f"cap_premium_us={doc.get('cap_premium_us', 0):g}")
         rows.append((path, schema, wall_s, key))
     else:
         rows.append((path, schema, wall_s,

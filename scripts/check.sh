@@ -20,7 +20,7 @@ ctest --test-dir build --output-on-failure
 
 for bench in build/bench/bench_*; do
     [ -x "$bench" ] || continue
-    "$bench" --exhibit-only
+    "$bench"
 done
 
 echo

@@ -1,8 +1,11 @@
 #include "check/schedule.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "sim/json.hh"
 
@@ -51,7 +54,8 @@ toHex(std::uint64_t v)
 bool
 parseHex(const std::string &s, std::uint64_t &v)
 {
-    if (s.size() < 3 || s.compare(0, 2, "0x") != 0)
+    // At most 16 digits: toHex never writes more, and no more fit.
+    if (s.size() < 3 || s.size() > 18 || s.compare(0, 2, "0x") != 0)
         return false;
     std::uint64_t acc = 0;
     for (std::size_t i = 2; i < s.size(); ++i) {
@@ -63,8 +67,6 @@ parseHex(const std::string &s, std::uint64_t &v)
             digit = c - 'a' + 10;
         else
             return false;
-        if (acc >> 60)
-            return false;   // overflow
         acc = (acc << 4) | static_cast<std::uint64_t>(digit);
     }
     v = acc;
@@ -135,6 +137,19 @@ getCount(const json::Value &v, std::uint64_t &out)
     return true;
 }
 
+/** The first member of object @p obj outside @p allowed, or nullptr. */
+const std::string *
+unknownMember(const json::Value &obj,
+              std::initializer_list<std::string_view> allowed)
+{
+    for (const auto &member : obj.asObject()) {
+        if (std::find(allowed.begin(), allowed.end(), member.first) ==
+            allowed.end())
+            return &member.first;
+    }
+    return nullptr;
+}
+
 } // namespace
 
 bool
@@ -145,6 +160,13 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
     const json::Value doc = json::parse(text, &perr);
     if (!perr.empty())
         return fail(error, "JSON parse error: " + perr);
+    return parseScheduleJson(doc, schedule, outcome, error);
+}
+
+bool
+parseScheduleJson(const json::Value &doc, Schedule &schedule,
+                  Outcome &outcome, std::string *error)
+{
     if (!doc.isObject())
         return fail(error, "root is not an object");
     if (!doc["schema"].isString() ||
@@ -152,6 +174,12 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
         return fail(error, "schema is not '" +
                                std::string(scheduleSchema) + "'");
     }
+    if (const std::string *extra = unknownMember(
+            doc, {"schema", "protocol", "faults", "weakened_recognizer",
+                  "weakened_ring", "iommu", "weakened_iommu",
+                  "weakened_cap", "boundary_space", "preempt_after",
+                  "outcome"}))
+        return fail(error, "unknown member '" + *extra + "'");
     if (!doc["protocol"].isString() ||
         !protocolMethod(doc["protocol"].asString())) {
         return fail(error, "unknown protocol");
@@ -211,6 +239,10 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
     const json::Value &oc = doc["outcome"];
     if (!oc.isObject())
         return fail(error, "outcome must be an object");
+    if (const std::string *extra = unknownMember(
+            oc, {"finished", "status", "initiations", "state_hash",
+                 "violations"}))
+        return fail(error, "outcome: unknown member '" + *extra + "'");
     if (!oc["finished"].isBool() ||
         !getCount(oc["initiations"], outcome.initiations)) {
         return fail(error, "outcome.finished/initiations malformed");
@@ -231,6 +263,9 @@ parseScheduleJson(const std::string &text, Schedule &schedule,
         const json::Value &v = oc["violations"][i];
         if (!v["invariant"].isString() || !v["detail"].isString())
             return fail(error, "violation entries need invariant/detail");
+        if (const std::string *extra =
+                unknownMember(v, {"invariant", "detail"}))
+            return fail(error, "violation: unknown member '" + *extra + "'");
         outcome.violations.push_back(
             {v["invariant"].asString(), v["detail"].asString()});
     }

@@ -23,6 +23,10 @@
 #include "check/invariants.hh"
 #include "core/methods.hh"
 
+namespace uldma::json {
+class Value;
+}
+
 namespace uldma::check {
 
 inline constexpr char scheduleSchema[] = "uldma-schedule-v1";
@@ -98,10 +102,14 @@ void writeScheduleJson(std::ostream &os, const Schedule &schedule,
                        const Outcome &outcome);
 
 /**
- * Parse an uldma-schedule-v1 document.
+ * Parse an uldma-schedule-v1 document, from its text or from its
+ * parsed JSON.  Strict: an unknown member at any level is an error.
+ * `uldma_check --replay` and `uldma_trace_tool validate` both use it.
  * @return false (with @p error set) on malformed input.
  */
 bool parseScheduleJson(const std::string &text, Schedule &schedule,
+                       Outcome &outcome, std::string *error);
+bool parseScheduleJson(const json::Value &doc, Schedule &schedule,
                        Outcome &outcome, std::string *error);
 
 } // namespace uldma::check

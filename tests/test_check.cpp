@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "check/explorer.hh"
 #include "check/invariants.hh"
@@ -179,6 +181,9 @@ TEST(ScheduleJson, HexCoversFullRange)
     EXPECT_FALSE(parseHex("0x", v));           // no digits
     EXPECT_FALSE(parseHex("0xZZ", v));         // not hex
     EXPECT_FALSE(parseHex("0x10000000000000000", v));   // overflow
+    // More than 16 digits is refused even when the value would fit.
+    EXPECT_FALSE(parseHex("0x00000000000000001", v));
+    EXPECT_FALSE(parseHex("0x0000000000000000001", v));
 }
 
 std::string
@@ -269,6 +274,31 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
             s, o, &error))
             << "preempt_after " << v;
     }
+    // Unknown members are refused at every level, a misspelled
+    // optional flag included.
+    for (const auto &[from, to] :
+         {std::pair<std::string, std::string>{
+              "\"faults\"", "\"weakend_ring\": false,\n  \"faults\""},
+          {"\"finished\"", "\"extra\": 1,\n    \"finished\""}}) {
+        EXPECT_FALSE(parseScheduleJson(withField(from, to), s, o, &error))
+            << to;
+        EXPECT_NE(error.find("unknown member"), std::string::npos) << error;
+    }
+    {
+        Outcome with_violation;
+        with_violation.violations = {{"protection", "detail"}};
+        Schedule good;
+        good.protocol = "repeated";
+        good.boundarySpace = 12;
+        std::ostringstream os;
+        writeScheduleJson(os, good, with_violation);
+        std::string text = os.str();
+        const std::string from = "\"detail\": \"detail\"";
+        text.replace(text.find(from), from.size(), from + ", \"x\": 1");
+        EXPECT_FALSE(parseScheduleJson(text, s, o, &error));
+        EXPECT_NE(error.find("unknown member"), std::string::npos) << error;
+    }
+
     // The largest double below 2^64 still fits.
     ASSERT_TRUE(parseScheduleJson(
         withField("\"initiations\": 0",

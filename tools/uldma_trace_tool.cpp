@@ -4,14 +4,12 @@
  *
  * Subcommands:
  *
- *   summarize <spans.json | workload-report.json | ring-sweep.json>
+ *   summarize <spans.json | workload-report.json>
  *       uldma-spans-v1: per-protocol table of outcome counts and
  *       end-to-end / per-phase latency quantiles — the offline
  *       reproduction of the paper's Table 1 view.
  *       uldma-workload-v1: offered-vs-achieved table of a workload
  *       engine run.
- *       uldma-ring-v1: descriptor-ring crossover curve (amortized
- *       batched initiation vs the per-transfer baselines).
  *
  *   diff <before.json> <after.json> [--threshold=<pct>]
  *       Compare per-protocol end-to-end p50 between two uldma-spans-v1
@@ -25,28 +23,32 @@
  *       compare the flattened scope paths and rank the deltas.
  *
  *   bench-diff <baseline.json> <current.json> [--threshold=<pct>]
- *       The perf-regression gate: compare two uldma-bench-v1 or two
- *       uldma-ring-v1 reports metric by metric.  Metric direction is
- *       classified by name (see metricDirection); host wall-time
- *       metrics are never gated.  Exit 1 when any tracked metric
- *       moved the wrong way past the threshold (default 10%) or a
- *       baseline record/metric vanished; exit 2 when the reports are
- *       not comparable (schema or seed mismatch).
+ *       The perf-regression gate: compare two uldma-bench-v1 reports
+ *       record by record (matched on name + exact config) and metric
+ *       by metric.  Metric direction is classified by name (see
+ *       metricDirection); host wall-time metrics are never gated.
+ *       Exit 1 when any tracked metric moved the wrong way past the
+ *       threshold (default 10%) or a baseline record/metric vanished;
+ *       exit 2 when the reports are not comparable (not two
+ *       uldma-bench-v1 reports of the same benchmark and seed).
  *
  *   bench-perturb <in.json> <out.json> [--factor=<f>]
- *       Write a copy of a bench report with every lower-is-better
- *       metric multiplied by the factor (default 1.5) — a synthetic
+ *       Write a copy of a bench report with every gated metric moved
+ *       the wrong way by the factor (default 1.5): lower-is-better
+ *       ones multiplied, higher-is-better ones divided — a synthetic
  *       regression for exercising the bench-diff gate in tests.
  *
  *   validate <file.json> [...]
  *       Schema-check any of the simulator's JSON artifacts
  *       (uldma-stats-v1, uldma-spans-v1, uldma-timeseries-v1,
- *       uldma-bench-v1, uldma-workload-v1, uldma-schedule-v1,
- *       uldma-fuzz-v1, uldma-ring-v1, chrome://tracing).  Every
- *       accepted shape is documented in docs/SCHEMAS.md.
- *       uldma-workload-v1, uldma-schedule-v1, uldma-fuzz-v1 and
- *       uldma-ring-v1 validation is strict:
- *       unknown members anywhere in the document are problems.
+ *       uldma-bench-v1, uldma-bench-summary-v1, uldma-workload-v1,
+ *       uldma-schedule-v1, uldma-fuzz-v1, uldma-profile-v1,
+ *       chrome://tracing).  Every accepted shape is documented in
+ *       docs/SCHEMAS.md.  uldma-workload-v1, uldma-schedule-v1,
+ *       uldma-fuzz-v1, uldma-profile-v1 and uldma-bench-summary-v1
+ *       validation is strict: unknown members anywhere in the document
+ *       are problems.  Schedule files go through the same parser as
+ *       `uldma_check --replay`.
  *       Schema tags are resolved through a family/version registry:
  *       an unknown *version* of a known family (e.g.
  *       "uldma-spans-v2") is a hard error naming the versions this
@@ -69,6 +71,7 @@
 #include <string>
 #include <vector>
 
+#include "check/schedule.hh"
 #include "sim/json.hh"
 #include "util/output.hh"
 
@@ -426,353 +429,16 @@ validateWorkload(Problems &p, const Value &doc)
     }
 }
 
-/** Strict uldma-schedule-v1 check (model-checker repro files). */
+/** Strict uldma-schedule-v1 check (model-checker repro files): the
+ *  parser `uldma_check --replay` uses. */
 void
 validateSchedule(Problems &p, const Value &doc)
 {
-    checkNoExtra(p, doc,
-                 {"schema", "protocol", "faults", "weakened_recognizer",
-                  "weakened_ring", "iommu", "weakened_iommu",
-                  "weakened_cap", "boundary_space", "preempt_after",
-                  "outcome"},
-                 "root");
-    p.require(doc["protocol"].isString(), "protocol missing");
-    if (doc["protocol"].isString()) {
-        const std::string proto = doc["protocol"].asString();
-        p.require(proto == "pal" || proto == "key-based" ||
-                      proto == "ext-shadow" || proto == "repeated" ||
-                      proto == "ring" || proto == "cap",
-                  "unknown protocol '" + proto + "'");
-    }
-    p.require(doc["faults"].isBool(), "faults missing");
-    p.require(doc["weakened_recognizer"].isBool(),
-              "weakened_recognizer missing");
-    // Optional: absent in schedule files from before the ring engine
-    // (readers treat absent as false).
-    if (!doc["weakened_ring"].isNull())
-        p.require(doc["weakened_ring"].isBool(),
-                  "weakened_ring is not a bool");
-    // Optional likewise: absent before the IOMMU subsystem.
-    if (!doc["iommu"].isNull())
-        p.require(doc["iommu"].isBool(), "iommu is not a bool");
-    if (!doc["weakened_iommu"].isNull())
-        p.require(doc["weakened_iommu"].isBool(),
-                  "weakened_iommu is not a bool");
-    // Optional likewise: absent before the capability subsystem.
-    if (!doc["weakened_cap"].isNull())
-        p.require(doc["weakened_cap"].isBool(),
-                  "weakened_cap is not a bool");
-    p.require(doc["boundary_space"].isNumber(), "boundary_space missing");
-    p.require(doc["preempt_after"].isArray(), "preempt_after missing");
-    if (doc["preempt_after"].isArray()) {
-        const auto &pts = doc["preempt_after"].asArray();
-        double last = 0.0;
-        for (std::size_t i = 0; i < pts.size(); ++i) {
-            const std::string where =
-                "preempt_after[" + std::to_string(i) + "]";
-            p.require(pts[i].isNumber(), where + " is not a number");
-            if (!pts[i].isNumber())
-                continue;
-            const double v = pts[i].asNumber();
-            if (doc["boundary_space"].isNumber()) {
-                p.require(v < doc["boundary_space"].asNumber(),
-                          where + " out of boundary space");
-            }
-            p.require(i == 0 || v >= last,
-                      where + " breaks non-decreasing order");
-            last = v;
-        }
-    }
-
-    const Value &oc = doc["outcome"];
-    p.require(oc.isObject(), "outcome missing");
-    checkNoExtra(p, oc,
-                 {"finished", "status", "initiations", "state_hash",
-                  "violations"},
-                 "outcome");
-    p.require(oc["finished"].isBool(), "outcome.finished missing");
-    p.require(oc["initiations"].isNumber(), "outcome.initiations missing");
-    for (const char *f : {"status", "state_hash"}) {
-        const std::string where = std::string("outcome.") + f;
-        p.require(oc[f].isString(), where + " missing");
-        if (oc[f].isString()) {
-            const std::string &s = oc[f].asString();
-            bool hex = s.size() > 2 && s.size() <= 18 &&
-                       s.compare(0, 2, "0x") == 0;
-            for (std::size_t i = 2; hex && i < s.size(); ++i) {
-                const char c = s[i];
-                hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-            }
-            p.require(hex, where + " is not a 0x hex string");
-        }
-    }
-    p.require(oc["violations"].isArray(), "outcome.violations missing");
-    if (oc["violations"].isArray()) {
-        const auto &vs = oc["violations"].asArray();
-        for (std::size_t i = 0; i < vs.size(); ++i) {
-            const std::string where =
-                "outcome.violations[" + std::to_string(i) + "]";
-            checkNoExtra(p, vs[i], {"invariant", "detail"}, where);
-            p.require(vs[i]["invariant"].isString(),
-                      where + ".invariant missing");
-            p.require(vs[i]["detail"].isString(),
-                      where + ".detail missing");
-        }
-    }
-}
-
-/** Strict uldma-ring-v1 check (bench_ring crossover curves). */
-void
-validateRing(Problems &p, const Value &doc)
-{
-    checkNoExtra(p, doc,
-                 {"schema", "benchmark", "wall_ns", "seed", "transfers",
-                  "transfer_bytes", "baselines", "depths",
-                  "crossover_depth", "crossover_baseline"},
-                 "root");
-    p.require(doc["benchmark"].isString(), "benchmark missing");
-    for (const char *f :
-         {"wall_ns", "seed", "transfers", "transfer_bytes"})
-        p.require(doc[f].isNumber(), std::string(f) + " missing");
-
-    p.require(doc["baselines"].isArray(), "baselines missing");
-    if (doc["baselines"].isArray()) {
-        const auto &rows = doc["baselines"].asArray();
-        p.require(!rows.empty(), "baselines is empty");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Value &r = rows[i];
-            const std::string where =
-                "baselines[" + std::to_string(i) + "]";
-            checkNoExtra(p, r,
-                         {"protocol", "per_transfer_us",
-                          "instructions_per_transfer",
-                          "uncached_per_transfer",
-                          "includes_completion"},
-                         where);
-            p.require(r["protocol"].isString(),
-                      where + ".protocol missing");
-            p.require(r["includes_completion"].isBool(),
-                      where + ".includes_completion missing");
-            for (const char *f :
-                 {"per_transfer_us", "instructions_per_transfer",
-                  "uncached_per_transfer"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
-        }
-    }
-
-    p.require(doc["depths"].isArray(), "depths missing");
-    if (doc["depths"].isArray()) {
-        const auto &rows = doc["depths"].asArray();
-        p.require(!rows.empty(), "depths is empty");
-        double last_depth = 0.0;
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Value &r = rows[i];
-            const std::string where =
-                "depths[" + std::to_string(i) + "]";
-            checkNoExtra(p, r,
-                         {"depth", "batches", "amortized_us", "total_us",
-                          "instructions_per_transfer",
-                          "uncached_per_transfer", "initiations_started",
-                          "successes", "includes_completion"},
-                         where);
-            p.require(r["includes_completion"].isBool(),
-                      where + ".includes_completion missing");
-            for (const char *f :
-                 {"depth", "batches", "amortized_us", "total_us",
-                  "instructions_per_transfer", "uncached_per_transfer",
-                  "initiations_started", "successes"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
-            if (r["depth"].isNumber()) {
-                const double d = r["depth"].asNumber();
-                p.require(d >= 1.0, where + ".depth below 1");
-                p.require(d > last_depth,
-                          where + ".depth breaks strictly increasing "
-                                  "order");
-                last_depth = d;
-            }
-        }
-    }
-
-    p.require(doc["crossover_depth"].isNumber(),
-              "crossover_depth missing");
-    p.require(doc["crossover_baseline"].isString(),
-              "crossover_baseline missing");
-    // A nonzero crossover must name one of the swept depths.
-    if (doc["crossover_depth"].isNumber() &&
-        doc["crossover_depth"].asNumber() != 0.0 &&
-        doc["depths"].isArray()) {
-        const double x = doc["crossover_depth"].asNumber();
-        bool found = false;
-        for (const Value &r : doc["depths"].asArray())
-            found = found ||
-                    (r["depth"].isNumber() && r["depth"].asNumber() == x);
-        p.require(found, "crossover_depth is not one of the swept "
-                         "depths");
-    }
-}
-
-/** Strict uldma-iommu-v1 check (bench_iommu IOTLB/pinning sweeps). */
-void
-validateIommu(Problems &p, const Value &doc)
-{
-    checkNoExtra(p, doc,
-                 {"schema", "benchmark", "wall_ns", "seed", "transfers",
-                  "transfer_bytes", "iotlb_entries", "iotlb_ways",
-                  "points", "hot_us", "cold_us", "walk_penalty_us"},
-                 "root");
-    p.require(doc["benchmark"].isString(), "benchmark missing");
-    for (const char *f :
-         {"wall_ns", "seed", "transfers", "transfer_bytes",
-          "iotlb_entries", "iotlb_ways", "hot_us", "cold_us",
-          "walk_penalty_us"})
-        p.require(doc[f].isNumber(), std::string(f) + " missing");
-
-    p.require(doc["points"].isArray(), "points missing");
-    if (doc["points"].isArray()) {
-        const auto &rows = doc["points"].asArray();
-        p.require(!rows.empty(), "points is empty");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Value &r = rows[i];
-            const std::string where = "points[" + std::to_string(i) + "]";
-            checkNoExtra(p, r,
-                         {"pinning", "slots", "hits", "misses", "walks",
-                          "hit_rate", "amortized_us",
-                          "translation_p50_us", "demand_pins",
-                          "pin_evictions"},
-                         where);
-            p.require(r["pinning"].isString(), where + ".pinning missing");
-            if (r["pinning"].isString()) {
-                const std::string &pin = r["pinning"].asString();
-                p.require(pin == "on-map" || pin == "on-demand",
-                          where + ".pinning must be on-map|on-demand");
-            }
-            for (const char *f :
-                 {"slots", "hits", "misses", "walks", "hit_rate",
-                  "amortized_us", "translation_p50_us", "demand_pins",
-                  "pin_evictions"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
-            if (r["hit_rate"].isNumber()) {
-                const double hr = r["hit_rate"].asNumber();
-                p.require(hr >= 0.0 && hr <= 1.0,
-                          where + ".hit_rate outside [0, 1]");
-            }
-            if (r["slots"].isNumber())
-                p.require(r["slots"].asNumber() >= 1.0,
-                          where + ".slots below 1");
-            // One row per (pinning, slots) sweep point.
-            for (std::size_t j = 0; j < i; ++j) {
-                const Value &o = rows[j];
-                const bool dup =
-                    o["pinning"].isString() && r["pinning"].isString() &&
-                    o["pinning"].asString() == r["pinning"].asString() &&
-                    o["slots"].isNumber() && r["slots"].isNumber() &&
-                    o["slots"].asNumber() == r["slots"].asNumber();
-                p.require(!dup, where + " duplicates points[" +
-                                    std::to_string(j) + "]");
-            }
-        }
-    }
-}
-
-/** Strict uldma-cap-v1 check (bench_cap initiation/fairness report). */
-void
-validateCap(Problems &p, const Value &doc)
-{
-    checkNoExtra(p, doc,
-                 {"schema", "benchmark", "wall_ns", "seed", "initiation",
-                  "fairness", "cap_avg_us", "key_based_avg_us",
-                  "cap_premium_us"},
-                 "root");
-    p.require(doc["benchmark"].isString(), "benchmark missing");
-    for (const char *f : {"wall_ns", "seed", "cap_avg_us",
-                          "key_based_avg_us", "cap_premium_us"})
-        p.require(doc[f].isNumber(), std::string(f) + " missing");
-
-    p.require(doc["initiation"].isArray(), "initiation missing");
-    if (doc["initiation"].isArray()) {
-        const auto &rows = doc["initiation"].asArray();
-        p.require(!rows.empty(), "initiation is empty");
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Value &r = rows[i];
-            const std::string where =
-                "initiation[" + std::to_string(i) + "]";
-            checkNoExtra(p, r,
-                         {"method", "iterations", "avg_us", "min_us",
-                          "max_us", "instructions_per_initiation",
-                          "uncached_accesses_per_initiation"},
-                         where);
-            p.require(r["method"].isString(), where + ".method missing");
-            if (r["method"].isString()) {
-                const std::string &m = r["method"].asString();
-                p.require(m == "cap" || m == "key-based",
-                          where + ".method must be cap|key-based");
-            }
-            for (const char *f :
-                 {"iterations", "avg_us", "min_us", "max_us",
-                  "instructions_per_initiation",
-                  "uncached_accesses_per_initiation"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
-        }
-    }
-
-    const Value &fair = doc["fairness"];
-    p.require(fair.isObject(), "fairness missing");
-    if (fair.isObject()) {
-        checkNoExtra(p, fair,
-                     {"tenants", "transfers_per_tenant", "transfer_bytes",
-                      "duration_us", "total_bytes", "presentations",
-                      "rejects", "classes", "jain_index",
-                      "min_tenant_share", "max_tenant_share",
-                      "max_starvation_us"},
-                     "fairness");
-        for (const char *f :
-             {"tenants", "transfers_per_tenant", "transfer_bytes",
-              "duration_us", "total_bytes", "presentations", "rejects",
-              "jain_index", "min_tenant_share", "max_tenant_share",
-              "max_starvation_us"})
-            p.require(fair[f].isNumber(),
-                      std::string("fairness.") + f + " missing");
-        for (const char *f :
-             {"jain_index", "min_tenant_share", "max_tenant_share"}) {
-            if (fair[f].isNumber()) {
-                const double v = fair[f].asNumber();
-                p.require(v >= 0.0 && v <= 1.0,
-                          std::string("fairness.") + f +
-                              " outside [0, 1]");
-            }
-        }
-        p.require(fair["classes"].isArray(), "fairness.classes missing");
-        if (fair["classes"].isArray()) {
-            const auto &rows = fair["classes"].asArray();
-            p.require(!rows.empty(), "fairness.classes is empty");
-            double last_class = -1.0;
-            for (std::size_t i = 0; i < rows.size(); ++i) {
-                const Value &r = rows[i];
-                const std::string where =
-                    "fairness.classes[" + std::to_string(i) + "]";
-                checkNoExtra(p, r,
-                             {"rate_class", "weight", "tenants", "bytes",
-                              "share"},
-                             where);
-                for (const char *f : {"rate_class", "weight", "tenants",
-                                      "bytes", "share"})
-                    p.require(r[f].isNumber(),
-                              where + "." + f + " missing");
-                if (r["share"].isNumber()) {
-                    const double s = r["share"].asNumber();
-                    p.require(s >= 0.0 && s <= 1.0,
-                              where + ".share outside [0, 1]");
-                }
-                if (r["rate_class"].isNumber()) {
-                    const double c = r["rate_class"].asNumber();
-                    p.require(c > last_class,
-                              where + ".rate_class breaks strictly "
-                                      "increasing order");
-                    last_class = c;
-                }
-            }
-        }
-    }
+    uldma::check::Schedule schedule;
+    uldma::check::Outcome outcome;
+    std::string error;
+    if (!uldma::check::parseScheduleJson(doc, schedule, outcome, &error))
+        p.add(error);
 }
 
 /** Strict uldma-profile-v1 scope-tree node check (recursive). */
@@ -1102,9 +768,6 @@ const SchemaEntry schemaRegistry[] = {
     {"uldma-workload", 1, validateWorkload},
     {"uldma-schedule", 1, validateSchedule},
     {"uldma-fuzz", 1, validateFuzz},
-    {"uldma-ring", 1, validateRing},
-    {"uldma-iommu", 1, validateIommu},
-    {"uldma-cap", 1, validateCap},
     {"uldma-profile", 1, validateProfile},
     {"uldma-bench-summary", 1, validateBenchSummary},
 };
@@ -1240,135 +903,6 @@ summarizeWorkload(const std::string &path, const Value &doc)
     return 0;
 }
 
-/** Crossover-curve table of one uldma-ring-v1 document. */
-int
-summarizeRing(const std::string &path, const Value &doc)
-{
-    std::printf("%s: %s, %.0f x %.0f B transfers, seed %.0f\n\n",
-                path.c_str(), doc["benchmark"].asString().c_str(),
-                doc["transfers"].asNumber(),
-                doc["transfer_bytes"].asNumber(),
-                doc["seed"].asNumber());
-
-    std::printf("%-14s %14s %12s %12s\n", "baseline", "per-xfer us",
-                "instr/xfer", "uncached");
-    for (const Value &b : doc["baselines"].asArray()) {
-        std::printf("%-14s %14.3f %12.1f %12.2f\n",
-                    b["protocol"].asString().c_str(),
-                    b["per_transfer_us"].asNumber(),
-                    b["instructions_per_transfer"].asNumber(),
-                    b["uncached_per_transfer"].asNumber());
-    }
-
-    std::printf("\n%-7s %8s %14s %12s %12s\n", "depth", "batches",
-                "amortized us", "instr/xfer", "uncached");
-    for (const Value &r : doc["depths"].asArray()) {
-        std::printf("%-7.0f %8.0f %14.3f %12.1f %12.2f\n",
-                    r["depth"].asNumber(), r["batches"].asNumber(),
-                    r["amortized_us"].asNumber(),
-                    r["instructions_per_transfer"].asNumber(),
-                    r["uncached_per_transfer"].asNumber());
-    }
-
-    const double x = doc["crossover_depth"].asNumber();
-    if (x != 0.0) {
-        std::printf("\ncrossover: amortized ring cost strictly below "
-                    "the %s baseline from queue depth %.0f\n",
-                    doc["crossover_baseline"].asString().c_str(), x);
-    } else {
-        std::printf("\nno crossover against the %s baseline at any "
-                    "swept depth\n",
-                    doc["crossover_baseline"].asString().c_str());
-    }
-    return 0;
-}
-
-/** IOTLB sweep table of one uldma-iommu-v1 document. */
-int
-summarizeIommu(const std::string &path, const Value &doc)
-{
-    std::printf("%s: %s, %.0f x %.0f B transfers, %.0f-entry "
-                "%.0f-way IOTLB, seed %.0f\n\n",
-                path.c_str(), doc["benchmark"].asString().c_str(),
-                doc["transfers"].asNumber(),
-                doc["transfer_bytes"].asNumber(),
-                doc["iotlb_entries"].asNumber(),
-                doc["iotlb_ways"].asNumber(), doc["seed"].asNumber());
-
-    std::printf("%-10s %6s %8s %8s %8s %9s %14s %10s %7s %9s\n",
-                "pinning", "slots", "hits", "misses", "walks",
-                "hit rate", "amortized us", "xlate p50", "pins",
-                "evictions");
-    for (const Value &r : doc["points"].asArray()) {
-        std::printf("%-10s %6.0f %8.0f %8.0f %8.0f %9.3f %14.3f "
-                    "%10.3f %7.0f %9.0f\n",
-                    r["pinning"].asString().c_str(),
-                    r["slots"].asNumber(), r["hits"].asNumber(),
-                    r["misses"].asNumber(), r["walks"].asNumber(),
-                    r["hit_rate"].asNumber(),
-                    r["amortized_us"].asNumber(),
-                    r["translation_p50_us"].asNumber(),
-                    r["demand_pins"].asNumber(),
-                    r["pin_evictions"].asNumber());
-    }
-
-    std::printf("\nhot (IOTLB-resident) %.3f us/transfer, cold "
-                "(walk-bound) %.3f us/transfer: %.3f us walk "
-                "penalty\n",
-                doc["hot_us"].asNumber(), doc["cold_us"].asNumber(),
-                doc["walk_penalty_us"].asNumber());
-    return 0;
-}
-
-/** Initiation-cost and fairness tables of one uldma-cap-v1 document. */
-int
-summarizeCap(const std::string &path, const Value &doc)
-{
-    std::printf("%s: %s, seed %.0f\n\n", path.c_str(),
-                doc["benchmark"].asString().c_str(),
-                doc["seed"].asNumber());
-
-    std::printf("%-12s %10s %10s %10s %10s %12s %10s\n", "method",
-                "iters", "avg us", "min us", "max us", "instr/init",
-                "uncached");
-    for (const Value &r : doc["initiation"].asArray()) {
-        std::printf("%-12s %10.0f %10.3f %10.3f %10.3f %12.1f %10.2f\n",
-                    r["method"].asString().c_str(),
-                    r["iterations"].asNumber(), r["avg_us"].asNumber(),
-                    r["min_us"].asNumber(), r["max_us"].asNumber(),
-                    r["instructions_per_initiation"].asNumber(),
-                    r["uncached_accesses_per_initiation"].asNumber());
-    }
-    std::printf("\ncapability check premium over key-based: %.3f us "
-                "per initiation\n",
-                doc["cap_premium_us"].asNumber());
-
-    const Value &fair = doc["fairness"];
-    std::printf("\nstorm: %.0f tenant(s) x %.0f transfer(s) of %.0f B "
-                "over %.1f us (%.0f presentations, %.0f rejects)\n\n",
-                fair["tenants"].asNumber(),
-                fair["transfers_per_tenant"].asNumber(),
-                fair["transfer_bytes"].asNumber(),
-                fair["duration_us"].asNumber(),
-                fair["presentations"].asNumber(),
-                fair["rejects"].asNumber());
-    std::printf("%-6s %7s %8s %14s %9s\n", "class", "weight", "tenants",
-                "bytes", "share");
-    for (const Value &c : fair["classes"].asArray()) {
-        std::printf("%-6.0f %7.0f %8.0f %14.0f %9.4f\n",
-                    c["rate_class"].asNumber(), c["weight"].asNumber(),
-                    c["tenants"].asNumber(), c["bytes"].asNumber(),
-                    c["share"].asNumber());
-    }
-    std::printf("\nJain fairness index %.4f, per-tenant share "
-                "[%.5f, %.5f], worst queue wait %.1f us\n",
-                fair["jain_index"].asNumber(),
-                fair["min_tenant_share"].asNumber(),
-                fair["max_tenant_share"].asNumber(),
-                fair["max_starvation_us"].asNumber());
-    return 0;
-}
-
 int
 cmdSummarize(const std::string &path)
 {
@@ -1377,16 +911,9 @@ cmdSummarize(const std::string &path)
         return 2;
     if (doc["schema"].asString() == "uldma-workload-v1")
         return summarizeWorkload(path, doc);
-    if (doc["schema"].asString() == "uldma-ring-v1")
-        return summarizeRing(path, doc);
-    if (doc["schema"].asString() == "uldma-iommu-v1")
-        return summarizeIommu(path, doc);
-    if (doc["schema"].asString() == "uldma-cap-v1")
-        return summarizeCap(path, doc);
     if (doc["schema"].asString() != "uldma-spans-v1") {
         std::fprintf(stderr,
-                     "%s: not a uldma-spans-v1, uldma-workload-v1, "
-                     "uldma-ring-v1, uldma-iommu-v1 or uldma-cap-v1 "
+                     "%s: not a uldma-spans-v1 or uldma-workload-v1 "
                      "document\n",
                      path.c_str());
         return 2;
@@ -1740,10 +1267,12 @@ metricDirection(const std::string &name)
         return 0;
     if (endsWith("per_sec") || contains("throughput") ||
         contains("successes") || contains("completed") || name == "ok" ||
-        name == "granted")
+        name == "granted" || name == "hit_rate" || name == "jain_index" ||
+        (name.rfind("min_", 0) == 0 && endsWith("_share")))
         return 1;
     if (endsWith("_us") || endsWith("_ns") || endsWith("_ticks") ||
         endsWith("_cycles") || name == "ticks" || name == "cycle_equiv" ||
+        name == "walks" || name == "crossover_depth" ||
         contains("instruction") || contains("uncached") ||
         contains("fallback") || contains("violation") ||
         contains("deceived") || contains("attacker") ||
@@ -1864,181 +1393,6 @@ benchDiffRecords(BenchDiffStats &st, const Value &base, const Value &cur,
     }
 }
 
-void
-benchDiffRing(BenchDiffStats &st, const Value &base, const Value &cur,
-              double threshold_pct)
-{
-    for (const Value &b : base["baselines"].asArray()) {
-        const std::string protocol = b["protocol"].asString();
-        const Value *c = nullptr;
-        for (const Value &cand : cur["baselines"].asArray()) {
-            if (cand["protocol"].asString() == protocol) {
-                c = &cand;
-                break;
-            }
-        }
-        const std::string row = "baseline/" + protocol;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole baseline)");
-            continue;
-        }
-        for (const char *metric :
-             {"per_transfer_us", "instructions_per_transfer",
-              "uncached_per_transfer"}) {
-            compareMetric(st, row, metric, -1, b[metric].asNumber(),
-                          (*c)[metric].asNumber(), threshold_pct);
-        }
-    }
-
-    for (const Value &b : base["depths"].asArray()) {
-        const double depth = b["depth"].asNumber();
-        const Value *c = nullptr;
-        for (const Value &cand : cur["depths"].asArray()) {
-            if (cand["depth"].asNumber() == depth) {
-                c = &cand;
-                break;
-            }
-        }
-        char rowbuf[32];
-        std::snprintf(rowbuf, sizeof(rowbuf), "depth/%.0f", depth);
-        const std::string row = rowbuf;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole depth)");
-            continue;
-        }
-        for (const char *metric :
-             {"amortized_us", "instructions_per_transfer",
-              "uncached_per_transfer"}) {
-            compareMetric(st, row, metric, -1, b[metric].asNumber(),
-                          (*c)[metric].asNumber(), threshold_pct);
-        }
-    }
-
-    // The crossover depth is the exhibit's headline claim: batching
-    // must keep beating the cheapest per-transfer baseline no later
-    // than it used to.  Any worsening gates, threshold-free.
-    const double x0 = base["crossover_depth"].asNumber();
-    const double x1 = cur["crossover_depth"].asNumber();
-    ++st.compared;
-    const bool bad = x0 != 0.0 && (x1 == 0.0 || x1 > x0);
-    if (bad)
-        ++st.regressions;
-    std::printf("%-30s %-30s %14.0f %14.0f %9s%s\n", "crossover",
-                "crossover_depth", x0, x1, x1 == x0 ? "+0.00%" : "moved",
-                bad ? "  REGRESSION" : "");
-}
-
-void
-benchDiffIommu(BenchDiffStats &st, const Value &base, const Value &cur,
-               double threshold_pct)
-{
-    for (const Value &b : base["points"].asArray()) {
-        const std::string pinning = b["pinning"].asString();
-        const double slots = b["slots"].asNumber();
-        const Value *c = nullptr;
-        for (const Value &cand : cur["points"].asArray()) {
-            if (cand["pinning"].asString() == pinning &&
-                cand["slots"].asNumber() == slots) {
-                c = &cand;
-                break;
-            }
-        }
-        char rowbuf[48];
-        std::snprintf(rowbuf, sizeof(rowbuf), "%s/%.0f",
-                      pinning.c_str(), slots);
-        const std::string row = rowbuf;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole point)");
-            continue;
-        }
-        // Latency and walk count must not grow; the hit rate must not
-        // shrink (direction +1 inverts the regression test).
-        compareMetric(st, row, "amortized_us", -1,
-                      b["amortized_us"].asNumber(),
-                      (*c)["amortized_us"].asNumber(), threshold_pct);
-        compareMetric(st, row, "walks", -1, b["walks"].asNumber(),
-                      (*c)["walks"].asNumber(), threshold_pct);
-        compareMetric(st, row, "hit_rate", +1, b["hit_rate"].asNumber(),
-                      (*c)["hit_rate"].asNumber(), threshold_pct);
-    }
-
-    for (const char *metric : {"hot_us", "cold_us"}) {
-        compareMetric(st, "headline", metric, -1,
-                      base[metric].asNumber(), cur[metric].asNumber(),
-                      threshold_pct);
-    }
-}
-
-void
-benchDiffCap(BenchDiffStats &st, const Value &base, const Value &cur,
-             double threshold_pct)
-{
-    for (const Value &b : base["initiation"].asArray()) {
-        const std::string method = b["method"].asString();
-        const Value *c = nullptr;
-        for (const Value &cand : cur["initiation"].asArray()) {
-            if (cand["method"].asString() == method) {
-                c = &cand;
-                break;
-            }
-        }
-        const std::string row = "initiation/" + method;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole method)");
-            continue;
-        }
-        for (const char *metric :
-             {"avg_us", "instructions_per_initiation",
-              "uncached_accesses_per_initiation"}) {
-            compareMetric(st, row, metric, -1, b[metric].asNumber(),
-                          (*c)[metric].asNumber(), threshold_pct);
-        }
-    }
-
-    // The headline claim: protected initiation must stay cheap...
-    compareMetric(st, "headline", "cap_premium_us", -1,
-                  base["cap_premium_us"].asNumber(),
-                  cur["cap_premium_us"].asNumber(), threshold_pct);
-
-    // ...and the arbiter must stay fair.  Jain and the weakest
-    // tenant's share gate upward (+1); starvation gates downward.
-    const Value &bf = base["fairness"];
-    const Value &cf = cur["fairness"];
-    compareMetric(st, "fairness", "jain_index", +1,
-                  bf["jain_index"].asNumber(),
-                  cf["jain_index"].asNumber(), threshold_pct);
-    compareMetric(st, "fairness", "min_tenant_share", +1,
-                  bf["min_tenant_share"].asNumber(),
-                  cf["min_tenant_share"].asNumber(), threshold_pct);
-    compareMetric(st, "fairness", "max_starvation_us", -1,
-                  bf["max_starvation_us"].asNumber(),
-                  cf["max_starvation_us"].asNumber(), threshold_pct);
-    for (const Value &b : bf["classes"].asArray()) {
-        const double rc = b["rate_class"].asNumber();
-        const Value *c = nullptr;
-        for (const Value &cand : cf["classes"].asArray()) {
-            if (cand["rate_class"].asNumber() == rc) {
-                c = &cand;
-                break;
-            }
-        }
-        char rowbuf[32];
-        std::snprintf(rowbuf, sizeof(rowbuf), "class/%.0f", rc);
-        const std::string row = rowbuf;
-        if (c == nullptr) {
-            reportMissing(st, row, "(whole class)");
-            continue;
-        }
-        // Only the lowest class gates: its share eroding is the
-        // starvation failure mode; upper classes trading share among
-        // themselves is the arbiter doing its job.
-        if (rc == 0.0) {
-            compareMetric(st, row, "share", +1, b["share"].asNumber(),
-                          (*c)["share"].asNumber(), threshold_pct);
-        }
-    }
-}
-
 int
 cmdBenchDiff(const std::string &base_path, const std::string &cur_path,
              double threshold_pct)
@@ -2047,20 +1401,21 @@ cmdBenchDiff(const std::string &base_path, const std::string &cur_path,
     if (!parseFile(base_path, base) || !parseFile(cur_path, cur))
         return 2;
     const std::string schema = base["schema"].asString();
-    if (schema != cur["schema"].asString()) {
+    if (schema != "uldma-bench-v1" || cur["schema"].asString() != schema) {
         std::fprintf(stderr,
-                     "schema mismatch: %s is '%s', %s is '%s'\n",
+                     "bench-diff compares two uldma-bench-v1 reports: "
+                     "%s is '%s', %s is '%s'\n",
                      base_path.c_str(), schema.c_str(), cur_path.c_str(),
                      cur["schema"].asString().c_str());
         return 2;
     }
-    if (schema != "uldma-bench-v1" && schema != "uldma-ring-v1" &&
-        schema != "uldma-iommu-v1" && schema != "uldma-cap-v1") {
+    const std::string benchmark = base["benchmark"].asString();
+    if (benchmark != cur["benchmark"].asString()) {
         std::fprintf(stderr,
-                     "%s: bench-diff compares uldma-bench-v1, "
-                     "uldma-ring-v1, uldma-iommu-v1 or uldma-cap-v1 "
-                     "documents, not '%s'\n",
-                     base_path.c_str(), schema.c_str());
+                     "benchmark mismatch: %s is '%s', %s is '%s'\n",
+                     base_path.c_str(), benchmark.c_str(),
+                     cur_path.c_str(),
+                     cur["benchmark"].asString().c_str());
         return 2;
     }
     if (base["seed"].asNumber() != cur["seed"].asNumber()) {
@@ -2074,14 +1429,7 @@ cmdBenchDiff(const std::string &base_path, const std::string &cur_path,
     std::printf("%-30s %-30s %14s %14s %9s\n", "record", "metric",
                 "baseline", "current", "delta");
     BenchDiffStats st;
-    if (schema == "uldma-bench-v1")
-        benchDiffRecords(st, base, cur, threshold_pct);
-    else if (schema == "uldma-iommu-v1")
-        benchDiffIommu(st, base, cur, threshold_pct);
-    else if (schema == "uldma-cap-v1")
-        benchDiffCap(st, base, cur, threshold_pct);
-    else
-        benchDiffRing(st, base, cur, threshold_pct);
+    benchDiffRecords(st, base, cur, threshold_pct);
 
     std::printf("\n%u tracked metric(s) compared, %u missing, %u "
                 "regression(s) above %.2f%% threshold\n",
@@ -2138,40 +1486,21 @@ cmdBenchPerturb(const std::string &in_path, const std::string &out_path,
     if (!parseFile(in_path, doc))
         return 2;
     const std::string schema = doc["schema"].asString();
-    if (schema != "uldma-bench-v1" && schema != "uldma-ring-v1" &&
-        schema != "uldma-iommu-v1" && schema != "uldma-cap-v1") {
+    if (schema != "uldma-bench-v1") {
         std::fprintf(stderr,
-                     "%s: bench-perturb handles uldma-bench-v1, "
-                     "uldma-ring-v1, uldma-iommu-v1 or uldma-cap-v1 "
-                     "documents, not '%s'\n",
+                     "%s: bench-perturb handles uldma-bench-v1 reports, "
+                     "not '%s'\n",
                      in_path.c_str(), schema.c_str());
         return 2;
     }
 
+    // Move every gated metric the wrong way by the factor.
     auto transform = [factor](const std::vector<std::string> &path,
                               double v) {
-        if (path.size() < 2)
+        if (path.size() < 2 || path[path.size() - 2] != "metrics")
             return v;
-        const std::string &parent = path[path.size() - 2];
-        const std::string &key = path.back();
-        if (parent == "metrics" && metricDirection(key) < 0)
-            return v * factor;
-        if ((parent == "baselines" || parent == "depths") &&
-            (key == "per_transfer_us" || key == "amortized_us" ||
-             key == "total_us" || key == "instructions_per_transfer" ||
-             key == "uncached_per_transfer"))
-            return v * factor;
-        if (parent == "points" &&
-            (key == "amortized_us" || key == "translation_p50_us"))
-            return v * factor;
-        if (parent == "initiation" &&
-            (key == "avg_us" || key == "min_us" || key == "max_us" ||
-             key == "instructions_per_initiation" ||
-             key == "uncached_accesses_per_initiation"))
-            return v * factor;
-        if (parent == "fairness" && key == "max_starvation_us")
-            return v * factor;
-        return v;
+        const int dir = metricDirection(path.back());
+        return dir < 0 ? v * factor : dir > 0 ? v / factor : v;
     };
 
     const bool written = uldma::writeOutput(out_path, [&](std::ostream &os) {
@@ -2190,8 +1519,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: uldma_trace_tool summarize <spans.json | "
-                 "workload-report.json | ring-sweep.json | "
-                 "iommu-sweep.json | cap-report.json>\n"
+                 "workload-report.json>\n"
                  "       uldma_trace_tool diff <before.json> <after.json>"
                  " [--threshold=<pct>]\n"
                  "       uldma_trace_tool profile <profile.json> "
