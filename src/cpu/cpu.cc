@@ -1,5 +1,7 @@
 #include "cpu/cpu.hh"
 
+#include <algorithm>
+
 #include "sim/trace.hh"
 #include "util/logging.hh"
 
@@ -89,9 +91,12 @@ Cpu::kernelBusAccess(Packet &pkt)
 void
 Cpu::tick()
 {
+    PollTracker poll;
     // current_ == nullptr: idled; the kernel restarts us.
     while (current_ != nullptr) {
         ExecContext &ctx = *current_;
+        if (!ctx.atEnd() && ctx.currentOp().pollHead)
+            pollHead(ctx, poll);
         Tick cost = executeOne(ctx);
 
         // Quantum accounting happens at instruction boundaries only —
@@ -107,8 +112,12 @@ Cpu::tick()
                 quantumDeadline_ != maxTick) {
                 expire = true;
             }
-            if (expire)
+            if (expire) {
                 cost += os_->quantumExpired();
+                // The kernel ran; whatever iteration this ended is not
+                // one a skip may repeat.
+                poll = PollTracker{};
+            }
         }
 
         if (current_ == nullptr || tickEvent_.scheduled())
@@ -121,6 +130,133 @@ Cpu::tick()
             return;
         }
     }
+}
+
+namespace {
+
+template <std::size_t N>
+std::array<std::uint64_t, N>
+minus(const std::array<std::uint64_t, N> &a,
+      const std::array<std::uint64_t, N> &b)
+{
+    std::array<std::uint64_t, N> d;
+    for (std::size_t i = 0; i < N; ++i)
+        d[i] = a[i] - b[i];
+    return d;
+}
+
+} // namespace
+
+Cpu::PollMark
+Cpu::PollMark::since(const PollMark &earlier) const
+{
+    PollMark d;
+    d.when = when - earlier.when;
+    d.events = events - earlier.events;
+    d.retired = retired - earlier.retired;
+    d.cpu = minus(cpu, earlier.cpu);
+    d.tlb = minus(tlb, earlier.tlb);
+    d.wb = minus(wb, earlier.wb);
+    d.bus = minus(bus, earlier.bus);
+    d.busLatency = busLatency;
+    return d;
+}
+
+std::array<stats::Scalar *, 9>
+Cpu::ownCounters()
+{
+    return {&instrs_, &loads_, &stores_, &uncachedLoads_,
+            &uncachedStores_, &membars_, &syscalls_, &palCalls_,
+            &faults_};
+}
+
+Cpu::PollMark
+Cpu::pollMark(const ExecContext &ctx)
+{
+    PollMark m;
+    m.when = now();
+    m.events = eventq().numProcessed();
+    m.retired = ctx.instructionsRetired();
+    const auto own = ownCounters();
+    for (std::size_t i = 0; i < own.size(); ++i)
+        m.cpu[i] = own[i]->value();
+    m.tlb = tlb_.counters();
+    m.wb = mergeBuffer_.counters();
+    m.bus = bus_.counters();
+    m.busLatency = bus_.lastLatency();
+    return m;
+}
+
+bool
+Cpu::pollLoadIsPure(ExecContext &ctx, const MicroOp &load) const
+{
+    // The page table, not the TLB: same answer (the TLB revalidates
+    // against the table's generation), no stat moved.
+    const Translation x = ctx.pageTable().translate(load.vaddr,
+                                                    Rights::Read);
+    if (!x.ok())
+        return false;
+    if (!x.uncacheable)
+        return dcache_ == nullptr;
+    const BusDevice *device = bus_.deviceAt(x.paddr);
+    return device != nullptr && device->sideEffectFreeRead(x.paddr);
+}
+
+void
+Cpu::pollHead(ExecContext &ctx, PollTracker &poll)
+{
+    // A skipped bus read would have recorded a trace event, and a
+    // dcache access moves cache state.
+    if (dcache_ != nullptr || trace::eventCaptureOn())
+        return;
+    const PollMark mark = pollMark(ctx);
+    if (poll.ctx != &ctx || poll.pc != ctx.pc()) {
+        poll = PollTracker{&ctx, ctx.pc(), false, mark, PollMark{}};
+        return;
+    }
+    const PollMark step = mark.since(poll.at);
+    const bool steady = poll.haveStep && step == poll.step;
+    poll.at = mark;
+    poll.step = step;
+    poll.haveStep = true;
+    // Two identical iterations are enough: the bus aligns each access
+    // to its next clock edge, so every iteration after the first
+    // starts at the same bus phase and takes the same time.  At most
+    // one bus transaction, so its latency is the one to replay.
+    if (!steady || step.retired != pollLoopOps ||
+        step.events != pollLoopOps || step.bus[0] + step.bus[1] > 1) {
+        return;
+    }
+
+    // Every op of the k skipped iterations, ending at start + k * P,
+    // must come before the next queue entry, within the inline
+    // horizon (the run limit), before the time quantum expires, and
+    // leave at least one instruction of the slice.
+    const Tick start = now();
+    Tick bound = std::min(eventq().inlineHorizon(),
+                          eventq().nextEventTick() - 1);
+    if (quantumDeadline_ != maxTick)
+        bound = std::min(bound, quantumDeadline_ - 1);
+    if (bound <= start)
+        return;
+    std::uint64_t k = (bound - start) / step.when;
+    if (sliceLimited_)
+        k = std::min(k, (sliceInstrLeft_ - 1) / pollLoopOps);
+    if (k == 0 || !pollLoadIsPure(ctx, ctx.currentOp()))
+        return;
+
+    const auto own = ownCounters();
+    for (std::size_t i = 0; i < own.size(); ++i)
+        *own[i] += k * step.cpu[i];
+    ctx.countRetired(k * step.retired);
+    tlb_.replay(step.tlb, k);
+    mergeBuffer_.replay(step.wb, k);
+    bus_.replay(step.bus, step.busLatency, k);
+    eventq().advanceInlineSteps(start + k * step.when, k * step.events);
+    if (sliceLimited_)
+        sliceInstrLeft_ -= k * pollLoopOps;
+    pollSkipped_ += k;
+    poll.at = pollMark(ctx);
 }
 
 Tick

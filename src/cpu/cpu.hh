@@ -16,12 +16,16 @@
  *
  * When the next tick is due before every other event, the next op runs
  * in place instead (EventQueue::advanceInline): the event order is the
- * same, without the queue round trip.
+ * same, without the queue round trip.  A status poll that spins in
+ * place (MicroOp::pollHead) is fast-forwarded: once two iterations in a
+ * row moved time and every counter alike, whole iterations up to the
+ * next event, quantum or run limit are replayed at once (tick()).
  */
 
 #ifndef ULDMA_CPU_CPU_HH
 #define ULDMA_CPU_CPU_HH
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -159,6 +163,10 @@ class Cpu : public Clocked
     std::uint64_t numSyscalls() const { return syscalls_.value(); }
     std::uint64_t numPalCalls() const { return palCalls_.value(); }
 
+    /** Poll-loop iterations fast-forwarded so far (tests only; no
+     *  stat, so exports do not depend on it). */
+    std::uint64_t pollIterationsSkipped() const { return pollSkipped_; }
+
   private:
     class TickEvent : public Event
     {
@@ -172,9 +180,59 @@ class Cpu : public Clocked
         Cpu &cpu_;
     };
 
+    /** Ops in one status-poll iteration: Load, Membar, Compute,
+     *  Branch. */
+    static constexpr std::uint64_t pollLoopOps = 4;
+
+    /** Counters read at a poll-loop head, or their change over one
+     *  iteration. */
+    struct PollMark
+    {
+        Tick when = 0;
+        std::uint64_t events = 0;
+        std::uint64_t retired = 0;
+        std::array<std::uint64_t, 9> cpu{};   ///< in ownCounters() order
+        Tlb::Counters tlb{};
+        MergeBuffer::Counters wb{};
+        Bus::Counters bus{};
+        /** Latency of the latest bus transaction, never a difference. */
+        Tick busLatency = 0;
+
+        /** The change from @p earlier to this mark. */
+        PollMark since(const PollMark &earlier) const;
+        bool operator==(const PollMark &) const = default;
+    };
+
+    /** Poll-loop recognition within one tick() call, where every op
+     *  after the first ran inline, so no other event came between. */
+    struct PollTracker
+    {
+        const ExecContext *ctx = nullptr;
+        int pc = -1;
+        bool haveStep = false;
+        PollMark at;     ///< counters at the latest head visit
+        PollMark step;   ///< their change over the iteration before
+    };
+
     /** Execute instructions until another event may come first, then
      *  reschedule. */
     void tick();
+
+    /** The CPU's own stats, in PollMark::cpu order. */
+    std::array<stats::Scalar *, 9> ownCounters();
+
+    PollMark pollMark(const ExecContext &ctx);
+
+    /**
+     * At a poll-loop head: once the last two iterations moved time and
+     * every counter alike, replay k more whole iterations at once, k
+     * bounded by the next event, the inline horizon, the quantum and
+     * the run limit.
+     */
+    void pollHead(ExecContext &ctx, PollTracker &poll);
+
+    /** True if the poll's load can change only through an event. */
+    bool pollLoadIsPure(ExecContext &ctx, const MicroOp &load) const;
 
     /** Execute the current op of @p ctx. @return cost in ticks. */
     Tick executeOne(ExecContext &ctx);
@@ -213,6 +271,7 @@ class Cpu : public Clocked
     std::uint64_t sliceInstrLeft_ = 0;   ///< 0 = unlimited
     bool sliceLimited_ = false;
     Tick quantumDeadline_ = maxTick;
+    std::uint64_t pollSkipped_ = 0;
 
     stats::Group statsGroup_;
     stats::Scalar instrs_;

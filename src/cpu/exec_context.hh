@@ -111,7 +111,7 @@ class ExecContext
 
     /** Instructions retired by this context. */
     std::uint64_t instructionsRetired() const { return retired_; }
-    void countRetired() { ++retired_; }
+    void countRetired(std::uint64_t n = 1) { retired_ += n; }
 
   private:
     Pid pid_;

@@ -142,7 +142,9 @@ Program::branchEq(int src_reg, std::uint64_t value, int target)
     op.srcReg = src_reg;
     op.imm = value;
     op.target = target;
-    return push(op);
+    const int index = push(op);
+    markPollHead(index);
+    return index;
 }
 
 int
@@ -153,7 +155,9 @@ Program::branchNe(int src_reg, std::uint64_t value, int target)
     op.srcReg = src_reg;
     op.imm = value;
     op.target = target;
-    return push(op);
+    const int index = push(op);
+    markPollHead(index);
+    return index;
 }
 
 int
@@ -218,6 +222,25 @@ Program::setTarget(int op_index, int target)
                  op.kind == OpKind::Jump,
                  "setTarget on a non-branch op");
     op.target = target;
+    markPollHead(op_index);
+}
+
+void
+Program::markPollHead(int branch)
+{
+    const MicroOp &br = ops_.at(branch);
+    const int head = br.target;
+    if ((br.kind != OpKind::BranchEq && br.kind != OpKind::BranchNe) ||
+        head < 0 || head != branch - 3) {
+        return;
+    }
+    MicroOp &load = ops_[head];
+    if (load.kind == OpKind::Load && load.addrReg < 0 &&
+        load.dstReg == br.srcReg &&
+        ops_[head + 1].kind == OpKind::Membar &&
+        ops_[head + 2].kind == OpKind::Compute) {
+        load.pollHead = true;
+    }
 }
 
 Program &

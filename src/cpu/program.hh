@@ -84,6 +84,14 @@ struct MicroOp
     /** Branch/Jump target (instruction index). */
     int target = -1;
 
+    /**
+     * Set by Program on the Load heading a status poll: Load r from a
+     * fixed address; Membar; Compute; BranchEq/BranchNe on r back to
+     * the Load.  The CPU may fast-forward such a loop (Cpu::tick).
+     * Declared here, it fills padding and adds no size.
+     */
+    bool pollHead = false;
+
     /** Host hook for OpKind::Callback. */
     std::function<void(ExecContext &)> hook;
 
@@ -164,6 +172,10 @@ class Program
 
   private:
     int push(MicroOp op);
+
+    /** Flag the loop head if the branch at @p branch closes a status
+     *  poll (MicroOp::pollHead). */
+    void markPollHead(int branch);
 
     std::vector<MicroOp> ops_;
 };

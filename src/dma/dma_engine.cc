@@ -192,6 +192,14 @@ DmaEngine::access(Packet &pkt)
     return xfer_.clockDomain().cyclesToTicks(cycles);
 }
 
+bool
+DmaEngine::sideEffectFreeRead(Addr paddr) const
+{
+    return cap_ && paddr >= params_.capPagesBase &&
+           paddr < params_.capPagesBase +
+                       Addr(params_.cap.numSlots) * pageSize;
+}
+
 // ---------------------------------------------------------------------
 // Kernel register block.
 // ---------------------------------------------------------------------

@@ -58,6 +58,10 @@ class DmaEngine : public BusDevice
     const std::string &deviceName() const override { return name_; }
     std::vector<AddrRange> deviceRanges() const override;
     Tick access(Packet &pkt) override;
+    /** Only the cap pages: a load there reads a presentation's status
+     *  (or zero).  Like any engine access it pays the extra cycles an
+     *  event left pending, which only the first read after it sees. */
+    bool sideEffectFreeRead(Addr paddr) const override;
     /// @}
 
     const DmaEngineParams &params() const { return params_; }

@@ -141,7 +141,19 @@ Bus::access(Packet &pkt)
     const Tick latency = finish - now();
     latencyNs_.sample(ticksToNs(latency));
     latencyHistNs_.sample(ticksToNs(latency));
+    lastLatency_ = latency;
     return latency;
+}
+
+void
+Bus::replay(const Counters &delta, Tick latency, std::uint64_t k)
+{
+    reads_ += k * delta[0];
+    writes_ += k * delta[1];
+    contended_ += k * delta[2];
+    const std::uint64_t samples = k * (delta[0] + delta[1]);
+    latencyNs_.sampleRepeated(ticksToNs(latency), samples);
+    latencyHistNs_.sampleRepeated(ticksToNs(latency), samples);
 }
 
 } // namespace uldma

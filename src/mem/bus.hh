@@ -10,6 +10,7 @@
 #ifndef ULDMA_MEM_BUS_HH
 #define ULDMA_MEM_BUS_HH
 
+#include <array>
 #include <functional>
 #include <string>
 #include <vector>
@@ -43,6 +44,22 @@ class BusDevice
      *         round-trips for remote reads).
      */
     virtual Tick access(Packet &pkt) = 0;
+
+    /**
+     * True if reads of @p paddr have no side effect a repeat could see:
+     * between two events, every read after the first returns the same
+     * word at the same latency and changes no device state, stat or
+     * event.  A CPU may then fast-forward a loop that polls the
+     * address, once two iterations in a row matched.  Per address,
+     * and false by default: a context-page load initiates a transfer,
+     * a shadow load drives a recognizer.
+     */
+    virtual bool
+    sideEffectFreeRead(Addr paddr) const
+    {
+        (void)paddr;
+        return false;
+    }
 };
 
 /** Timing parameters of a bus generation. */
@@ -91,7 +108,9 @@ class Bus : public Clocked
     /**
      * Register a bus-master occupancy probe (returns true while the
      * master is streaming).  While any probe reports busy, CPU
-     * transactions pay params().dmaContentionCycles extra.
+     * transactions pay params().dmaContentionCycles extra.  Its answer
+     * may change only at an event, as a CPU's poll fast-forward
+     * assumes.
      */
     void
     addContentionSource(std::function<bool()> is_busy)
@@ -118,6 +137,25 @@ class Bus : public Clocked
     std::uint64_t numReads() const { return reads_.value(); }
     std::uint64_t numWrites() const { return writes_.value(); }
 
+    /// @name Replay of a repeating CPU loop (Cpu's poll fast-forward).
+    /// @{
+    /** Reads, writes and contended transactions so far. */
+    using Counters = std::array<std::uint64_t, 3>;
+    Counters
+    counters() const
+    {
+        return {reads_.value(), writes_.value(), contended_.value()};
+    }
+    /** Latency of the latest transaction. */
+    Tick lastLatency() const { return lastLatency_; }
+    /**
+     * Account @p k more loop iterations, each of which moved
+     * counters() by @p delta with every transaction taking
+     * @p latency.
+     */
+    void replay(const Counters &delta, Tick latency, std::uint64_t k);
+    /// @}
+
   private:
     struct Mapping
     {
@@ -136,6 +174,7 @@ class Bus : public Clocked
     stats::Scalar contended_;
     stats::Average latencyNs_;
     stats::Histogram latencyHistNs_;
+    Tick lastLatency_ = 0;
 };
 
 } // namespace uldma

@@ -26,6 +26,7 @@
 #ifndef ULDMA_MEM_MERGE_BUFFER_HH
 #define ULDMA_MEM_MERGE_BUFFER_HH
 
+#include <array>
 #include <deque>
 #include <unordered_map>
 
@@ -89,6 +90,27 @@ class MergeBuffer
 
     std::uint64_t numCollapsedStores() const { return collapsed_.value(); }
     std::uint64_t numMergedLoads() const { return merged_.value(); }
+
+    /// @name Replay of a repeating CPU loop (Cpu's poll fast-forward).
+    /// @{
+    /** Collapsed stores, merged loads, drains and membars so far. */
+    using Counters = std::array<std::uint64_t, 4>;
+    Counters
+    counters() const
+    {
+        return {collapsed_.value(), merged_.value(), drains_.value(),
+                membars_.value()};
+    }
+    /** Add @p k times @p delta to counters(). */
+    void
+    replay(const Counters &delta, std::uint64_t k)
+    {
+        collapsed_ += k * delta[0];
+        merged_ += k * delta[1];
+        drains_ += k * delta[2];
+        membars_ += k * delta[3];
+    }
+    /// @}
 
   private:
     /** Pop and issue the oldest pending store. */

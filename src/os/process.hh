@@ -96,6 +96,11 @@ class Process
                ctx_.state() == RunState::Faulted;
     }
 
+    /** Set while the process sits in a RoundRobinScheduler's ready
+     *  queue, so enqueueing it again is O(1). */
+    bool queued() const { return queued_; }
+    void setQueued(bool queued) { queued_ = queued; }
+
     DmaGrant &dmaGrant() { return grant_; }
     const DmaGrant &dmaGrant() const { return grant_; }
 
@@ -108,6 +113,7 @@ class Process
     ExecContext ctx_;
     DmaGrant grant_;
     Addr allocCursor_ = userRegionBase;
+    bool queued_ = false;
 };
 
 } // namespace uldma

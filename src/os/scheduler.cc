@@ -13,8 +13,10 @@ namespace uldma {
 void
 RoundRobinScheduler::enqueue(Process &process)
 {
-    if (std::find(ready_.begin(), ready_.end(), &process) == ready_.end())
+    if (!process.queued()) {
+        process.setQueued(true);
         ready_.push_back(&process);
+    }
 }
 
 SchedulingDecision
@@ -26,6 +28,7 @@ RoundRobinScheduler::pickNext(Process *previous)
     while (!ready_.empty()) {
         Process *candidate = ready_.front();
         ready_.pop_front();
+        candidate->setQueued(false);
         if (!candidate->runnable())
             continue;
         return SchedulingDecision{candidate, 0, quantum_};

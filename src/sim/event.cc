@@ -147,4 +147,14 @@ EventQueue::advanceInline(Tick when)
     return true;
 }
 
+void
+EventQueue::advanceInlineSteps(Tick when, std::uint64_t steps)
+{
+    ULDMA_ASSERT(when >= now_, "cannot advance time backwards");
+    ULDMA_ASSERT(when <= inlineHorizon_ && when < nextEventTick(),
+                 "inline steps to tick ", when, " pass the next event");
+    now_ = when;
+    numProcessed_ += steps;
+}
+
 } // namespace uldma

@@ -160,6 +160,7 @@ class EventQueue
      * events.
      */
     void setInlineHorizon(Tick horizon) { inlineHorizon_ = horizon; }
+    Tick inlineHorizon() const { return inlineHorizon_; }
 
     /**
      * Take an event at @p when without a queue round trip: succeeds
@@ -170,6 +171,15 @@ class EventQueue
      * counts in numProcessed().
      */
     bool advanceInline(Tick when);
+
+    /**
+     * Take @p steps inline events at once, the last at @p when: the
+     * replay of a loop each of whose steps advanceInline() would have
+     * taken (Cpu's poll fast-forward).  Asserts what advanceInline()
+     * checks: @p when is within the inline horizon and strictly before
+     * every live entry.
+     */
+    void advanceInlineSteps(Tick when, std::uint64_t steps);
 
     /** Total number of events processed so far. */
     std::uint64_t numProcessed() const { return numProcessed_; }

@@ -43,6 +43,13 @@ Average::sample(double v)
     sumSq_ += v * v;
 }
 
+void
+Average::sampleRepeated(double v, std::uint64_t n)
+{
+    for (std::uint64_t i = 0; i < n; ++i)
+        sample(v);
+}
+
 double
 Average::stddev() const
 {
@@ -74,16 +81,22 @@ Histogram::Histogram(double lo, double hi, unsigned nbuckets)
 void
 Histogram::sample(double v)
 {
-    ++total_;
+    sampleRepeated(v, 1);
+}
+
+void
+Histogram::sampleRepeated(double v, std::uint64_t n)
+{
+    total_ += n;
     if (v < lo_) {
-        ++underflow_;
+        underflow_ += n;
     } else if (v >= hi_) {
-        ++overflow_;
+        overflow_ += n;
     } else {
         auto idx = static_cast<std::size_t>((v - lo_) / bucketWidth_);
         if (idx >= buckets_.size())
             idx = buckets_.size() - 1;   // guard FP edge at hi
-        ++buckets_[idx];
+        buckets_[idx] += n;
     }
 }
 

@@ -52,6 +52,10 @@ class Average
 
     void sample(double v);
 
+    /** @p n samples of @p v, summed one at a time so the doubles match
+     *  @p n sample() calls bit for bit. */
+    void sampleRepeated(double v, std::uint64_t n);
+
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
@@ -77,6 +81,9 @@ class Histogram
     Histogram(double lo, double hi, unsigned nbuckets);
 
     void sample(double v);
+
+    /** @p n samples of @p v in one step. */
+    void sampleRepeated(double v, std::uint64_t n);
 
     double lo() const { return lo_; }
     double hi() const { return hi_; }

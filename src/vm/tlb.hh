@@ -10,6 +10,7 @@
 #ifndef ULDMA_VM_TLB_HH
 #define ULDMA_VM_TLB_HH
 
+#include <array>
 #include <list>
 #include <string>
 #include <unordered_map>
@@ -50,6 +51,25 @@ class Tlb
     void registerStats(stats::Registry &r) { r.add(&statsGroup_); }
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
+
+    /// @name Replay of a repeating CPU loop (Cpu's poll fast-forward).
+    /// @{
+    /** Hits, misses and flushes so far. */
+    using Counters = std::array<std::uint64_t, 3>;
+    Counters
+    counters() const
+    {
+        return {hits_.value(), misses_.value(), flushes_.value()};
+    }
+    /** Add @p k times @p delta to counters(). */
+    void
+    replay(const Counters &delta, std::uint64_t k)
+    {
+        hits_ += k * delta[0];
+        misses_ += k * delta[1];
+        flushes_ += k * delta[2];
+    }
+    /// @}
 
   private:
     struct CachedEntry

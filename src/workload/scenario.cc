@@ -507,6 +507,12 @@ parseScenario(const std::string &text, Scenario &out, std::string *error)
     const Value doc = json::parse(text, &parse_error);
     if (!parse_error.empty())
         return fail(error, "JSON parse error: " + parse_error);
+    return parseScenario(doc, out, error);
+}
+
+bool
+parseScenario(const Value &doc, Scenario &out, std::string *error)
+{
     if (!doc.isObject())
         return fail(error, "scenario root must be an object");
     if (!checkKeys(doc,

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/methods.hh"
+#include "sim/json.hh"
 
 namespace uldma::workload {
 
@@ -181,6 +182,11 @@ bool parseMethodName(const std::string &name, DmaMethod &out);
  * @return true on success; on failure @p error describes the problem.
  */
 bool parseScenario(const std::string &text, Scenario &out,
+                   std::string *error);
+
+/** parseScenario over an already parsed document (`uldma_trace_tool
+ *  validate` checks scenario files with it). */
+bool parseScenario(const json::Value &doc, Scenario &out,
                    std::string *error);
 
 /** Read @p path and parseScenario its contents. */

@@ -3,17 +3,20 @@
  * Tests for the core public API: method traits, the DmaSession facade,
  * the experiment drivers (which the Table-1 bench builds on), the
  * wire-time model used by the crossover exhibit, and Machine::run's
- * inline CPU path.
+ * inline CPU path and its poll fast-forward.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/machine.hh"
 #include "core/methods.hh"
 #include "prof/profiler.hh"
+#include "sim/trace.hh"
 
 namespace uldma {
 namespace {
@@ -276,55 +279,37 @@ struct RunStop
     bool operator==(const RunStop &) const = default;
 };
 
-/**
- * Two processes under a 2 us round-robin quantum, each looping over
- * compute, register and cached-memory ops around a user-level DMA
- * initiation: the state after run(@p limit) and after a run to the
- * end.  @p queue_path captures the profiler, which keeps every CPU op
- * on the event queue; without it the CPU runs ops in place.
- */
-std::vector<RunStop>
-runStops(Tick limit, bool queue_path)
+/** Creates and launches the processes a run test observes. */
+using ProcessSetup = std::function<std::vector<Process *>(Machine &)>;
+
+/** Where each run() of a test stopped, the stats at the end, and the
+ *  poll iterations the CPU skipped. */
+struct RunEnd
 {
-    const DmaMethod method = DmaMethod::ExtShadow;
+    std::vector<RunStop> stops;
+    std::string stats;
+    std::uint64_t skipped = 0;
+};
+
+/**
+ * Run @p setup's processes on one @p node to each of @p limits in
+ * turn.  @p queue_path captures the profiler, which keeps every CPU
+ * op on the event queue (so no poll fast-forward either); without it
+ * the CPU runs ops in place.
+ */
+RunEnd
+runMachine(const NodeConfig &node, const ProcessSetup &setup,
+           const std::vector<Tick> &limits, bool queue_path)
+{
     MachineConfig config;
-    configureNode(config.node, method);
-    config.node.makeScheduler = []() {
-        return std::make_unique<RoundRobinScheduler>(2 * tickPerUs);
-    };
+    config.node = node;
     Machine machine(config);
-    prepareMachine(machine, method);
-    Kernel &kernel = machine.node(0).kernel();
-
-    std::vector<Process *> procs;
-    for (const char *name : {"a", "b"}) {
-        Process &p = kernel.createProcess(name);
-        EXPECT_TRUE(prepareProcess(kernel, p, method));
-        const Addr src = kernel.allocate(p, pageSize, Rights::ReadWrite);
-        const Addr dst = kernel.allocate(p, pageSize, Rights::ReadWrite);
-        kernel.createShadowMappings(p, src, pageSize);
-        kernel.createShadowMappings(p, dst, pageSize);
-
-        Program prog;
-        prog.move(reg::t0, 0);
-        const int loop = prog.here();
-        emitInitiation(prog, kernel, p, method, src, dst, 64);
-        prog.membar();
-        prog.addImm(reg::t0, reg::t0, 1);
-        prog.storeReg(src + 8, reg::t0);
-        prog.load(reg::t1, src + 8);
-        prog.compute(7);
-        prog.branchNe(reg::t0, 40, loop);
-        prog.exit();
-        kernel.launch(p, std::move(prog));
-        procs.push_back(&p);
-    }
-
+    const std::vector<Process *> procs = setup(machine);
     if (queue_path)
         prof::profiler().enable();
     machine.start();
-    std::vector<RunStop> stops;
-    for (Tick until : {limit, maxTick}) {
+    RunEnd end;
+    for (Tick until : limits) {
         RunStop stop;
         stop.finished = machine.run(until);
         stop.now = machine.now();
@@ -334,13 +319,65 @@ runStops(Tick limit, bool queue_path)
                 stop.regs.push_back(p->context().reg(static_cast<int>(r)));
             stop.pcs.push_back(p->context().pc());
         }
-        stops.push_back(stop);
+        end.stops.push_back(stop);
         // The inline horizon does not outlive the run.
         EXPECT_FALSE(machine.eventq().advanceInline(machine.now() + 1));
     }
     if (queue_path)
         prof::profiler().disable();
-    return stops;
+    std::ostringstream os;
+    machine.dumpStatsJson(os);
+    end.stats = os.str();
+    end.skipped = machine.node(0).cpu().pollIterationsSkipped();
+    return end;
+}
+
+/**
+ * Two processes under a 2 us round-robin quantum, each looping over
+ * compute, register and cached-memory ops around a user-level DMA
+ * initiation: the state after run(@p limit) and after a run to the
+ * end.
+ */
+std::vector<RunStop>
+runStops(Tick limit, bool queue_path)
+{
+    const DmaMethod method = DmaMethod::ExtShadow;
+    NodeConfig node;
+    configureNode(node, method);
+    node.makeScheduler = []() {
+        return std::make_unique<RoundRobinScheduler>(2 * tickPerUs);
+    };
+    const ProcessSetup setup = [method](Machine &machine) {
+        prepareMachine(machine, method);
+        Kernel &kernel = machine.node(0).kernel();
+        std::vector<Process *> procs;
+        for (const char *name : {"a", "b"}) {
+            Process &p = kernel.createProcess(name);
+            EXPECT_TRUE(prepareProcess(kernel, p, method));
+            const Addr src =
+                kernel.allocate(p, pageSize, Rights::ReadWrite);
+            const Addr dst =
+                kernel.allocate(p, pageSize, Rights::ReadWrite);
+            kernel.createShadowMappings(p, src, pageSize);
+            kernel.createShadowMappings(p, dst, pageSize);
+
+            Program prog;
+            prog.move(reg::t0, 0);
+            const int loop = prog.here();
+            emitInitiation(prog, kernel, p, method, src, dst, 64);
+            prog.membar();
+            prog.addImm(reg::t0, reg::t0, 1);
+            prog.storeReg(src + 8, reg::t0);
+            prog.load(reg::t1, src + 8);
+            prog.compute(7);
+            prog.branchNe(reg::t0, 40, loop);
+            prog.exit();
+            kernel.launch(p, std::move(prog));
+            procs.push_back(&p);
+        }
+        return procs;
+    };
+    return runMachine(node, setup, {limit, maxTick}, queue_path).stops;
 }
 
 TEST(MachineRun, LimitStopsInlineAndQueuePathsAtTheSameBoundary)
@@ -357,6 +394,298 @@ TEST(MachineRun, LimitStopsInlineAndQueuePathsAtTheSameBoundary)
         EXPECT_TRUE(inline_path[1].finished);
         EXPECT_EQ(inline_path, queue_path);
     }
+}
+
+// ---------------------------------------------------------------------
+// Poll fast-forward: skipping whole iterations of a status poll stops
+// in the same state as running each one.
+// ---------------------------------------------------------------------
+
+/** What slices the CPU while processes spin. */
+enum class Slicing { Long, TimeQuantum, InstrQuantum };
+
+NodeConfig
+pollNode(DmaMethod method, Slicing slicing)
+{
+    NodeConfig node;
+    configureNode(node, method);
+    if (slicing == Slicing::TimeQuantum) {
+        node.makeScheduler = []() {
+            return std::make_unique<RoundRobinScheduler>(20 * tickPerUs);
+        };
+    } else if (slicing == Slicing::InstrQuantum) {
+        node.makeScheduler = []() {
+            return std::make_unique<RandomScheduler>(7, 250);
+        };
+    }
+    return node;
+}
+
+/** Emit `Load v0 <- [vaddr]; Membar; Compute; Branch back`: spin while
+ *  v0 == @p value, or (@p while_equal false) while it differs. */
+void
+emitPoll(Program &prog, Addr vaddr, std::uint64_t value, bool while_equal)
+{
+    const int poll = prog.here();
+    prog.load(reg::v0, vaddr);
+    prog.membar();
+    prog.compute(8);
+    if (while_equal)
+        prog.branchEq(reg::v0, value, poll);
+    else
+        prog.branchNe(reg::v0, value, poll);
+    EXPECT_TRUE(prog.at(static_cast<std::size_t>(poll)).pollHead);
+}
+
+/** Both paths stop in the same state; @return the fast path's skips. */
+std::uint64_t
+expectSamePollEnd(const NodeConfig &node, const ProcessSetup &setup,
+                  const std::vector<Tick> &limits)
+{
+    const RunEnd fast = runMachine(node, setup, limits, false);
+    const RunEnd queue = runMachine(node, setup, limits, true);
+    EXPECT_EQ(fast.stops, queue.stops);
+    EXPECT_EQ(fast.stats, queue.stats);
+    EXPECT_EQ(queue.skipped, 0u);
+    return fast.skipped;
+}
+
+/** Two capability tenants, each presenting a one-page transfer and
+ *  polling its slot's status word until it leaves `pending`. */
+std::vector<Process *>
+capPollers(Machine &machine)
+{
+    prepareMachine(machine, DmaMethod::Cap);
+    Kernel &kernel = machine.node(0).kernel();
+    std::vector<Process *> procs;
+    for (const char *name : {"a", "b"}) {
+        Process &p = kernel.createProcess(name);
+        DmaSession session(machine, 0, p, DmaMethod::Cap);
+        EXPECT_TRUE(session.ready());
+        const Addr src = session.allocBuffer(pageSize);
+        const Addr dst = session.allocBuffer(pageSize);
+        Program prog;
+        session.emitDma(prog, src, dst, pageSize);
+        EXPECT_TRUE(prog.at(prog.size() - 4).pollHead);
+        prog.exit();
+        kernel.launch(p, std::move(prog));
+        procs.push_back(&p);
+    }
+    return procs;
+}
+
+/** One process per entry of @p write_at, each spinning on a zeroed
+ *  word of its own DRAM until a lambda stores 1 there at that tick. */
+ProcessSetup
+dramPollers(std::vector<Tick> write_at)
+{
+    return [write_at](Machine &machine) {
+        Kernel &kernel = machine.node(0).kernel();
+        std::vector<Process *> procs;
+        for (Tick when : write_at) {
+            Process &p = kernel.createProcess("p");
+            const Addr word =
+                kernel.allocate(p, pageSize, Rights::ReadWrite);
+            const Addr paddr =
+                kernel.translateFor(p, word, Rights::Read).paddr;
+            Program prog;
+            emitPoll(prog, word, 0, /*while_equal=*/true);
+            prog.exit();
+            kernel.launch(p, std::move(prog));
+            machine.eventq().scheduleLambda(
+                "write", when, [&machine, paddr]() {
+                    machine.node(0).memory().writeInt(paddr, 1, 8);
+                });
+            procs.push_back(&p);
+        }
+        return procs;
+    };
+}
+
+/** The ticks at which a lone DRAM poller, on the queue path, starts
+ *  its first @p n iterations. */
+std::vector<Tick>
+dramPollHeadTimes(std::size_t n)
+{
+    MachineConfig config;
+    Machine machine(config);
+    const std::vector<Process *> procs =
+        dramPollers({maxTick - 1})(machine);
+    const ExecContext &ctx = procs[0]->context();
+    std::vector<Tick> heads;
+    // A run hook keeps every op on the queue; after the branch, the
+    // CPU's tick for the next head is the earliest entry.
+    machine.setRunHook([&](Tick) {
+        if (ctx.pc() == 0 && machine.node(0).cpu().currentContext() ==
+                                 &procs[0]->context()) {
+            const Tick next = machine.eventq().nextEventTick();
+            if (heads.empty() || heads.back() != next)
+                heads.push_back(next);
+        }
+        return heads.size() < n;
+    });
+    machine.start();
+    machine.run();
+    return heads;
+}
+
+TEST(PollFastForward, CapStatusPollStopsWhereTheQueuePathStops)
+{
+    // A run limit mid-spin, then a run to the end, under a long
+    // quantum, a 20 us time quantum and random instruction quanta.
+    for (Slicing slicing : {Slicing::Long, Slicing::TimeQuantum,
+                            Slicing::InstrQuantum}) {
+        SCOPED_TRACE(static_cast<int>(slicing));
+        const std::uint64_t skipped = expectSamePollEnd(
+            pollNode(DmaMethod::Cap, slicing), capPollers,
+            {30 * tickPerUs + 1234, maxTick});
+        EXPECT_GT(skipped, 0u);
+    }
+}
+
+TEST(PollFastForward, DramPollStopsWhereTheQueuePathStops)
+{
+    const std::vector<Tick> heads = dramPollHeadTimes(200);
+    ASSERT_EQ(heads.size(), 200u);
+    // The write lands on an iteration's first tick, one tick before
+    // it, and one after: the skip must end before the write's entry
+    // whichever way it falls.
+    for (Tick write : {heads[150], heads[150] - 1, heads[150] + 1}) {
+        SCOPED_TRACE(write);
+        for (Slicing slicing : {Slicing::Long, Slicing::TimeQuantum,
+                                Slicing::InstrQuantum}) {
+            SCOPED_TRACE(static_cast<int>(slicing));
+            // A run limit on an iteration's first tick, then mid-spin.
+            for (Tick limit : {heads[60], heads[90] + 777}) {
+                const std::uint64_t skipped = expectSamePollEnd(
+                    pollNode(DmaMethod::Kernel, slicing),
+                    dramPollers({write, write + 5 * tickPerUs}),
+                    {limit, maxTick});
+                EXPECT_GT(skipped, 0u);
+            }
+        }
+    }
+}
+
+TEST(PollFastForward, IterationsThatEnterTheKernelAreNotReplayed)
+{
+    // Slices of 6, 4 and 4 instructions expire inside the second,
+    // third and fourth iterations, each time re-picking the one
+    // process; then the script runs out and the slice is unlimited.
+    // Two iterations that each entered the kernel look alike, but the
+    // iterations after them would not.
+    NodeConfig node = pollNode(DmaMethod::Kernel, Slicing::Long);
+    node.makeScheduler = []() {
+        return std::make_unique<ScriptedScheduler>(
+            std::vector<ScriptedScheduler::Slice>{{1, 6}, {1, 4}, {1, 4}});
+    };
+    EXPECT_GT(expectSamePollEnd(node, dramPollers({100 * tickPerUs}),
+                                {maxTick}),
+              0u);
+}
+
+TEST(PollFastForward, TracingAndDcacheKeepEveryIteration)
+{
+    const ProcessSetup setup = dramPollers({20 * tickPerUs});
+    NodeConfig node = pollNode(DmaMethod::Kernel, Slicing::Long);
+    EXPECT_GT(expectSamePollEnd(node, setup, {maxTick}), 0u);
+
+    // A skipped bus read would have recorded a trace event.
+    const NodeConfig cap = pollNode(DmaMethod::Cap, Slicing::Long);
+    EXPECT_GT(runMachine(cap, capPollers, {maxTick}, false).skipped, 0u);
+    trace::eventRing().enable(16);
+    EXPECT_EQ(runMachine(cap, capPollers, {maxTick}, false).skipped, 0u);
+    trace::eventRing().disable();
+
+    node.cpu.dcache.enabled = true;
+    EXPECT_EQ(expectSamePollEnd(node, setup, {maxTick}), 0u);
+}
+
+TEST(PollFastForward, LoadsWithSideEffectsAreNeverSkipped)
+{
+    // The same loop shape over a context page (a load there starts or
+    // reports a key-based transfer) and over a shadow window (a load
+    // there drives the pair recognizer): every iteration runs.
+    const std::vector<Tick> limits = {20 * tickPerUs + 7,
+                                      45 * tickPerUs + 3};
+    for (DmaMethod method : {DmaMethod::KeyBased, DmaMethod::ExtShadow}) {
+        SCOPED_TRACE(toString(method));
+        const ProcessSetup setup = [method](Machine &machine) {
+            prepareMachine(machine, method);
+            Kernel &kernel = machine.node(0).kernel();
+            Process &p = kernel.createProcess("p");
+            EXPECT_TRUE(prepareProcess(kernel, p, method));
+            const Addr src =
+                kernel.allocate(p, pageSize, Rights::ReadWrite);
+            const Addr dst =
+                kernel.allocate(p, pageSize, Rights::ReadWrite);
+            kernel.createShadowMappings(p, src, pageSize);
+            kernel.createShadowMappings(p, dst, pageSize);
+            Program prog;
+            Addr polled = kernel.shadowVaddrFor(p, src);
+            if (method == DmaMethod::KeyBased) {
+                emitInitiation(prog, kernel, p, method, src, dst,
+                               pageSize);
+                polled = p.dmaGrant().contextPageVaddr;
+            }
+            // Spins for good: no load returns this.
+            emitPoll(prog, polled, 0xfeedULL, /*while_equal=*/false);
+            prog.exit();
+            kernel.launch(p, std::move(prog));
+            return std::vector<Process *>{&p};
+        };
+        EXPECT_EQ(expectSamePollEnd(pollNode(method, Slicing::Long),
+                                    setup, limits),
+                  0u);
+    }
+}
+
+TEST(PollFastForward, OnlyCapPagesReadWithoutSideEffects)
+{
+    MachineConfig config;
+    configureNode(config.node, DmaMethod::Cap);
+    Machine machine(config);
+    const Bus &bus = machine.node(0).bus();
+    const auto pure = [&bus](Addr paddr) {
+        return bus.deviceAt(paddr)->sideEffectFreeRead(paddr);
+    };
+    const DmaEngine &engine = machine.node(0).dmaEngine();
+    EXPECT_TRUE(pure(engine.capPageAddr(0)));
+    EXPECT_TRUE(pure(engine.capPageAddr(1) + 8));
+    EXPECT_FALSE(pure(engine.contextPageAddr(0)));
+    EXPECT_FALSE(pure(engine.params().shadowBase));
+    EXPECT_FALSE(pure(engine.params().kernelRegsBase));
+    EXPECT_FALSE(pure(0x1000));   // DRAM on the bus
+}
+
+TEST(PollFastForward, ProgramMarksOnlyTheExactLoopShape)
+{
+    Program p;
+    emitPoll(p, 0x1000, 0, true);
+    Program indirect;
+    const int head = indirect.loadIndirect(reg::v0, reg::t0, 0);
+    indirect.membar();
+    indirect.compute(8);
+    indirect.branchEq(reg::v0, 0, head);
+    EXPECT_FALSE(indirect.at(0).pollHead);
+    Program other_reg;
+    other_reg.load(reg::v0, 0x1000);
+    other_reg.membar();
+    other_reg.compute(8);
+    other_reg.branchEq(reg::t0, 0, 0);
+    EXPECT_FALSE(other_reg.at(0).pollHead);
+    Program patched;
+    patched.load(reg::v0, 0x1000);
+    patched.membar();
+    patched.compute(8);
+    const int br = patched.branchEq(reg::v0, 0, 3);
+    EXPECT_FALSE(patched.at(0).pollHead);
+    patched.setTarget(br, 0);
+    EXPECT_TRUE(patched.at(0).pollHead);
+    Program appended;
+    appended.exit();
+    appended.append(patched);
+    EXPECT_TRUE(appended.at(1).pollHead);
 }
 
 } // namespace

@@ -165,15 +165,16 @@ struct Artifacts
 };
 
 /** @p profile also captures the profiler, which keeps every CPU op on
- *  the event queue (Machine::run). */
+ *  the event queue (Machine::run).  Without @p trace, nothing turns
+ *  off the CPU's poll fast-forward, and the trace stays empty. */
 Artifacts
 artifactsFor(const Scenario &scenario, std::uint64_t seed,
-             unsigned threads, bool profile = false)
+             unsigned threads, bool profile = false, bool trace = true)
 {
     ParallelOptions options;
     options.threads = threads;
     options.captureStats = true;
-    options.captureTrace = true;
+    options.captureTrace = trace;
     options.captureProfile = profile;
     const ParallelResult run =
         runParallelWorkload(scenario, seed, options);
@@ -222,7 +223,9 @@ TEST(ParallelDeterminism, InlineAndQueuePathsExportTheSameBytes)
 {
     // Without profile capture, Machine::run lets a CPU run its next op
     // in place; with it, every op goes through the event queue.  Both
-    // paths must serialise every scenario file identically.
+    // paths must serialise every scenario file identically.  Trace
+    // capture turns off the poll fast-forward (not inlining), so a
+    // third run without it checks the skipped poll iterations too.
     std::vector<std::string> paths;
     for (const auto &entry :
          std::filesystem::directory_iterator(ULDMA_SCENARIO_DIR)) {
@@ -245,6 +248,11 @@ TEST(ParallelDeterminism, InlineAndQueuePathsExportTheSameBytes)
             EXPECT_EQ(inline_path.spans, queue_path.spans);
             EXPECT_EQ(inline_path.stats, queue_path.stats);
             EXPECT_EQ(inline_path.trace, queue_path.trace);
+            const Artifacts fast_forward = artifactsFor(
+                scenario, seed, 1, /*profile=*/false, /*trace=*/false);
+            EXPECT_EQ(fast_forward.report, queue_path.report);
+            EXPECT_EQ(fast_forward.spans, queue_path.spans);
+            EXPECT_EQ(fast_forward.stats, queue_path.stats);
         }
     }
 }

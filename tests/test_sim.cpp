@@ -234,6 +234,21 @@ TEST(EventQueue, AdvanceInlineMovesTimeAndCountsTheEvent)
     EXPECT_TRUE(eq.empty());
 }
 
+TEST(EventQueue, AdvanceInlineStepsTakesManyStepsBeforeTheNextEntry)
+{
+    EventQueue eq;
+    eq.setInlineHorizon(maxTick);
+    eq.scheduleLambda("e", 100, [] {});
+    eq.advanceInlineSteps(99, 12);
+    EXPECT_EQ(eq.now(), 99u);
+    EXPECT_EQ(eq.numProcessed(), 12u);
+    // Up to the next entry is what advanceInline() refuses too.
+    EXPECT_DEATH(eq.advanceInlineSteps(100, 4), "pass the next event");
+    eq.setInlineHorizon(150);
+    eq.runToExhaustion();
+    EXPECT_DEATH(eq.advanceInlineSteps(151, 4), "pass the next event");
+}
+
 // ---------------------------------------------------------------------
 // ClockDomain
 // ---------------------------------------------------------------------
@@ -291,6 +306,36 @@ TEST(Stats, AverageMoments)
     EXPECT_DOUBLE_EQ(a.min(), 2.0);
     EXPECT_DOUBLE_EQ(a.max(), 6.0);
     EXPECT_NEAR(a.stddev(), 1.632993, 1e-5);
+}
+
+TEST(Stats, RepeatedSamplesMatchSampleCalls)
+{
+    // 0.1 and 3.3 are inexact in binary, so a sum taken another way
+    // (k * v in one sample, say) would differ in its last bits.
+    stats::Average one, many;
+    stats::Histogram h_one(0.0, 10.0, 5), h_many(0.0, 10.0, 5);
+    many.sampleRepeated(5.0, 0);
+    h_many.sampleRepeated(5.0, 0);
+    EXPECT_EQ(many.count(), 0u);
+    EXPECT_EQ(h_many.totalSamples(), 0u);
+    for (double v : {0.1, 3.3, -1.0, 12.0}) {
+        for (int i = 0; i < 1000; ++i) {
+            one.sample(v);
+            h_one.sample(v);
+        }
+        many.sampleRepeated(v, 1000);
+        h_many.sampleRepeated(v, 1000);
+    }
+    EXPECT_EQ(many.count(), one.count());
+    EXPECT_EQ(many.sum(), one.sum());
+    EXPECT_EQ(many.stddev(), one.stddev());
+    EXPECT_EQ(many.min(), one.min());
+    EXPECT_EQ(many.max(), one.max());
+    EXPECT_EQ(h_many.totalSamples(), h_one.totalSamples());
+    EXPECT_EQ(h_many.underflow(), h_one.underflow());
+    EXPECT_EQ(h_many.overflow(), h_one.overflow());
+    for (unsigned b = 0; b < h_one.numBuckets(); ++b)
+        EXPECT_EQ(h_many.bucketCount(b), h_one.bucketCount(b)) << b;
 }
 
 TEST(Stats, HistogramBuckets)

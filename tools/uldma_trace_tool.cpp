@@ -42,13 +42,15 @@
  *       Schema-check any of the simulator's JSON artifacts
  *       (uldma-stats-v1, uldma-spans-v1, uldma-timeseries-v1,
  *       uldma-bench-v1, uldma-bench-summary-v1, uldma-workload-v1,
- *       uldma-schedule-v1, uldma-fuzz-v1, uldma-profile-v1,
- *       chrome://tracing).  Every accepted shape is documented in
- *       docs/SCHEMAS.md.  uldma-workload-v1, uldma-schedule-v1,
- *       uldma-fuzz-v1, uldma-profile-v1 and uldma-bench-summary-v1
- *       validation is strict: unknown members anywhere in the document
- *       are problems.  Schedule files go through the same parser as
- *       `uldma_check --replay`.
+ *       uldma-schedule-v1, uldma-scenario-v1, uldma-fuzz-v1,
+ *       uldma-profile-v1, chrome://tracing).  Every accepted shape is
+ *       documented in docs/SCHEMAS.md.  uldma-workload-v1,
+ *       uldma-schedule-v1, uldma-scenario-v1, uldma-fuzz-v1,
+ *       uldma-profile-v1 and uldma-bench-summary-v1 validation is
+ *       strict: unknown members anywhere in the document are problems.
+ *       Schedule files go through the same parser as
+ *       `uldma_check --replay`, scenario files the one `uldma_workload`
+ *       runs.
  *       Schema tags are resolved through a family/version registry:
  *       an unknown *version* of a known family (e.g.
  *       "uldma-spans-v2") is a hard error naming the versions this
@@ -74,6 +76,7 @@
 #include "check/schedule.hh"
 #include "sim/json.hh"
 #include "util/output.hh"
+#include "workload/scenario.hh"
 
 using uldma::json::Value;
 
@@ -441,6 +444,16 @@ validateSchedule(Problems &p, const Value &doc)
         p.add(error);
 }
 
+/** Strict uldma-scenario-v1 check: the parser `uldma_workload` runs. */
+void
+validateScenario(Problems &p, const Value &doc)
+{
+    uldma::workload::Scenario scenario;
+    std::string error;
+    if (!uldma::workload::parseScenario(doc, scenario, &error))
+        p.add(error);
+}
+
 /** Strict uldma-profile-v1 scope-tree node check (recursive). */
 void
 validateProfileNode(Problems &p, const Value &node, bool host_time,
@@ -767,6 +780,7 @@ const SchemaEntry schemaRegistry[] = {
     {"uldma-bench", 1, validateBench},
     {"uldma-workload", 1, validateWorkload},
     {"uldma-schedule", 1, validateSchedule},
+    {"uldma-scenario", 1, validateScenario},
     {"uldma-fuzz", 1, validateFuzz},
     {"uldma-profile", 1, validateProfile},
     {"uldma-bench-summary", 1, validateBenchSummary},
