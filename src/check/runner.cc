@@ -47,7 +47,7 @@ mixExecContext(Fnv1a &f, ExecContext &ctx)
     f.mix(static_cast<std::uint64_t>(ctx.pc()));
     f.mix(static_cast<std::uint64_t>(ctx.state()));
     f.mix(ctx.instructionsRetired());
-    for (int r = 0; r < numRegs; ++r)
+    for (int r = 0; r < static_cast<int>(numRegs); ++r)
         f.mix(ctx.reg(r));
 }
 

@@ -1,6 +1,7 @@
 #include "dma/dma_engine.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "mem/physical_memory.hh"
 #include "prof/profiler.hh"
@@ -200,6 +201,28 @@ DmaEngine::sideEffectFreeRead(Addr paddr) const
                        Addr(params_.cap.numSlots) * pageSize;
 }
 
+span::SpanId
+DmaEngine::spanOpen(const char *protocol) const
+{
+    return span::captureOn()
+               ? span::tracker().open(name_, protocol, xfer_.now())
+               : span::invalidSpan;
+}
+
+void
+DmaEngine::spanReject(span::SpanId sid, span::Outcome why) const
+{
+    if (span::captureOn())
+        span::tracker().reject(sid, xfer_.now(), why);
+}
+
+void
+DmaEngine::spanAbort(span::SpanId sid) const
+{
+    if (span::captureOn())
+        span::tracker().abort(sid, xfer_.now());
+}
+
 // ---------------------------------------------------------------------
 // Kernel register block.
 // ---------------------------------------------------------------------
@@ -228,8 +251,8 @@ DmaEngine::accessKernelRegs(Packet &pkt, Addr offset)
             // SHRIMP-2 hook: abort half-initiated user DMAs on context
             // switch (paper §2.5).
             for (PairLatch &latch : pairLatch_) {
-                if (latch.valid && span::captureOn())
-                    span::tracker().abort(latch.span, xfer_.now());
+                if (latch.valid)
+                    spanAbort(latch.span);
                 latch.valid = false;
                 latch.span = span::invalidSpan;
             }
@@ -247,8 +270,7 @@ DmaEngine::accessKernelRegs(Packet &pkt, Addr offset)
           case kregs::ctxReset:
             if (pkt.data < contexts_.size()) {
                 RegisterContext &rc = contexts_[pkt.data];
-                if (rc.span != span::invalidSpan && span::captureOn())
-                    span::tracker().abort(rc.span, xfer_.now());
+                spanAbort(rc.span);
                 rc.resetArgs();
                 rc.transfer = invalidTransfer;
                 rc.keyValid = false;
@@ -423,8 +445,7 @@ DmaEngine::kernelStart()
         !backend_.validEndpoint(kDst_, kSize_)) {
         kFailed_ = true;
         ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(sid, xfer_.now());
+        spanReject(sid);
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "dma_reject",
                           "kernel args invalid, size ", kSize_);
         return;
@@ -468,10 +489,8 @@ DmaEngine::accessContextPage(Packet &pkt, unsigned ctx, Addr offset)
     RegisterContext &rc = contexts_[ctx];
 
     if (pkt.isWrite()) {
-        if (span::captureOn() && rc.span == span::invalidSpan) {
-            rc.span = span::tracker().open(name_, toString(params_.mode),
-                                           xfer_.now());
-        }
+        if (rc.span == span::invalidSpan)
+            rc.span = spanOpen(toString(params_.mode));
         rc.size = pkt.data;
         rc.sizeValid = true;
         rc.contributors.push_back(pkt.srcPid);
@@ -501,14 +520,10 @@ DmaEngine::accessContextPage(Packet &pkt, unsigned ctx, Addr offset)
 
     // Incomplete argument set: report failure and discard the stale
     // arguments so the process restarts its sequence cleanly.
-    if (span::captureOn()) {
-        span::SpanId sid = rc.span != span::invalidSpan
-            ? rc.span
-            : span::tracker().open(name_, toString(params_.mode),
-                                   xfer_.now());
-        span::tracker().reject(sid, xfer_.now());
-        rc.span = span::invalidSpan;
-    }
+    spanReject(rc.span != span::invalidSpan
+                   ? rc.span
+                   : spanOpen(toString(params_.mode)));
+    rc.span = span::invalidSpan;
     rc.resetArgs();
     pkt.data = dmastatus::failure;
 }
@@ -554,12 +569,9 @@ DmaEngine::shadowPair(Packet &pkt, Addr target, unsigned ctx)
 
     if (pkt.isWrite()) {
         // STORE size TO shadow(vdestination): latch the destination.
-        if (span::captureOn()) {
-            if (latch.valid)
-                span::tracker().abort(latch.span, xfer_.now());
-            latch.span = span::tracker().open(name_, toString(params_.mode),
-                                              xfer_.now());
-        }
+        if (latch.valid)
+            spanAbort(latch.span);
+        latch.span = spanOpen(toString(params_.mode));
         latch.valid = true;
         latch.dst = target;
         latch.size = pkt.data;
@@ -569,13 +581,8 @@ DmaEngine::shadowPair(Packet &pkt, Addr target, unsigned ctx)
     }
 
     // LOAD status FROM shadow(vsource): complete the pair.
-    span::SpanId sid = span::invalidSpan;
-    if (span::captureOn()) {
-        sid = latch.valid ? latch.span
-                          : span::tracker().open(name_,
-                                                 toString(params_.mode),
-                                                 xfer_.now());
-    }
+    const span::SpanId sid =
+        latch.valid ? latch.span : spanOpen(toString(params_.mode));
 
     bool ok = latch.valid;
     if (ok && params_.flashTagCheck && latch.osTag != osTag_) {
@@ -588,8 +595,7 @@ DmaEngine::shadowPair(Packet &pkt, Addr target, unsigned ctx)
         latch.valid = false;
         latch.span = span::invalidSpan;
         ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(sid, xfer_.now());
+        spanReject(sid);
         pkt.data = dmastatus::failure;
         return;
     }
@@ -608,11 +614,7 @@ DmaEngine::shadowKeyBased(Packet &pkt, Addr target)
         // The key-based protocol passes both addresses with stores
         // (paper §3.1); a shadow load is undefined and rejected.
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now());
-        }
+        spanReject(spanOpen(toString(params_.mode)));
         pkt.data = dmastatus::failure;
         return;
     }
@@ -620,11 +622,7 @@ DmaEngine::shadowKeyBased(Packet &pkt, Addr target)
     const unsigned ctx = keyfield::ctxOf(pkt.data);
     if (ctx >= contexts_.size()) {
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now());
-        }
+        spanReject(spanOpen(toString(params_.mode)));
         return;
     }
 
@@ -635,27 +633,20 @@ DmaEngine::shadowKeyBased(Packet &pkt, Addr target)
         // "only if the provided key matches the key stored by the
         // operating system in the DMA engine" (paper §3.1).
         ++keyMismatch_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now(), span::Outcome::KeyMismatch);
-        }
+        spanReject(spanOpen(toString(params_.mode)),
+                   span::Outcome::KeyMismatch);
         return;
     }
 
     // The paper's order: destination first, then source.  A store when
     // both are already valid begins a fresh argument pair.
     if (rc.srcValid && rc.dstValid) {
-        if (span::captureOn() && rc.span != span::invalidSpan) {
-            span::tracker().abort(rc.span, xfer_.now());
-            rc.span = span::invalidSpan;
-        }
+        spanAbort(rc.span);
+        rc.span = span::invalidSpan;
         rc.resetArgs();
     }
-    if (span::captureOn() && rc.span == span::invalidSpan) {
-        rc.span = span::tracker().open(name_, toString(params_.mode),
-                                       xfer_.now());
-    }
+    if (rc.span == span::invalidSpan)
+        rc.span = spanOpen(toString(params_.mode));
     if (!rc.dstValid) {
         rc.dst = target;
         rc.dstValid = true;
@@ -670,13 +661,52 @@ DmaEngine::shadowKeyBased(Packet &pkt, Addr target)
 // Repeated passing of arguments (paper §3.3).
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** Which earlier address of the sequence an access must repeat. */
+enum class Repeat : std::uint8_t { None, Dst, Src };
+
+/** One access of a repeated-passing sequence: its kind, and the
+ *  address (the first store's dst or the first load's src) it must
+ *  name again. */
+struct RecognizerStep
+{
+    bool store;
+    Repeat repeat;
+};
+
+// Figure 7: accesses 1, 3 and 5 repeat one address, 2 and 4 another.
+// The 3- and 4-access variants (figures 5 and 6) are the same rule over
+// shorter sequences.
+constexpr RecognizerStep repeated3Steps[] = {
+    {false, Repeat::None}, {true, Repeat::None}, {false, Repeat::Src}};
+constexpr RecognizerStep repeated4Steps[] = {
+    {true, Repeat::None}, {false, Repeat::None}, {true, Repeat::Dst},
+    {false, Repeat::Src}};
+constexpr RecognizerStep repeated5Steps[] = {
+    {true, Repeat::None}, {false, Repeat::None}, {true, Repeat::Dst},
+    {false, Repeat::Src}, {false, Repeat::Dst}};
+
+std::span<const RecognizerStep>
+recognizerSteps(EngineMode mode)
+{
+    switch (mode) {
+      case EngineMode::Repeated3: return repeated3Steps;
+      case EngineMode::Repeated4: return repeated4Steps;
+      case EngineMode::Repeated5: return repeated5Steps;
+      default: ULDMA_PANIC("repeated-passing access in mode ",
+                           toString(mode));
+    }
+}
+
+} // namespace
+
 void
 DmaEngine::fsmReset()
 {
     if (fsmStep_ != 0) {
         ++fsmResets_;
-        if (span::captureOn())
-            span::tracker().abort(fsmSpan_, xfer_.now());
+        spanAbort(fsmSpan_);
     }
     fsmStep_ = 0;
     fsmContributors_.clear();
@@ -686,216 +716,63 @@ DmaEngine::fsmReset()
 void
 DmaEngine::shadowRepeated(Packet &pkt, Addr target, unsigned ctx)
 {
-    fsmStepAccess(pkt, target, ctx);
-}
-
-void
-DmaEngine::fsmStepAccess(Packet &pkt, Addr target, unsigned ctx)
-{
+    const std::span<const RecognizerStep> steps =
+        recognizerSteps(params_.mode);
     const bool is_store = pkt.isWrite();
-    // Test-only fault injection (see DmaEngineParams::weakRecognizer):
-    // skip the same-address checks of figure 7 and adopt the new
-    // address instead of resetting.
-    const bool weak = params_.weakRecognizer;
 
     // Two attempts: if the access mismatches mid-sequence, the engine
     // resets and the same access may begin a new sequence (this is what
     // makes the figure-5 interleaving possible against Repeated3).
     for (int attempt = 0; attempt < 2; ++attempt) {
-        bool matched = false;
+        const RecognizerStep &step = steps[fsmStep_];
+        const Addr named = step.repeat == Repeat::Dst ? fsmStoreAddr_
+                                                      : fsmLoadAddr_;
         // A sequence belongs to one shadow CONTEXT_ID: an access that
         // arrives through a different context window never continues
-        // it, even when its stripped target address lines up.
-        const bool ctx_ok = fsmStep_ == 0 || ctx == fsmCtx_;
-
-        switch (params_.mode) {
-          case EngineMode::Repeated3:
-            // LOAD(src) STORE(dst) LOAD(src)
-            switch (fsmStep_) {
-              case 0:
-                if (!is_store) {
-                    fsmLoadAddr_ = target;
-                    fsmCtx_ = ctx;
-                    fsmContributors_.assign({pkt.srcPid});
-                    if (span::captureOn()) {
-                        fsmSpan_ = span::tracker().open(
-                            name_, toString(params_.mode), xfer_.now());
-                    }
-                    fsmStep_ = 1;
-                    pkt.data = dmastatus::pending;
-                    matched = true;
-                }
-                break;
-              case 1:
-                if (ctx_ok && is_store) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 2;
-                    matched = true;
-                }
-                break;
-              case 2:
-                if (ctx_ok && !is_store &&
-                    (weak || target == fsmLoadAddr_)) {
-                    fsmContributors_.push_back(pkt.srcPid);
-                    const TransferId id =
-                        tryStartUser(fsmLoadAddr_, fsmStoreAddr_, fsmSize_,
-                                     0, fsmContributors_, fsmSpan_);
-                    pkt.data = id == invalidTransfer ? dmastatus::failure
-                                                     : dmastatus::ok;
-                    fsmStep_ = 0;
-                    fsmContributors_.clear();
-                    fsmSpan_ = span::invalidSpan;
-                    matched = true;
-                }
-                break;
+        // it, even when its stripped target address lines up.  Test-only
+        // fault injection (DmaEngineParams::weakRecognizer) skips the
+        // same-address checks of figure 7, so a mismatching address is
+        // adopted instead of resetting.
+        if (step.store == is_store && (fsmStep_ == 0 || ctx == fsmCtx_) &&
+            (step.repeat == Repeat::None || params_.weakRecognizer ||
+             target == named)) {
+            if (fsmStep_ == 0) {
+                fsmCtx_ = ctx;
+                fsmContributors_.clear();
+                fsmSpan_ = spanOpen(toString(params_.mode));
             }
-            break;
-
-          case EngineMode::Repeated4:
-            // STORE(dst) LOAD(src) STORE(dst) LOAD(src)
-            switch (fsmStep_) {
-              case 0:
-                if (is_store) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmCtx_ = ctx;
-                    fsmContributors_.assign({pkt.srcPid});
-                    if (span::captureOn()) {
-                        fsmSpan_ = span::tracker().open(
-                            name_, toString(params_.mode), xfer_.now());
-                    }
-                    fsmStep_ = 1;
-                    matched = true;
-                }
-                break;
-              case 1:
-                if (ctx_ok && !is_store) {
-                    fsmLoadAddr_ = target;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 2;
-                    pkt.data = dmastatus::pending;
-                    matched = true;
-                }
-                break;
-              case 2:
-                if (ctx_ok && is_store &&
-                    (weak || target == fsmStoreAddr_)) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 3;
-                    matched = true;
-                }
-                break;
-              case 3:
-                if (ctx_ok && !is_store &&
-                    (weak || target == fsmLoadAddr_)) {
-                    fsmContributors_.push_back(pkt.srcPid);
-                    const TransferId id =
-                        tryStartUser(fsmLoadAddr_, fsmStoreAddr_, fsmSize_,
-                                     0, fsmContributors_, fsmSpan_);
-                    pkt.data = id == invalidTransfer ? dmastatus::failure
-                                                     : dmastatus::ok;
-                    fsmStep_ = 0;
-                    fsmContributors_.clear();
-                    fsmSpan_ = span::invalidSpan;
-                    matched = true;
-                }
-                break;
+            fsmContributors_.push_back(pkt.srcPid);
+            // A non-final store latches dst and size, a non-final load
+            // latches src; the final access only starts the transfer.
+            if (fsmStep_ + 1 == steps.size()) {
+                const TransferId id =
+                    tryStartUser(fsmLoadAddr_, fsmStoreAddr_, fsmSize_, 0,
+                                 fsmContributors_, fsmSpan_);
+                pkt.data = id == invalidTransfer ? dmastatus::failure
+                                                 : dmastatus::ok;
+                fsmStep_ = 0;
+                fsmContributors_.clear();
+                fsmSpan_ = span::invalidSpan;
+            } else if (is_store) {
+                fsmStoreAddr_ = target;
+                fsmSize_ = pkt.data;
+                ++fsmStep_;
+            } else {
+                fsmLoadAddr_ = target;
+                pkt.data = dmastatus::pending;
+                ++fsmStep_;
             }
-            break;
-
-          case EngineMode::Repeated5:
-            // STORE(dst) LOAD(src) STORE(dst) LOAD(src) LOAD(dst)
-            // (figure 7: addresses of 1,3,5 equal; of 2,4 equal)
-            switch (fsmStep_) {
-              case 0:
-                if (is_store) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmCtx_ = ctx;
-                    fsmContributors_.assign({pkt.srcPid});
-                    if (span::captureOn()) {
-                        fsmSpan_ = span::tracker().open(
-                            name_, toString(params_.mode), xfer_.now());
-                    }
-                    fsmStep_ = 1;
-                    matched = true;
-                }
-                break;
-              case 1:
-                if (ctx_ok && !is_store) {
-                    fsmLoadAddr_ = target;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 2;
-                    pkt.data = dmastatus::pending;
-                    matched = true;
-                }
-                break;
-              case 2:
-                if (ctx_ok && is_store &&
-                    (weak || target == fsmStoreAddr_)) {
-                    fsmStoreAddr_ = target;
-                    fsmSize_ = pkt.data;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 3;
-                    matched = true;
-                }
-                break;
-              case 3:
-                if (ctx_ok && !is_store &&
-                    (weak || target == fsmLoadAddr_)) {
-                    fsmLoadAddr_ = target;
-                    fsmContributors_.push_back(pkt.srcPid);
-                    fsmStep_ = 4;
-                    pkt.data = dmastatus::pending;
-                    matched = true;
-                }
-                break;
-              case 4:
-                if (ctx_ok && !is_store &&
-                    (weak || target == fsmStoreAddr_)) {
-                    fsmContributors_.push_back(pkt.srcPid);
-                    const TransferId id =
-                        tryStartUser(fsmLoadAddr_, fsmStoreAddr_, fsmSize_,
-                                     0, fsmContributors_, fsmSpan_);
-                    pkt.data = id == invalidTransfer ? dmastatus::failure
-                                                     : dmastatus::ok;
-                    fsmStep_ = 0;
-                    fsmContributors_.clear();
-                    fsmSpan_ = span::invalidSpan;
-                    matched = true;
-                }
-                break;
-            }
-            break;
-
-          default:
-            ULDMA_PANIC("fsmStepAccess in non-repeated mode");
-        }
-
-        if (matched)
             return;
+        }
 
         // Mismatch: reset, and on the second pass let this access seed
         // a fresh sequence; if it cannot, report failure to loads.
         fsmReset();
-        if (attempt == 1) {
-            if (!is_store) {
-                if (span::captureOn()) {
-                    auto &t = span::tracker();
-                    t.reject(t.open(name_, toString(params_.mode),
-                                    xfer_.now()),
-                             xfer_.now());
-                }
-                pkt.data = dmastatus::failure;
-            }
-            return;
-        }
-        if (!is_store)
+        if (!is_store) {
             pkt.data = dmastatus::failure;
+            if (attempt == 1)
+                spanReject(spanOpen(toString(params_.mode)));
+        }
     }
 }
 
@@ -909,11 +786,7 @@ DmaEngine::shadowMappedOut(Packet &pkt, Addr target)
     if (!pkt.isWrite()) {
         pkt.data = dmastatus::failure;
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now());
-        }
+        spanReject(spanOpen(toString(params_.mode)));
         return;
     }
 
@@ -922,25 +795,16 @@ DmaEngine::shadowMappedOut(Packet &pkt, Addr target)
         // No mapped-out counterpart: the single-access initiation has
         // nowhere to send the data (paper §2.4's restriction).
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, toString(params_.mode), xfer_.now()),
-                     xfer_.now());
-        }
+        spanReject(spanOpen(toString(params_.mode)));
         if (pkt.rmw)
             pkt.data = dmastatus::failure;
         return;
     }
 
-    span::SpanId sid = span::invalidSpan;
-    if (span::captureOn()) {
-        sid = span::tracker().open(name_, toString(params_.mode),
-                                   xfer_.now());
-    }
     const Addr dst = it->second + pageOffset(target);
     const TransferId id =
-        tryStartUser(target, dst, pkt.data, 0, {pkt.srcPid}, sid);
-    mapOutTransfer_ = id;
+        tryStartUser(target, dst, pkt.data, 0, {pkt.srcPid},
+                     spanOpen(toString(params_.mode)));
     if (pkt.rmw) {
         pkt.data = id == invalidTransfer ? dmastatus::failure
                                          : dmastatus::ok;
@@ -994,19 +858,12 @@ DmaEngine::ringDoorbell(Packet &pkt, unsigned ctx)
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "ring_key_mismatch",
                           "ctx ", ctx);
         ++keyMismatch_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, "ring", xfer_.now()), xfer_.now(),
-                     span::Outcome::KeyMismatch);
-        }
+        spanReject(spanOpen("ring"), span::Outcome::KeyMismatch);
         return;
     }
     if (!ring.configured || localMemory_ == nullptr) {
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, "ring", xfer_.now()), xfer_.now());
-        }
+        spanReject(spanOpen("ring"));
         return;
     }
 
@@ -1100,9 +957,7 @@ DmaEngine::ringConsume(unsigned ctx, Pid doorbell_pid)
     if (iommu_)
         return ringConsumeIommu(ctx, slot, src, dst, size, doorbell_pid);
 
-    span::SpanId sid = span::invalidSpan;
-    if (span::captureOn())
-        sid = span::tracker().open(name_, "ring", xfer_.now());
+    const span::SpanId sid = spanOpen("ring");
 
     // The kernel-programmed frame table is the ring's protection: a
     // descriptor is only as trusted as the rights the OS granted the
@@ -1113,8 +968,7 @@ DmaEngine::ringConsume(unsigned ctx, Pid doorbell_pid)
          !ringFrameAllowed(ring, dst, size))) {
         ++ringRejects_;
         ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(sid, xfer_.now());
+        spanReject(sid);
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "ring_reject",
                           "ctx ", ctx, " unauthorized frame");
         ringRetire(ctx, slot, dmastatus::failure, ringdesc::ctrl::error);
@@ -1125,7 +979,7 @@ DmaEngine::ringConsume(unsigned ctx, Pid doorbell_pid)
         src, dst, size, ctx, {doorbell_pid}, sid, /*via_ring=*/true,
         [this, ctx, slot]() {
             ringRetire(ctx, slot, dmastatus::ok, ringdesc::ctrl::done);
-            ringTransferDone(ctx, slot);
+            ringTransferDone(ctx);
         });
     if (id == invalidTransfer) {
         ++ringRejects_;
@@ -1171,9 +1025,8 @@ DmaEngine::ringRetire(unsigned ctx, unsigned slot, std::uint64_t status,
 }
 
 void
-DmaEngine::ringTransferDone(unsigned ctx, unsigned slot)
+DmaEngine::ringTransferDone(unsigned ctx)
 {
-    (void)slot;
     RingContext &ring = rings_[ctx];
     if (ring.outstanding > 0)
         --ring.outstanding;
@@ -1202,10 +1055,7 @@ DmaEngine::ringConsumeIommu(unsigned ctx, unsigned slot, Addr src,
     if (size == 0 || size > params_.iommu.maxSgBytes) {
         ++ringRejects_;
         ++rejected_;
-        if (span::captureOn()) {
-            auto &t = span::tracker();
-            t.reject(t.open(name_, "ring", xfer_.now()), xfer_.now());
-        }
+        spanReject(spanOpen("ring"));
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "ring_reject",
                           "ctx ", ctx, " bad sg size ", size);
         ringRetire(ctx, slot, dmastatus::failure, ringdesc::ctrl::error);
@@ -1277,9 +1127,8 @@ DmaEngine::ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
                 break;
             }
         }
-        span::SpanId sid = span::invalidSpan;
+        const span::SpanId sid = spanOpen("ring");
         if (span::captureOn()) {
-            sid = span::tracker().open(name_, "ring", xfer_.now());
             // Stamp the modeled end of translation (the cycles above
             // are charged to the triggering access, not simulated
             // inline), so the span's translation phase carries the
@@ -1335,7 +1184,7 @@ DmaEngine::maybeFinishSgSlot(unsigned ctx, unsigned slot)
     ring.sg.erase(it);
     ringRetire(ctx, slot, err ? dmastatus::failure : dmastatus::ok,
                err ? ringdesc::ctrl::error : ringdesc::ctrl::done);
-    ringTransferDone(ctx, slot);
+    ringTransferDone(ctx);
 }
 
 void
@@ -1413,14 +1262,6 @@ DmaEngine::capPageAddr(unsigned slot) const
     ULDMA_ASSERT(cap_ && slot < params_.cap.numSlots,
                  name_, ": capPageAddr on invalid slot ", slot);
     return params_.capPagesBase + Addr(slot) * pageSize;
-}
-
-std::uint64_t
-DmaEngine::capSlotStatus(unsigned slot) const
-{
-    ULDMA_ASSERT(cap_ && slot < capPres_.size(),
-                 name_, ": capSlotStatus on invalid slot ", slot);
-    return capPres_[slot].status;
 }
 
 void
@@ -1527,9 +1368,7 @@ DmaEngine::capCommit(unsigned slot, std::uint64_t capword)
     pendingExtraCycles_ += params_.cap.checkCycles;
 
     CapPresentation &p = capPres_[slot];
-    span::SpanId sid = span::invalidSpan;
-    if (span::captureOn())
-        sid = span::tracker().open(name_, "cap", xfer_.now());
+    const span::SpanId sid = spanOpen("cap");
 
     CapFault fault = CapFault::None;
     if (!params_.weakCap)
@@ -1550,8 +1389,7 @@ DmaEngine::capCommit(unsigned slot, std::uint64_t capword)
         ++rejected_;
         p.status = dmastatus::failure;
         p.contributors.clear();
-        if (span::captureOn())
-            span::tracker().reject(sid, xfer_.now());
+        spanReject(sid);
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "cap_reject",
                           "slot ", slot, " fault ",
                           static_cast<int>(fault));
@@ -1631,8 +1469,7 @@ DmaEngine::capCancelSlot(unsigned slot)
     for (const CapRequest &r : capArbiter_->purgeSlot(slot)) {
         ++capCancels_;
         capPres_[r.slot].status = dmastatus::failure;
-        if (span::captureOn())
-            span::tracker().abort(r.spanId, xfer_.now());
+        spanAbort(r.spanId);
     }
     // A transfer already on the bus keeps the pipeline busy but never
     // delivers its payload (docs/CAPABILITIES.md fail-closed rule).
@@ -1658,8 +1495,7 @@ DmaEngine::tryStartUser(Addr src, Addr dst, Addr size, unsigned ctx,
     ULDMA_PROF_SCOPE("dma.initiate");
     if (size == 0 || size > params_.userMaxTransfer) {
         ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(span, xfer_.now());
+        spanReject(span);
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "dma_reject",
                           "bad size ", size);
         return invalidTransfer;
@@ -1671,8 +1507,7 @@ DmaEngine::tryStartUser(Addr src, Addr dst, Addr size, unsigned ctx,
         pageNumber(dst) != pageNumber(dst + size - 1)) {
         ++crossPageRejects_;
         ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(span, xfer_.now());
+        spanReject(span);
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "dma_reject",
                           "cross-page, size ", size);
         return invalidTransfer;
@@ -1680,8 +1515,7 @@ DmaEngine::tryStartUser(Addr src, Addr dst, Addr size, unsigned ctx,
     if (!backend_.validEndpoint(src, size) ||
         !backend_.validEndpoint(dst, size)) {
         ++rejected_;
-        if (span::captureOn())
-            span::tracker().reject(span, xfer_.now());
+        spanReject(span);
         return invalidTransfer;
     }
 

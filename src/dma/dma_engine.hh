@@ -14,9 +14,11 @@
  * Decoded windows:
  *  - kernel register block (figure 1: SOURCE/DESTINATION/SIZE/STATUS,
  *    plus the privileged hooks the SHRIMP-2/FLASH baselines need and
- *    key/map-out management);
+ *    key/map-out/ring/IOMMU/capability management);
  *  - register-context pages (paper §3.1): stores hit the size register,
  *    loads return remaining bytes (~0 = failure, 0 = complete);
+ *  - capability presentation pages (docs/CAPABILITIES.md), when the
+ *    capability table is enabled;
  *  - the shadow window (paper §2.3): argument-passing accesses,
  *    interpreted per EngineMode.
  */
@@ -133,8 +135,6 @@ class DmaEngine : public BusDevice
 
     /** Physical address of capability presentation page @p slot. */
     Addr capPageAddr(unsigned slot) const;
-    /** Last initiation status of @p slot's presentation page. */
-    std::uint64_t capSlotStatus(unsigned slot) const;
 
     /** Number of register contexts (and descriptor rings). */
     unsigned numContexts() const
@@ -174,13 +174,11 @@ class DmaEngine : public BusDevice
     {
         return initiations_;
     }
-    void clearInitiations() { initiations_.clear(); }
     /// @}
 
     /// @name Direct state inspection for unit tests.
     /// @{
     std::uint64_t contextKey(unsigned ctx) const;
-    std::uint64_t currentOsTag() const { return osTag_; }
     bool pairLatchValid(unsigned ctx = 0) const;
     unsigned fsmStep() const { return fsmStep_; }
     /// @}
@@ -227,10 +225,6 @@ class DmaEngine : public BusDevice
         return ringDescriptors_.value();
     }
     std::uint64_t numRingRejects() const { return ringRejects_.value(); }
-    std::uint64_t numRingInterrupts() const
-    {
-        return ringInterrupts_.value();
-    }
     std::uint64_t numIommuSegments() const
     {
         return iommuSegments_.value();
@@ -376,8 +370,20 @@ class DmaEngine : public BusDevice
     /// @{
     void shadowPair(Packet &pkt, Addr target, unsigned ctx);
     void shadowKeyBased(Packet &pkt, Addr target);
+    /** Feed one access to the repeated-passing recognizer (paper
+     *  §3.3): one table of accesses per mode.  Sets pkt.data for
+     *  loads. */
     void shadowRepeated(Packet &pkt, Addr target, unsigned ctx);
     void shadowMappedOut(Packet &pkt, Addr target);
+    /// @}
+
+    /// @name Span bookkeeping: each is a no-op while capture is off.
+    /// @{
+    /** Open a span for @p protocol; invalidSpan while capture is off. */
+    span::SpanId spanOpen(const char *protocol) const;
+    void spanReject(span::SpanId sid,
+                    span::Outcome why = span::Outcome::Rejected) const;
+    void spanAbort(span::SpanId sid) const;
     /// @}
 
     /**
@@ -407,7 +413,7 @@ class DmaEngine : public BusDevice
     void ringRetire(unsigned ctx, unsigned slot, std::uint64_t status,
                     std::uint64_t ctrl_bits);
     /** Completion bookkeeping after a started ring transfer ends. */
-    void ringTransferDone(unsigned ctx, unsigned slot);
+    void ringTransferDone(unsigned ctx);
     /// @}
 
     /// @name IOMMU scatter-gather path (docs/IOMMU.md).
@@ -437,12 +443,6 @@ class DmaEngine : public BusDevice
 
     /** Reset the repeated-passing FSM. */
     void fsmReset();
-
-    /**
-     * Feed one access to the repeated-passing FSM.
-     * Sets pkt.data for loads.
-     */
-    void fsmStepAccess(Packet &pkt, Addr target, unsigned ctx);
 
     std::string name_;
     DmaEngineParams params_;
@@ -532,8 +532,6 @@ class DmaEngine : public BusDevice
     /// Mapped-out staging + table (SHRIMP-1): local pfn -> target paddr.
     std::uint64_t mapOutPfn_ = 0;
     std::unordered_map<Addr, Addr> mapOutTable_;
-    /// Status of the last mapped-out initiation, readable at kSTATUS.
-    TransferId mapOutTransfer_ = invalidTransfer;
 
     /// Repeated-passing FSM.
     unsigned fsmStep_ = 0;

@@ -86,8 +86,6 @@ AtomicUnit::access(Packet &pkt)
 
     // Shadow window: the extra network latency of a remote target is
     // charged through the packet's device latency.
-    const std::uint64_t before = pkt.data;
-    (void)before;
     accessShadow(pkt);
     latency += pendingExtraLatency_;
     pendingExtraLatency_ = 0;

@@ -9,6 +9,64 @@
 
 namespace uldma {
 
+namespace {
+
+/**
+ * Walk [vaddr, vaddr+bytes) of @p process page by page, in order, and
+ * call @p run once per physically contiguous frame run with its
+ * [base, limit) and the rights all of its pages allow.  Stops at the
+ * first unmapped page (its pending run is not passed on) or at the
+ * first run @p run refuses.  @return false when it stopped early.
+ */
+bool
+forEachFrameRun(
+    Process &process, Addr vaddr, Addr bytes,
+    const std::function<bool(Addr base, Addr limit, Rights rights)> &run)
+{
+    const Addr first = pageAlignDown(vaddr);
+    const Addr last = pageAlignDown(vaddr + bytes - 1);
+    Addr base = 0;
+    Addr limit = 0;
+    Rights rights = Rights::None;
+    for (Addr page = first; page <= last; page += pageSize) {
+        const auto pte = process.pageTable().lookup(page);
+        if (!pte.has_value())
+            return false;
+        const Addr paddr = pte->pfn << pageShift;
+        if (page != first && paddr == limit) {
+            limit += pageSize;   // extend the contiguous run
+            rights = rights & pte->rights;
+            continue;
+        }
+        if (page != first && !run(base, limit, rights))
+            return false;
+        base = paddr;
+        limit = paddr + pageSize;
+        rights = pte->rights;
+    }
+    return run(base, limit, rights);
+}
+
+/** True when [vaddr, vaddr+bytes) is non-empty and lies inside
+ *  @p process's [userRegionBase, allocCursor()).  Written so that
+ *  nothing can wrap. */
+bool
+userRange(const Process &process, Addr vaddr, Addr bytes)
+{
+    return bytes != 0 && vaddr >= userRegionBase &&
+           vaddr <= process.allocCursor() &&
+           bytes <= process.allocCursor() - vaddr;
+}
+
+/** Pages touched by the non-wrapping range [vaddr, vaddr+bytes). */
+Addr
+pagesSpanned(Addr vaddr, Addr bytes)
+{
+    return pageNumber(vaddr + bytes - 1) - pageNumber(vaddr) + 1;
+}
+
+} // namespace
+
 Kernel::Kernel(std::string name, Cpu &cpu, Scheduler &scheduler,
                const KernelParams &params)
     : name_(std::move(name)), cpu_(cpu), scheduler_(scheduler),
@@ -75,11 +133,50 @@ Kernel::setDmaEngine(DmaEngine *engine)
     // Tell the engine how long after a trap its SIZE write physically
     // lands (kernel entry + two software translations), so
     // kernel-channel transfers start at the honest wall-clock time.
-    const Tick delay = cyclesToTicks(params_.syscallOverheadCycles * 3 / 4 +
-                                     2 * params_.translateCycles);
-    Packet pkt = Packet::makeWrite(
-        engine_->params().kernelRegsBase + kregs::startDelay, delay);
-    cpu_.kernelBusAccess(pkt);
+    kregWrite(kregs::startDelay,
+              cyclesToTicks(params_.syscallOverheadCycles * 3 / 4 +
+                            2 * params_.translateCycles));
+}
+
+// ---------------------------------------------------------------------
+// Privileged register access.
+// ---------------------------------------------------------------------
+
+Tick
+Kernel::kregWrite(Addr reg, std::uint64_t value)
+{
+    Packet pkt =
+        Packet::makeWrite(engine_->params().kernelRegsBase + reg, value);
+    return cpu_.kernelBusAccess(pkt);
+}
+
+std::uint64_t
+Kernel::kregRead(Addr reg, Tick *cost)
+{
+    Packet pkt = Packet::makeRead(engine_->params().kernelRegsBase + reg);
+    const Tick t = cpu_.kernelBusAccess(pkt);
+    if (cost != nullptr)
+        *cost += t;
+    return pkt.data;
+}
+
+Tick
+Kernel::akregWrite(Addr reg, std::uint64_t value)
+{
+    Packet pkt =
+        Packet::makeWrite(atomicUnit_->params().kernelRegsBase + reg, value);
+    return cpu_.kernelBusAccess(pkt);
+}
+
+std::uint64_t
+Kernel::akregRead(Addr reg, Tick *cost)
+{
+    Packet pkt =
+        Packet::makeRead(atomicUnit_->params().kernelRegsBase + reg);
+    const Tick t = cpu_.kernelBusAccess(pkt);
+    if (cost != nullptr)
+        *cost += t;
+    return pkt.data;
 }
 
 // ---------------------------------------------------------------------
@@ -252,12 +349,8 @@ Kernel::grantKeyContext(Process &process)
         // Draw a fresh ~56-bit key and program it into the engine
         // through the privileged register block.
         const std::uint64_t key = keyRng_.next64() & mask(keyfield::keyBits);
-        Packet sel = Packet::makeWrite(
-            engine_->params().kernelRegsBase + kregs::keyCtxSelect, ctx);
-        cpu_.kernelBusAccess(sel);
-        Packet val = Packet::makeWrite(
-            engine_->params().kernelRegsBase + kregs::keyValue, key);
-        cpu_.kernelBusAccess(val);
+        kregWrite(kregs::keyCtxSelect, ctx);
+        kregWrite(kregs::keyValue, key);
 
         process.dmaGrant().keyContext = ctx;
         process.dmaGrant().key = key;
@@ -267,15 +360,8 @@ Kernel::grantKeyContext(Process &process)
         // adaptation): program the key and map its context page too.
         if (atomicUnit_ != nullptr &&
             ctx < atomicUnit_->params().numContexts) {
-            Packet asel = Packet::makeWrite(
-                atomicUnit_->params().kernelRegsBase +
-                    akregs::keyCtxSelect,
-                ctx);
-            cpu_.kernelBusAccess(asel);
-            Packet aval = Packet::makeWrite(
-                atomicUnit_->params().kernelRegsBase + akregs::keyValue,
-                key);
-            cpu_.kernelBusAccess(aval);
+            akregWrite(akregs::keyCtxSelect, ctx);
+            akregWrite(akregs::keyValue, key);
 
             const Addr avaddr = contextVirtualBase + 0x100000;
             process.pageTable().mapPage(
@@ -296,14 +382,10 @@ Kernel::revokeKeyContext(Process &process)
         return;
     const unsigned ctx = *grant.keyContext;
     keyContextOwner_[ctx] = invalidPid;
-    Packet reset = Packet::makeWrite(
-        engine_->params().kernelRegsBase + kregs::ctxReset, ctx);
-    cpu_.kernelBusAccess(reset);
+    kregWrite(kregs::ctxReset, ctx);
     if (atomicUnit_ != nullptr &&
         ctx < atomicUnit_->params().numContexts) {
-        Packet areset = Packet::makeWrite(
-            atomicUnit_->params().kernelRegsBase + akregs::ctxReset, ctx);
-        cpu_.kernelBusAccess(areset);
+        akregWrite(akregs::ctxReset, ctx);
     }
     grant.keyContext.reset();
     grant.key = 0;
@@ -337,14 +419,8 @@ Kernel::setupMapOut(Process &process, Addr vaddr, Addr target_paddr)
     ULDMA_ASSERT(pageOffset(target_paddr) == 0,
                  "mapped-out target must be page aligned");
 
-    Packet pfn = Packet::makeWrite(
-        engine_->params().kernelRegsBase + kregs::mapOutPfn,
-        pageNumber(xlate.paddr));
-    cpu_.kernelBusAccess(pfn);
-    Packet target = Packet::makeWrite(
-        engine_->params().kernelRegsBase + kregs::mapOutTarget,
-        target_paddr);
-    cpu_.kernelBusAccess(target);
+    kregWrite(kregs::mapOutPfn, pageNumber(xlate.paddr));
+    kregWrite(kregs::mapOutTarget, target_paddr);
 }
 
 void
@@ -426,17 +502,11 @@ Kernel::setupRing(Process &process, unsigned slots, std::uint64_t policy,
 
     // Program the privileged ring registers: select, bases, then the
     // config word last (the commit point on the engine side).
-    const Addr base = engine_->params().kernelRegsBase;
-    Packet sel = Packet::makeWrite(base + kregs::ringCtxSelect, ctx);
-    cpu_.kernelBusAccess(sel);
-    Packet db = Packet::makeWrite(base + kregs::ringBase, desc_x.paddr);
-    cpu_.kernelBusAccess(db);
-    Packet cb = Packet::makeWrite(base + kregs::ringCplBase, cpl_x.paddr);
-    cpu_.kernelBusAccess(cb);
-    Packet cfg = Packet::makeWrite(
-        base + kregs::ringConfig,
-        ringdesc::packConfig(slots, policy, coalesce));
-    cpu_.kernelBusAccess(cfg);
+    kregWrite(kregs::ringCtxSelect, ctx);
+    kregWrite(kregs::ringBase, desc_x.paddr);
+    kregWrite(kregs::ringCplBase, cpl_x.paddr);
+    kregWrite(kregs::ringConfig,
+              ringdesc::packConfig(slots, policy, coalesce));
 
     grant.ringConfigured = true;
     grant.ringDescVaddr = desc_vaddr;
@@ -474,71 +544,48 @@ Kernel::authorizeRingDma(Process &process, Addr vaddr, Addr bytes)
                  "authorizeRingDma: no register context granted");
     ULDMA_ASSERT(bytes > 0, "authorizeRingDma: empty range");
     const unsigned ctx = *grant.keyContext;
-    const Addr base = engine_->params().kernelRegsBase;
 
-    // Translate page by page and program one frame span per physically
-    // contiguous run (the common case is a single span, because
-    // allocate() is contiguous).
-    const Addr first = pageAlignDown(vaddr);
-    const Addr last = pageAlignDown(vaddr + bytes - 1);
-    Addr span_base = 0;
-    Addr span_limit = 0;
-    const auto flush = [&]() {
-        if (span_limit <= span_base)
-            return;
-        Packet sel = Packet::makeWrite(base + kregs::ringCtxSelect, ctx);
-        cpu_.kernelBusAccess(sel);
-        Packet fb = Packet::makeWrite(base + kregs::ringFrameBase,
-                                      span_base);
-        cpu_.kernelBusAccess(fb);
-        Packet fl = Packet::makeWrite(base + kregs::ringFrameLimit,
-                                      span_limit);
-        cpu_.kernelBusAccess(fl);
-    };
-    for (Addr page = first; page <= last; page += pageSize) {
-        const auto pte = process.pageTable().lookup(page);
-        ULDMA_ASSERT(pte.has_value(),
-                     "authorizeRingDma: page not mapped");
-        const Addr paddr = pte->pfn << pageShift;
-        if (span_limit == paddr) {
-            span_limit += pageSize;   // extend the contiguous run
-        } else {
-            flush();
-            span_base = paddr;
-            span_limit = paddr + pageSize;
-        }
-    }
-    flush();
+    // One frame span per physically contiguous run (the common case is
+    // a single span, because allocate() is contiguous).
+    const bool mapped = forEachFrameRun(
+        process, vaddr, bytes, [&](Addr base, Addr limit, Rights) {
+            kregWrite(kregs::ringCtxSelect, ctx);
+            kregWrite(kregs::ringFrameBase, base);
+            kregWrite(kregs::ringFrameLimit, limit);
+            return true;
+        });
+    ULDMA_ASSERT(mapped, "authorizeRingDma: page not mapped");
 }
 
 // ---------------------------------------------------------------------
 // IOMMU services (docs/IOMMU.md).
 // ---------------------------------------------------------------------
 
-bool
-Kernel::iommuMapRange(Process &process, Addr vaddr, Addr bytes, bool pin)
+void
+Kernel::iommuSelect(Process &process, Addr bytes, const char *caller)
 {
     ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
     ULDMA_ASSERT(engine_->iommu() != nullptr,
-                 "iommuMapRange: engine has no IOMMU");
-    auto &grant = process.dmaGrant();
+                 caller, ": engine has no IOMMU");
+    const auto &grant = process.dmaGrant();
     ULDMA_ASSERT(grant.keyContext.has_value(),
-                 "iommuMapRange: no register context granted");
-    ULDMA_ASSERT(bytes > 0, "iommuMapRange: empty range");
-    const unsigned ctx = *grant.keyContext;
-    const Addr base = engine_->params().kernelRegsBase;
+                 caller, ": no register context granted");
+    ULDMA_ASSERT(bytes > 0, caller, ": empty range");
+    kregWrite(kregs::iommuCtxSelect, *grant.keyContext);
+}
 
-    Packet sel = Packet::makeWrite(base + kregs::iommuCtxSelect, ctx);
-    cpu_.kernelBusAccess(sel);
+bool
+Kernel::iommuMapRange(Process &process, Addr vaddr, Addr bytes, bool pin)
+{
+    iommuSelect(process, bytes, "iommuMapRange");
 
     // IOVA space is the process's own virtual address space: the same
     // pointer a process passes to the engine in a descriptor is the
     // one the kernel maps here, so user code needs no address
     // arithmetic at all.
     bool ok = true;
-    const Addr first = pageAlignDown(vaddr);
     const Addr last = pageAlignDown(vaddr + bytes - 1);
-    for (Addr page = first; page <= last; page += pageSize) {
+    for (Addr page = pageAlignDown(vaddr); page <= last; page += pageSize) {
         const auto pte = process.pageTable().lookup(page);
         if (!pte.has_value()) {
             ok = false;
@@ -551,15 +598,11 @@ Kernel::iommuMapRange(Process &process, Addr vaddr, Addr bytes, bool pin)
             entry |= iommumap::write;
         if (pin)
             entry |= iommumap::pin;
-        Packet iv = Packet::makeWrite(base + kregs::iommuIova, page);
-        cpu_.kernelBusAccess(iv);
-        Packet me = Packet::makeWrite(base + kregs::iommuMapEntry, entry);
-        cpu_.kernelBusAccess(me);
+        kregWrite(kregs::iommuIova, page);
+        kregWrite(kregs::iommuMapEntry, entry);
         // Read the status back: a failed map-time pin (budget
         // exhaustion) must reach the caller.
-        Packet st = Packet::makeRead(base + kregs::iommuStatus);
-        cpu_.kernelBusAccess(st);
-        if (st.data != dmastatus::ok)
+        if (kregRead(kregs::iommuStatus) != dmastatus::ok)
             ok = false;
         ++iommuMaps_;
     }
@@ -569,50 +612,21 @@ Kernel::iommuMapRange(Process &process, Addr vaddr, Addr bytes, bool pin)
 void
 Kernel::iommuUnmapRange(Process &process, Addr vaddr, Addr bytes)
 {
-    ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
-    ULDMA_ASSERT(engine_->iommu() != nullptr,
-                 "iommuUnmapRange: engine has no IOMMU");
-    auto &grant = process.dmaGrant();
-    ULDMA_ASSERT(grant.keyContext.has_value(),
-                 "iommuUnmapRange: no register context granted");
-    ULDMA_ASSERT(bytes > 0, "iommuUnmapRange: empty range");
-    const unsigned ctx = *grant.keyContext;
-    const Addr base = engine_->params().kernelRegsBase;
-
-    Packet sel = Packet::makeWrite(base + kregs::iommuCtxSelect, ctx);
-    cpu_.kernelBusAccess(sel);
-    const Addr first = pageAlignDown(vaddr);
+    iommuSelect(process, bytes, "iommuUnmapRange");
     const Addr last = pageAlignDown(vaddr + bytes - 1);
-    for (Addr page = first; page <= last; page += pageSize) {
-        Packet un = Packet::makeWrite(base + kregs::iommuUnmap, page);
-        cpu_.kernelBusAccess(un);
-    }
+    for (Addr page = pageAlignDown(vaddr); page <= last; page += pageSize)
+        kregWrite(kregs::iommuUnmap, page);
 }
 
 bool
 Kernel::iommuPinRange(Process &process, Addr vaddr, Addr bytes)
 {
-    ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
-    ULDMA_ASSERT(engine_->iommu() != nullptr,
-                 "iommuPinRange: engine has no IOMMU");
-    auto &grant = process.dmaGrant();
-    ULDMA_ASSERT(grant.keyContext.has_value(),
-                 "iommuPinRange: no register context granted");
-    ULDMA_ASSERT(bytes > 0, "iommuPinRange: empty range");
-    const unsigned ctx = *grant.keyContext;
-    const Addr base = engine_->params().kernelRegsBase;
-
-    Packet sel = Packet::makeWrite(base + kregs::iommuCtxSelect, ctx);
-    cpu_.kernelBusAccess(sel);
+    iommuSelect(process, bytes, "iommuPinRange");
     bool ok = true;
-    const Addr first = pageAlignDown(vaddr);
     const Addr last = pageAlignDown(vaddr + bytes - 1);
-    for (Addr page = first; page <= last; page += pageSize) {
-        Packet pin = Packet::makeWrite(base + kregs::iommuPin, page);
-        cpu_.kernelBusAccess(pin);
-        Packet st = Packet::makeRead(base + kregs::iommuStatus);
-        cpu_.kernelBusAccess(st);
-        if (st.data != dmastatus::ok)
+    for (Addr page = pageAlignDown(vaddr); page <= last; page += pageSize) {
+        kregWrite(kregs::iommuPin, page);
+        if (kregRead(kregs::iommuStatus) != dmastatus::ok)
             ok = false;
     }
     return ok;
@@ -621,6 +635,14 @@ Kernel::iommuPinRange(Process &process, Addr vaddr, Addr bytes)
 // ---------------------------------------------------------------------
 // Capability services (docs/CAPABILITIES.md).
 // ---------------------------------------------------------------------
+
+bool
+Kernel::capAddSpan(Addr base, Addr limit)
+{
+    kregWrite(kregs::capSpanBase, base);
+    kregWrite(kregs::capSpanLimit, limit);
+    return kregRead(kregs::capStatus) == dmastatus::ok;
+}
 
 int
 Kernel::capGrant(Process &process, Addr vaddr, Addr bytes,
@@ -645,74 +667,33 @@ Kernel::capGrant(Process &process, Addr vaddr, Addr bytes,
     if (slot < 0)
         return -1;   // every slot taken: fall back to kernel DMA
 
-    const Addr base = engine_->params().kernelRegsBase;
-    const auto kwrite = [&](Addr off, std::uint64_t v) {
-        Packet pkt = Packet::makeWrite(base + off, v);
-        cpu_.kernelBusAccess(pkt);
-    };
-    const auto kstatus = [&]() {
-        Packet pkt = Packet::makeRead(base + kregs::capStatus);
-        cpu_.kernelBusAccess(pkt);
-        return pkt.data;
-    };
+    kregWrite(kregs::capSlotSelect, static_cast<std::uint64_t>(slot));
 
-    kwrite(kregs::capSlotSelect, static_cast<std::uint64_t>(slot));
-
-    // Program one frame span per physically contiguous run (same
-    // walk as authorizeRingDma) and take the rights every page allows
-    // — the slot gets the intersection.
-    bool read_ok = true;
-    bool write_ok = true;
-    bool spans_ok = true;
-    const Addr first = pageAlignDown(vaddr);
-    const Addr last = pageAlignDown(vaddr + bytes - 1);
-    Addr span_base = 0;
-    Addr span_limit = 0;
-    const auto flushSpan = [&]() {
-        if (span_limit <= span_base)
-            return;
-        kwrite(kregs::capSpanBase, span_base);
-        kwrite(kregs::capSpanLimit, span_limit);
-        if (kstatus() != dmastatus::ok)
-            spans_ok = false;   // past maxSpansPerSlot
-    };
-    for (Addr page = first; page <= last && spans_ok; page += pageSize) {
-        const auto pte = process.pageTable().lookup(page);
-        if (!pte.has_value()) {
-            spans_ok = false;
-            break;
-        }
-        read_ok = read_ok && allows(pte->rights, Rights::Read);
-        write_ok = write_ok && allows(pte->rights, Rights::Write);
-        const Addr paddr = pte->pfn << pageShift;
-        if (span_limit == paddr) {
-            span_limit += pageSize;   // extend the contiguous run
-        } else {
-            flushSpan();
-            span_base = paddr;
-            span_limit = paddr + pageSize;
-        }
-    }
-    if (spans_ok)
-        flushSpan();
-
+    // Program one frame span per physically contiguous run, and take
+    // the rights every page allows: the slot gets the intersection.
+    Rights allowed = Rights::ReadWrite;
+    const bool spans_ok = forEachFrameRun(
+        process, vaddr, bytes, [&](Addr base, Addr limit, Rights r) {
+            allowed = allowed & r;
+            return capAddSpan(base, limit);   // false past maxSpansPerSlot
+        });
     std::uint64_t rights = 0;
-    if (read_ok)
+    if (allows(allowed, Rights::Read))
         rights |= caprights::read;
-    if (write_ok)
+    if (allows(allowed, Rights::Write))
         rights |= caprights::write;
     if (!spans_ok || rights == 0) {
         // Roll back the partial programming so the slot stays free.
-        kwrite(kregs::capOp, capop::invalidate);
+        kregWrite(kregs::capOp, capop::invalidate);
         return -1;
     }
 
-    kwrite(kregs::capConfig, capconfig::pack(rights, rate_class));
+    kregWrite(kregs::capConfig, capconfig::pack(rights, rate_class));
     const std::uint64_t secret =
         keyRng_.next64() & mask(capfield::secretBits);
-    kwrite(kregs::capSecret, secret);
-    if (kstatus() != dmastatus::ok) {
-        kwrite(kregs::capOp, capop::invalidate);
+    kregWrite(kregs::capSecret, secret);
+    if (kregRead(kregs::capStatus) != dmastatus::ok) {
+        kregWrite(kregs::capOp, capop::invalidate);
         return -1;
     }
 
@@ -747,47 +728,11 @@ Kernel::capExtend(Process &owner, unsigned slot, Addr vaddr, Addr bytes)
         capSlotOwner_[slot] != owner.pid()) {
         return false;
     }
-    const Addr base = engine_->params().kernelRegsBase;
-    Packet sel = Packet::makeWrite(base + kregs::capSlotSelect, slot);
-    cpu_.kernelBusAccess(sel);
-
-    bool ok = true;
-    const Addr first = pageAlignDown(vaddr);
-    const Addr last = pageAlignDown(vaddr + bytes - 1);
-    Addr span_base = 0;
-    Addr span_limit = 0;
-    const auto flushSpan = [&]() {
-        if (span_limit <= span_base)
-            return;
-        Packet sb = Packet::makeWrite(base + kregs::capSpanBase,
-                                      span_base);
-        cpu_.kernelBusAccess(sb);
-        Packet sl = Packet::makeWrite(base + kregs::capSpanLimit,
-                                      span_limit);
-        cpu_.kernelBusAccess(sl);
-        Packet st = Packet::makeRead(base + kregs::capStatus);
-        cpu_.kernelBusAccess(st);
-        if (st.data != dmastatus::ok)
-            ok = false;
-    };
-    for (Addr page = first; page <= last && ok; page += pageSize) {
-        const auto pte = owner.pageTable().lookup(page);
-        if (!pte.has_value()) {
-            ok = false;
-            break;
-        }
-        const Addr paddr = pte->pfn << pageShift;
-        if (span_limit == paddr) {
-            span_limit += pageSize;
-        } else {
-            flushSpan();
-            span_base = paddr;
-            span_limit = paddr + pageSize;
-        }
-    }
-    if (ok)
-        flushSpan();
-    return ok;
+    kregWrite(kregs::capSlotSelect, slot);
+    return forEachFrameRun(owner, vaddr, bytes,
+                           [this](Addr base, Addr limit, Rights) {
+                               return capAddSpan(base, limit);
+                           });
 }
 
 bool
@@ -833,20 +778,16 @@ Kernel::capRevoke(Process &owner, unsigned slot)
         return false;
     }
 
-    const Addr base = engine_->params().kernelRegsBase;
-    Packet sel = Packet::makeWrite(base + kregs::capSlotSelect, slot);
-    cpu_.kernelBusAccess(sel);
+    kregWrite(kregs::capSlotSelect, slot);
     // The generation bump: the engine also fails closed anything the
     // slot has queued or in flight.
-    Packet op = Packet::makeWrite(base + kregs::capOp, capop::revoke);
-    cpu_.kernelBusAccess(op);
+    kregWrite(kregs::capOp, capop::revoke);
 
     // Re-arm the owner with a fresh secret; delegates keep their stale
     // capwords and fail closed on the next presentation.
     const std::uint64_t secret =
         keyRng_.next64() & mask(capfield::secretBits);
-    Packet sec = Packet::makeWrite(base + kregs::capSecret, secret);
-    cpu_.kernelBusAccess(sec);
+    kregWrite(kregs::capSecret, secret);
 
     auto &grant = owner.dmaGrant();
     for (std::size_t i = 0; i < grant.capSlots.size(); ++i) {
@@ -873,51 +814,48 @@ Kernel::syscall(ExecContext &ctx, std::uint64_t number)
     ++syscalls_;
     ULDMA_TRACE_EVENT(name_, cpu_.clockEdge(), "syscall",
                       "number ", number, " pid ", ctx.pid());
+    SyscallResult r;
     switch (number) {
       case sys::noop:
-        return sysNoop();
+        break;
       case sys::dma:
-        return sysDma(ctx);
+        r = sysDma(ctx);
+        break;
       case sys::dmaPoll:
-        return sysDmaPoll(ctx);
+        r.retval = kregRead(kregs::status, &r.cost);
+        break;
       case sys::atomic:
-        return sysAtomic(ctx);
-      case sys::yield: {
-        SyscallResult r;
-        r.cost = cyclesToTicks(params_.syscallOverheadCycles) + yielded();
-        return r;
-      }
+        r = sysAtomic(ctx);
+        break;
+      case sys::yield:
+        r.cost = yielded();
+        break;
       case sys::dmaWait:
-        return sysDmaWait(ctx);
+        r = sysDmaWait(ctx);
+        break;
       case sys::ringWait:
-        return sysRingWait(ctx);
+        r = sysRingWait(ctx);
+        break;
       case sys::iommuMap:
-        return sysIommuMap(ctx);
       case sys::iommuUnmap:
-        return sysIommuUnmap(ctx);
       case sys::iommuPin:
-        return sysIommuPin(ctx);
+        r = sysIommu(ctx, number);
+        break;
       case sys::capGrant:
-        return sysCapGrant(ctx);
+        r = sysCapGrant(ctx);
+        break;
       case sys::capDelegate:
-        return sysCapDelegate(ctx);
+        r = sysCapDelegate(ctx);
+        break;
       case sys::capRevoke:
-        return sysCapRevoke(ctx);
-      default: {
+        r = sysCapRevoke(ctx);
+        break;
+      default:
         ULDMA_WARN(name_, ": unknown syscall ", number);
-        SyscallResult r;
         r.retval = ~std::uint64_t(0);
-        r.cost = cyclesToTicks(params_.syscallOverheadCycles);
-        return r;
-      }
     }
-}
-
-SyscallResult
-Kernel::sysNoop()
-{
-    SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
+    // Every trap pays entry and exit once, whatever the handler did.
+    r.cost += cyclesToTicks(params_.syscallOverheadCycles);
     return r;
 }
 
@@ -927,7 +865,6 @@ Kernel::sysDma(ExecContext &ctx)
     // Figure 1: translate both addresses, check the whole range, then
     // program the engine's registers — all with interrupts off.
     SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
     ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
 
     Process &proc = process(ctx.pid());
@@ -990,31 +927,12 @@ Kernel::sysDma(ExecContext &ctx)
     // Program the engine: three stores and a status load, uncached.
     if (span::captureOn())
         span::tracker().stageKernel(sid);
-    const Addr base = engine_->params().kernelRegsBase;
-    Packet w1 = Packet::makeWrite(base + kregs::source, src0.paddr);
-    r.cost += cpu_.kernelBusAccess(w1);
-    Packet w2 = Packet::makeWrite(base + kregs::destination, dst0.paddr);
-    r.cost += cpu_.kernelBusAccess(w2);
-    Packet w3 = Packet::makeWrite(base + kregs::size, size);
-    r.cost += cpu_.kernelBusAccess(w3);
-    Packet s = Packet::makeRead(base + kregs::status);
-    r.cost += cpu_.kernelBusAccess(s);
+    r.cost += kregWrite(kregs::source, src0.paddr);
+    r.cost += kregWrite(kregs::destination, dst0.paddr);
+    r.cost += kregWrite(kregs::size, size);
+    const std::uint64_t status = kregRead(kregs::status, &r.cost);
 
-    r.retval = s.data == dmastatus::failure ? ~std::uint64_t(0) : 0;
-    return r;
-}
-
-SyscallResult
-Kernel::sysDmaPoll(ExecContext &ctx)
-{
-    (void)ctx;
-    SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
-    ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
-    Packet s = Packet::makeRead(engine_->params().kernelRegsBase +
-                                kregs::status);
-    r.cost += cpu_.kernelBusAccess(s);
-    r.retval = s.data;
+    r.retval = status == dmastatus::failure ? ~std::uint64_t(0) : 0;
     return r;
 }
 
@@ -1022,7 +940,6 @@ SyscallResult
 Kernel::sysAtomic(ExecContext &ctx)
 {
     SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
     ULDMA_ASSERT(atomicUnit_ != nullptr, "no atomic unit attached");
 
     Process &proc = process(ctx.pid());
@@ -1038,18 +955,11 @@ Kernel::sysAtomic(ExecContext &ctx)
         return r;
     }
 
-    const Addr base = atomicUnit_->params().kernelRegsBase;
-    Packet w1 = Packet::makeWrite(base + akregs::address, xlate.paddr);
-    r.cost += cpu_.kernelBusAccess(w1);
-    Packet w2 = Packet::makeWrite(base + akregs::operand1, op1);
-    r.cost += cpu_.kernelBusAccess(w2);
-    Packet w3 = Packet::makeWrite(base + akregs::operand2, op2);
-    r.cost += cpu_.kernelBusAccess(w3);
-    Packet w4 = Packet::makeWrite(base + akregs::opcodeExec, opcode);
-    r.cost += cpu_.kernelBusAccess(w4);
-    Packet res = Packet::makeRead(base + akregs::result);
-    r.cost += cpu_.kernelBusAccess(res);
-    r.retval = res.data;
+    r.cost += akregWrite(akregs::address, xlate.paddr);
+    r.cost += akregWrite(akregs::operand1, op1);
+    r.cost += akregWrite(akregs::operand2, op2);
+    r.cost += akregWrite(akregs::opcodeExec, opcode);
+    r.retval = akregRead(akregs::result, &r.cost);
     return r;
 }
 
@@ -1057,7 +967,6 @@ SyscallResult
 Kernel::sysDmaWait(ExecContext &ctx)
 {
     SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
     ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
 
     if (!engine_->kernelChannelBusy())
@@ -1077,7 +986,6 @@ SyscallResult
 Kernel::sysRingWait(ExecContext &ctx)
 {
     SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
     ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
 
     Process &proc = process(ctx.pid());
@@ -1100,61 +1008,31 @@ Kernel::sysRingWait(ExecContext &ctx)
 }
 
 SyscallResult
-Kernel::sysIommuMap(ExecContext &ctx)
+Kernel::sysIommu(ExecContext &ctx, std::uint64_t number)
 {
     SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
     r.retval = ~std::uint64_t(0);
     if (engine_ == nullptr || engine_->iommu() == nullptr)
         return r;
     Process &proc = process(ctx.pid());
     const Addr vaddr = ctx.reg(reg::a0);
     const Addr bytes = ctx.reg(reg::a1);
-    if (bytes == 0 || !proc.dmaGrant().keyContext)
+    if (!proc.dmaGrant().keyContext || !userRange(proc, vaddr, bytes))
         return r;
-    // One software translation per page, like check_size().
-    const Addr npages =
-        pageNumber(vaddr + bytes - 1) - pageNumber(vaddr) + 1;
-    r.cost += cyclesToTicks(params_.translateCycles * npages);
-    const bool pin = engine_->iommu()->params().pinPolicy ==
-                     PinPolicy::OnMap;
-    if (iommuMapRange(proc, vaddr, bytes, pin))
-        r.retval = 0;
-    return r;
-}
-
-SyscallResult
-Kernel::sysIommuUnmap(ExecContext &ctx)
-{
-    SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
-    r.retval = ~std::uint64_t(0);
-    if (engine_ == nullptr || engine_->iommu() == nullptr)
-        return r;
-    Process &proc = process(ctx.pid());
-    const Addr vaddr = ctx.reg(reg::a0);
-    const Addr bytes = ctx.reg(reg::a1);
-    if (bytes == 0 || !proc.dmaGrant().keyContext)
-        return r;
-    iommuUnmapRange(proc, vaddr, bytes);
-    r.retval = 0;
-    return r;
-}
-
-SyscallResult
-Kernel::sysIommuPin(ExecContext &ctx)
-{
-    SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
-    r.retval = ~std::uint64_t(0);
-    if (engine_ == nullptr || engine_->iommu() == nullptr)
-        return r;
-    Process &proc = process(ctx.pid());
-    const Addr vaddr = ctx.reg(reg::a0);
-    const Addr bytes = ctx.reg(reg::a1);
-    if (bytes == 0 || !proc.dmaGrant().keyContext)
-        return r;
-    if (iommuPinRange(proc, vaddr, bytes))
+    bool ok = true;
+    if (number == sys::iommuMap) {
+        // One software translation per page, like check_size().
+        r.cost += cyclesToTicks(params_.translateCycles *
+                                pagesSpanned(vaddr, bytes));
+        ok = iommuMapRange(proc, vaddr, bytes,
+                           engine_->iommu()->params().pinPolicy ==
+                               PinPolicy::OnMap);
+    } else if (number == sys::iommuUnmap) {
+        iommuUnmapRange(proc, vaddr, bytes);
+    } else {
+        ok = iommuPinRange(proc, vaddr, bytes);
+    }
+    if (ok)
         r.retval = 0;
     return r;
 }
@@ -1163,21 +1041,21 @@ SyscallResult
 Kernel::sysCapGrant(ExecContext &ctx)
 {
     SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
     r.retval = ~std::uint64_t(0);
     if (engine_ == nullptr || engine_->cap() == nullptr)
         return r;
     Process &proc = process(ctx.pid());
     const Addr vaddr = ctx.reg(reg::a0);
     const Addr bytes = ctx.reg(reg::a1);
-    const unsigned rate = static_cast<unsigned>(ctx.reg(reg::a2));
-    if (bytes == 0)
+    const std::uint64_t rate = ctx.reg(reg::a2);
+    if (rate >= engine_->params().cap.rateClasses ||
+        !userRange(proc, vaddr, bytes))
         return r;
     // One software translation per page, like check_size().
-    const Addr npages =
-        pageNumber(vaddr + bytes - 1) - pageNumber(vaddr) + 1;
-    r.cost += cyclesToTicks(params_.translateCycles * npages);
-    const int slot = capGrant(proc, vaddr, bytes, rate);
+    r.cost += cyclesToTicks(params_.translateCycles *
+                            pagesSpanned(vaddr, bytes));
+    const int slot =
+        capGrant(proc, vaddr, bytes, static_cast<unsigned>(rate));
     if (slot >= 0)
         r.retval = static_cast<std::uint64_t>(slot);
     return r;
@@ -1187,23 +1065,24 @@ SyscallResult
 Kernel::sysCapDelegate(ExecContext &ctx)
 {
     SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
     r.retval = ~std::uint64_t(0);
     if (engine_ == nullptr || engine_->cap() == nullptr)
         return r;
-    Process &proc = process(ctx.pid());
-    const unsigned slot = static_cast<unsigned>(ctx.reg(reg::a0));
-    const Pid target_pid = static_cast<Pid>(ctx.reg(reg::a1));
+    const std::uint64_t slot = ctx.reg(reg::a0);
+    const std::uint64_t target_pid = ctx.reg(reg::a1);
+    if (slot >= engine_->params().cap.numSlots)
+        return r;
     Process *target = nullptr;
     for (auto &p : processes_) {
-        if (p->pid() == target_pid) {
+        if (static_cast<std::uint64_t>(p->pid()) == target_pid) {
             target = p.get();
             break;
         }
     }
     if (target == nullptr || target->finished())
         return r;
-    if (capDelegate(proc, slot, *target))
+    if (capDelegate(process(ctx.pid()), static_cast<unsigned>(slot),
+                    *target))
         r.retval = 0;
     return r;
 }
@@ -1212,13 +1091,12 @@ SyscallResult
 Kernel::sysCapRevoke(ExecContext &ctx)
 {
     SyscallResult r;
-    r.cost = cyclesToTicks(params_.syscallOverheadCycles);
     r.retval = ~std::uint64_t(0);
     if (engine_ == nullptr || engine_->cap() == nullptr)
         return r;
-    Process &proc = process(ctx.pid());
-    const unsigned slot = static_cast<unsigned>(ctx.reg(reg::a0));
-    if (capRevoke(proc, slot))
+    const std::uint64_t slot = ctx.reg(reg::a0);
+    if (slot < engine_->params().cap.numSlots &&
+        capRevoke(process(ctx.pid()), static_cast<unsigned>(slot)))
         r.retval = 0;
     return r;
 }
@@ -1336,11 +1214,8 @@ Kernel::quantumExpired()
 Tick
 Kernel::yielded()
 {
-    if (current_ != nullptr &&
-        current_->state() == RunState::Running) {
-        current_->context().setState(RunState::Ready);
-    }
-    return doContextSwitch();
+    // A voluntary yield reschedules exactly like an expired quantum.
+    return quantumExpired();
 }
 
 Tick
@@ -1374,9 +1249,7 @@ Kernel::reapGrants(Process &process)
         grant.ringIommu = false;
     }
     if (process.dmaGrant().keyContext) {
-        const Tick before = cpu_.clockEdge();
         revokeKeyContext(process);
-        (void)before;
         // Two or three privileged register writes; charge a nominal
         // driver cost.
         cost += cyclesToTicks(60);
@@ -1401,13 +1274,8 @@ Kernel::reapGrants(Process &process)
             }
             capSlotOwner_[slot] = invalidPid;
             if (engine_ != nullptr && engine_->cap() != nullptr) {
-                const Addr base = engine_->params().kernelRegsBase;
-                Packet sel = Packet::makeWrite(
-                    base + kregs::capSlotSelect, slot);
-                cpu_.kernelBusAccess(sel);
-                Packet op = Packet::makeWrite(base + kregs::capOp,
-                                              capop::invalidate);
-                cpu_.kernelBusAccess(op);
+                kregWrite(kregs::capSlotSelect, slot);
+                kregWrite(kregs::capOp, capop::invalidate);
                 cost += cyclesToTicks(60);
             }
         }
@@ -1443,18 +1311,14 @@ Kernel::doContextSwitch()
     // the paper's argument against them.
     if (shrimp2Hook_ && engine_ != nullptr) {
         ++hookRuns_;
-        Packet inv = Packet::makeWrite(
-            engine_->params().kernelRegsBase + kregs::invalidate, 1);
-        cost += cpu_.kernelBusAccess(inv);
+        cost += kregWrite(kregs::invalidate, 1);
     }
     if (flashHook_ && engine_ != nullptr) {
         ++hookRuns_;
-        Packet tag = Packet::makeWrite(
-            engine_->params().kernelRegsBase + kregs::osProcessTag,
-            current_ != nullptr
-                ? static_cast<std::uint64_t>(current_->pid())
-                : 0);
-        cost += cpu_.kernelBusAccess(tag);
+        cost += kregWrite(kregs::osProcessTag,
+                          current_ != nullptr
+                              ? static_cast<std::uint64_t>(current_->pid())
+                              : 0);
     }
 
     if (current_ != nullptr) {

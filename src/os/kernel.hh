@@ -339,18 +339,37 @@ class Kernel : public OsCallbacks
     /** Return an exiting process's DMA grants to the free pools. */
     Tick reapGrants(Process &process);
 
-    SyscallResult sysNoop();
+    /// @name Privileged register access.
+    /// One uncached kernel bus access each, to a kregs:: register of
+    /// the DMA engine or an akregs:: register of the atomic unit.
+    /// Writes return the bus cost; reads add it to @p cost if given.
+    /// @{
+    Tick kregWrite(Addr reg, std::uint64_t value);
+    std::uint64_t kregRead(Addr reg, Tick *cost = nullptr);
+    Tick akregWrite(Addr reg, std::uint64_t value);
+    std::uint64_t akregRead(Addr reg, Tick *cost = nullptr);
+    /// @}
+
+    /** Assert that an IOMMU range call from @p caller is well formed
+     *  and select @p process's register context for it. */
+    void iommuSelect(Process &process, Addr bytes, const char *caller);
+
+    /** Add frame span [base, limit) to the selected capability slot.
+     *  @return false past CapParams::maxSpansPerSlot. */
+    bool capAddSpan(Addr base, Addr limit);
+
+    /// @name Syscall handlers; syscall() adds the trap overhead.
+    /// @{
     SyscallResult sysDma(ExecContext &ctx);
-    SyscallResult sysDmaPoll(ExecContext &ctx);
     SyscallResult sysDmaWait(ExecContext &ctx);
     SyscallResult sysRingWait(ExecContext &ctx);
     SyscallResult sysAtomic(ExecContext &ctx);
-    SyscallResult sysIommuMap(ExecContext &ctx);
-    SyscallResult sysIommuUnmap(ExecContext &ctx);
-    SyscallResult sysIommuPin(ExecContext &ctx);
+    /** sys::iommuMap, iommuUnmap or iommuPin, by @p number. */
+    SyscallResult sysIommu(ExecContext &ctx, std::uint64_t number);
     SyscallResult sysCapGrant(ExecContext &ctx);
     SyscallResult sysCapDelegate(ExecContext &ctx);
     SyscallResult sysCapRevoke(ExecContext &ctx);
+    /// @}
 
     /**
      * IOMMU translation-fault fix-up (IommuFaultPolicy::Trap): the

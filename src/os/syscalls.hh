@@ -56,6 +56,15 @@ inline constexpr std::uint64_t dmaWait = 5;
  */
 inline constexpr std::uint64_t ringWait = 6;
 
+/*
+ * Syscalls 7-12 check their argument registers whole, before narrowing
+ * any of them.  A range [a0, a0+a1) must be non-empty, must not wrap,
+ * and must lie inside the caller's [userRegionBase, allocCursor()); a
+ * slot must be below CapParams::numSlots, a rate class below
+ * CapParams::rateClasses, and a pid must be a live process's pid.  A
+ * refused call returns ~0 and costs only the trap.
+ */
+
 /**
  * Map [a0, a0+a1) of the caller's address space into the DMA engine's
  * I/O page table (docs/IOMMU.md) with the rights of the user mapping.
@@ -76,7 +85,8 @@ inline constexpr std::uint64_t iommuPin = 9;
  * Grant a DMA capability over [a0, a0+a1) of the caller's address
  * space with QoS rate class a2 (docs/CAPABILITIES.md).  Returns the
  * slot index, or ~0 when no slot is free / the engine has no
- * capability table / the range is bad.
+ * capability table / an argument is bad.  The capword goes to the
+ * caller's DmaGrant::capWords, not to a register.
  */
 inline constexpr std::uint64_t capGrant = 10;
 

@@ -11,11 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dma/dma_engine.hh"
 #include "dma/transfer_backend.hh"
 #include "mem/bus.hh"
+#include "mem/physical_memory.hh"
+#include "sim/span.hh"
 #include "sim/ticks.hh"
 #include "util/bitfield.hh"
+#include "util/fnv.hh"
 #include "util/random.hh"
 
 namespace uldma {
@@ -610,6 +615,189 @@ TEST_F(EngineTest, InitiationRecordsContributors)
     ASSERT_EQ(rec.contributors.size(), 5u);
     EXPECT_EQ(rec.contributors[3], 8);
     EXPECT_EQ(rec.contributors[0], 7);
+}
+
+// ---------------------------------------------------------------------
+// Recognizer digests: the §3.3 recognizer's observable behaviour over
+// a seeded access stream, pinned for every mode and variant.
+// ---------------------------------------------------------------------
+
+/** One recognizer configuration of the digest sweep. */
+struct RecognizerConfig
+{
+    EngineMode mode;
+    bool weak;          ///< DmaEngineParams::weakRecognizer
+    unsigned ctxBits;   ///< DmaEngineParams::ctxIdBits
+    bool capture;       ///< span capture on
+};
+
+/**
+ * Drive a repeated-passing engine with @p accesses seeded shadow
+ * accesses and fold everything observable into one FNV-1a digest:
+ * each response, fsmStep() and stateHash() after every access, then
+ * every initiation record and every span outcome.
+ *
+ * Four pids each follow the mode's own access sequence over their own
+ * (src, dst, CONTEXT_ID), in bursts, with one access in eight replaced
+ * by a random load or store; bursts of different pids interleave, so
+ * the stream mixes complete sequences, splices and resets.  The event
+ * queue drains every 256 accesses.
+ */
+std::uint64_t
+recognizerDigest(const RecognizerConfig &config, std::uint64_t seed,
+                 unsigned accesses)
+{
+    EventQueue eq;
+    PhysicalMemory memory(1024 * 1024);
+    LocalBackend backend(memory);
+    ClockDomain clock("bus.clk", 80 * tickPerNs);
+    DmaEngineParams params;
+    params.mode = config.mode;
+    params.weakRecognizer = config.weak;
+    params.ctxIdBits = config.ctxBits;
+    DmaEngine engine(eq, "dma", clock, params, backend);
+    if (config.capture)
+        span::tracker().enable();
+
+    // The mode's access sequence: store?, and which address it names.
+    struct Step
+    {
+        bool store;
+        bool dst;
+    };
+    const std::vector<Step> seq =
+        config.mode == EngineMode::Repeated3
+            ? std::vector<Step>{{false, false}, {true, true}, {false, false}}
+        : config.mode == EngineMode::Repeated4
+            ? std::vector<Step>{{true, true}, {false, false}, {true, true},
+                                {false, false}}
+            : std::vector<Step>{{true, true}, {false, false}, {true, true},
+                                {false, false}, {false, true}};
+
+    // The third target ends 32 bytes before a page boundary, so larger
+    // sizes make the engine refuse a cross-page transfer.
+    const Addr targets[3] = {0x2000, 0x4000, 0x7FE0};
+    const unsigned contexts = 1u << config.ctxBits;
+    struct Walker
+    {
+        Addr src = 0, dst = 0;
+        unsigned ctx = 0;
+        std::size_t step = 0;
+    };
+    Random rng(seed);
+    Walker walkers[4];
+    for (Walker &w : walkers) {
+        w.src = targets[rng.below(3)];
+        w.dst = targets[rng.below(3)];
+        w.ctx = static_cast<unsigned>(rng.below(contexts));
+    }
+
+    Fnv1a f;
+    unsigned issued = 0;
+    while (issued < accesses) {
+        const Pid pid = static_cast<Pid>(1 + rng.below(4));
+        Walker &w = walkers[pid - 1];
+        const unsigned burst = static_cast<unsigned>(rng.inRange(1, 6));
+        for (unsigned b = 0; b < burst && issued < accesses; ++b) {
+            bool store;
+            Addr target;
+            unsigned ctx;
+            if (rng.below(8) == 0) {
+                store = rng.below(2) == 0;
+                target = targets[rng.below(3)];
+                ctx = static_cast<unsigned>(rng.below(contexts));
+            } else {
+                const Step &s = seq[w.step];
+                store = s.store;
+                target = s.dst ? w.dst : w.src;
+                ctx = w.ctx;
+                w.step = (w.step + 1) % seq.size();
+            }
+            const Addr paddr = params.shadowAddr(target, ctx);
+            Packet pkt = store
+                ? Packet::makeWrite(paddr, rng.inRange(16, 64))
+                : Packet::makeRead(paddr);
+            pkt.srcPid = pid;
+            f.mix(engine.access(pkt));
+            f.mix(pkt.data);
+            f.mix(engine.fsmStep());
+            f.mix(engine.stateHash());
+            if (++issued % 256 == 0)
+                eq.runToExhaustion();
+        }
+    }
+    eq.runToExhaustion();
+
+    for (const DmaEngine::InitiationRecord &r : engine.initiations()) {
+        f.mix(r.when);
+        f.mix(static_cast<std::uint64_t>(r.mode));
+        f.mix(r.src);
+        f.mix(r.dst);
+        f.mix(r.size);
+        f.mix(r.ctx);
+        f.mix(r.viaKernel);
+        f.mix(r.viaRing);
+        f.mix(r.contributors.size());
+        for (Pid p : r.contributors)
+            f.mix(p);
+    }
+    if (config.capture) {
+        const span::Tracker &t = span::tracker();
+        f.mix(t.size());
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            const span::Span &s = t.at(i);
+            f.mix(s.id);
+            f.mixBytes(s.protocol);
+            f.mix(static_cast<std::uint64_t>(s.outcome));
+            f.mix(s.ctx);
+            f.mix(s.size);
+            f.mix(s.firstAccess);
+            f.mix(s.recognized);
+            f.mix(s.queued);
+            f.mix(s.busStart);
+            f.mix(s.busEnd);
+            f.mix(s.completed);
+        }
+        span::tracker().disable();
+    }
+    return f.h;
+}
+
+TEST(RecognizerDigest, EveryModeAndVariantMatchesTheRecordedDigest)
+{
+    // Recorded before the recognizer became one table per mode, so
+    // they pin the behaviour that rewrite had to keep.  index =
+    // ((mode * 2 + weak) * 2 + ctxBits) * 2 + capture.
+    static constexpr std::uint64_t recorded[24] = {
+        0x4bac3c8b40c49732ULL, 0x0a75e63cd4b52415ULL, 0x86748d1550a5528eULL,
+        0x7c90a1ec905473abULL, 0x968f74c384b7c43cULL, 0xa56e6eb112e40565ULL,
+        0xf561ab2f0e404b1eULL, 0x8cb4aeb2e872fe23ULL, 0xe2593d2ee4f778b9ULL,
+        0xdbff0fbf0bfc4cc2ULL, 0xb1d89c80fa4fa9e4ULL, 0x38ace2130a26988cULL,
+        0xa90d82ac64a67841ULL, 0xa990403efec7e227ULL, 0xa27cc3b9cfa699efULL,
+        0xbacd92c381a9960aULL, 0xd329d9da0c04073cULL, 0x3a91df65fee092c1ULL,
+        0x839851fe5f783e4fULL, 0xb420e55f95b20581ULL, 0x452369a54517d51fULL,
+        0xf323726c2b0ceefdULL, 0xa8b97f8cc0e78b1cULL, 0xa685a18b6ad40ab1ULL,
+    };
+    const EngineMode modes[3] = {EngineMode::Repeated3, EngineMode::Repeated4,
+                                 EngineMode::Repeated5};
+    unsigned index = 0;
+    for (EngineMode mode : modes) {
+        for (bool weak : {false, true}) {
+            for (unsigned ctx_bits : {0u, 1u}) {
+                for (bool capture : {false, true}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << toString(mode) << " weak=" << weak
+                                 << " ctxBits=" << ctx_bits
+                                 << " capture=" << capture);
+                    const std::uint64_t digest = recognizerDigest(
+                        {mode, weak, ctx_bits, capture}, 1997 + index,
+                        20000);
+                    EXPECT_EQ(digest, recorded[index]);
+                    ++index;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

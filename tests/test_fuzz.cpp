@@ -239,12 +239,15 @@ TEST(Fuzzer, SwarmDrawsMultipleConfigs)
     for (const FuzzConfigStats &c : r.configs) {
         execSum += c.execs;
         corpusSum += c.corpus;
-        if (c.config.useIommu)
+        if (c.config.useIommu) {
             EXPECT_EQ(c.config.method, DmaMethod::Ring);
-        if (c.config.weakRing || c.config.weakIommu)
+        }
+        if (c.config.weakRing || c.config.weakIommu) {
             EXPECT_EQ(c.config.method, DmaMethod::Ring);
-        if (c.config.weakCap)
+        }
+        if (c.config.weakCap) {
             EXPECT_EQ(c.config.method, DmaMethod::Cap);
+        }
     }
     EXPECT_EQ(execSum, r.execs);
     EXPECT_EQ(corpusSum, r.corpusSize);

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "core/machine.hh"
 #include "core/methods.hh"
 #include "sim/ticks.hh"
@@ -504,6 +507,456 @@ TEST(KernelLaunch, RelaunchingTheRunningProcessAborts)
             machine.run();
         },
         "relaunching running process");
+}
+
+// ---------------------------------------------------------------------
+// Frame runs: authorizeRingDma, capGrant and capExtend program one
+// frame span per physically contiguous run of a virtual range.
+// ---------------------------------------------------------------------
+
+/** @p n fresh frames, no two adjacent: each one is followed by a frame
+ *  nothing maps. */
+std::vector<Addr>
+scatteredFrames(Kernel &kernel, unsigned n)
+{
+    std::vector<Addr> frames;
+    for (unsigned i = 0; i < n; ++i)
+        frames.push_back(kernel.allocFrames(2));
+    return frames;
+}
+
+/** Map one read-write page per entry of @p frames at @p p's
+ *  allocation cursor, page i on frame frames[i]; a 0 entry leaves that
+ *  page unmapped.  @return the virtual address of the first page. */
+Addr
+mapFrames(Process &p, const std::vector<Addr> &frames)
+{
+    const Addr vaddr = p.allocCursor();
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        if (frames[i] != 0) {
+            p.pageTable().mapPage(vaddr + i * pageSize, frames[i],
+                                  Rights::ReadWrite);
+        }
+    }
+    p.setAllocCursor(vaddr + (frames.size() + 1) * pageSize);
+    return vaddr;
+}
+
+/** A one-node capability machine with one process. */
+struct CapKernel
+{
+    Machine machine;
+    Kernel &kernel;
+    Process &p;
+
+    static MachineConfig
+    makeConfig()
+    {
+        MachineConfig config;
+        configureNode(config.node, DmaMethod::Cap);
+        return config;
+    }
+
+    CapKernel()
+        : machine(makeConfig()), kernel(machine.node(0).kernel()),
+          p(kernel.createProcess("p"))
+    {
+        prepareMachine(machine, DmaMethod::Cap);
+    }
+
+    CapTable &table() { return *machine.node(0).dmaEngine().cap(); }
+};
+
+TEST(FrameRuns, CapGrantOverAnUnmappedPageLeavesNoSpan)
+{
+    CapKernel rig;
+    // Two runs, then a hole: the first run is programmed before the
+    // walk reaches the hole, so the grant must roll it back.
+    const std::vector<Addr> frames = scatteredFrames(rig.kernel, 2);
+    const Addr v = mapFrames(rig.p, {frames[0], frames[1], 0});
+    EXPECT_EQ(rig.kernel.capGrant(rig.p, v, 3 * pageSize, 0), -1);
+    EXPECT_FALSE(rig.table().valid(0));
+    EXPECT_TRUE(rig.table().spans(0).empty());
+    EXPECT_TRUE(rig.p.dmaGrant().capSlots.empty());
+
+    // The slot stayed free: the next grant gets it.
+    const Addr ok = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
+    EXPECT_EQ(rig.kernel.capGrant(rig.p, ok, pageSize, 0), 0);
+    EXPECT_EQ(rig.table().spans(0).size(), 1u);
+}
+
+TEST(FrameRuns, CapGrantTakesOneSpanPerRunUpToTheLimit)
+{
+    CapKernel rig;
+    const unsigned max_spans = rig.table().params().maxSpansPerSlot;
+    ASSERT_EQ(max_spans, 8u);
+
+    const std::vector<Addr> eight = scatteredFrames(rig.kernel, max_spans);
+    const Addr v8 = mapFrames(rig.p, eight);
+    const int slot =
+        rig.kernel.capGrant(rig.p, v8, max_spans * pageSize, 0);
+    ASSERT_EQ(slot, 0);
+    const std::vector<CapSpan> &spans = rig.table().spans(0);
+    ASSERT_EQ(spans.size(), max_spans);
+    for (unsigned i = 0; i < max_spans; ++i) {
+        EXPECT_EQ(spans[i].base, eight[i]);
+        EXPECT_EQ(spans[i].limit, eight[i] + pageSize);
+    }
+
+    // One run more than a slot holds: refused, and nothing is left.
+    const Addr v9 =
+        mapFrames(rig.p, scatteredFrames(rig.kernel, max_spans + 1));
+    EXPECT_EQ(rig.kernel.capGrant(rig.p, v9, (max_spans + 1) * pageSize, 0),
+              -1);
+    EXPECT_FALSE(rig.table().valid(1));
+    EXPECT_TRUE(rig.table().spans(1).empty());
+    EXPECT_EQ(rig.p.dmaGrant().capSlots.size(), 1u);
+}
+
+TEST(FrameRuns, CapExtendPastTheSpanLimitFails)
+{
+    CapKernel rig;
+    const unsigned max_spans = rig.table().params().maxSpansPerSlot;
+    const Addr v = mapFrames(rig.p, scatteredFrames(rig.kernel,
+                                                    max_spans - 1));
+    const int slot =
+        rig.kernel.capGrant(rig.p, v, (max_spans - 1) * pageSize, 0);
+    ASSERT_GE(slot, 0);
+    const unsigned s = static_cast<unsigned>(slot);
+
+    const Addr last = mapFrames(rig.p, scatteredFrames(rig.kernel, 1));
+    EXPECT_TRUE(rig.kernel.capExtend(rig.p, s, last, pageSize));
+    EXPECT_EQ(rig.table().spans(s).size(), max_spans);
+
+    const Addr extra = mapFrames(rig.p, scatteredFrames(rig.kernel, 1));
+    EXPECT_FALSE(rig.kernel.capExtend(rig.p, s, extra, pageSize));
+    EXPECT_EQ(rig.table().spans(s).size(), max_spans);
+    // An unmapped page is refused the same way.
+    const Addr hole = mapFrames(rig.p, {0});
+    EXPECT_FALSE(rig.kernel.capExtend(rig.p, s, hole, pageSize));
+}
+
+TEST(FrameRuns, ReadOnlyPageDropsWriteFromTheSlot)
+{
+    CapKernel rig;
+    const std::vector<Addr> frames = scatteredFrames(rig.kernel, 2);
+    const Addr v = rig.p.allocCursor();
+    rig.p.pageTable().mapPage(v, frames[0], Rights::ReadWrite);
+    rig.p.pageTable().mapPage(v + pageSize, frames[1], Rights::Read);
+    rig.p.setAllocCursor(v + 3 * pageSize);
+    const int ro = rig.kernel.capGrant(rig.p, v, 2 * pageSize, 0);
+    ASSERT_GE(ro, 0);
+    const std::uint64_t ro_word = rig.p.dmaGrant().capWords.back();
+
+    // The same frames, writable throughout, in another process.
+    Process &q = rig.kernel.createProcess("q");
+    const Addr w = mapFrames(q, frames);
+    const int rw = rig.kernel.capGrant(q, w, 2 * pageSize, 0);
+    ASSERT_GE(rw, 0);
+    const std::uint64_t rw_word = q.dmaGrant().capWords.back();
+
+    EXPECT_EQ(rig.table().check(static_cast<unsigned>(rw), rw_word,
+                                frames[1], frames[0], 64),
+              CapFault::None);
+    EXPECT_EQ(rig.table().check(static_cast<unsigned>(ro), ro_word,
+                                frames[1], frames[0], 64),
+              CapFault::SpanDenied);
+}
+
+TEST(FrameRuns, RingFramesFollowPhysicalRuns)
+{
+    MachineConfig config;
+    configureNode(config.node, DmaMethod::Ring);
+    Machine machine(config);
+    prepareMachine(machine, DmaMethod::Ring);
+    Kernel &kernel = machine.node(0).kernel();
+    Process &p = kernel.createProcess("p");
+    ASSERT_TRUE(kernel.setupRing(p, 4, ringdesc::policyPolling));
+
+    // Three frames back to back.  The process maps the outer two as
+    // one virtual range, and the middle one on a page of its own that
+    // is never authorized.
+    const Addr f0 = kernel.allocFrames(3);
+    const Addr f1 = f0 + pageSize;
+    const Addr f2 = f0 + 2 * pageSize;
+    const Addr v = mapFrames(p, {f0, f2});
+    const Addr vmid = mapFrames(p, {f1});
+    kernel.authorizeRingDma(p, v, 2 * pageSize);
+
+    Program prog;
+    emitRingBatch(prog, kernel, p,
+                  {{v, v + pageSize, 64},
+                   {v + pageSize + 128, v + 128, 64},
+                   {vmid, v, 64}});
+    prog.exit();
+    kernel.launch(p, std::move(prog));
+    machine.start();
+    ASSERT_TRUE(machine.run(60 * tickPerSec));
+
+    const DmaEngine &engine = machine.node(0).dmaEngine();
+    ASSERT_EQ(engine.initiations().size(), 2u);
+    EXPECT_EQ(engine.initiations()[0].src, f0);
+    EXPECT_EQ(engine.initiations()[0].dst, f2);
+    EXPECT_EQ(engine.initiations()[1].src, f2 + 128);
+    EXPECT_EQ(engine.initiations()[1].dst, f0 + 128);
+    EXPECT_EQ(engine.numRingRejects(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Runtime syscalls 7-12 issued from user code: valid calls take
+// effect; malformed registers are refused at the cost of the trap.
+// ---------------------------------------------------------------------
+
+/** One trap from user code: its number and argument registers. */
+struct Trap
+{
+    std::uint64_t number;
+    std::uint64_t a0 = 0;
+    std::uint64_t a1 = 0;
+    std::uint64_t a2 = 0;
+};
+
+/** What user code saw of one trap. */
+struct TrapResult
+{
+    std::uint64_t v0 = 0x5EED;   ///< left alone if the caller never resumed
+    Tick ticks = 0;              ///< simulated time across the trap
+};
+
+/**
+ * Launch @p proc (the only launched process) on @p traps, in order,
+ * and run for at most a simulated second.  After each trap, record
+ * v0 and the time it took, then call @p after with its index: checks
+ * of the caller's grants belong there, since exit-time reaping tears
+ * them down.
+ */
+std::vector<TrapResult>
+runTraps(Machine &machine, Process &proc, const std::vector<Trap> &traps,
+         std::function<void(std::size_t)> after = nullptr)
+{
+    std::vector<TrapResult> out(traps.size());
+    Program prog;
+    for (std::size_t i = 0; i < traps.size(); ++i) {
+        prog.move(reg::a0, traps[i].a0);
+        prog.move(reg::a1, traps[i].a1);
+        prog.move(reg::a2, traps[i].a2);
+        prog.callback([&out, &machine, i](ExecContext &) {
+            out[i].ticks = machine.now();
+        });
+        prog.syscall(traps[i].number);
+        prog.callback([&out, &machine, after, i](ExecContext &ctx) {
+            out[i].v0 = ctx.reg(reg::v0);
+            out[i].ticks = machine.now() - out[i].ticks;
+            if (after)
+                after(i);
+        });
+    }
+    prog.exit();
+    machine.node(0).kernel().launch(proc, std::move(prog));
+    machine.start();
+    machine.run(tickPerSec);
+    return out;
+}
+
+constexpr std::uint64_t refused = ~std::uint64_t(0);
+
+/** A one-node ring machine with an IOMMU and one ring process. */
+struct IommuKernel
+{
+    Machine machine;
+    Kernel &kernel;
+    Process &p;
+    Iommu &iommu;
+    unsigned ctx = 0;
+
+    static MachineConfig
+    makeConfig()
+    {
+        MachineConfig config;
+        configureNode(config.node, DmaMethod::Ring);
+        config.node.dma.iommu.enabled = true;
+        return config;
+    }
+
+    IommuKernel()
+        : machine(makeConfig()), kernel(machine.node(0).kernel()),
+          p(kernel.createProcess("p")),
+          iommu(*machine.node(0).dmaEngine().iommu())
+    {
+        prepareMachine(machine, DmaMethod::Ring);
+        EXPECT_TRUE(kernel.setupRing(p, 4, ringdesc::policyPolling));
+        ctx = *p.dmaGrant().keyContext;
+    }
+
+    bool mapped(Addr vaddr) const
+    {
+        return iommu.table(ctx).lookup(vaddr).has_value();
+    }
+};
+
+TEST(KernelSyscalls, IommuMapPinUnmapFromUserCode)
+{
+    IommuKernel rig;
+    const Addr va =
+        rig.kernel.allocate(rig.p, 2 * pageSize, Rights::ReadWrite);
+    const std::size_t pinned = rig.iommu.pinnedPages(rig.ctx);
+    std::vector<bool> mapped;
+    std::vector<std::size_t> pins;
+    const auto r = runTraps(
+        rig.machine, rig.p,
+        {{sys::iommuMap, va, 2 * pageSize},
+         {sys::iommuPin, va, 2 * pageSize},
+         {sys::iommuUnmap, va, pageSize}},
+        [&](std::size_t) {
+            mapped.push_back(rig.mapped(va));
+            mapped.push_back(rig.mapped(va + pageSize));
+            pins.push_back(rig.iommu.pinnedPages(rig.ctx));
+        });
+    EXPECT_EQ(r[0].v0, 0u);
+    EXPECT_EQ(r[1].v0, 0u);
+    EXPECT_EQ(r[2].v0, 0u);
+    EXPECT_EQ(mapped, (std::vector<bool>{true, true, true, true,
+                                         false, true}));
+    // PinPolicy::OnMap (the default) pins at map time.
+    EXPECT_EQ(pins, (std::vector<std::size_t>{pinned + 2, pinned + 2,
+                                              pinned + 1}));
+}
+
+TEST(KernelSyscalls, IommuRangeThatWrapsIsRefusedAtTrapCost)
+{
+    IommuKernel rig;
+    std::vector<std::size_t> pins;
+    const std::size_t pinned = rig.iommu.pinnedPages(rig.ctx);
+    const auto r = runTraps(
+        rig.machine, rig.p,
+        {{sys::noop},
+         {sys::iommuMap, ~std::uint64_t(0) - 8 * 1024 + 1, 16 * 1024},
+         {sys::iommuPin, ~std::uint64_t(0) - 8 * 1024 + 1, 16 * 1024}},
+        [&](std::size_t) { pins.push_back(rig.iommu.pinnedPages(rig.ctx)); });
+    EXPECT_GE(r[0].ticks, rig.kernel.cpu().cyclesToTicks(
+                              rig.kernel.params().syscallOverheadCycles));
+    EXPECT_EQ(r[1].v0, refused);
+    EXPECT_EQ(r[2].v0, refused);
+    EXPECT_EQ(r[1].ticks, r[0].ticks);
+    EXPECT_EQ(r[2].ticks, r[0].ticks);
+    EXPECT_EQ(pins, (std::vector<std::size_t>{pinned, pinned, pinned}));
+}
+
+TEST(KernelSyscalls, IommuUnmapOutsideTheAddressSpaceIsRefused)
+{
+    IommuKernel rig;
+    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
+    ASSERT_TRUE(rig.kernel.iommuMapRange(rig.p, va, pageSize, false));
+    std::vector<bool> mapped;
+    const auto r = runTraps(
+        rig.machine, rig.p,
+        {{sys::noop},
+         {sys::iommuUnmap, va, std::uint64_t(1) << 38},
+         {sys::iommuUnmap, 0, pageSize},
+         {sys::iommuUnmap, va, 0}},
+        [&](std::size_t) { mapped.push_back(rig.mapped(va)); });
+    for (std::size_t i = 1; i < r.size(); ++i) {
+        EXPECT_EQ(r[i].v0, refused) << "trap " << i;
+        EXPECT_EQ(r[i].ticks, r[0].ticks) << "trap " << i;
+    }
+    EXPECT_EQ(mapped, (std::vector<bool>(4, true)));
+}
+
+TEST(KernelSyscalls, CapGrantDelegateRevokeFromUserCode)
+{
+    CapKernel rig;
+    Process &target = rig.kernel.createProcess("target");
+    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
+    std::vector<std::uint64_t> generations;
+    std::vector<std::size_t> target_slots;
+    unsigned rate = 0;
+    const auto r = runTraps(
+        rig.machine, rig.p,
+        {{sys::capGrant, va, pageSize, 1},
+         {sys::capDelegate, 0, static_cast<std::uint64_t>(target.pid())},
+         {sys::capRevoke, 0}},
+        [&](std::size_t i) {
+            generations.push_back(rig.table().generation(0));
+            target_slots.push_back(target.dmaGrant().capSlots.size());
+            if (i == 0)
+                rate = rig.table().rateClass(0);
+        });
+    EXPECT_EQ(r[0].v0, 0u);   // the slot index
+    EXPECT_EQ(rate, 1u);
+    EXPECT_EQ(r[1].v0, 0u);
+    EXPECT_EQ(r[2].v0, 0u);
+    EXPECT_EQ(target_slots, (std::vector<std::size_t>{0, 1, 1}));
+    ASSERT_EQ(generations.size(), 3u);
+    EXPECT_EQ(generations[1], generations[0]);
+    EXPECT_GT(generations[2], generations[1]);
+}
+
+TEST(KernelSyscalls, CapRevokeChecksTheWholeSlotRegister)
+{
+    CapKernel rig;
+    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
+    ASSERT_EQ(rig.kernel.capGrant(rig.p, va, pageSize, 0), 0);
+    const std::uint64_t generation = rig.table().generation(0);
+    const std::uint64_t word = rig.p.dmaGrant().capWords[0];
+    std::vector<std::uint64_t> generations;
+    std::vector<std::uint64_t> words;
+    const auto r = runTraps(
+        rig.machine, rig.p,
+        {{sys::noop}, {sys::capRevoke, (std::uint64_t(1) << 32) | 0}},
+        [&](std::size_t) {
+            generations.push_back(rig.table().generation(0));
+            words.push_back(rig.p.dmaGrant().capWords[0]);
+        });
+    EXPECT_EQ(r[1].v0, refused);
+    EXPECT_EQ(r[1].ticks, r[0].ticks);
+    EXPECT_EQ(generations, (std::vector<std::uint64_t>(2, generation)));
+    EXPECT_EQ(words, (std::vector<std::uint64_t>(2, word)));
+}
+
+TEST(KernelSyscalls, CapDelegateChecksTheWholePidRegister)
+{
+    CapKernel rig;
+    Process &target = rig.kernel.createProcess("target");
+    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
+    ASSERT_EQ(rig.kernel.capGrant(rig.p, va, pageSize, 0), 0);
+    std::vector<std::size_t> target_slots;
+    const auto r = runTraps(
+        rig.machine, rig.p,
+        {{sys::noop},
+         {sys::capDelegate, 0,
+          (std::uint64_t(1) << 32) |
+              static_cast<std::uint64_t>(target.pid())},
+         {sys::capDelegate, std::uint64_t(1) << 32,
+          static_cast<std::uint64_t>(target.pid())}},
+        [&](std::size_t) {
+            target_slots.push_back(target.dmaGrant().capSlots.size());
+        });
+    EXPECT_EQ(r[1].v0, refused);
+    EXPECT_EQ(r[2].v0, refused);
+    EXPECT_EQ(r[1].ticks, r[0].ticks);
+    EXPECT_EQ(target_slots, (std::vector<std::size_t>(3, 0)));
+}
+
+TEST(KernelSyscalls, CapGrantChecksRateAndRange)
+{
+    CapKernel rig;
+    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
+    std::vector<std::size_t> slots;
+    const auto r = runTraps(
+        rig.machine, rig.p,
+        {{sys::noop},
+         {sys::capGrant, va, pageSize, (std::uint64_t(1) << 32) | 1},
+         {sys::capGrant, ~std::uint64_t(0) - 8 * 1024 + 1, 16 * 1024, 0},
+         {sys::capGrant, va, std::uint64_t(1) << 38, 0}},
+        [&](std::size_t) {
+            slots.push_back(rig.p.dmaGrant().capSlots.size());
+        });
+    for (std::size_t i = 1; i < r.size(); ++i) {
+        EXPECT_EQ(r[i].v0, refused) << "trap " << i;
+        EXPECT_EQ(r[i].ticks, r[0].ticks) << "trap " << i;
+    }
+    EXPECT_EQ(slots, (std::vector<std::size_t>(4, 0)));
+    EXPECT_FALSE(rig.table().valid(0));
 }
 
 } // namespace

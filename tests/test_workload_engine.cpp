@@ -481,8 +481,9 @@ TEST(WorkloadEngine, ContextExhaustionFallsBackToKernelChannel)
     std::uint64_t completed = 0;
     for (const ProtocolStats &row : result.protocols) {
         completed += row.completed;
-        if (row.protocol == "kernel")
+        if (row.protocol == "kernel") {
             EXPECT_EQ(row.completed, 2u * 10);
+        }
     }
     EXPECT_EQ(completed, 6u * 10);
 }
