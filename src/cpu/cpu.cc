@@ -275,7 +275,8 @@ Cpu::executeOne(ExecContext &ctx)
     ++instrs_;
     ctx.countRetired();
 
-    const Tick cost = executeOp(ctx, op, /*in_pal=*/false, next_pc);
+    const Tick cost =
+        executeOp(ctx, ctx.program(), op, /*in_pal=*/false, next_pc);
 
     // A fault does not advance the PC; every other op does (branches
     // set next_pc themselves).
@@ -285,8 +286,8 @@ Cpu::executeOne(ExecContext &ctx)
 }
 
 Tick
-Cpu::executeOp(ExecContext &ctx, const MicroOp &op, bool in_pal,
-               int &next_pc)
+Cpu::executeOp(ExecContext &ctx, const Program &program, const MicroOp &op,
+               bool in_pal, int &next_pc)
 {
     Tick cost = cyclesToTicks(params_.baseInstrCycles);
 
@@ -370,8 +371,8 @@ Cpu::executeOp(ExecContext &ctx, const MicroOp &op, bool in_pal,
         break;
 
       case OpKind::Callback:
-        if (op.hook)
-            op.hook(ctx);
+        if (const Program::Hook &hook = program.hook(op))
+            hook(ctx);
         cost += cyclesToTicks(op.imm);
         break;
 
@@ -416,7 +417,7 @@ Cpu::executePal(ExecContext &ctx, std::uint64_t index)
                      "runaway PAL function ", index);
         const MicroOp &op = pal.at(static_cast<std::size_t>(pal_pc));
         int next_pc = pal_pc + 1;
-        cost += executeOp(ctx, op, /*in_pal=*/true, next_pc);
+        cost += executeOp(ctx, pal, op, /*in_pal=*/true, next_pc);
         ULDMA_ASSERT(ctx.state() != RunState::Faulted,
                      "memory fault inside PAL function ", index);
         pal_pc = next_pc;

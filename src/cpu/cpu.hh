@@ -237,9 +237,10 @@ class Cpu : public Clocked
     /** Execute the current op of @p ctx. @return cost in ticks. */
     Tick executeOne(ExecContext &ctx);
 
-    /** Execute a single micro-op. @return cost in ticks. */
-    Tick executeOp(ExecContext &ctx, const MicroOp &op, bool in_pal,
-                   int &next_pc);
+    /** Execute micro-op @p op of @p program (the process's own, or a
+     *  PAL body). @return cost in ticks. */
+    Tick executeOp(ExecContext &ctx, const Program &program,
+                   const MicroOp &op, bool in_pal, int &next_pc);
 
     /** Execute a whole PAL function uninterruptibly. */
     Tick executePal(ExecContext &ctx, std::uint64_t index);

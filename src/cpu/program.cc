@@ -8,8 +8,15 @@ namespace uldma {
 int
 Program::push(MicroOp op)
 {
-    ops_.push_back(std::move(op));
+    ops_.push_back(op);
     return static_cast<int>(ops_.size()) - 1;
+}
+
+const Program::Hook &
+Program::hook(const MicroOp &op) const
+{
+    ULDMA_ASSERT(op.kind == OpKind::Callback, "hook of a non-callback op");
+    return hooks_.at(static_cast<std::size_t>(op.target));
 }
 
 int
@@ -188,13 +195,13 @@ Program::callPal(std::uint64_t pal_index)
 }
 
 int
-Program::callback(std::function<void(ExecContext &)> hook,
-                  std::uint64_t cycles)
+Program::callback(Hook hook, std::uint64_t cycles)
 {
     MicroOp op;
     op.kind = OpKind::Callback;
-    op.hook = std::move(hook);
+    op.target = static_cast<int>(hooks_.size());
     op.imm = cycles;
+    hooks_.push_back(std::move(hook));
     return push(op);
 }
 
@@ -244,23 +251,33 @@ Program::markPollHead(int branch)
 }
 
 Program &
-Program::withLabel(std::string label)
+Program::withLabel(OpLabel label)
 {
     ULDMA_ASSERT(!ops_.empty(), "withLabel on empty program");
-    ops_.back().label = std::move(label);
+    ops_.back().label = label.text();
     return *this;
 }
 
 void
 Program::append(const Program &other)
 {
-    const int base = here();
-    for (std::size_t i = 0; i < other.size(); ++i) {
-        MicroOp op = other.at(i);
-        if (op.target >= 0)
-            op.target += base;
-        ops_.push_back(std::move(op));
+    // Sizes first: other may be *this.
+    const int op_base = here();
+    const int hook_base = static_cast<int>(hooks_.size());
+    const std::size_t num_ops = other.ops_.size();
+    const std::size_t num_hooks = other.hooks_.size();
+    ops_.reserve(ops_.size() + num_ops);
+    hooks_.reserve(hooks_.size() + num_hooks);
+    for (std::size_t i = 0; i < num_ops; ++i) {
+        MicroOp op = other.ops_[i];
+        if (op.kind == OpKind::Callback)
+            op.target += hook_base;
+        else if (op.target >= 0)
+            op.target += op_base;
+        ops_.push_back(op);
     }
+    for (std::size_t i = 0; i < num_hooks; ++i)
+        hooks_.push_back(other.hooks_[i]);
 }
 
 namespace {
@@ -340,8 +357,8 @@ Program::disassemble() const
         }
         out += csprintf("%3zu: %-9s %s", i, toString(op.kind),
                         body.c_str());
-        if (!op.label.empty())
-            out += csprintf("   ; %s", op.label.c_str());
+        if (op.label != nullptr && *op.label != '\0')
+            out += csprintf("   ; %s", op.label);
         out += "\n";
     }
     return out;

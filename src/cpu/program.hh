@@ -13,8 +13,10 @@
 #ifndef ULDMA_CPU_PROGRAM_HH
 #define ULDMA_CPU_PROGRAM_HH
 
+#include <cstddef>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/types.hh"
@@ -59,21 +61,26 @@ enum class OpKind : std::uint8_t
     Exit,      ///< terminate the process
 };
 
-/** One micro-op.  Fields are interpreted per OpKind. */
+/**
+ * One micro-op.  Fields are interpreted per OpKind.  Plain data: a
+ * Callback's hook lives in its Program's hook table, a label is a
+ * string literal, so building a program is a copy and freeing it costs
+ * nothing per op.
+ */
 struct MicroOp
 {
-    OpKind kind = OpKind::Compute;
-
     /** Memory ops: immediate virtual address, or offset if addrReg>=0. */
     Addr vaddr = 0;
-    /** Memory ops: if >= 0, effective address = reg[addrReg] + vaddr. */
-    int addrReg = -1;
-    /** Access size in bytes for memory ops. */
-    unsigned size = 8;
 
     /** Immediate operand (store data, move value, branch compare,
      *  compute cycles, syscall number, PAL index). */
     std::uint64_t imm = 0;
+
+    /** Optional debug label (a string literal; see OpLabel). */
+    const char *label = nullptr;
+
+    /** Memory ops: if >= 0, effective address = reg[addrReg] + vaddr. */
+    int addrReg = -1;
     /** If >= 0, the register supplying the operand instead of imm
      *  (store data source, AddImm source, branch compare source). */
     int srcReg = -1;
@@ -81,22 +88,42 @@ struct MicroOp
     /** Destination register (Load, Move, AddImm). */
     int dstReg = -1;
 
-    /** Branch/Jump target (instruction index). */
+    /** Branch/Jump target (instruction index); for a Callback, the
+     *  index of its hook in the program's hook table. */
     int target = -1;
+
+    /** Access size in bytes for memory ops. */
+    unsigned size = 8;
+
+    OpKind kind = OpKind::Compute;
 
     /**
      * Set by Program on the Load heading a status poll: Load r from a
      * fixed address; Membar; Compute; BranchEq/BranchNe on r back to
      * the Load.  The CPU may fast-forward such a loop (Cpu::tick).
-     * Declared here, it fills padding and adds no size.
      */
     bool pollHead = false;
+};
 
-    /** Host hook for OpKind::Callback. */
-    std::function<void(ExecContext &)> hook;
+static_assert(std::is_trivially_copyable_v<MicroOp>);
+static_assert(std::is_trivially_destructible_v<MicroOp>);
+static_assert(sizeof(MicroOp) <= 48);
 
-    /** Optional debug label. */
-    std::string label;
+/**
+ * A micro-op label.  Only a string literal (or another array with
+ * static storage) converts, so the op's pointer cannot dangle.
+ */
+class OpLabel
+{
+  public:
+    template <std::size_t N>
+    consteval OpLabel(const char (&text)[N]) : text_(text)
+    {}
+
+    const char *text() const { return text_; }
+
+  private:
+    const char *text_;
 };
 
 /**
@@ -114,12 +141,18 @@ struct MicroOp
 class Program
 {
   public:
+    /** A Callback op's host-side hook. */
+    using Hook = std::function<void(ExecContext &)>;
+
     Program() = default;
 
     /** Number of micro-ops. */
     std::size_t size() const { return ops_.size(); }
     bool empty() const { return ops_.empty(); }
     const MicroOp &at(std::size_t i) const { return ops_.at(i); }
+
+    /** The hook of Callback op @p op of this program. */
+    const Hook &hook(const MicroOp &op) const;
 
     /** Index the next appended op will get (for branch targets). */
     int here() const { return static_cast<int>(ops_.size()); }
@@ -146,8 +179,7 @@ class Program
     int jump(int target);
     int syscall(std::uint64_t number);
     int callPal(std::uint64_t pal_index);
-    int callback(std::function<void(ExecContext &)> hook,
-                 std::uint64_t cycles = 0);
+    int callback(Hook hook, std::uint64_t cycles = 0);
     int yield();
     int exit();
     /// @}
@@ -156,9 +188,10 @@ class Program
     void setTarget(int op_index, int target);
 
     /** Attach a debug label to the most recent op. */
-    Program &withLabel(std::string label);
+    Program &withLabel(OpLabel label);
 
-    /** Append all ops of @p other (branch targets are rebased). */
+    /** Append all ops of @p other (branch targets and hook indices are
+     *  rebased); @p other may be this program. */
     void append(const Program &other);
 
     /**
@@ -178,6 +211,8 @@ class Program
     void markPollHead(int branch);
 
     std::vector<MicroOp> ops_;
+    /** Callback hooks, indexed by MicroOp::target. */
+    std::vector<Hook> hooks_;
 };
 
 /** Printable opcode name. */

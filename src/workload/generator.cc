@@ -15,7 +15,8 @@ namespace {
 Program
 buildWorker(Machine &machine, const Scenario &scenario,
             const StreamSpec &spec, Kernel &kernel, Process &proc,
-            Random &size_rng, Random &pace_rng, StreamRuntime &runtime)
+            const SizeSampler &sizes, Random &size_rng, Random &pace_rng,
+            StreamRuntime &runtime)
 {
     DmaMethod method = spec.method;
     if (method == DmaMethod::Ring) {
@@ -99,7 +100,7 @@ buildWorker(Machine &machine, const Scenario &scenario,
     std::vector<RingTransfer> batch;
     for (unsigned i = 0; i < spec.initiations; ++i) {
         const unsigned s = i % spec.slots;
-        const Addr size = sampleSize(spec.size, size_rng);
+        const Addr size = sizes.sample(size_rng);
 
         if (spec.pacing.kind == Pacing::Kind::Open) {
             const std::uint64_t gap_us =
@@ -176,6 +177,7 @@ spawnStream(Machine &machine, const Scenario &scenario,
 
     // All replicas of a stream share its RNGs; draws happen in replica
     // order at build time, so the sequence is seed-deterministic.
+    const SizeSampler sizes(spec.size);
     Random size_rng(streamSeed(seed, stream_index, SeedPurpose::Sizes));
     Random pace_rng(streamSeed(seed, stream_index, SeedPurpose::Pacing));
     Random adv_rng(
@@ -191,7 +193,7 @@ spawnStream(Machine &machine, const Scenario &scenario,
                                       runtime, /*hijacker=*/r == 0);
             }
             return buildWorker(machine, scenario, spec, kernel, proc,
-                               size_rng, pace_rng, runtime);
+                               sizes, size_rng, pace_rng, runtime);
         });
     }
 }

@@ -27,31 +27,64 @@ streamSeed(std::uint64_t seed, std::uint64_t stream, SeedPurpose purpose)
                  static_cast<std::uint64_t>(purpose));
 }
 
+SizeSampler::SizeSampler(const SizeDist &dist) : dist_(dist)
+{
+    if (dist.kind != SizeDist::Kind::Zipf)
+        return;
+    zipfWeights_.reserve(dist.zipfSizes.size());
+    for (std::size_t k = 0; k < dist.zipfSizes.size(); ++k) {
+        zipfWeights_.push_back(
+            1.0 / std::pow(double(k + 1), dist.zipfExponent));
+        zipfTotal_ += zipfWeights_.back();
+    }
+}
+
+Addr
+SizeSampler::sample(Random &rng) const
+{
+    switch (dist_.kind) {
+      case SizeDist::Kind::Fixed:
+        return dist_.fixedBytes;
+      case SizeDist::Kind::Uniform:
+        return rng.inRange(dist_.minBytes, dist_.maxBytes);
+      case SizeDist::Kind::Zipf: {
+        ULDMA_ASSERT(!dist_.zipfSizes.empty(),
+                     "zipf size distribution with no buckets");
+        // Walk the cumulative weights.
+        double u = rng.nextDouble() * zipfTotal_;
+        for (std::size_t k = 0; k < zipfWeights_.size(); ++k) {
+            u -= zipfWeights_[k];
+            if (u < 0.0)
+                return dist_.zipfSizes[k];
+        }
+        return dist_.zipfSizes.back();
+      }
+    }
+    return dist_.fixedBytes;
+}
+
+double
+SizeSampler::mean() const
+{
+    switch (dist_.kind) {
+      case SizeDist::Kind::Fixed:
+        return double(dist_.fixedBytes);
+      case SizeDist::Kind::Uniform:
+        return (double(dist_.minBytes) + double(dist_.maxBytes)) / 2.0;
+      case SizeDist::Kind::Zipf: {
+        double weighted = 0.0;
+        for (std::size_t k = 0; k < zipfWeights_.size(); ++k)
+            weighted += zipfWeights_[k] * double(dist_.zipfSizes[k]);
+        return zipfTotal_ > 0.0 ? weighted / zipfTotal_ : 0.0;
+      }
+    }
+    return 0.0;
+}
+
 Addr
 sampleSize(const SizeDist &dist, Random &rng)
 {
-    switch (dist.kind) {
-      case SizeDist::Kind::Fixed:
-        return dist.fixedBytes;
-      case SizeDist::Kind::Uniform:
-        return rng.inRange(dist.minBytes, dist.maxBytes);
-      case SizeDist::Kind::Zipf: {
-        ULDMA_ASSERT(!dist.zipfSizes.empty(),
-                     "zipf size distribution with no buckets");
-        // Bucket k has weight 1/(k+1)^s; walk the cumulative weights.
-        double total = 0.0;
-        for (std::size_t k = 0; k < dist.zipfSizes.size(); ++k)
-            total += 1.0 / std::pow(double(k + 1), dist.zipfExponent);
-        double u = rng.nextDouble() * total;
-        for (std::size_t k = 0; k < dist.zipfSizes.size(); ++k) {
-            u -= 1.0 / std::pow(double(k + 1), dist.zipfExponent);
-            if (u < 0.0)
-                return dist.zipfSizes[k];
-        }
-        return dist.zipfSizes.back();
-      }
-    }
-    return dist.fixedBytes;
+    return SizeSampler(dist).sample(rng);
 }
 
 std::uint64_t
@@ -69,23 +102,7 @@ sampleIntervalUs(const IntervalDist &dist, Random &rng)
 double
 meanSize(const SizeDist &dist)
 {
-    switch (dist.kind) {
-      case SizeDist::Kind::Fixed:
-        return double(dist.fixedBytes);
-      case SizeDist::Kind::Uniform:
-        return (double(dist.minBytes) + double(dist.maxBytes)) / 2.0;
-      case SizeDist::Kind::Zipf: {
-        double total = 0.0, weighted = 0.0;
-        for (std::size_t k = 0; k < dist.zipfSizes.size(); ++k) {
-            const double w =
-                1.0 / std::pow(double(k + 1), dist.zipfExponent);
-            total += w;
-            weighted += w * double(dist.zipfSizes[k]);
-        }
-        return total > 0.0 ? weighted / total : 0.0;
-      }
-    }
-    return 0.0;
+    return SizeSampler(dist).mean();
 }
 
 } // namespace uldma::workload

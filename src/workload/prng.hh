@@ -13,6 +13,8 @@
 #ifndef ULDMA_WORKLOAD_PRNG_HH
 #define ULDMA_WORKLOAD_PRNG_HH
 
+#include <vector>
+
 #include "util/random.hh"
 #include "workload/scenario.hh"
 
@@ -34,6 +36,30 @@ enum class SeedPurpose : std::uint64_t
  */
 std::uint64_t streamSeed(std::uint64_t seed, std::uint64_t stream,
                          SeedPurpose purpose);
+
+/**
+ * Draws transfer sizes from one SizeDist, which must outlive it.  A
+ * Zipf distribution's bucket weights and their total are computed
+ * once, with the pow calls and summation order of a per-draw
+ * computation, so every draw returns the size that one would.
+ */
+class SizeSampler
+{
+  public:
+    explicit SizeSampler(const SizeDist &dist);
+
+    /** Draw one transfer size (bytes). */
+    Addr sample(Random &rng) const;
+
+    /** Mean in bytes (offered-load accounting). */
+    double mean() const;
+
+  private:
+    const SizeDist &dist_;
+    /** Zipf only: bucket k's weight 1/(k+1)^exponent, and the sum. */
+    std::vector<double> zipfWeights_;
+    double zipfTotal_ = 0.0;
+};
 
 /** Draw one transfer size (bytes) from @p dist. */
 Addr sampleSize(const SizeDist &dist, Random &rng);

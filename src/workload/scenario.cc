@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "sim/json.hh"
@@ -16,6 +17,9 @@ using json::Value;
 
 /** Largest user-level transfer the engine accepts (one page). */
 constexpr Addr maxTransferBytes = pageSize;
+
+/** Largest count a stream's unsigned "initiations" or "ops" holds. */
+constexpr std::uint64_t maxCount = std::numeric_limits<unsigned>::max();
 
 /** Failure helper: set *error (if any) and return false. */
 bool
@@ -375,8 +379,8 @@ parseStream(const Value &v, unsigned num_nodes, bool iommu,
         std::uint64_t ops = out.ops;
         if (!getUint(v, "ops", ops, false, where, error))
             return false;
-        if (ops < 1)
-            return fail(error, where + ".ops must be >= 1");
+        if (ops < 1 || ops > maxCount)
+            return fail(error, where + ".ops must be in [1, 4294967295]");
         out.ops = static_cast<unsigned>(ops);
         return true;
     }
@@ -387,8 +391,9 @@ parseStream(const Value &v, unsigned num_nodes, bool iommu,
     std::uint64_t initiations = 0;
     if (!getUint(v, "initiations", initiations, true, where, error))
         return false;
-    if (initiations < 1)
-        return fail(error, where + ".initiations must be >= 1");
+    if (initiations < 1 || initiations > maxCount)
+        return fail(error,
+                    where + ".initiations must be in [1, 4294967295]");
     out.initiations = static_cast<unsigned>(initiations);
 
     if (v.has("queue_depth")) {

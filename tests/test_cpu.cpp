@@ -384,6 +384,29 @@ TEST_F(CpuTest, PalRegistersArgumentsWork)
     EXPECT_EQ(ctx_.reg(reg::t0), 1234u);
 }
 
+TEST_F(CpuTest, PalCallbackRunsThePalHook)
+{
+    // Both programs hold a hook at index 0: a Callback in the PAL body
+    // must run the PAL's, not the calling process's.
+    unsigned pal_runs = 0, proc_runs = 0;
+    Program pal;
+    pal.move(reg::t0, 3);
+    pal.callback([&pal_runs](ExecContext &ctx) {
+        ++pal_runs;
+        ctx.setReg(reg::t1, ctx.reg(reg::t0) + 1);
+    });
+    cpu_.registerPal(5, std::move(pal));
+
+    Program p;
+    p.callback([&proc_runs](ExecContext &) { ++proc_runs; });
+    p.callPal(5);
+    p.exit();
+    run(std::move(p));
+    EXPECT_EQ(pal_runs, 1u);
+    EXPECT_EQ(proc_runs, 1u);
+    EXPECT_EQ(ctx_.reg(reg::t1), 4u);
+}
+
 TEST_F(CpuTest, PalTooLongPanics)
 {
     Program pal;

@@ -3,7 +3,8 @@
  * The paper's figures as tests: pin the exact micro-op sequences the
  * library emits for each method against the published pseudo-code
  * (figures 1-4 and 7), so a regression in emitInitiation is caught as
- * a shape change, not just a timing drift.
+ * a shape change, not just a timing drift.  A digest of every method's
+ * listing pins each label and operand the disassembler prints.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "core/machine.hh"
 #include "core/methods.hh"
+#include "util/fnv.hh"
 
 namespace uldma {
 namespace {
@@ -183,6 +185,47 @@ TEST_F(Emission, AccessCountsMatchEmittedMemoryOps)
                 ++mem_ops;
         }
         EXPECT_EQ(mem_ops, initiationAccessCount(m)) << toString(m);
+    }
+}
+
+/** The listing of one 512-byte initiation by a fresh process on a
+ *  fresh machine set up for @p method. */
+std::string
+initiationListing(DmaMethod method)
+{
+    MachineConfig config;
+    configureNode(config.node, method);
+    Machine machine(config);
+    prepareMachine(machine, method);
+    Process &proc = machine.node(0).kernel().createProcess("p");
+    DmaSession session(machine, 0, proc, method);
+    EXPECT_TRUE(session.ready());
+    const Addr src = session.allocBuffer(pageSize);
+    const Addr dst = session.allocBuffer(pageSize);
+    Program program;
+    session.emitDma(program, src, dst, 512);
+    return program.disassemble();
+}
+
+TEST(ProgramListing, EveryMethodMatchesTheRecordedDigest)
+{
+    // Recorded while ops still held their labels as std::string, so
+    // they pin every label and operand the listing prints.  Index =
+    // DmaMethod value.
+    static constexpr std::uint64_t recorded[] = {
+        0x5adec90f46e3b699ULL, 0xfd75872949fa1d8aULL, 0x270a428bca966ce6ULL,
+        0x270a428bca966ce6ULL, 0x381f68ed6f1ff7a6ULL, 0x70b330d62b7a279bULL,
+        0x270a428bca966ce6ULL, 0x2aa60d8cda6662e8ULL, 0x9ba172512077d64dULL,
+        0x155c4305eabcc110ULL, 0x95bebbcd6375220eULL, 0xd7b7f0838cd4d236ULL,
+    };
+    for (unsigned m = 0; m < std::size(recorded); ++m) {
+        const DmaMethod method = static_cast<DmaMethod>(m);
+        const std::string listing = initiationListing(method);
+        Fnv1a digest;
+        digest.mixBytes(listing);
+        EXPECT_EQ(digest.h, recorded[m])
+            << toString(method) << " = 0x" << std::hex << digest.h
+            << "\n" << listing;
     }
 }
 

@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the Program builder and ExecContext: op encoding,
- * branch targets and patching, program appending (target rebasing),
+ * branch targets and patching, program appending (target and hook
+ * rebasing, self-append), the per-program hook table,
  * register-file bounds, and run-state transitions.
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 #include "cpu/exec_context.hh"
 #include "cpu/program.hh"
@@ -87,7 +91,7 @@ TEST(ProgramBuilder, WithLabelAttachesToLastOp)
     Program p;
     p.store(0x100, 1);
     p.withLabel("the store");
-    EXPECT_EQ(p.at(0).label, "the store");
+    EXPECT_STREQ(p.at(0).label, "the store");
 }
 
 TEST(ProgramBuilder, CallbackOpHoldsHook)
@@ -97,8 +101,76 @@ TEST(ProgramBuilder, CallbackOpHoldsHook)
     p.callback([&ran](ExecContext &) { ran = true; });
     PageTable pt;
     ExecContext ctx(1, "t", pt);
-    p.at(0).hook(ctx);
+    p.hook(p.at(0))(ctx);
     EXPECT_TRUE(ran);
+}
+
+/** A hook that records @p id in @p ran. */
+Program::Hook
+recorder(std::vector<int> &ran, int id)
+{
+    return [&ran, id](ExecContext &) { ran.push_back(id); };
+}
+
+TEST(ProgramBuilder, AppendRebasesHookIndices)
+{
+    std::vector<int> ran;
+    Program outer;
+    outer.callback(recorder(ran, 0));
+    Program inner;
+    inner.move(reg::t0, 1);
+    inner.callback(recorder(ran, 1));
+    inner.callback(recorder(ran, 2));
+    outer.append(inner);
+
+    ASSERT_EQ(outer.size(), 4u);
+    EXPECT_EQ(outer.at(2).target, 1);
+    EXPECT_EQ(outer.at(3).target, 2);
+    PageTable pt;
+    ExecContext ctx(1, "t", pt);
+    for (std::size_t i : {3, 0, 2})
+        outer.hook(outer.at(i))(ctx);
+    EXPECT_EQ(ran, (std::vector<int>{2, 0, 1}));
+}
+
+TEST(ProgramBuilder, AppendToItselfDoublesTheProgram)
+{
+    std::vector<int> ran;
+    Program p;
+    p.callback(recorder(ran, 0));
+    const int top = p.here();
+    p.callback(recorder(ran, 1));
+    p.addImm(reg::t0, reg::t0, 1);
+    p.branchNe(reg::t0, 3, top);
+    p.append(p);
+
+    ASSERT_EQ(p.size(), 8u);
+    // The second copy's branch and hooks point into the second copy.
+    EXPECT_EQ(p.at(3).target, 1);
+    EXPECT_EQ(p.at(7).kind, OpKind::BranchNe);
+    EXPECT_EQ(p.at(7).target, 5);
+    EXPECT_EQ(p.at(4).target, 2);
+    EXPECT_EQ(p.at(5).target, 3);
+    PageTable pt;
+    ExecContext ctx(1, "t", pt);
+    for (std::size_t i : {0, 1, 4, 5})
+        p.hook(p.at(i))(ctx);
+    EXPECT_EQ(ran, (std::vector<int>{0, 1, 0, 1}));
+}
+
+TEST(ProgramBuilder, CopyRunsItsOwnHooks)
+{
+    std::vector<int> ran;
+    auto original = std::make_unique<Program>();
+    original->move(reg::t0, 1);
+    original->callback(recorder(ran, 7));
+    const Program copy = *original;
+    // Nothing of the copy may point into the original.
+    original.reset();
+    PageTable pt;
+    ExecContext ctx(1, "t", pt);
+    copy.hook(copy.at(1))(ctx);
+    EXPECT_EQ(ran, std::vector<int>{7});
 }
 
 TEST(ExecContextTest, RegisterFile)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "core/experiment.hh"
@@ -166,6 +167,41 @@ TEST(ScenarioParse, CapMembersAreValidated)
     EXPECT_EQ(s.streams[0].rateClass, 2u);
 }
 
+TEST(ScenarioParse, CountsPast32BitsAreRejected)
+{
+    Scenario s;
+    std::string error;
+    // 2^32 + 1 and 2^32 would wrap to 1 and 0 initiations.
+    for (const char *count : {"4294967297", "4294967296"}) {
+        EXPECT_FALSE(parseScenario(
+            minimalScenario(std::string(R"({"name": "s", "protocol": )"
+                                        R"("ext-shadow", "initiations": )") +
+                            count + "}"),
+            s, &error));
+        EXPECT_NE(error.find("initiations must be in [1, 4294967295]"),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_FALSE(parseScenario(
+        minimalScenario(R"({"name": "a", "protocol": "ext-shadow",
+                            "adversarial": true, "ops": 4294967296})"),
+        s, &error));
+    EXPECT_NE(error.find("ops must be in [1, 4294967295]"),
+              std::string::npos)
+        << error;
+
+    // The largest count still parses (and is not run here).
+    ASSERT_TRUE(parseScenario(
+        minimalScenario(R"({"name": "s", "protocol": "ext-shadow",
+                            "initiations": 4294967295},
+                           {"name": "a", "protocol": "ext-shadow",
+                            "adversarial": true, "ops": 4294967295})"),
+        s, &error))
+        << error;
+    EXPECT_EQ(s.streams[0].initiations, 4294967295u);
+    EXPECT_EQ(s.streams[1].ops, 4294967295u);
+}
+
 TEST(ScenarioParse, MethodNamesRoundTrip)
 {
     for (DmaMethod method : allMethods) {
@@ -239,6 +275,53 @@ TEST(WorkloadPrng, SampleSizeRespectsDistributions)
                 (1.0 * 8 + 0.5 * 512 + (1.0 / 3) * 4096) /
                     (1.0 + 0.5 + 1.0 / 3),
                 1e-9);
+}
+
+/** The per-call Zipf loops SizeSampler's table replaced: the
+ *  references its draws and mean must equal. */
+double
+perCallZipfMean(const SizeDist &dist)
+{
+    double total = 0.0, weighted = 0.0;
+    for (std::size_t k = 0; k < dist.zipfSizes.size(); ++k) {
+        const double w = 1.0 / std::pow(double(k + 1), dist.zipfExponent);
+        total += w;
+        weighted += w * double(dist.zipfSizes[k]);
+    }
+    return weighted / total;
+}
+
+Addr
+perDrawZipf(const SizeDist &dist, Random &rng)
+{
+    double total = 0.0;
+    for (std::size_t k = 0; k < dist.zipfSizes.size(); ++k)
+        total += 1.0 / std::pow(double(k + 1), dist.zipfExponent);
+    double u = rng.nextDouble() * total;
+    for (std::size_t k = 0; k < dist.zipfSizes.size(); ++k) {
+        u -= 1.0 / std::pow(double(k + 1), dist.zipfExponent);
+        if (u < 0.0)
+            return dist.zipfSizes[k];
+    }
+    return dist.zipfSizes.back();
+}
+
+TEST(WorkloadPrng, ZipfTableMatchesThePerCallLoops)
+{
+    SizeDist zipf;
+    zipf.kind = SizeDist::Kind::Zipf;
+    zipf.zipfSizes = {8, 64, 256, 512, 1024, 2048, 4096, 16, 32, 128};
+    for (double exponent : {0.0, 0.5, 1.0, 1.3, 2.7}) {
+        zipf.zipfExponent = exponent;
+        const SizeSampler sampler(zipf);
+        EXPECT_EQ(sampler.mean(), perCallZipfMean(zipf))
+            << "exponent " << exponent;
+        Random table_rng(1997), loop_rng(1997);
+        for (int i = 0; i < 100000; ++i) {
+            ASSERT_EQ(sampler.sample(table_rng), perDrawZipf(zipf, loop_rng))
+                << "exponent " << exponent << ", draw " << i;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
