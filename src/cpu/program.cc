@@ -197,12 +197,27 @@ Program::callPal(std::uint64_t pal_index)
 int
 Program::callback(Hook hook, std::uint64_t cycles)
 {
+    return callbackAt(addHook(std::move(hook)), cycles);
+}
+
+int
+Program::callbackAt(int hook_index, std::uint64_t cycles)
+{
+    ULDMA_ASSERT(hook_index >= 0 &&
+                     static_cast<std::size_t>(hook_index) < hooks_.size(),
+                 "callbackAt: no such hook");
     MicroOp op;
     op.kind = OpKind::Callback;
-    op.target = static_cast<int>(hooks_.size());
+    op.target = hook_index;
     op.imm = cycles;
-    hooks_.push_back(std::move(hook));
     return push(op);
+}
+
+int
+Program::addHook(Hook hook)
+{
+    hooks_.push_back(std::move(hook));
+    return static_cast<int>(hooks_.size()) - 1;
 }
 
 int

@@ -154,6 +154,9 @@ class Program
     /** The hook of Callback op @p op of this program. */
     const Hook &hook(const MicroOp &op) const;
 
+    /** Entries in the hook table (Callback ops may share one). */
+    std::size_t numHooks() const { return hooks_.size(); }
+
     /** Index the next appended op will get (for branch targets). */
     int here() const { return static_cast<int>(ops_.size()); }
 
@@ -180,9 +183,15 @@ class Program
     int syscall(std::uint64_t number);
     int callPal(std::uint64_t pal_index);
     int callback(Hook hook, std::uint64_t cycles = 0);
+    /** A Callback op running hook @p hook_index (from addHook()). */
+    int callbackAt(int hook_index, std::uint64_t cycles = 0);
     int yield();
     int exit();
     /// @}
+
+    /** Add @p hook to the hook table without emitting an op, so many
+     *  Callback ops can share it; returns its index for callbackAt(). */
+    int addHook(Hook hook);
 
     /** Patch a previously emitted branch/jump to point at @p target. */
     void setTarget(int op_index, int target);

@@ -67,6 +67,31 @@ formatNumberTo(char (&buf)[numberBufSize], double v)
         return std::to_chars(p, last, static_cast<std::int64_t>(v)).ptr -
                buf;
     }
+    // A value that is exactly t/1e6 rounded (every tick-to-microsecond
+    // conversion): with |v| in [1e-4, 1e9), t has at most 15 digits,
+    // the 15-digit grid is at least 4.5 ulps coarse, so the decimal
+    // t * 1e-6 is what "%.15g" prints, and it parses back to v.  In
+    // that range "%g" uses fixed notation and drops trailing zeros.
+    const double mag = std::fabs(v);
+    if (mag >= 1e-4 && mag < 1e9) {
+        const auto t = static_cast<std::uint64_t>(mag * 1e6 + 0.5);
+        if (static_cast<double>(t) / 1e6 == mag) {
+            char *p = buf;
+            if (v < 0)
+                *p++ = '-';
+            p = std::to_chars(p, last, t / 1000000).ptr;
+            *p++ = '.';
+            // Six decimals less trailing zeros (at least one is not
+            // zero: v is not integral).
+            auto frac = static_cast<unsigned>(t % 1000000);
+            int digits = 6;
+            for (; digits > 0 && frac % 10 == 0; frac /= 10)
+                --digits;
+            for (int i = digits - 1; i >= 0; --i, frac /= 10)
+                p[i] = static_cast<char>('0' + frac % 10);
+            return p + digits - buf;
+        }
+    }
     for (int prec = 15;; ++prec) {
         const char *end =
             std::to_chars(buf, last, v, std::chars_format::general, prec)
@@ -98,16 +123,14 @@ formatNumber(double v)
     return std::string(buf, formatNumberTo(buf, v));
 }
 
-Writer::Writer(std::ostream &os, bool pretty)
-    : os_(os), buf_(os.rdbuf()), pretty_(pretty)
-{
-}
+Writer::Writer(std::ostream &os, bool pretty) : os_(os), pretty_(pretty) {}
 
 Writer::~Writer()
 {
     // A trailing newline makes the file friendly to text tools.
     if (rootWritten_ && stack_.empty() && pretty_)
         put('\n');
+    flush();
 }
 
 bool
@@ -117,20 +140,42 @@ Writer::complete() const
 }
 
 void
+Writer::flush()
+{
+    const auto n = static_cast<std::streamsize>(used_);
+    used_ = 0;
+    if (n > 0 && os_.good() && os_.rdbuf()->sputn(buf_, n) != n)
+        os_.setstate(std::ios::badbit);
+}
+
+void
 Writer::write(const char *s, std::size_t n)
 {
-    if (os_.good() &&
-        buf_->sputn(s, static_cast<std::streamsize>(n)) !=
-            static_cast<std::streamsize>(n))
-        os_.setstate(std::ios::badbit);
+    while (n > bufferSize - used_) {
+        const std::size_t room = bufferSize - used_;
+        std::memcpy(buf_ + used_, s, room);
+        used_ = bufferSize;
+        flush();
+        s += room;
+        n -= room;
+    }
+    std::memcpy(buf_ + used_, s, n);
+    used_ += n;
 }
 
 void
 Writer::put(char c)
 {
-    if (os_.good() &&
-        buf_->sputc(c) == std::streambuf::traits_type::eof())
-        os_.setstate(std::ios::badbit);
+    if (used_ == bufferSize)
+        flush();
+    buf_[used_++] = c;
+}
+
+void
+Writer::valueDone()
+{
+    if (stack_.empty())
+        flush();
 }
 
 void
@@ -213,6 +258,7 @@ Writer::endObject()
     if (had)
         indent();
     put('}');
+    valueDone();
 }
 
 void
@@ -233,6 +279,7 @@ Writer::endArray()
     if (had)
         indent();
     put(']');
+    valueDone();
 }
 
 void
@@ -242,6 +289,7 @@ Writer::value(std::string_view v)
     put('"');
     writeEscaped(v);
     put('"');
+    valueDone();
 }
 
 void
@@ -256,6 +304,7 @@ Writer::value(double v)
     prepareValue();
     char buf[numberBufSize];
     write(buf, formatNumberTo(buf, v));
+    valueDone();
 }
 
 void
@@ -264,6 +313,7 @@ Writer::value(std::int64_t v)
     prepareValue();
     char buf[numberBufSize];
     write(buf, std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
+    valueDone();
 }
 
 void
@@ -272,6 +322,7 @@ Writer::value(std::uint64_t v)
     prepareValue();
     char buf[numberBufSize];
     write(buf, std::to_chars(buf, buf + sizeof buf, v).ptr - buf);
+    valueDone();
 }
 
 void
@@ -279,6 +330,7 @@ Writer::value(bool v)
 {
     prepareValue();
     write(v ? std::string_view("true") : std::string_view("false"));
+    valueDone();
 }
 
 void
@@ -286,6 +338,7 @@ Writer::valueNull()
 {
     prepareValue();
     write("null", 4);
+    valueDone();
 }
 
 // ---------------------------------------------------------------------

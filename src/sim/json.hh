@@ -38,14 +38,22 @@ std::string formatNumber(double v);
  * order; commas and indentation are handled automatically.  Misuse
  * (e.g. a key outside an object) trips an assertion.
  *
- * Tokens go straight to the stream's buffer, so bytes the caller
- * writes to the stream between calls land in document order.  As with
- * operator<<, nothing is written once the stream is not good(), and a
- * short write sets badbit.
+ * Tokens collect in a member buffer of bufferSize bytes, which goes to
+ * the stream's buffer in one sputn() when it is full, when the root
+ * value closes and in the destructor.  So the caller may write to the
+ * stream directly only after the root value has closed (a trailing
+ * newline, say); such bytes then land in document order.  A writer
+ * destroyed before its root closes leaves exactly the bytes it
+ * formatted.  As with operator<<, nothing is written once the stream
+ * is not good(), and a short write sets badbit, leaving the stream
+ * an exact prefix of the document.
  */
 class Writer
 {
   public:
+    /** Size of the member buffer tokens collect in. */
+    static constexpr std::size_t bufferSize = 16 * 1024;
+
     explicit Writer(std::ostream &os, bool pretty = true);
     ~Writer();
 
@@ -85,19 +93,24 @@ class Writer
     struct Level { Scope scope; bool hasItems; };
 
     void prepareValue();
+    /** Flush if the value just written was the root. */
+    void valueDone();
     void indent();
     void write(const char *s, std::size_t n);
     void write(std::string_view s) { write(s.data(), s.size()); }
     void put(char c);
     /** Write @p s escaped, without the surrounding quotes. */
     void writeEscaped(std::string_view s);
+    /** Hand the buffered bytes to the stream and empty the buffer. */
+    void flush();
 
     std::ostream &os_;
-    std::streambuf *buf_;
     bool pretty_;
     bool rootWritten_ = false;
     bool keyPending_ = false;
     std::vector<Level> stack_;
+    std::size_t used_ = 0;
+    char buf_[bufferSize];
 };
 
 /** Parsed JSON value (tests and tools only; not used on hot paths). */

@@ -213,8 +213,9 @@ struct ProtocolSummary
     std::vector<double> translation;
 };
 
+/** Sorts @p samples in place. */
 void
-writeQuantiles(json::Writer &w, std::vector<double> samples)
+writeQuantiles(json::Writer &w, std::vector<double> &samples)
 {
     std::sort(samples.begin(), samples.end());
     double sum = 0.0;
@@ -329,7 +330,7 @@ writeSpansDocument(std::ostream &os, bool pretty,
     w.key("protocols");
     w.beginArray();
     for (const std::string &protocol : order) {
-        const ProtocolSummary &ps = summaries.at(protocol);
+        ProtocolSummary &ps = summaries.at(protocol);
         w.beginObject();
         w.member("protocol", protocol);
         w.member("completed", ps.completed);

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/types.hh"
@@ -139,6 +140,9 @@ class Tracker
     /** Copy out every captured span (capture order). */
     std::vector<Span> snapshot() const { return spans_; }
 
+    /** Move out every captured span (capture order), leaving none. */
+    std::vector<Span> take() { return std::exchange(spans_, {}); }
+
     /** Total spans ever opened since enable(). */
     std::uint64_t opened() const { return opened_; }
 
@@ -190,7 +194,7 @@ struct ShardSpans
 {
     unsigned shard = 0;            ///< shard id (plan order)
     std::uint64_t opened = 0;      ///< Tracker::opened() of that shard
-    std::vector<Span> spans;       ///< Tracker::snapshot() of that shard
+    std::vector<Span> spans;       ///< that shard's captured spans
 };
 
 /**

@@ -97,6 +97,10 @@ buildWorker(Machine &machine, const Scenario &scenario,
 
     StreamRuntime *rt = &runtime;
     Program prog;
+    const int count_failure = prog.addHook([rt](ExecContext &ctx) {
+        if (ctx.reg(reg::v0) == dmastatus::failure)
+            ++rt->failures;
+    });
     std::vector<RingTransfer> batch;
     for (unsigned i = 0; i < spec.initiations; ++i) {
         const unsigned s = i % spec.slots;
@@ -128,10 +132,7 @@ buildWorker(Machine &machine, const Scenario &scenario,
             ++runtime.issued;
             runtime.offeredBytes += size;
         }
-        prog.callback([rt](ExecContext &ctx) {
-            if (ctx.reg(reg::v0) == dmastatus::failure)
-                ++rt->failures;
-        });
+        prog.callbackAt(count_failure);
         prog.membar();
 
         if (spec.pacing.kind == Pacing::Kind::Closed &&

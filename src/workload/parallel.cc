@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <map>
 #include <thread>
 
 #include "util/logging.hh"
@@ -97,10 +98,16 @@ runShard(const Shard &shard, std::uint64_t seed,
 
     out.spans.shard = shard.id;
     out.spans.opened = span::tracker().opened();
-    out.spans.spans = span::tracker().snapshot();
-    for (span::Span &s : out.spans.spans)
-        s.engine = renameNodeComponent(s.engine, shard.nodes);
+    out.spans.spans = span::tracker().take();
     span::tracker().disable();
+    // One engine per node: rename each distinct name once.
+    std::map<std::string, std::string> renamed;
+    for (span::Span &s : out.spans.spans) {
+        auto [it, fresh] = renamed.try_emplace(s.engine);
+        if (fresh)
+            it->second = renameNodeComponent(s.engine, shard.nodes);
+        s.engine = it->second;
+    }
 
     if (options.captureTrace) {
         const trace::EventRing &ring = trace::eventRing();
@@ -211,16 +218,6 @@ ParallelResult::shardInfos() const
     return infos;
 }
 
-std::vector<span::ShardSpans>
-ParallelResult::shardSpans() const
-{
-    std::vector<span::ShardSpans> all;
-    all.reserve(shards.size());
-    for (const ShardOutput &shard : shards)
-        all.push_back(shard.spans);
-    return all;
-}
-
 std::vector<stats::GroupSnapshot>
 ParallelResult::mergedStats() const
 {
@@ -309,6 +306,12 @@ runParallelWorkload(const Scenario &scenario, std::uint64_t seed,
         pool.emplace_back(drain, t);
     for (std::thread &t : pool)
         t.join();
+
+    out.spans_.reserve(count);
+    for (ShardOutput &shard : out.shards) {
+        out.spans_.push_back({shard.spans.shard, shard.spans.opened,
+                              std::move(shard.spans.spans)});
+    }
 
     out.merged = mergeResults(scenario, seed, out.plan, out.shards);
     return out;

@@ -62,7 +62,9 @@ struct ShardOutput
     /** The shard driver's result; stream specs point into the plan's
      *  shard scenario, per-node rows carry shard-local node ids. */
     WorkloadResult result;
-    /** Captured spans, engine names rewritten to global node ids. */
+    /** Span capture, engine names rewritten to global node ids.  Once
+     *  the pool joins, the spans themselves move to
+     *  ParallelResult::shardSpans(); `shard` and `opened` stay. */
     span::ShardSpans spans;
     /** Stats snapshot (captureStats), group names rewritten to global
      *  node ids and tagged with the shard id. */
@@ -82,6 +84,10 @@ struct ShardOutput
 /** A parallel run: plan, per-shard outputs, deterministic aggregate. */
 struct ParallelResult
 {
+    friend ParallelResult runParallelWorkload(const Scenario &,
+                                              std::uint64_t,
+                                              const ParallelOptions &);
+
     ShardPlan plan;
     std::vector<ShardOutput> shards;
 
@@ -96,7 +102,10 @@ struct ParallelResult
 
     /** Per-shard span captures in plan order (exportMergedSpansJson
      *  input). */
-    std::vector<span::ShardSpans> shardSpans() const;
+    const std::vector<span::ShardSpans> &shardSpans() const
+    {
+        return spans_;
+    }
 
     /** Concatenated renamed stats snapshots in plan order
      *  (writeStatsJson input); empty without captureStats. */
@@ -126,6 +135,9 @@ struct ParallelResult
     /** Host-clock shard schedule across the worker pool, shard order.
      *  Human diagnostics only (wall clock!) — keep out of artifacts. */
     std::vector<WorkerTimelineRow> workerTimeline() const;
+
+  private:
+    std::vector<span::ShardSpans> spans_;
 };
 
 /**

@@ -158,6 +158,30 @@ TEST(ProgramBuilder, AppendToItselfDoublesTheProgram)
     EXPECT_EQ(ran, (std::vector<int>{0, 1, 0, 1}));
 }
 
+TEST(ProgramBuilder, CallbackOpsShareAnAddedHook)
+{
+    std::vector<int> ran;
+    Program p;
+    const int shared = p.addHook(recorder(ran, 5));
+    EXPECT_EQ(p.size(), 0u);
+    p.callbackAt(shared);
+    p.move(reg::t0, 1);
+    p.callbackAt(shared, 3);
+    p.append(p);
+
+    ASSERT_EQ(p.size(), 6u);
+    EXPECT_EQ(p.numHooks(), 2u);
+    EXPECT_EQ(p.at(2).imm, 3u);
+    EXPECT_EQ(p.at(0).target, p.at(2).target);
+    EXPECT_EQ(p.at(3).target, p.at(5).target);
+    EXPECT_NE(p.at(0).target, p.at(3).target);
+    PageTable pt;
+    ExecContext ctx(1, "t", pt);
+    for (std::size_t i : {0, 2, 3, 5})
+        p.hook(p.at(i))(ctx);
+    EXPECT_EQ(ran, (std::vector<int>{5, 5, 5, 5}));
+}
+
 TEST(ProgramBuilder, CopyRunsItsOwnHooks)
 {
     std::vector<int> ran;

@@ -196,6 +196,59 @@ TEST(JsonNumber, MatchesPrintfReferenceOnEdgeCases)
     EXPECT_EQ(json::formatNumber(std::nan("")), "null");
 }
 
+TEST(JsonNumber, MicrosecondDecimalsMatchPrintfReference)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> cases;
+    // The ends of the six-decimal range, four neighbours either way.
+    for (double edge : {1e-4, 1e9}) {
+        double up = edge, down = edge;
+        cases.push_back(edge);
+        for (int i = 0; i < 4; ++i) {
+            up = std::nextafter(up, inf);
+            down = std::nextafter(down, -inf);
+            cases.push_back(up);
+            cases.push_back(down);
+        }
+    }
+    // t = m * 10^k: one to fifteen digits, some below 1e-4 us.
+    for (Tick m : {1, 3, 5, 7, 37, 99, 125, 999}) {
+        Tick t = m;
+        for (int k = 0; k <= 14; ++k, t *= 10)
+            cases.push_back(ticksToUs(t));
+    }
+    std::mt19937_64 rng(20261018);
+    for (int i = 0; i < 20000; ++i) {
+        const Tick fifteen_digits = 100000000000000 + rng() % 900000000000000;
+        cases.push_back(ticksToUs(fifteen_digits));
+        // One ulp off a six-decimal value: not t / 1e6 for any t.
+        const double d = ticksToUs(rng() % 1000000000000000);
+        cases.push_back(std::nextafter(d, inf));
+        cases.push_back(std::nextafter(d, -inf));
+    }
+    // Past 1e9: from about 4e9 up, an ulp nears 1e-6 and t / 1e6
+    // rounded is often not the decimal "%.16g" prints.
+    for (int i = 0; i < 5000; ++i) {
+        const Tick sixteen_digits =
+            1000000000000000 + rng() % 9000000000000000;
+        cases.push_back(ticksToUs(sixteen_digits));
+    }
+    // What the exporters print.
+    for (int i = 0; i < 100000; ++i)
+        cases.push_back(ticksToUs(rng() >> 14));
+
+    std::size_t mismatches = 0;
+    for (double v : cases) {
+        for (double d : {v, -v}) {
+            const std::string got = json::formatNumber(d);
+            const std::string want = referenceFormatNumber(d);
+            if (got != want && ++mismatches <= 10)
+                ADD_FAILURE() << "formatNumber(" << want << ") gave " << got;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << 2 * cases.size();
+}
+
 std::string
 render(const std::function<void(json::Writer &)> &body, bool pretty = false)
 {
@@ -292,6 +345,83 @@ TEST(JsonWriter, DirectStreamWritesLandInDocumentOrder)
     EXPECT_EQ(pretty.str(), "[\n  true\n]#\n");
 }
 
+/** Write a document of @p n rows; leave the root open unless
+ *  @p close. */
+void
+writeRows(json::Writer &w, int n, bool close = true)
+{
+    w.beginObject();
+    w.key("rows");
+    w.beginArray();
+    for (int i = 0; i < n; ++i) {
+        w.beginObject();
+        w.member("i", static_cast<std::int64_t>(i));
+        w.member("us", i + 0.25);
+        w.member("tag", "row\n" + std::to_string(i));
+        w.endObject();
+    }
+    if (!close)
+        return;
+    w.endArray();
+    w.key("end");
+    w.valueNull();
+    w.endObject();
+}
+
+/** What writeRows() writes, assembled by hand (no trailing newline). */
+std::string
+expectedRows(int n, bool pretty, bool close = true)
+{
+    const auto nl = [pretty](int depth) {
+        return pretty ? "\n" + std::string(2 * depth, ' ') : std::string();
+    };
+    const std::string colon = pretty ? "\": " : "\":";
+    std::string doc = "{" + nl(1) + "\"rows" + colon + "[";
+    for (int i = 0; i < n; ++i) {
+        const std::string num = std::to_string(i);
+        doc += (i ? "," : "") + nl(2) + "{" + nl(3) + "\"i" + colon + num +
+               "," + nl(3) + "\"us" + colon + num + ".25," + nl(3) +
+               "\"tag" + colon + "\"row\\n" + num + "\"" + nl(2) + "}";
+    }
+    if (close)
+        doc += nl(1) + "]," + nl(1) + "\"end" + colon + "null" + nl(0) + "}";
+    return doc;
+}
+
+constexpr int manyRows = 2000;
+
+TEST(JsonWriter, DocumentsSeveralBuffersLongMatchHandAssembled)
+{
+    for (bool pretty : {false, true}) {
+        const std::string want = expectedRows(manyRows, pretty);
+        ASSERT_GT(want.size(), 3 * json::Writer::bufferSize);
+        std::ostringstream os;
+        {
+            json::Writer w(os, pretty);
+            writeRows(w, manyRows);
+            // The root has closed, so every byte is in the stream.
+            EXPECT_EQ(os.str(), want) << "pretty " << pretty;
+        }
+        EXPECT_EQ(os.str(), pretty ? want + "\n" : want);
+    }
+}
+
+TEST(JsonWriter, DestroyedBeforeRootClosesLeavesTheFormattedBytes)
+{
+    for (bool pretty : {false, true}) {
+        for (int rows : {3, manyRows}) {
+            std::ostringstream os;
+            {
+                json::Writer w(os, pretty);
+                writeRows(w, rows, /*close=*/false);
+                EXPECT_FALSE(w.complete());
+            }
+            EXPECT_EQ(os.str(), expectedRows(rows, pretty, /*close=*/false))
+                << "pretty " << pretty << ", rows " << rows;
+        }
+    }
+}
+
 /** Accepts the first @p budget bytes, then refuses every write. */
 class BudgetBuf : public std::streambuf
 {
@@ -363,6 +493,23 @@ TEST(JsonWriter, RefusedWriteSetsBadbit)
     }
     EXPECT_TRUE(cut.bad());
     EXPECT_EQ(two.taken, "12");
+
+    // Budgets around and past the flushes of a document over two
+    // buffers long: the stream keeps the exact prefix.
+    const std::string big = expectedRows(manyRows, /*pretty=*/true) + "\n";
+    const std::size_t size = json::Writer::bufferSize;
+    ASSERT_GT(big.size(), 2 * size);
+    for (std::size_t budget : {size - 1, size, size + 1, 2 * size + 7,
+                               big.size() - 1}) {
+        BudgetBuf sink(budget);
+        std::ostream out(&sink);
+        {
+            json::Writer w(out, /*pretty=*/true);
+            writeRows(w, manyRows);
+        }
+        EXPECT_TRUE(out.bad()) << budget;
+        EXPECT_EQ(sink.taken, big.substr(0, budget)) << budget;
+    }
 
     // As with operator<<, a stream that has already failed gets nothing.
     BudgetBuf untouched(full.size());

@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "core/experiment.hh"
+#include "core/machine.hh"
 #include "sim/json.hh"
 #include "workload/driver.hh"
 #include "workload/prng.hh"
@@ -536,6 +537,45 @@ TEST(WorkloadEngine, AdversarialStreamsInterfereWithoutCorruption)
     // Adversarial streams contribute no offered load.
     EXPECT_EQ(result.streams[1].issued, 0u);
     EXPECT_EQ(result.streams[1].adversarialOps, 3u * 60);
+}
+
+TEST(WorkloadEngine, WorkerProgramSharesOneFailureHook)
+{
+    // The unsafe repeated-4 recognizer under hijacking adversaries and
+    // two-op slices: some victim initiations end in the failure status.
+    const std::string text = R"({
+      "schema": "uldma-scenario-v1",
+      "name": "failing-victim",
+      "scheduler": {"kind": "random", "max_slice": 2},
+      "streams": [
+        {"name": "victim", "protocol": "repeated4", "initiations": 100,
+         "size": {"kind": "fixed", "bytes": 64}},
+        {"name": "attackers", "count": 3, "protocol": "repeated4",
+         "adversarial": true, "ops": 80}
+      ]
+    })";
+    Scenario scenario;
+    std::string error;
+    ASSERT_TRUE(parseScenario(text, scenario, &error)) << error;
+
+    std::size_t hooks = 0, callbacks = 0;
+    WorkloadOptions options;
+    options.inspectMachine = [&](Machine &machine) {
+        for (const auto &proc : machine.node(0).kernel().processes()) {
+            if (proc->name() != "victim")
+                continue;
+            const Program &prog = proc->context().program();
+            hooks = prog.numHooks();
+            for (std::size_t i = 0; i < prog.size(); ++i)
+                callbacks += prog.at(i).kind == OpKind::Callback;
+        }
+    };
+    const WorkloadResult result = runWorkload(scenario, 0, options);
+    EXPECT_TRUE(result.finished);
+    EXPECT_EQ(callbacks, 100u);
+    EXPECT_EQ(hooks, 1u);
+    // The count a fresh hook per initiation gave.
+    EXPECT_EQ(result.streams[0].failures, 9u);
 }
 
 TEST(WorkloadEngine, ContextExhaustionFallsBackToKernelChannel)
