@@ -1,5 +1,7 @@
 #include "check/runner.hh"
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 
 #include "cap/cap_params.hh"
@@ -60,10 +62,10 @@ runSchedule(const RunnerConfig &config,
     const DmaMethod method = config.method;
 
     MachineConfig mconfig;
-    // The checker builds thousands of machines per exploration.  DRAM
-    // is mapped on demand (mem/physical_memory.hh), so a machine pays
-    // for the pages a run touches, not for its size; 2 MiB holds the
-    // 4 data pages used.
+    // The checker builds thousands of machines per exploration.  Each
+    // takes the previous one's DRAM mapping (mem/physical_memory.hh)
+    // and pays for re-zeroing the pages that run wrote, not for its
+    // size; 2 MiB holds the 4 data pages used.
     mconfig.node.memBytes = 2 * 1024 * 1024;
     configureNode(mconfig.node, method);
     mconfig.node.dma.weakRecognizer = config.weakRecognizer;
@@ -407,13 +409,11 @@ runSchedule(const RunnerConfig &config,
     art.machineFinished = finished;
     art.victimFinished = victim.context().state() == RunState::Exited;
     art.victimStatus = status;
-    art.payloadDelivered = true;
-    for (Addr i = 0; i < payloadSize; ++i) {
-        if (mem.readInt(vdst_p + i, 1) != pattern) {
-            art.payloadDelivered = false;
-            break;
-        }
-    }
+    std::uint8_t delivered[payloadSize];
+    mem.read(vdst_p, delivered, payloadSize);
+    art.payloadDelivered =
+        std::all_of(std::begin(delivered), std::end(delivered),
+                    [](std::uint8_t b) { return b == pattern; });
 
     result.finished = finished;
     result.status = status;

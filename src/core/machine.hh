@@ -9,12 +9,12 @@
  * Thread isolation: a Machine owns every piece of its simulation —
  * event queue, nodes, network, stats registry — and the components it
  * builds hold no mutable globals or statics; the only process-wide
- * capture points (span::tracker(), trace::eventRing(), and their
- * enable gates) are thread_local.  Two Machines on two threads
- * therefore share no mutable state, which is what lets the parallel
- * workload runner (workload/parallel.hh) simulate independent shards
- * concurrently; CI's -fsanitize=thread job runs exactly that
- * configuration to keep the claim honest.
+ * state (span::tracker(), trace::eventRing(), their enable gates, and
+ * PhysicalMemory's spare DRAM mapping) is thread_local.  Two Machines
+ * on two threads therefore share no mutable state, which is what lets
+ * the parallel workload runner (workload/parallel.hh) simulate
+ * independent shards concurrently; CI's -fsanitize=thread job runs
+ * exactly that configuration to keep the claim honest.
  */
 
 #ifndef ULDMA_CORE_MACHINE_HH

@@ -1,7 +1,5 @@
 #include "nic/atomic_unit.hh"
 
-#include <cstring>
-
 #include "dma/dma_params.hh"
 #include "util/logging.hh"
 
@@ -269,13 +267,14 @@ AtomicUnit::perform(AtomicOp op, Addr target, std::uint64_t op1,
                     std::uint64_t op2, bool &ok, Tick &extra_latency)
 {
     ok = false;
-    extra_latency = 0;
-    std::uint8_t *p = nic_.resolve(target, 8, extra_latency);
-    if (p == nullptr)
+    const NetworkInterface::Target t = nic_.resolve(target, 8);
+    extra_latency = t.extraLatency;
+    if (t.memory == nullptr)
         return ~std::uint64_t(0);
 
-    std::uint64_t old = 0;
-    std::memcpy(&old, p, 8);
+    // Through readInt/writeInt like every other DRAM write, so the
+    // write marks its page and the CPU caches snoop it.
+    const std::uint64_t old = t.memory->readInt(t.addr, 8);
     std::uint64_t next = old;
     switch (op) {
       case AtomicOp::Add:
@@ -285,12 +284,15 @@ AtomicUnit::perform(AtomicOp op, Addr target, std::uint64_t op1,
         next = op1;
         break;
       case AtomicOp::CompareSwap:
-        next = (old == op1) ? op2 : old;
+        next = op2;
         break;
       default:
         return ~std::uint64_t(0);
     }
-    std::memcpy(p, &next, 8);
+    // A compare_and_swap that fails stores nothing, so it invalidates
+    // no cached copy of the target.
+    if (op != AtomicOp::CompareSwap || old == op1)
+        t.memory->writeInt(t.addr, next, 8);
     ++executed_;
     ok = true;
     return old;

@@ -156,7 +156,6 @@ class AtomicUnit : public BusDevice
     };
 
     const std::vector<AtomicRecord> &operations() const { return ops_; }
-    void clearOperations() { ops_.clear(); }
     /// @}
 
     /** Physical address of atomic register-context page @p ctx. */

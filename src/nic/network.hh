@@ -87,7 +87,6 @@ class Network
     stats::Group &statsGroup() { return statsGroup_; }
     void registerStats(stats::Registry &r) { r.add(&statsGroup_); }
     std::uint64_t messagesSent() const { return messages_.value(); }
-    std::uint64_t bytesSent() const { return bytes_.value(); }
 
   private:
     EventQueue &eventq_;

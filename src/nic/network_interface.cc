@@ -160,24 +160,23 @@ NetworkInterface::moveBytes(Addr src, Addr dst, Addr size)
     return extra;
 }
 
-std::uint8_t *
-NetworkInterface::resolve(Addr paddr, Addr size, Tick &extra_latency)
+NetworkInterface::Target
+NetworkInterface::resolve(Addr paddr, Addr size)
 {
-    extra_latency = 0;
     if (paddr + size <= localMemory_.size())
-        return localMemory_.data() + paddr;
+        return {&localMemory_, paddr, 0};
     if (isRemote(paddr)) {
         NodeId node = 0;
         Addr remote = 0;
         decodeRemote(paddr, node, remote);
         if (node < network_.numNodes() &&
             remote + size <= network_.nodeMemory(node).size()) {
-            if (node != node_)
-                extra_latency = network_.roundTripLatency(24, 8);
-            return network_.nodeMemory(node).data() + remote;
+            const Tick rtt =
+                node != node_ ? network_.roundTripLatency(24, 8) : 0;
+            return {&network_.nodeMemory(node), remote, rtt};
         }
     }
-    return nullptr;
+    return {};
 }
 
 } // namespace uldma

@@ -78,16 +78,23 @@ class NetworkInterface : public BusDevice, public TransferBackend
     /** Physical (local-bus) address of @p remote_paddr on @p node. */
     Addr remoteWindowAddr(NodeId node, Addr remote_paddr) const;
 
+    /** A valid endpoint resolved to the DRAM that backs it. */
+    struct Target
+    {
+        PhysicalMemory *memory = nullptr;   ///< nullptr: not an endpoint
+        Addr addr = 0;                      ///< address inside *memory
+        Tick extraLatency = 0;              ///< round trip if remote
+    };
+
     /**
-     * Resolve any valid endpoint to a byte pointer for the atomic unit
-     * (functional access; latency returned separately).
+     * Resolve the @p size bytes at @p paddr, local or in a remote
+     * window, for the atomic unit's functional read-modify-write.
      */
-    std::uint8_t *resolve(Addr paddr, Addr size, Tick &extra_latency);
+    Target resolve(Addr paddr, Addr size);
 
     stats::Group &statsGroup() { return statsGroup_; }
     void registerStats(stats::Registry &r) { r.add(&statsGroup_); }
     std::uint64_t remoteStores() const { return remoteStores_.value(); }
-    std::uint64_t remoteLoads() const { return remoteLoads_.value(); }
 
   private:
     std::string name_;

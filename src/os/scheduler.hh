@@ -67,7 +67,6 @@ class RoundRobinScheduler : public Scheduler
     SchedulingDecision pickNext(Process *previous) override;
 
     Tick quantum() const { return quantum_; }
-    void setQuantum(Tick q) { quantum_ = q; }
 
   private:
     Tick quantum_;
@@ -95,8 +94,6 @@ class ScriptedScheduler : public Scheduler
 
     void enqueue(Process &process) override;
     SchedulingDecision pickNext(Process *previous) override;
-
-    bool scriptExhausted() const { return cursor_ >= script_.size(); }
 
   private:
     std::vector<Slice> script_;

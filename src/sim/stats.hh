@@ -269,8 +269,6 @@ class Sampler
             std::vector<std::string> prefixes = {});
 
     Tick interval() const { return interval_; }
-    std::size_t numCounters() const { return names_.size(); }
-    std::size_t numSamples() const { return samples_.size(); }
 
     /** Record one snapshot of every selected counter, stamped @p at. */
     void sample(Tick at);

@@ -2,14 +2,16 @@
  * @file
  * Unit and integration tests for the optional L1 data cache: hit/miss
  * accounting, direct-mapped conflicts, write-through semantics,
- * DMA-write invalidation (coherence), and a whole-machine polling
- * loop that must observe DMA'd data despite caching.
+ * DMA-write invalidation (coherence), a whole-machine polling loop
+ * that must observe DMA'd data despite caching, and an atomic op that
+ * must invalidate the counter line it writes.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
 #include "core/methods.hh"
+#include "core/user_atomics.hh"
 #include "cpu/dcache.hh"
 
 namespace uldma {
@@ -148,6 +150,76 @@ TEST(DcacheMachine, PollingLoopSeesDmaResult)
     EXPECT_GE(dcache->invalidations(), 1u);
     EXPECT_GT(dcache->hits(), 0u);   // the poll loop did hit the cache
     EXPECT_EQ(machine.node(0).memory().readInt(dst_paddr, 1), 0x4Du);
+}
+
+TEST(DcacheMachine, AtomicWriteInvalidatesCachedCounterLine)
+{
+    // The atomic unit's read-modify-write is a DRAM write like any
+    // other, so the CPU's next load of the counter must miss.  A
+    // compare_and_swap that fails writes nothing.
+    MachineConfig config;
+    configureNode(config.node, DmaMethod::ExtShadow);
+    config.node.cpu.dcache.enabled = true;
+    Machine machine(config);
+    prepareMachine(machine, DmaMethod::ExtShadow);
+
+    Kernel &kernel = machine.node(0).kernel();
+    Process &proc = kernel.createProcess("app");
+    const Addr counter = kernel.allocate(proc, pageSize, Rights::ReadWrite);
+    for (AtomicOp op : {AtomicOp::Add, AtomicOp::CompareSwap})
+        kernel.createAtomicShadowMappings(proc, counter, pageSize, op);
+    const Dcache *dcache = machine.node(0).cpu().dcache();
+    ASSERT_NE(dcache, nullptr);
+
+    std::uint64_t hits = 0, misses = 0, invalidations = 0;
+    auto snapshot = [&](ExecContext &) {
+        hits = dcache->hits();
+        misses = dcache->misses();
+        invalidations = dcache->invalidations();
+    };
+    std::uint64_t cached_hits = 0, added_invalidations = 0;
+    std::uint64_t reload_misses = 0, reload_value = 0;
+    std::uint64_t failed_cas_invalidations = 0, after_cas_hits = 0;
+
+    Program prog;
+    prog.load(reg::t0, counter, 8);   // miss: the line is now cached
+    prog.callback(snapshot);
+    prog.load(reg::t0, counter, 8);
+    prog.callback([&](ExecContext &) {
+        cached_hits = dcache->hits() - hits;
+    });
+    prog.callback(snapshot);
+    emitAtomicAdd(prog, kernel, proc, counter, 5);
+    prog.callback([&](ExecContext &) {
+        added_invalidations = dcache->invalidations() - invalidations;
+    });
+    prog.callback(snapshot);
+    prog.load(reg::t1, counter, 8);
+    prog.callback([&](ExecContext &ctx) {
+        reload_misses = dcache->misses() - misses;
+        reload_value = ctx.reg(reg::t1);
+    });
+    // A compare_and_swap that fails (5 != 7) writes nothing, so the
+    // line stays cached.
+    prog.callback(snapshot);
+    emitCompareAndSwap(prog, kernel, proc, counter, 7, 9);
+    prog.load(reg::t1, counter, 8);
+    prog.callback([&](ExecContext &) {
+        failed_cas_invalidations = dcache->invalidations() - invalidations;
+        after_cas_hits = dcache->hits() - hits;
+    });
+    prog.exit();
+    kernel.launch(proc, std::move(prog));
+    machine.start();
+    ASSERT_TRUE(machine.run(tickPerSec));
+
+    EXPECT_EQ(cached_hits, 1u);
+    EXPECT_EQ(added_invalidations, 1u);
+    EXPECT_EQ(reload_misses, 1u);
+    EXPECT_EQ(reload_value, 5u);
+    EXPECT_EQ(failed_cas_invalidations, 0u);
+    EXPECT_EQ(after_cas_hits, 1u);
+    EXPECT_EQ(machine.node(0).atomicUnit().numExecuted(), 2u);
 }
 
 TEST(DcacheMachine, Table1ShapeSurvivesCacheEnabled)
