@@ -28,7 +28,7 @@ struct Dfs
         }
         const RunResult r = runSchedule(config.runner, prefix);
         ++report.runs;
-        if (!r.violations.empty()) {
+        if (!r.outcome.violations.empty()) {
             report.counterexample = Counterexample{prefix, r};
             return true;
         }
@@ -76,7 +76,7 @@ shrink(const RunnerConfig &config, std::vector<std::uint64_t> pts,
             trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(i));
             const RunResult r = runSchedule(config, trial);
             ++runs;
-            if (!r.violations.empty()) {
+            if (!r.outcome.violations.empty()) {
                 pts = std::move(trial);
                 reduced = true;
                 break;
@@ -96,7 +96,7 @@ explore(const ExplorerConfig &config)
     const RunResult probe = runSchedule(config.runner, {});
     ++report.runs;
     report.boundarySpace = probe.boundarySpace;
-    if (!probe.violations.empty()) {
+    if (!probe.outcome.violations.empty()) {
         report.counterexample = Counterexample{{}, probe};
         return report;
     }

@@ -37,12 +37,8 @@ std::uint64_t
 configSignature(const RunnerConfig &c)
 {
     std::uint64_t bits = static_cast<std::uint64_t>(c.method);
-    bits = (bits << 1) | (c.faults ? 1 : 0);
-    bits = (bits << 1) | (c.weakRecognizer ? 1 : 0);
-    bits = (bits << 1) | (c.weakRing ? 1 : 0);
-    bits = (bits << 1) | (c.useIommu ? 1 : 0);
-    bits = (bits << 1) | (c.weakIommu ? 1 : 0);
-    bits = (bits << 1) | (c.weakCap ? 1 : 0);
+    for (const ConfigFlag &f : configFlags)
+        bits = (bits << 1) | (c.*f.field ? 1 : 0);
     return mix64(bits);
 }
 
@@ -86,11 +82,12 @@ struct Fuzzer
             if (edges.insert(e).second)
                 ++fresh;
         }
-        if (edges.insert(mix64(sig ^ 0x66696e616cULL ^ r.finalHash))
+        if (edges.insert(mix64(sig ^ 0x66696e616cULL ^
+                               r.outcome.stateHash))
                 .second) {
             ++fresh;
         }
-        for (const Violation &v : r.violations) {
+        for (const Violation &v : r.outcome.violations) {
             const std::uint64_t e =
                 mix64(sig ^ 0x76696f6cULL ^ fnv1a(v.invariant));
             if (edges.insert(e).second)
@@ -158,8 +155,8 @@ struct Fuzzer
             ++corpusTotal;
         }
 
-        if (!r.violations.empty() &&
-            findingKeys.insert(findingKey(sig, r.violations)).second) {
+        const std::vector<Violation> &vs = r.outcome.violations;
+        if (!vs.empty() && findingKeys.insert(findingKey(sig, vs)).second) {
             recordFinding(st, std::move(pts));
             ++stats.findings;
         }
@@ -177,17 +174,14 @@ struct Fuzzer
     recordFinding(const ConfigState &st, std::vector<std::uint64_t> pts)
     {
         FuzzFinding f;
-        f.config = st.config;
-        f.boundarySpace = st.boundarySpace;
         f.foundAtExec = report.execs;
         if (cfg.shrinkFindings)
             pts = shrink(st.config, std::move(pts), f.shrinkExecs);
         // Re-run the minimal schedule so the recorded outcome is what
         // a --replay of the emitted repro reproduces.
-        const RunResult r = runSchedule(st.config, pts);
+        f.outcome = runSchedule(st.config, pts).outcome;
         ++f.shrinkExecs;
-        f.preemptAfter = std::move(pts);
-        f.outcome = outcomeOf(r);
+        f.schedule = {st.config, st.boundarySpace, std::move(pts)};
         f.expected = configWeakened(st.config);
         report.shrinkExecs += f.shrinkExecs;
         if (f.expected)
@@ -202,8 +196,8 @@ struct Fuzzer
     drawConfig()
     {
         RunnerConfig c;
-        c.method = *protocolMethod(
-            checkedProtocols[rng.below(std::size(checkedProtocols))]);
+        c.method =
+            checkedProtocols[rng.below(std::size(checkedProtocols))].method;
         c.faults = rng.chance(0.75);
         if (c.method == DmaMethod::Ring)
             c.useIommu = rng.chance(0.5);
@@ -309,18 +303,6 @@ struct Fuzzer
     }
 };
 
-void
-writeConfigMembers(json::Writer &w, const RunnerConfig &c)
-{
-    w.member("protocol", protocolToken(c.method));
-    w.member("faults", c.faults);
-    w.member("weakened_recognizer", c.weakRecognizer);
-    w.member("weakened_ring", c.weakRing);
-    w.member("iommu", c.useIommu);
-    w.member("weakened_iommu", c.weakIommu);
-    w.member("weakened_cap", c.weakCap);
-}
-
 } // namespace
 
 bool
@@ -334,22 +316,6 @@ FuzzReport
 fuzz(const FuzzConfig &config)
 {
     return Fuzzer(config).run();
-}
-
-Schedule
-findingSchedule(const FuzzFinding &f)
-{
-    Schedule s;
-    s.protocol = protocolToken(f.config.method);
-    s.faults = f.config.faults;
-    s.weakRecognizer = f.config.weakRecognizer;
-    s.weakRing = f.config.weakRing;
-    s.iommu = f.config.useIommu;
-    s.weakIommu = f.config.weakIommu;
-    s.weakCap = f.config.weakCap;
-    s.boundarySpace = f.boundarySpace;
-    s.preemptAfter = f.preemptAfter;
-    return s;
 }
 
 void
@@ -401,32 +367,11 @@ writeFuzzJson(std::ostream &os, const FuzzReport &report,
     w.beginArray();
     for (const FuzzFinding &f : report.findings) {
         w.beginObject();
-        writeConfigMembers(w, f.config);
-        w.member("boundary_space", f.boundarySpace);
-        w.key("preempt_after");
-        w.beginArray();
-        for (std::uint64_t b : f.preemptAfter)
-            w.value(b);
-        w.endArray();
+        writeScheduleMembers(w, f.schedule);
         w.member("found_at_exec", f.foundAtExec);
         w.member("shrink_execs", f.shrinkExecs);
         w.member("expected", f.expected);
-        w.key("outcome");
-        w.beginObject();
-        w.member("finished", f.outcome.finished);
-        w.member("status", toHex(f.outcome.status));
-        w.member("initiations", f.outcome.initiations);
-        w.member("state_hash", toHex(f.outcome.stateHash));
-        w.key("violations");
-        w.beginArray();
-        for (const Violation &v : f.outcome.violations) {
-            w.beginObject();
-            w.member("invariant", v.invariant);
-            w.member("detail", v.detail);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
+        writeOutcome(w, f.outcome);
         w.endObject();
     }
     w.endArray();

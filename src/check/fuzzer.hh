@@ -63,10 +63,9 @@ struct FuzzConfig
  *  re-run so the outcome replays byte-identically. */
 struct FuzzFinding
 {
-    RunnerConfig config;
-    std::uint64_t boundarySpace = 0;
-    /** Minimal violating schedule (post-shrink). */
-    std::vector<std::uint64_t> preemptAfter;
+    /** Minimal violating schedule (post-shrink): `--replay` accepts it
+     *  as written. */
+    Schedule schedule;
     /** Outcome of re-running the shrunk schedule. */
     Outcome outcome;
     /** 1-based exec index of the discovering run. */
@@ -114,9 +113,6 @@ struct FuzzReport
 
 /** Run the fuzzing loop to budget exhaustion. Deterministic. */
 FuzzReport fuzz(const FuzzConfig &config);
-
-/** Convert a finding into a repro Schedule `--replay` accepts. */
-Schedule findingSchedule(const FuzzFinding &finding);
 
 /** True when @p config carries any fault-injection flag. */
 bool configWeakened(const RunnerConfig &config);

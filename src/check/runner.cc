@@ -91,11 +91,11 @@ runSchedule(const RunnerConfig &config,
     if (capOn)
         mconfig.node.dma.weakCap = config.weakCap;
 
-    const std::uint64_t gap = burstLength(method, config.faults);
-    PreemptionScheduler *sched = nullptr;
+    ScriptedScheduler *sched = nullptr;
     mconfig.node.makeScheduler = [&]() {
-        auto s = std::make_unique<PreemptionScheduler>(
-            /*victim=*/1, /*intruder=*/2, preemptAfter, gap);
+        auto s = std::make_unique<ScriptedScheduler>(preemptionScript(
+            /*victim=*/1, /*intruder=*/2, preemptAfter,
+            burstLength(method, config.faults)));
         sched = s.get();
         return s;
     };
@@ -389,7 +389,7 @@ runSchedule(const RunnerConfig &config,
                 next->pid() != adversary.pid()) {
                 return;
             }
-            if (sched->preemptionsDelivered() <=
+            if (sched->dispatched(adversary.pid()) <=
                 result.boundaryHashes.size()) {
                 return;   // drain-phase dispatch, not a preemption
             }
@@ -415,24 +415,12 @@ runSchedule(const RunnerConfig &config,
         std::all_of(std::begin(delivered), std::end(delivered),
                     [](std::uint8_t b) { return b == pattern; });
 
-    result.finished = finished;
-    result.status = status;
-    result.initiations = engine.numInitiations();
-    result.finalHash = engine.stateHash();
-    result.violations = checkInvariants(art);
+    result.outcome.finished = finished;
+    result.outcome.status = status;
+    result.outcome.initiations = engine.numInitiations();
+    result.outcome.stateHash = engine.stateHash();
+    result.outcome.violations = checkInvariants(art);
     return result;
-}
-
-Outcome
-outcomeOf(const RunResult &r)
-{
-    Outcome o;
-    o.finished = r.finished;
-    o.status = r.status;
-    o.initiations = r.initiations;
-    o.stateHash = r.finalHash;
-    o.violations = r.violations;
-    return o;
 }
 
 } // namespace uldma::check

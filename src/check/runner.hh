@@ -4,7 +4,7 @@
  *
  * Every run builds a fresh two-process Machine (a victim issuing one
  * DMA initiation, an adversary that runs in the preemption gaps),
- * drives it with a PreemptionScheduler following an explicit list of
+ * drives it with a preemptionScript built from an explicit list of
  * victim-instruction boundaries, snapshots a state hash at each
  * delivered preemption (for prefix pruning), and audits the outcome
  * against the invariant catalog.  Stateless exploration: re-executing
@@ -18,37 +18,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "check/invariants.hh"
 #include "check/schedule.hh"
 
 namespace uldma::check {
-
-/** Scenario knobs shared by every run of one exploration. */
-struct RunnerConfig
-{
-    DmaMethod method = DmaMethod::Repeated5;
-    /** Adversary issues protocol-specific shadow traffic in each gap
-     *  (forged keys, dangling stores, competing sequences) instead of
-     *  benign compute. */
-    bool faults = false;
-    /** Engine fault injection: weakened §3.3 recognizer. */
-    bool weakRecognizer = false;
-    /** Engine fault injection: ring frame check disabled. */
-    bool weakRing = false;
-    /** Route ring descriptors through the IOMMU: descriptors carry
-     *  virtual addresses, the engine translates via its I/O page table
-     *  (docs/IOMMU.md). */
-    bool useIommu = false;
-    /** Engine fault injection: on a translation fault the engine uses
-     *  the raw untranslated address instead of aborting (implies
-     *  useIommu). */
-    bool weakIommu = false;
-    /** Engine fault injection: capability presentations start without
-     *  consulting the table — forged secrets, revoked generations and
-     *  span escapes all go through (docs/CAPABILITIES.md; requires
-     *  method == DmaMethod::Cap). */
-    bool weakCap = false;
-};
 
 /** Everything one run produced. */
 struct RunResult
@@ -56,14 +28,9 @@ struct RunResult
     /** Number of distinct preemption positions: one per boundary in
      *  [0, initiation-sequence length]. */
     std::uint64_t boundarySpace = 0;
-    bool finished = false;
-    std::uint64_t status = 0;
-    std::uint64_t initiations = 0;
     /** Machine state hash captured at each delivered preemption. */
     std::vector<std::uint64_t> boundaryHashes;
-    /** Engine state hash after the run. */
-    std::uint64_t finalHash = 0;
-    std::vector<Violation> violations;
+    Outcome outcome;
 };
 
 /**
@@ -72,9 +39,6 @@ struct RunResult
  */
 RunResult runSchedule(const RunnerConfig &config,
                       const std::vector<std::uint64_t> &preemptAfter);
-
-/** Condense a RunResult into a serialisable Outcome. */
-Outcome outcomeOf(const RunResult &r);
 
 } // namespace uldma::check
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -14,33 +15,21 @@ namespace uldma::check {
 std::optional<DmaMethod>
 protocolMethod(const std::string &token)
 {
-    if (token == "pal")
-        return DmaMethod::PalCode;
-    if (token == "key-based")
-        return DmaMethod::KeyBased;
-    if (token == "ext-shadow")
-        return DmaMethod::ExtShadow;
-    if (token == "repeated")
-        return DmaMethod::Repeated5;
-    if (token == "ring")
-        return DmaMethod::Ring;
-    if (token == "cap")
-        return DmaMethod::Cap;
+    for (const CheckedProtocol &p : checkedProtocols) {
+        if (token == p.token)
+            return p.method;
+    }
     return std::nullopt;
 }
 
 const char *
 protocolToken(DmaMethod method)
 {
-    switch (method) {
-      case DmaMethod::PalCode: return "pal";
-      case DmaMethod::KeyBased: return "key-based";
-      case DmaMethod::ExtShadow: return "ext-shadow";
-      case DmaMethod::Repeated5: return "repeated";
-      case DmaMethod::Ring: return "ring";
-      case DmaMethod::Cap: return "cap";
-      default: return "?";
+    for (const CheckedProtocol &p : checkedProtocols) {
+        if (method == p.method)
+            return p.token;
     }
+    return "?";
 }
 
 std::string
@@ -73,26 +62,49 @@ parseHex(const std::string &s, std::uint64_t &v)
     return true;
 }
 
-void
-writeScheduleJson(std::ostream &os, const Schedule &schedule,
-                  const Outcome &outcome)
+bool
+parseCount(const json::Value &v, std::uint64_t &out)
 {
-    json::Writer w(os, /*pretty=*/true);
-    w.beginObject();
-    w.member("schema", scheduleSchema);
-    w.member("protocol", schedule.protocol);
-    w.member("faults", schedule.faults);
-    w.member("weakened_recognizer", schedule.weakRecognizer);
-    w.member("weakened_ring", schedule.weakRing);
-    w.member("iommu", schedule.iommu);
-    w.member("weakened_iommu", schedule.weakIommu);
-    w.member("weakened_cap", schedule.weakCap);
+    if (!v.isNumber())
+        return false;
+    const double d = v.asNumber();
+    if (!(d >= 0.0 && d < 0x1p64 && d == std::floor(d)))
+        return false;
+    out = static_cast<std::uint64_t>(d);
+    return true;
+}
+
+bool
+isConfigMember(std::string_view name)
+{
+    return name == "protocol" ||
+           std::any_of(std::begin(configFlags), std::end(configFlags),
+                       [&](const ConfigFlag &f) { return name == f.name; });
+}
+
+void
+writeConfigMembers(json::Writer &w, const RunnerConfig &config)
+{
+    w.member("protocol", protocolToken(config.method));
+    for (const ConfigFlag &f : configFlags)
+        w.member(f.name, config.*f.field);
+}
+
+void
+writeScheduleMembers(json::Writer &w, const Schedule &schedule)
+{
+    writeConfigMembers(w, schedule.config);
     w.member("boundary_space", schedule.boundarySpace);
     w.key("preempt_after");
     w.beginArray();
     for (std::uint64_t b : schedule.preemptAfter)
         w.value(b);
     w.endArray();
+}
+
+void
+writeOutcome(json::Writer &w, const Outcome &outcome)
+{
     w.key("outcome");
     w.beginObject();
     w.member("finished", outcome.finished);
@@ -109,6 +121,17 @@ writeScheduleJson(std::ostream &os, const Schedule &schedule,
     }
     w.endArray();
     w.endObject();
+}
+
+void
+writeScheduleJson(std::ostream &os, const Schedule &schedule,
+                  const Outcome &outcome)
+{
+    json::Writer w(os, /*pretty=*/true);
+    w.beginObject();
+    w.member("schema", scheduleSchema);
+    writeScheduleMembers(w, schedule);
+    writeOutcome(w, outcome);
     w.endObject();
     os << "\n";
 }
@@ -123,34 +146,114 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
-/** Read @p v into @p out if it is a non-negative integer that fits in
- *  uint64_t; casting any other double is lossy or undefined. */
-bool
-getCount(const json::Value &v, std::uint64_t &out)
-{
-    if (!v.isNumber())
-        return false;
-    const double d = v.asNumber();
-    if (!(d >= 0.0 && d < 0x1p64 && d == std::floor(d)))
-        return false;
-    out = static_cast<std::uint64_t>(d);
-    return true;
-}
-
-/** The first member of object @p obj outside @p allowed, or nullptr. */
+/** The first member of object @p obj outside @p allowed (and, with
+ *  @p config_members, outside the config members), or nullptr. */
 const std::string *
 unknownMember(const json::Value &obj,
-              std::initializer_list<std::string_view> allowed)
+              std::initializer_list<std::string_view> allowed,
+              bool config_members = false)
 {
     for (const auto &member : obj.asObject()) {
         if (std::find(allowed.begin(), allowed.end(), member.first) ==
-            allowed.end())
+                allowed.end() &&
+            !(config_members && isConfigMember(member.first)))
             return &member.first;
     }
     return nullptr;
 }
 
 } // namespace
+
+bool
+parseConfigMembers(const json::Value &obj, RunnerConfig &config,
+                   std::string *error)
+{
+    const json::Value &protocol = obj["protocol"];
+    const auto method = protocol.isString()
+                            ? protocolMethod(protocol.asString())
+                            : std::nullopt;
+    if (!method)
+        return fail(error, "unknown protocol");
+    config = RunnerConfig{};
+    config.method = *method;
+    for (const ConfigFlag &f : configFlags) {
+        const json::Value &v = obj[f.name];
+        if (v.isNull() && f.optional)
+            continue;
+        if (!v.isBool())
+            return fail(error, std::string(f.name) + " must be a boolean");
+        config.*f.field = v.asBool();
+    }
+    if (config.weakIommu)
+        config.useIommu = true;
+    return true;
+}
+
+bool
+parseScheduleMembers(const json::Value &obj, Schedule &schedule,
+                     std::string *error)
+{
+    if (!parseConfigMembers(obj, schedule.config, error))
+        return false;
+    if (!parseCount(obj["boundary_space"], schedule.boundarySpace))
+        return fail(error, "boundary_space must be a non-negative integer");
+    const json::Value &pts = obj["preempt_after"];
+    if (!pts.isArray())
+        return fail(error, "preempt_after must be an array");
+    schedule.preemptAfter.clear();
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        std::uint64_t v = 0;
+        if (!parseCount(pts[i], v)) {
+            return fail(error,
+                        "preempt_after entries must be non-negative "
+                        "integers");
+        }
+        if (v >= schedule.boundarySpace)
+            return fail(error, "preempt_after entry out of range");
+        if (i > 0 && v < schedule.preemptAfter.back())
+            return fail(error, "preempt_after must be non-decreasing");
+        schedule.preemptAfter.push_back(v);
+    }
+    return true;
+}
+
+bool
+parseOutcome(const json::Value &obj, Outcome &outcome, std::string *error)
+{
+    if (!obj.isObject())
+        return fail(error, "must be an object");
+    if (const std::string *extra = unknownMember(
+            obj, {"finished", "status", "initiations", "state_hash",
+                  "violations"}))
+        return fail(error, "unknown member '" + *extra + "'");
+    if (!obj["finished"].isBool() ||
+        !parseCount(obj["initiations"], outcome.initiations)) {
+        return fail(error, "finished/initiations malformed");
+    }
+    if (!obj["status"].isString() ||
+        !parseHex(obj["status"].asString(), outcome.status)) {
+        return fail(error, "status must be a 0x hex string");
+    }
+    if (!obj["state_hash"].isString() ||
+        !parseHex(obj["state_hash"].asString(), outcome.stateHash)) {
+        return fail(error, "state_hash must be a 0x hex string");
+    }
+    if (!obj["violations"].isArray())
+        return fail(error, "violations must be an array");
+    outcome.finished = obj["finished"].asBool();
+    outcome.violations.clear();
+    for (std::size_t i = 0; i < obj["violations"].size(); ++i) {
+        const json::Value &v = obj["violations"][i];
+        if (!v["invariant"].isString() || !v["detail"].isString())
+            return fail(error, "violation entries need invariant/detail");
+        if (const std::string *extra =
+                unknownMember(v, {"invariant", "detail"}))
+            return fail(error, "violation: unknown member '" + *extra + "'");
+        outcome.violations.push_back(
+            {v["invariant"].asString(), v["detail"].asString()});
+    }
+    return true;
+}
 
 bool
 parseScheduleJson(const std::string &text, Schedule &schedule,
@@ -175,100 +278,14 @@ parseScheduleJson(const json::Value &doc, Schedule &schedule,
                                std::string(scheduleSchema) + "'");
     }
     if (const std::string *extra = unknownMember(
-            doc, {"schema", "protocol", "faults", "weakened_recognizer",
-                  "weakened_ring", "iommu", "weakened_iommu",
-                  "weakened_cap", "boundary_space", "preempt_after",
-                  "outcome"}))
+            doc, {"schema", "boundary_space", "preempt_after", "outcome"},
+            /*config_members=*/true))
         return fail(error, "unknown member '" + *extra + "'");
-    if (!doc["protocol"].isString() ||
-        !protocolMethod(doc["protocol"].asString())) {
-        return fail(error, "unknown protocol");
-    }
-    if (!doc["faults"].isBool() || !doc["weakened_recognizer"].isBool())
-        return fail(error, "faults/weakened_recognizer must be booleans");
-    // weakened_ring is optional (schedules predating the descriptor
-    // ring omit it); when present it must be a boolean.
-    if (!doc["weakened_ring"].isNull() && !doc["weakened_ring"].isBool())
-        return fail(error, "weakened_ring must be a boolean");
-    // iommu/weakened_iommu likewise postdate the original schema and
-    // parse as false when absent.
-    if (!doc["iommu"].isNull() && !doc["iommu"].isBool())
-        return fail(error, "iommu must be a boolean");
-    if (!doc["weakened_iommu"].isNull() && !doc["weakened_iommu"].isBool())
-        return fail(error, "weakened_iommu must be a boolean");
-    // weakened_cap postdates the original schema too.
-    if (!doc["weakened_cap"].isNull() && !doc["weakened_cap"].isBool())
-        return fail(error, "weakened_cap must be a boolean");
-    if (!getCount(doc["boundary_space"], schedule.boundarySpace))
-        return fail(error, "boundary_space must be a non-negative integer");
-    if (!doc["preempt_after"].isArray())
-        return fail(error, "preempt_after must be an array");
-
-    schedule.protocol = doc["protocol"].asString();
-    schedule.faults = doc["faults"].asBool();
-    schedule.weakRecognizer = doc["weakened_recognizer"].asBool();
-    schedule.weakRing = doc["weakened_ring"].isBool()
-                            ? doc["weakened_ring"].asBool()
-                            : false;
-    schedule.iommu = doc["iommu"].isBool() ? doc["iommu"].asBool() : false;
-    schedule.weakIommu = doc["weakened_iommu"].isBool()
-                             ? doc["weakened_iommu"].asBool()
-                             : false;
-    if (schedule.weakIommu)
-        schedule.iommu = true;
-    schedule.weakCap = doc["weakened_cap"].isBool()
-                           ? doc["weakened_cap"].asBool()
-                           : false;
-    schedule.preemptAfter.clear();
-    std::uint64_t last = 0;
-    for (std::size_t i = 0; i < doc["preempt_after"].size(); ++i) {
-        std::uint64_t v = 0;
-        if (!getCount(doc["preempt_after"][i], v)) {
-            return fail(error,
-                        "preempt_after entries must be non-negative "
-                        "integers");
-        }
-        if (v >= schedule.boundarySpace)
-            return fail(error, "preempt_after entry out of range");
-        if (i > 0 && v < last)
-            return fail(error, "preempt_after must be non-decreasing");
-        last = v;
-        schedule.preemptAfter.push_back(v);
-    }
-
-    const json::Value &oc = doc["outcome"];
-    if (!oc.isObject())
-        return fail(error, "outcome must be an object");
-    if (const std::string *extra = unknownMember(
-            oc, {"finished", "status", "initiations", "state_hash",
-                 "violations"}))
-        return fail(error, "outcome: unknown member '" + *extra + "'");
-    if (!oc["finished"].isBool() ||
-        !getCount(oc["initiations"], outcome.initiations)) {
-        return fail(error, "outcome.finished/initiations malformed");
-    }
-    if (!oc["status"].isString() ||
-        !parseHex(oc["status"].asString(), outcome.status)) {
-        return fail(error, "outcome.status must be a 0x hex string");
-    }
-    if (!oc["state_hash"].isString() ||
-        !parseHex(oc["state_hash"].asString(), outcome.stateHash)) {
-        return fail(error, "outcome.state_hash must be a 0x hex string");
-    }
-    if (!oc["violations"].isArray())
-        return fail(error, "outcome.violations must be an array");
-    outcome.finished = oc["finished"].asBool();
-    outcome.violations.clear();
-    for (std::size_t i = 0; i < oc["violations"].size(); ++i) {
-        const json::Value &v = oc["violations"][i];
-        if (!v["invariant"].isString() || !v["detail"].isString())
-            return fail(error, "violation entries need invariant/detail");
-        if (const std::string *extra =
-                unknownMember(v, {"invariant", "detail"}))
-            return fail(error, "violation: unknown member '" + *extra + "'");
-        outcome.violations.push_back(
-            {v["invariant"].asString(), v["detail"].asString()});
-    }
+    if (!parseScheduleMembers(doc, schedule, error))
+        return false;
+    std::string outcome_error;
+    if (!parseOutcome(doc["outcome"], outcome, &outcome_error))
+        return fail(error, "outcome: " + outcome_error);
     return true;
 }
 

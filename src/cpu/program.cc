@@ -65,19 +65,6 @@ Program::storeReg(Addr vaddr, int src_reg, unsigned size)
 }
 
 int
-Program::storeIndirect(int addr_reg, Addr offset, std::uint64_t value,
-                       unsigned size)
-{
-    MicroOp op;
-    op.kind = OpKind::Store;
-    op.addrReg = addr_reg;
-    op.vaddr = offset;
-    op.imm = value;
-    op.size = size;
-    return push(op);
-}
-
-int
 Program::storeIndirectReg(int addr_reg, Addr offset, int src_reg,
                           unsigned size)
 {

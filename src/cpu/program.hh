@@ -167,8 +167,6 @@ class Program
                      unsigned size = 8);
     int store(Addr vaddr, std::uint64_t value, unsigned size = 8);
     int storeReg(Addr vaddr, int src_reg, unsigned size = 8);
-    int storeIndirect(int addr_reg, Addr offset, std::uint64_t value,
-                      unsigned size = 8);
     int storeIndirectReg(int addr_reg, Addr offset, int src_reg,
                          unsigned size = 8);
     int atomicRmw(int dst_reg, Addr vaddr, std::uint64_t value,

@@ -36,6 +36,7 @@
 #include "sim/clocked.hh"
 #include "sim/stats.hh"
 #include "util/bitfield.hh"
+#include "util/logging.hh"
 #include "vm/layout.hh"
 
 namespace uldma {
@@ -101,10 +102,15 @@ struct AtomicUnitParams
         return shadowCoverage << (ctxIdBits + opBits);
     }
 
-    /** Encode an atomic shadow physical address. */
+    /** Encode an atomic shadow physical address.  A context id that
+     *  does not fit ctxIdBits would alias another context's (or
+     *  operation's) window, so it is refused. */
     Addr
     shadowAddr(AtomicOp op, Addr paddr, unsigned ctx = 0) const
     {
+        ULDMA_ASSERT(ctx < (1u << ctxIdBits),
+                     "atomic context id ", ctx, " does not fit ",
+                     ctxIdBits, " CONTEXT_ID bit(s)");
         const unsigned shift = coverageShift();
         return shadowBase +
                (Addr(static_cast<unsigned>(op)) << (shift + ctxIdBits)) +

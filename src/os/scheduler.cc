@@ -66,6 +66,7 @@ ScriptedScheduler::pickNext(Process *previous)
             continue;   // target exited early; skip this slice
         Process *chosen = *it;
         ready_.erase(it);
+        ++dispatched_[slice.pid];
         return SchedulingDecision{chosen, slice.instructions, 0};
     }
 
@@ -80,76 +81,30 @@ ScriptedScheduler::pickNext(Process *previous)
     return SchedulingDecision{};
 }
 
-// ---------------------------------------------------------------------
-// PreemptionScheduler
-// ---------------------------------------------------------------------
-
-void
-PreemptionScheduler::enqueue(Process &process)
+std::size_t
+ScriptedScheduler::dispatched(Pid pid) const
 {
-    if (std::find(ready_.begin(), ready_.end(), &process) == ready_.end())
-        ready_.push_back(&process);
+    const auto it = dispatched_.find(pid);
+    return it == dispatched_.end() ? 0 : it->second;
 }
 
-Process *
-PreemptionScheduler::takeRunnable(Pid pid)
+std::vector<ScriptedScheduler::Slice>
+preemptionScript(Pid victim, Pid intruder,
+                 const std::vector<std::uint64_t> &boundaries,
+                 std::uint64_t gap)
 {
-    auto it = std::find_if(ready_.begin(), ready_.end(),
-                           [&](Process *p) {
-                               return p->pid() == pid && p->runnable();
-                           });
-    if (it == ready_.end())
-        return nullptr;
-    Process *chosen = *it;
-    ready_.erase(it);
-    return chosen;
-}
-
-SchedulingDecision
-PreemptionScheduler::pickNext(Process *previous)
-{
-    if (previous != nullptr && previous->runnable())
-        enqueue(*previous);
-
-    for (;;) {
-        if (pendingGap_) {
-            // The victim just reached a boundary: give the intruder
-            // one gap.  A repeated boundary lands here twice in a row.
-            pendingGap_ = false;
-            if (Process *in = takeRunnable(intruder_)) {
-                ++delivered_;
-                return SchedulingDecision{in, gap_, 0};
-            }
-            continue;   // intruder already finished; fall through
+    std::vector<ScriptedScheduler::Slice> script;
+    std::uint64_t given = 0;   // victim instructions granted so far
+    for (std::uint64_t boundary : boundaries) {
+        // An instruction quantum of 0 means "no cap", so a repeated
+        // boundary cannot get an empty victim slice; it gets none.
+        if (boundary > given) {
+            script.push_back({victim, boundary - given});
+            given = boundary;
         }
-        if (cursor_ >= boundaries_.size())
-            break;
-        const std::uint64_t boundary = boundaries_[cursor_];
-        ++cursor_;
-        const std::uint64_t delta =
-            boundary > victimGiven_ ? boundary - victimGiven_ : 0;
-        if (boundary > victimGiven_)
-            victimGiven_ = boundary;
-        pendingGap_ = true;
-        // A zero-length victim slice cannot be issued (an instruction
-        // quantum of 0 means "no cap"), so back-to-back boundaries
-        // collapse into consecutive intruder gaps.
-        if (delta > 0) {
-            if (Process *v = takeRunnable(victim_))
-                return SchedulingDecision{v, delta, 0};
-            // Victim exited before this boundary; still run the gap.
-        }
+        script.push_back({intruder, gap});
     }
-
-    // Drain phase: run-to-completion round robin.
-    while (!ready_.empty()) {
-        Process *candidate = ready_.front();
-        ready_.pop_front();
-        if (!candidate->runnable())
-            continue;
-        return SchedulingDecision{candidate, 0, 0};
-    }
-    return SchedulingDecision{};
+    return script;
 }
 
 // ---------------------------------------------------------------------

@@ -9,13 +9,15 @@
  *    ticks), for realistic workloads and randomized-preemption
  *    property tests;
  *  - ScriptedScheduler: replays an exact list of (pid, #instructions)
- *    slices, to force the precise interleavings of figures 5, 6, 8.
+ *    slices, to force the precise interleavings of figures 5, 6, 8 and
+ *    the model checker's preemption points (preemptionScript).
  */
 
 #ifndef ULDMA_OS_SCHEDULER_HH
 #define ULDMA_OS_SCHEDULER_HH
 
 #include <deque>
+#include <map>
 #include <vector>
 
 #include "os/process.hh"
@@ -95,55 +97,30 @@ class ScriptedScheduler : public Scheduler
     void enqueue(Process &process) override;
     SchedulingDecision pickNext(Process *previous) override;
 
+    /** How many script slices @p pid has actually been given (a slice
+     *  whose pid was not runnable is skipped, not counted). */
+    std::size_t dispatched(Pid pid) const;
+
   private:
     std::vector<Slice> script_;
     std::size_t cursor_ = 0;
+    std::map<Pid, std::size_t> dispatched_;
     std::deque<Process *> ready_;
 };
 
 /**
- * The model checker's scheduler (src/check): runs a designated victim
- * process, interrupting it at an explicit list of instruction-count
- * boundaries; at each boundary the intruder process runs for a fixed
- * gap of instructions before the victim resumes.
- *
- * Boundaries are *absolute* victim instruction counts and must be
- * non-decreasing; a repeated boundary means the intruder is dispatched
- * twice back to back with no victim instruction in between.  Once all
- * boundaries are consumed the scheduler degrades to run-to-completion
- * round robin so both programs can finish.
+ * The model checker's interleaving (src/check) as a ScriptedScheduler
+ * script: the victim runs up to each of @p boundaries (absolute victim
+ * instruction counts, non-decreasing), and at each one the intruder
+ * runs for @p gap instructions before the victim resumes.  A repeated
+ * boundary gets no victim slice, so the intruder runs twice back to
+ * back.  ScriptedScheduler::dispatched(intruder) counts the gaps
+ * actually delivered.
  */
-class PreemptionScheduler : public Scheduler
-{
-  public:
-    PreemptionScheduler(Pid victim, Pid intruder,
-                        std::vector<std::uint64_t> boundaries,
-                        std::uint64_t gap_instructions)
-        : victim_(victim), intruder_(intruder),
-          boundaries_(std::move(boundaries)), gap_(gap_instructions)
-    {}
-
-    void enqueue(Process &process) override;
-    SchedulingDecision pickNext(Process *previous) override;
-
-    /** How many intruder gaps have actually been dispatched. */
-    std::size_t preemptionsDelivered() const { return delivered_; }
-
-  private:
-    Process *takeRunnable(Pid pid);
-
-    Pid victim_;
-    Pid intruder_;
-    std::vector<std::uint64_t> boundaries_;
-    std::uint64_t gap_;
-
-    /// Victim instructions granted so far (sum of issued slice caps).
-    std::uint64_t victimGiven_ = 0;
-    std::size_t cursor_ = 0;
-    bool pendingGap_ = false;
-    std::size_t delivered_ = 0;
-    std::deque<Process *> ready_;
-};
+std::vector<ScriptedScheduler::Slice>
+preemptionScript(Pid victim, Pid intruder,
+                 const std::vector<std::uint64_t> &boundaries,
+                 std::uint64_t gap);
 
 /**
  * Randomized slicing: each decision runs a uniformly chosen runnable

@@ -233,58 +233,7 @@ Registry::dump(std::ostream &os) const
 void
 Registry::dumpJson(std::ostream &os, bool pretty) const
 {
-    json::Writer w(os, pretty);
-    w.beginObject();
-    w.member("schema", "uldma-stats-v1");
-    w.key("groups");
-    w.beginArray();
-    for (const Group *g : groups_) {
-        w.beginObject();
-        w.member("name", g->name());
-        w.key("scalars");
-        w.beginObject();
-        for (const auto &e : g->scalars())
-            w.member(e.name, e.stat->value());
-        w.endObject();
-        w.key("averages");
-        w.beginObject();
-        for (const auto &e : g->averages()) {
-            w.key(e.name);
-            w.beginObject();
-            w.member("count", e.stat->count());
-            w.member("sum", e.stat->sum());
-            w.member("mean", e.stat->mean());
-            w.member("min", e.stat->min());
-            w.member("max", e.stat->max());
-            w.member("stddev", e.stat->stddev());
-            w.endObject();
-        }
-        w.endObject();
-        w.key("histograms");
-        w.beginObject();
-        for (const auto &e : g->histograms()) {
-            w.key(e.name);
-            w.beginObject();
-            w.member("lo", e.stat->lo());
-            w.member("hi", e.stat->hi());
-            w.member("underflow", e.stat->underflow());
-            w.member("overflow", e.stat->overflow());
-            w.member("total", e.stat->totalSamples());
-            w.member("p50", e.stat->percentile(50.0));
-            w.member("p90", e.stat->percentile(90.0));
-            w.member("p99", e.stat->percentile(99.0));
-            w.key("buckets");
-            w.beginArray();
-            for (unsigned i = 0; i < e.stat->numBuckets(); ++i)
-                w.value(e.stat->bucketCount(i));
-            w.endArray();
-            w.endObject();
-        }
-        w.endObject();
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
+    writeStatsJson(os, snapshotRegistry(*this), pretty);
 }
 
 GroupSnapshot

@@ -179,8 +179,9 @@ class Registry
 
     /**
      * Serialise every group as one JSON document:
-     * {"schema": "uldma-stats-v1", "groups": [...]}.  Deterministic —
-     * contains no wall-clock time, hostnames or pointers.
+     * {"schema": "uldma-stats-v1", "groups": [...]} — writeStatsJson of
+     * this registry's snapshot.  Deterministic — contains no
+     * wall-clock time, hostnames or pointers.
      */
     void dumpJson(std::ostream &os, bool pretty = true) const;
 
@@ -232,10 +233,10 @@ GroupSnapshot snapshotGroup(const Group &group);
 std::vector<GroupSnapshot> snapshotRegistry(const Registry &registry);
 
 /**
- * Serialise snapshots as one uldma-stats-v1 document.  Emits the same
- * bytes as Registry::dumpJson for the same values (plus a "shard"
- * member on groups whose snapshot carries one), so merged multi-shard
- * exports and live single-machine exports share a schema.
+ * Serialise snapshots as one uldma-stats-v1 document, with a "shard"
+ * member on groups whose snapshot carries one.  Registry::dumpJson
+ * writes through it, so merged multi-shard exports and live
+ * single-machine exports share one writer.
  */
 void writeStatsJson(std::ostream &os,
                     const std::vector<GroupSnapshot> &groups,

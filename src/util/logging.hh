@@ -1,12 +1,10 @@
 /**
  * @file
- * Error-reporting and status-message helpers, modeled on gem5's
- * base/logging.hh.
+ * Error-reporting helpers, modeled on gem5's base/logging.hh.
  *
  * panic()  — an internal simulator invariant was violated (aborts).
  * fatal()  — the user supplied an impossible configuration (exits).
  * warn()   — something is modeled approximately but the run continues.
- * inform() — plain status output.
  */
 
 #ifndef ULDMA_UTIL_LOGGING_HH
@@ -34,7 +32,6 @@ concatToString(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
 
@@ -56,11 +53,6 @@ unsigned warnCount();
 /** Warn but continue. */
 #define ULDMA_WARN(...)                                                     \
     ::uldma::detail::warnImpl(::uldma::detail::concatToString(__VA_ARGS__))
-
-/** Informational status message. */
-#define ULDMA_INFORM(...)                                                   \
-    ::uldma::detail::informImpl(                                            \
-        ::uldma::detail::concatToString(__VA_ARGS__))
 
 /** panic() unless @p cond holds. */
 #define ULDMA_ASSERT(cond, ...)                                             \

@@ -82,7 +82,7 @@ runShard(const Shard &shard, std::uint64_t seed,
     }
 
     if (options.captureTrace)
-        trace::eventRing().enable(options.traceCapacity);
+        trace::eventRing().enable();
     if (options.captureProfile)
         prof::profiler().enable();
 

@@ -44,9 +44,6 @@ struct ParallelOptions
      *  chrome://tracing export). */
     bool captureTrace = false;
 
-    /** Per-shard event-ring capacity when captureTrace is set. */
-    std::size_t traceCapacity = 1 << 16;
-
     /** Capture each shard's scoped profile (prof::Profiler) for the
      *  merged uldma-profile-v1 export. */
     bool captureProfile = false;

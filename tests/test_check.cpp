@@ -136,9 +136,9 @@ TEST(Invariants, KernelInitiationsAreExempt)
 TEST(ScheduleJson, RoundTripIsByteIdentical)
 {
     Schedule s;
-    s.protocol = "repeated";
-    s.faults = true;
-    s.weakRecognizer = true;
+    s.config.method = DmaMethod::Repeated5;
+    s.config.faults = true;
+    s.config.weakRecognizer = true;
     s.boundarySpace = 12;
     s.preemptAfter = {2, 2, 7};
     Outcome o;
@@ -155,9 +155,9 @@ TEST(ScheduleJson, RoundTripIsByteIdentical)
     Outcome o2;
     std::string error;
     ASSERT_TRUE(parseScheduleJson(first.str(), s2, o2, &error)) << error;
-    EXPECT_EQ(s2.protocol, s.protocol);
-    EXPECT_EQ(s2.faults, s.faults);
-    EXPECT_EQ(s2.weakRecognizer, s.weakRecognizer);
+    EXPECT_EQ(s2.config.method, s.config.method);
+    EXPECT_EQ(s2.config.faults, s.config.faults);
+    EXPECT_EQ(s2.config.weakRecognizer, s.config.weakRecognizer);
     EXPECT_EQ(s2.boundarySpace, s.boundarySpace);
     EXPECT_EQ(s2.preemptAfter, s.preemptAfter);
     EXPECT_EQ(o2, o);
@@ -190,7 +190,7 @@ std::string
 validScheduleText()
 {
     Schedule s;
-    s.protocol = "repeated";
+    s.config.method = DmaMethod::Repeated5;
     s.boundarySpace = 12;
     s.preemptAfter = {2};
     std::ostringstream os;
@@ -226,7 +226,7 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
     // given; the parser must refuse).
     {
         Schedule bad;
-        bad.protocol = "repeated";
+        bad.config.method = DmaMethod::Repeated5;
         bad.boundarySpace = 12;
         bad.preemptAfter = {5, 2};
         std::ostringstream os;
@@ -237,7 +237,7 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
     // Boundary outside the recorded space.
     {
         Schedule bad;
-        bad.protocol = "repeated";
+        bad.config.method = DmaMethod::Repeated5;
         bad.boundarySpace = 2;
         bad.preemptAfter = {99};
         std::ostringstream os;
@@ -288,7 +288,7 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
         Outcome with_violation;
         with_violation.violations = {{"protection", "detail"}};
         Schedule good;
-        good.protocol = "repeated";
+        good.config.method = DmaMethod::Repeated5;
         good.boundarySpace = 12;
         std::ostringstream os;
         writeScheduleJson(os, good, with_violation);
@@ -298,6 +298,15 @@ TEST(ScheduleJson, RejectsMalformedDocuments)
         EXPECT_FALSE(parseScheduleJson(text, s, o, &error));
         EXPECT_NE(error.find("unknown member"), std::string::npos) << error;
     }
+
+    // Every schedule file has faults and weakened_recognizer; the flags
+    // that postdate them may be absent and read as false.
+    EXPECT_FALSE(parseScheduleJson(withField("\"faults\": false,\n  ", ""),
+                                   s, o, &error));
+    ASSERT_TRUE(parseScheduleJson(
+        withField("\"weakened_cap\": false,\n  ", ""), s, o, &error))
+        << error;
+    EXPECT_FALSE(s.config.weakCap);
 
     // The largest double below 2^64 still fits.
     ASSERT_TRUE(parseScheduleJson(
@@ -324,11 +333,10 @@ TEST(CheckRunner, SameScheduleReproducesExactly)
 
     const RunResult a = runSchedule(config, pts);
     const RunResult b = runSchedule(config, pts);
-    EXPECT_TRUE(a.finished);
+    EXPECT_TRUE(a.outcome.finished);
     EXPECT_EQ(a.boundarySpace, b.boundarySpace);
     EXPECT_EQ(a.boundaryHashes, b.boundaryHashes);
-    EXPECT_EQ(a.finalHash, b.finalHash);
-    EXPECT_EQ(outcomeOf(a), outcomeOf(b));
+    EXPECT_EQ(a.outcome, b.outcome);
     // Both preemptions were actually delivered and hashed.
     EXPECT_EQ(a.boundaryHashes.size(), pts.size());
 }
@@ -341,21 +349,23 @@ TEST(CheckRunner, BoundarySpaceMatchesInitiationLength)
     config.method = DmaMethod::Repeated5;
     const RunResult r = runSchedule(config, {});
     EXPECT_EQ(r.boundarySpace, 12u);
-    EXPECT_TRUE(r.finished);
-    EXPECT_TRUE(r.violations.empty());
-    EXPECT_EQ(r.initiations, 1u);
-    EXPECT_EQ(r.status, dmastatus::ok);
+    EXPECT_TRUE(r.outcome.finished);
+    EXPECT_TRUE(r.outcome.violations.empty());
+    EXPECT_EQ(r.outcome.initiations, 1u);
+    EXPECT_EQ(r.outcome.status, dmastatus::ok);
 }
 
 TEST(CheckRunner, SoloRunsOfAllProtocolsAreClean)
 {
-    for (const char *token : checkedProtocols) {
+    for (const auto &[token, method] : checkedProtocols) {
+        EXPECT_EQ(protocolMethod(token), method);
+        EXPECT_STREQ(protocolToken(method), token);
         RunnerConfig config;
-        config.method = *protocolMethod(token);
+        config.method = method;
         const RunResult r = runSchedule(config, {});
-        EXPECT_TRUE(r.finished) << token;
-        EXPECT_TRUE(r.violations.empty()) << token;
-        EXPECT_EQ(r.initiations, 1u) << token;
+        EXPECT_TRUE(r.outcome.finished) << token;
+        EXPECT_TRUE(r.outcome.violations.empty()) << token;
+        EXPECT_EQ(r.outcome.initiations, 1u) << token;
     }
 }
 
@@ -415,24 +425,20 @@ TEST(Explorer, WeakenedRecognizerYieldsMinimalCounterexample)
 
     // Shrinking got it down to a single preemption point.
     EXPECT_EQ(cex.preemptAfter.size(), 1u);
-    EXPECT_FALSE(cex.result.violations.empty());
+    EXPECT_FALSE(cex.result.outcome.violations.empty());
 
     // The recorded outcome replays exactly.
     const RunResult replay = runSchedule(config.runner, cex.preemptAfter);
-    EXPECT_EQ(outcomeOf(replay), outcomeOf(cex.result));
-    EXPECT_TRUE(violates(replay.violations, "initiation-atomicity"));
-    EXPECT_TRUE(violates(replay.violations, "intent-match"));
+    EXPECT_EQ(replay.outcome, cex.result.outcome);
+    EXPECT_TRUE(violates(replay.outcome.violations, "initiation-atomicity"));
+    EXPECT_TRUE(violates(replay.outcome.violations, "intent-match"));
 
     // ...and serialises to the same bytes both times.
-    Schedule schedule;
-    schedule.protocol = "repeated";
-    schedule.faults = true;
-    schedule.weakRecognizer = true;
-    schedule.boundarySpace = cex.result.boundarySpace;
-    schedule.preemptAfter = cex.preemptAfter;
+    const Schedule schedule{config.runner, cex.result.boundarySpace,
+                            cex.preemptAfter};
     std::ostringstream first, second;
-    writeScheduleJson(first, schedule, outcomeOf(cex.result));
-    writeScheduleJson(second, schedule, outcomeOf(replay));
+    writeScheduleJson(first, schedule, cex.result.outcome);
+    writeScheduleJson(second, schedule, replay.outcome);
     EXPECT_EQ(first.str(), second.str());
 }
 

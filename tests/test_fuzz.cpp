@@ -5,7 +5,7 @@
  * curve monotonicity, rediscovery of the seeded --weaken-ring and
  * --weaken-cap violations with replay-exact shrunk findings, clean
  * configs staying clean, swarm-mode config drawing, and the repro
- * round trip through the uldma-schedule-v1 serializer.
+ * round trip through the uldma-schedule-v1 serializer and parsers.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "check/fuzzer.hh"
 #include "check/runner.hh"
 #include "check/schedule.hh"
+#include "sim/json.hh"
 
 namespace uldma::check {
 namespace {
@@ -39,12 +40,6 @@ reportBytes(const FuzzReport &report)
     std::ostringstream os;
     writeFuzzJson(os, report);
     return os.str();
-}
-
-RunnerConfig
-findingRunner(const FuzzFinding &f)
-{
-    return f.config;
 }
 
 // ---------------------------------------------------------------------
@@ -141,9 +136,10 @@ TEST(Fuzzer, RediscoversWeakenedRingViolation)
     }));
 
     // The shrunk schedule replays to exactly the recorded outcome.
-    const RunResult replay = runSchedule(findingRunner(f), f.preemptAfter);
-    EXPECT_EQ(replay.boundarySpace, f.boundarySpace);
-    EXPECT_TRUE(outcomeOf(replay) == f.outcome);
+    const RunResult replay =
+        runSchedule(f.schedule.config, f.schedule.preemptAfter);
+    EXPECT_EQ(replay.boundarySpace, f.schedule.boundarySpace);
+    EXPECT_TRUE(replay.outcome == f.outcome);
 }
 
 TEST(Fuzzer, RediscoversWeakenedCapViolation)
@@ -164,8 +160,8 @@ TEST(Fuzzer, RediscoversWeakenedCapViolation)
             capInvariant = capInvariant ||
                            v.invariant.rfind("cap-", 0) == 0;
         const RunResult replay =
-            runSchedule(findingRunner(f), f.preemptAfter);
-        EXPECT_TRUE(outcomeOf(replay) == f.outcome);
+            runSchedule(f.schedule.config, f.schedule.preemptAfter);
+        EXPECT_TRUE(replay.outcome == f.outcome);
     }
     EXPECT_TRUE(capInvariant);
 }
@@ -174,18 +170,17 @@ TEST(Fuzzer, ShrunkFindingIsMinimal)
 {
     const FuzzReport r = fuzz(ringWeakConfig());
     ASSERT_FALSE(r.findings.empty());
-    const FuzzFinding &f = r.findings.front();
-    ASSERT_FALSE(f.preemptAfter.empty());
+    const Schedule &s = r.findings.front().schedule;
+    ASSERT_FALSE(s.preemptAfter.empty());
     // Single-point removal must not preserve the violation (greedy
     // shrinking ran to a fixed point) unless already at one point.
-    if (f.preemptAfter.size() > 1) {
-        for (std::size_t i = 0; i < f.preemptAfter.size(); ++i) {
-            std::vector<std::uint64_t> trial = f.preemptAfter;
+    if (s.preemptAfter.size() > 1) {
+        for (std::size_t i = 0; i < s.preemptAfter.size(); ++i) {
+            std::vector<std::uint64_t> trial = s.preemptAfter;
             trial.erase(trial.begin() +
                         static_cast<std::ptrdiff_t>(i));
-            const RunResult probe =
-                runSchedule(findingRunner(f), trial);
-            EXPECT_TRUE(probe.violations.empty());
+            const RunResult probe = runSchedule(s.config, trial);
+            EXPECT_TRUE(probe.outcome.violations.empty());
         }
     }
 }
@@ -199,12 +194,10 @@ TEST(Fuzzer, FindingScheduleRoundTripsAsScheduleV1)
     const FuzzReport r = fuzz(ringWeakConfig());
     ASSERT_FALSE(r.findings.empty());
     const FuzzFinding &f = r.findings.front();
-    const Schedule s = findingSchedule(f);
-    EXPECT_EQ(s.protocol, "ring");
-    EXPECT_TRUE(s.faults);
-    EXPECT_TRUE(s.weakRing);
-    EXPECT_EQ(s.boundarySpace, f.boundarySpace);
-    EXPECT_EQ(s.preemptAfter, f.preemptAfter);
+    const Schedule &s = f.schedule;
+    EXPECT_EQ(s.config.method, DmaMethod::Ring);
+    EXPECT_TRUE(s.config.faults);
+    EXPECT_TRUE(s.config.weakRing);
 
     std::ostringstream os1, os2;
     writeScheduleJson(os1, s, f.outcome);
@@ -217,9 +210,23 @@ TEST(Fuzzer, FindingScheduleRoundTripsAsScheduleV1)
     ASSERT_TRUE(parseScheduleJson(os1.str(), parsed, parsedOutcome,
                                   &error))
         << error;
-    EXPECT_EQ(parsed.protocol, s.protocol);
+    EXPECT_EQ(parsed.config.method, s.config.method);
+    EXPECT_EQ(parsed.config.weakRing, s.config.weakRing);
+    EXPECT_EQ(parsed.boundarySpace, s.boundarySpace);
     EXPECT_EQ(parsed.preemptAfter, s.preemptAfter);
     EXPECT_TRUE(parsedOutcome == f.outcome);
+
+    // The finding's row in the campaign report carries the same
+    // members, read back by the same parsers: it is the repro file in
+    // embedded form.
+    const json::Value row = json::parse(reportBytes(r))["findings"][0];
+    Schedule fromRow;
+    Outcome rowOutcome;
+    ASSERT_TRUE(parseScheduleMembers(row, fromRow, &error)) << error;
+    ASSERT_TRUE(parseOutcome(row["outcome"], rowOutcome, &error)) << error;
+    std::ostringstream os3;
+    writeScheduleJson(os3, fromRow, rowOutcome);
+    EXPECT_EQ(os3.str(), os1.str());
 }
 
 // ---------------------------------------------------------------------
@@ -257,7 +264,7 @@ TEST(Fuzzer, SwarmDrawsMultipleConfigs)
     // bug, counted as unexpected).
     EXPECT_EQ(r.unexpectedFindings, 0u);
     for (const FuzzFinding &f : r.findings)
-        EXPECT_TRUE(configWeakened(f.config));
+        EXPECT_TRUE(configWeakened(f.schedule.config));
 }
 
 // ---------------------------------------------------------------------
@@ -271,11 +278,12 @@ TEST(Fuzzer, FindingsRespectBoundaryContract)
     config.maxPoints = 3;
     const FuzzReport r = fuzz(config);
     for (const FuzzFinding &f : r.findings) {
-        EXPECT_LE(f.preemptAfter.size(), config.maxPoints);
-        EXPECT_TRUE(std::is_sorted(f.preemptAfter.begin(),
-                                   f.preemptAfter.end()));
-        for (std::uint64_t b : f.preemptAfter)
-            EXPECT_LT(b, f.boundarySpace);
+        const Schedule &s = f.schedule;
+        EXPECT_LE(s.preemptAfter.size(), config.maxPoints);
+        EXPECT_TRUE(std::is_sorted(s.preemptAfter.begin(),
+                                   s.preemptAfter.end()));
+        for (std::uint64_t b : s.preemptAfter)
+            EXPECT_LT(b, s.boundarySpace);
     }
 }
 

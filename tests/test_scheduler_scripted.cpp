@@ -3,8 +3,9 @@
  * Unit coverage for the scripted-schedule machinery the model checker
  * (src/check) relies on:
  *
- *  - PreemptionScheduler replays an explicit list of victim
- *    instruction-count boundaries deterministically;
+ *  - a ScriptedScheduler running a preemptionScript replays an
+ *    explicit list of victim instruction-count boundaries
+ *    deterministically;
  *  - a repeated boundary means two intruder gaps back to back with no
  *    victim instruction in between;
  *  - boundary 0 runs the intruder before the victim's first
@@ -43,17 +44,18 @@ traceProgram(std::vector<TraceEntry> &trace, int ops)
 }
 
 /// Runs victim (pid 1, @p victim_ops) against intruder (pid 2,
-/// @p intruder_ops) under a PreemptionScheduler and returns the trace.
+/// @p intruder_ops) under a preemptionScript and returns the trace;
+/// @p delivered receives the number of intruder gaps dispatched.
 std::vector<TraceEntry>
 runSchedule(std::vector<std::uint64_t> boundaries, std::uint64_t gap,
             int victim_ops, int intruder_ops,
             std::size_t *delivered = nullptr)
 {
     MachineConfig config;
-    PreemptionScheduler *sched = nullptr;
+    ScriptedScheduler *sched = nullptr;
     config.node.makeScheduler = [&]() {
-        auto s = std::make_unique<PreemptionScheduler>(1, 2, boundaries,
-                                                       gap);
+        auto s = std::make_unique<ScriptedScheduler>(
+            preemptionScript(1, 2, boundaries, gap));
         sched = s.get();
         return s;
     };
@@ -68,7 +70,7 @@ runSchedule(std::vector<std::uint64_t> boundaries, std::uint64_t gap,
     machine.start();
     EXPECT_TRUE(machine.run(tickPerSec));
     if (delivered != nullptr)
-        *delivered = sched->preemptionsDelivered();
+        *delivered = sched->dispatched(2);
     return trace;
 }
 

@@ -11,7 +11,9 @@
  *  - figure 8(a): five cooperating processes of ONE application can
  *    legitimately contribute one access each to a 5-instruction
  *    sequence (the paper's point that write-sharing implies consent);
- *  - kernel register block is unreachable from user space.
+ *  - kernel register block is unreachable from user space;
+ *  - an atomic shadow mapping whose CONTEXT_ID does not fit the atomic
+ *    unit's window is refused rather than aliased.
  */
 
 #include <gtest/gtest.h>
@@ -336,6 +338,33 @@ TEST(SecurityEdges, KernelRegistersUnreachableFromUserSpace)
     machine.start();
     ASSERT_TRUE(machine.run(tickPerSec));
     EXPECT_EQ(p.state(), RunState::Faulted);
+}
+
+TEST(SecurityEdges, AtomicContextIdOutsideItsWindowIsRefused)
+{
+    // The kernel hands out shadow CONTEXT_IDs sized by the DMA engine
+    // (two bits on an ext-shadow node), but the atomic unit's window
+    // has none by default.  The second process's id would carry into
+    // the operation bits, so its atomic_add would decode as
+    // fetch_and_store; mapping it is refused instead.
+    MachineConfig config;
+    configureNode(config.node, DmaMethod::ExtShadow);
+    ASSERT_EQ(config.node.dma.ctxIdBits, 2u);
+    ASSERT_EQ(config.node.atomic.ctxIdBits, 0u);
+    Machine machine(config);
+    Kernel &kernel = machine.node(0).kernel();
+
+    Process &first = kernel.createProcess("first");     // ctx 0
+    Process &second = kernel.createProcess("second");   // ctx 1
+    ASSERT_TRUE(kernel.grantShadowContext(first));
+    ASSERT_TRUE(kernel.grantShadowContext(second));
+    const Addr a = kernel.allocate(first, pageSize, Rights::ReadWrite);
+    const Addr b = kernel.allocate(second, pageSize, Rights::ReadWrite);
+
+    kernel.createAtomicShadowMappings(first, a, pageSize, AtomicOp::Add);
+    EXPECT_DEATH(kernel.createAtomicShadowMappings(second, b, pageSize,
+                                                   AtomicOp::Add),
+                 "does not fit 0 CONTEXT_ID bit");
 }
 
 } // namespace

@@ -48,6 +48,16 @@ usageError(const std::string &msg)
     return 2;
 }
 
+/** "pal | key-based | ..." for the help and error text. */
+std::string
+protocolList()
+{
+    std::string list;
+    for (const CheckedProtocol &p : checkedProtocols)
+        list += (list.empty() ? "" : " | ") + std::string(p.token);
+    return list;
+}
+
 bool
 writeReport(const std::string &path, const Schedule &schedule,
             const Outcome &outcome)
@@ -80,26 +90,19 @@ replayMode(const std::string &path, const std::string &report)
     if (!parseScheduleJson(text.str(), schedule, recorded, &error))
         return usageError(path + ": " + error);
 
-    RunnerConfig config;
-    config.method = *protocolMethod(schedule.protocol);
-    config.faults = schedule.faults;
-    config.weakRecognizer = schedule.weakRecognizer;
-    config.weakRing = schedule.weakRing;
-    config.useIommu = schedule.iommu;
-    config.weakIommu = schedule.weakIommu;
-    config.weakCap = schedule.weakCap;
     // runSchedule asserts that every boundary lies inside the real
     // boundary space, so a file recording another one is refused
     // before the run (the empty schedule's run measures the space).
-    const std::uint64_t space = runSchedule(config, {}).boundarySpace;
+    const std::uint64_t space =
+        runSchedule(schedule.config, {}).boundarySpace;
     if (space != schedule.boundarySpace) {
         return usageError(path + ": boundary_space " +
                           std::to_string(schedule.boundarySpace) +
                           " is not this configuration's " +
                           std::to_string(space));
     }
-    const RunResult r = runSchedule(config, schedule.preemptAfter);
-    const Outcome reproduced = outcomeOf(r);
+    const Outcome reproduced =
+        runSchedule(schedule.config, schedule.preemptAfter).outcome;
 
     if (!report.empty() &&
         !writeReport(report, schedule, reproduced)) {
@@ -111,7 +114,8 @@ replayMode(const std::string &path, const std::string &report)
         printViolations(reproduced.violations);
         return 1;
     }
-    std::cout << "replay reproduced: " << schedule.protocol << " with "
+    std::cout << "replay reproduced: "
+              << protocolToken(schedule.config.method) << " with "
               << schedule.preemptAfter.size() << " preemption(s), "
               << reproduced.violations.size() << " violation(s)\n";
     printViolations(reproduced.violations);
@@ -138,11 +142,13 @@ fuzzMode(const FuzzConfig &config, const std::string &report,
               << ", " << result.configs.size() << " config(s)\n";
     for (const FuzzFinding &f : result.findings) {
         std::cout << (f.expected ? "expected" : "UNEXPECTED")
-                  << " finding: " << protocolToken(f.config.method)
+                  << " finding: "
+                  << protocolToken(f.schedule.config.method)
                   << " at exec " << f.foundAtExec
                   << ", minimal schedule: preempt-after [";
-        for (std::size_t i = 0; i < f.preemptAfter.size(); ++i)
-            std::cout << (i ? " " : "") << f.preemptAfter[i];
+        const std::vector<std::uint64_t> &pts = f.schedule.preemptAfter;
+        for (std::size_t i = 0; i < pts.size(); ++i)
+            std::cout << (i ? " " : "") << pts[i];
         std::cout << "]\n";
         printViolations(f.outcome.violations);
     }
@@ -165,7 +171,7 @@ fuzzMode(const FuzzConfig &config, const std::string &report,
     }
     if (!report.empty() && !result.findings.empty()) {
         const FuzzFinding &f = result.findings.front();
-        if (!writeReport(report, findingSchedule(f), f.outcome))
+        if (!writeReport(report, f.schedule, f.outcome))
             return 2;
         std::cout << "repro written to " << report << "\n";
     }
@@ -183,8 +189,7 @@ main(int argc, char **argv)
     Options opts(
         "Systematic interleaving explorer for the DMA-initiation "
         "protocols (see docs/CHECKING.md).");
-    opts.addString("protocol", "repeated",
-                   "pal | key-based | ext-shadow | repeated | ring | cap");
+    opts.addString("protocol", "repeated", protocolList());
     opts.addInt("depth", 2, "max preemption points per schedule");
     opts.addFlag("faults", false,
                  "adversarial shadow traffic in every preemption gap");
@@ -249,9 +254,8 @@ main(int argc, char **argv)
     const auto method = protocolMethod(opts.getString("protocol"));
     if (!method) {
         return usageError("unknown protocol '" +
-                          opts.getString("protocol") +
-                          "' (pal | key-based | ext-shadow | repeated | "
-                          "ring | cap)");
+                          opts.getString("protocol") + "' (" +
+                          protocolList() + ")");
     }
     if (opts.getInt("depth") < 0)
         return usageError("depth must be >= 0");
@@ -316,19 +320,11 @@ main(int argc, char **argv)
         for (std::uint64_t b : cex.preemptAfter)
             std::cout << " " << b;
         std::cout << "\n";
-        printViolations(cex.result.violations);
+        printViolations(cex.result.outcome.violations);
         if (!report.empty()) {
-            Schedule schedule;
-            schedule.protocol = protocolToken(*method);
-            schedule.faults = config.runner.faults;
-            schedule.weakRecognizer = config.runner.weakRecognizer;
-            schedule.weakRing = config.runner.weakRing;
-            schedule.iommu = config.runner.useIommu;
-            schedule.weakIommu = config.runner.weakIommu;
-            schedule.weakCap = config.runner.weakCap;
-            schedule.boundarySpace = result.boundarySpace;
-            schedule.preemptAfter = cex.preemptAfter;
-            if (!writeReport(report, schedule, outcomeOf(cex.result)))
+            const Schedule schedule{config.runner, result.boundarySpace,
+                                    cex.preemptAfter};
+            if (!writeReport(report, schedule, cex.result.outcome))
                 return 2;
             std::cout << "repro written to " << report << "\n";
         }

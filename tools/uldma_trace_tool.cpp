@@ -269,17 +269,18 @@ validateBench(Problems &p, const Value &doc)
     }
 }
 
-/** Flag members of @p obj outside @p allowed (strict schemas). */
+/** Flag members of @p obj outside @p allowed (strict schemas); with
+ *  @p config_members the RunnerConfig members are allowed too. */
 void
 checkNoExtra(Problems &p, const Value &obj,
              std::initializer_list<const char *> allowed,
-             const std::string &where)
+             const std::string &where, bool config_members = false)
 {
     if (!obj.isObject())
         return;
     for (const auto &[key, unused] : obj.asObject()) {
         (void)unused;
-        bool known = false;
+        bool known = config_members && uldma::check::isConfigMember(key);
         for (const char *a : allowed) {
             if (key == a) {
                 known = true;
@@ -507,28 +508,32 @@ validateProfile(Problems &p, const Value &doc)
     }
 }
 
-/** One scenario-config member block shared by uldma-fuzz-v1 config
- *  and finding rows (mirrors the uldma-schedule-v1 header fields). */
+/** Flag members @p names of @p obj (at @p where, "" for the root)
+ *  that are not non-negative integers. */
 void
-checkFuzzConfigMembers(Problems &p, const Value &r,
-                       const std::string &where)
+requireCounts(Problems &p, const Value &obj,
+              std::initializer_list<const char *> names,
+              const std::string &where)
 {
-    p.require(r["protocol"].isString(), where + ".protocol missing");
-    if (r["protocol"].isString()) {
-        const std::string proto = r["protocol"].asString();
-        p.require(proto == "pal" || proto == "key-based" ||
-                      proto == "ext-shadow" || proto == "repeated" ||
-                      proto == "ring" || proto == "cap",
-                  where + ": unknown protocol '" + proto + "'");
-    }
-    for (const char *f : {"faults", "weakened_recognizer",
-                          "weakened_ring", "iommu", "weakened_iommu",
-                          "weakened_cap"})
-        p.require(r[f].isBool(), where + "." + f + " missing");
+    std::uint64_t unused = 0;
+    for (const char *f : names)
+        p.require(uldma::check::parseCount(obj[f], unused),
+                  (where.empty() ? "" : where + ".") + f +
+                      " is not a non-negative integer");
+}
+
+/** A uldma-fuzz-v1 row records every config flag, even those an older
+ *  schedule file may omit. */
+void
+requireEveryFlag(Problems &p, const Value &r, const std::string &where)
+{
+    for (const uldma::check::ConfigFlag &f : uldma::check::configFlags)
+        p.require(!r[f.name].isNull(), where + "." + f.name + " missing");
 }
 
 /** Strict uldma-fuzz-v1 check (coverage-guided fuzzing campaign
- *  reports, docs/FUZZING.md). */
+ *  reports, docs/FUZZING.md).  Config and finding rows go through the
+ *  uldma-schedule-v1 member parsers. */
 void
 validateFuzz(Problems &p, const Value &doc)
 {
@@ -546,11 +551,15 @@ validateFuzz(Problems &p, const Value &doc)
         p.require(mode == "fuzz" || mode == "swarm",
                   "mode is neither 'fuzz' nor 'swarm'");
     }
-    for (const char *f :
-         {"seed", "budget_schedules", "max_points", "batch_schedules",
-          "execs", "shrink_execs", "coverage_edges", "corpus_size",
-          "expected_findings", "unexpected_findings"})
-        p.require(doc[f].isNumber(), std::string(f) + " missing");
+    // Any 64-bit seed is legal, and one near 2^64 does not survive the
+    // trip through a double, so only the seed's type is checked.
+    p.require(doc["seed"].isNumber(), "seed missing");
+    requireCounts(p, doc,
+                  {"budget_schedules", "max_points", "batch_schedules",
+                   "execs", "shrink_execs", "coverage_edges",
+                   "corpus_size", "expected_findings",
+                   "unexpected_findings"},
+                  "");
     p.require(doc["shrink"].isBool(), "shrink missing");
 
     // Host-time members are opt-in (--fuzz-host-time): optional, and
@@ -570,8 +579,7 @@ validateFuzz(Problems &p, const Value &doc)
             const std::string where =
                 "coverage_curve[" + std::to_string(i) + "]";
             checkNoExtra(p, r, {"execs", "edges", "corpus"}, where);
-            for (const char *f : {"execs", "edges", "corpus"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
+            requireCounts(p, r, {"execs", "edges", "corpus"}, where);
             if (!r["execs"].isNumber() || !r["edges"].isNumber() ||
                 !r["corpus"].isNumber())
                 continue;
@@ -587,6 +595,7 @@ validateFuzz(Problems &p, const Value &doc)
         }
     }
 
+    std::string error;
     p.require(doc["configs"].isArray(), "configs missing");
     if (doc["configs"].isArray()) {
         const auto &rows = doc["configs"].asArray();
@@ -596,15 +605,17 @@ validateFuzz(Problems &p, const Value &doc)
             const std::string where =
                 "configs[" + std::to_string(i) + "]";
             checkNoExtra(p, r,
-                         {"protocol", "faults", "weakened_recognizer",
-                          "weakened_ring", "iommu", "weakened_iommu",
-                          "weakened_cap", "boundary_space", "execs",
-                          "new_edges", "corpus", "findings"},
-                         where);
-            checkFuzzConfigMembers(p, r, where);
-            for (const char *f : {"boundary_space", "execs",
-                                  "new_edges", "corpus", "findings"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
+                         {"boundary_space", "execs", "new_edges",
+                          "corpus", "findings"},
+                         where, /*config_members=*/true);
+            requireEveryFlag(p, r, where);
+            uldma::check::RunnerConfig config;
+            if (!uldma::check::parseConfigMembers(r, config, &error))
+                p.add(where + ": " + error);
+            requireCounts(p, r,
+                          {"boundary_space", "execs", "new_edges",
+                           "corpus", "findings"},
+                          where);
         }
     }
 
@@ -616,81 +627,22 @@ validateFuzz(Problems &p, const Value &doc)
             const std::string where =
                 "findings[" + std::to_string(i) + "]";
             checkNoExtra(p, r,
-                         {"protocol", "faults", "weakened_recognizer",
-                          "weakened_ring", "iommu", "weakened_iommu",
-                          "weakened_cap", "boundary_space",
-                          "preempt_after", "found_at_exec",
-                          "shrink_execs", "expected", "outcome"},
-                         where);
-            checkFuzzConfigMembers(p, r, where);
-            for (const char *f :
-                 {"boundary_space", "found_at_exec", "shrink_execs"})
-                p.require(r[f].isNumber(), where + "." + f + " missing");
+                         {"boundary_space", "preempt_after",
+                          "found_at_exec", "shrink_execs", "expected",
+                          "outcome"},
+                         where, /*config_members=*/true);
+            requireEveryFlag(p, r, where);
+            uldma::check::Schedule schedule;
+            if (!uldma::check::parseScheduleMembers(r, schedule, &error))
+                p.add(where + ": " + error);
+            requireCounts(p, r, {"found_at_exec", "shrink_execs"}, where);
             p.require(r["expected"].isBool(), where + ".expected missing");
-            p.require(r["preempt_after"].isArray(),
-                      where + ".preempt_after missing");
-            if (r["preempt_after"].isArray()) {
-                const auto &pts = r["preempt_after"].asArray();
-                double last = 0.0;
-                for (std::size_t j = 0; j < pts.size(); ++j) {
-                    const std::string pw =
-                        where + ".preempt_after[" + std::to_string(j) +
-                        "]";
-                    p.require(pts[j].isNumber(), pw + " is not a number");
-                    if (!pts[j].isNumber())
-                        continue;
-                    const double v = pts[j].asNumber();
-                    if (r["boundary_space"].isNumber())
-                        p.require(v < r["boundary_space"].asNumber(),
-                                  pw + " out of boundary space");
-                    p.require(j == 0 || v >= last,
-                              pw + " breaks non-decreasing order");
-                    last = v;
-                }
-            }
-
-            const Value &oc = r["outcome"];
-            p.require(oc.isObject(), where + ".outcome missing");
-            checkNoExtra(p, oc,
-                         {"finished", "status", "initiations",
-                          "state_hash", "violations"},
-                         where + ".outcome");
-            p.require(oc["finished"].isBool(),
-                      where + ".outcome.finished missing");
-            p.require(oc["initiations"].isNumber(),
-                      where + ".outcome.initiations missing");
-            for (const char *f : {"status", "state_hash"}) {
-                const std::string fw = where + ".outcome." + f;
-                p.require(oc[f].isString(), fw + " missing");
-                if (oc[f].isString()) {
-                    const std::string &s = oc[f].asString();
-                    bool hex = s.size() > 2 && s.size() <= 18 &&
-                               s.compare(0, 2, "0x") == 0;
-                    for (std::size_t j = 2; hex && j < s.size(); ++j) {
-                        const char c = s[j];
-                        hex = (c >= '0' && c <= '9') ||
-                              (c >= 'a' && c <= 'f');
-                    }
-                    p.require(hex, fw + " is not a 0x hex string");
-                }
-            }
-            p.require(oc["violations"].isArray(),
-                      where + ".outcome.violations missing");
-            if (oc["violations"].isArray()) {
-                const auto &vs = oc["violations"].asArray();
-                p.require(!vs.empty(),
+            uldma::check::Outcome outcome;
+            if (!uldma::check::parseOutcome(r["outcome"], outcome, &error))
+                p.add(where + ".outcome: " + error);
+            else
+                p.require(!outcome.violations.empty(),
                           where + ".outcome.violations is empty");
-                for (std::size_t j = 0; j < vs.size(); ++j) {
-                    const std::string vw =
-                        where + ".outcome.violations[" +
-                        std::to_string(j) + "]";
-                    checkNoExtra(p, vs[j], {"invariant", "detail"}, vw);
-                    p.require(vs[j]["invariant"].isString(),
-                              vw + ".invariant missing");
-                    p.require(vs[j]["detail"].isString(),
-                              vw + ".detail missing");
-                }
-            }
         }
     }
 }
