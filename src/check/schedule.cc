@@ -82,6 +82,23 @@ isConfigMember(std::string_view name)
                        [&](const ConfigFlag &f) { return name == f.name; });
 }
 
+const char *
+configFlagsError(const RunnerConfig &config)
+{
+    const bool ring = config.method == DmaMethod::Ring;
+    if ((config.useIommu || config.weakIommu) && !ring) {
+        return "iommu and weakened_iommu (--iommu, --weaken-iommu) need "
+               "protocol ring";
+    }
+    if (config.weakIommu && !config.useIommu)
+        return "weakened_iommu needs iommu";
+    if (config.weakRing && !ring)
+        return "weakened_ring (--weaken-ring) needs protocol ring";
+    if (config.weakCap && config.method != DmaMethod::Cap)
+        return "weakened_cap (--weaken-cap) needs protocol cap";
+    return nullptr;
+}
+
 void
 writeConfigMembers(json::Writer &w, const RunnerConfig &config)
 {
@@ -184,8 +201,8 @@ parseConfigMembers(const json::Value &obj, RunnerConfig &config,
             return fail(error, std::string(f.name) + " must be a boolean");
         config.*f.field = v.asBool();
     }
-    if (config.weakIommu)
-        config.useIommu = true;
+    if (const char *rule = configFlagsError(config))
+        return fail(error, rule);
     return true;
 }
 

@@ -113,6 +113,15 @@ inline constexpr ConfigFlag configFlags[] = {
 /** True when @p name is a member writeConfigMembers writes. */
 bool isConfigMember(std::string_view name);
 
+/**
+ * Why @p config combines flags its protocol does not take, or nullptr
+ * when it is valid: `iommu` and `weakened_iommu` need ring,
+ * `weakened_iommu` needs `iommu`, `weakened_ring` needs ring and
+ * `weakened_cap` needs cap.  The config parser and uldma_check's
+ * flags both apply these rules.
+ */
+const char *configFlagsError(const RunnerConfig &config);
+
 /** One deterministic run of the checker scenario. */
 struct Schedule
 {

@@ -253,7 +253,7 @@ Program::markPollHead(int branch)
 }
 
 Program &
-Program::withLabel(OpLabel label)
+Program::withLabel(Literal label)
 {
     ULDMA_ASSERT(!ops_.empty(), "withLabel on empty program");
     ops_.back().label = label.text();

@@ -19,6 +19,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/literal.hh"
 #include "util/types.hh"
 
 namespace uldma {
@@ -76,7 +77,7 @@ struct MicroOp
      *  compute cycles, syscall number, PAL index). */
     std::uint64_t imm = 0;
 
-    /** Optional debug label (a string literal; see OpLabel). */
+    /** Optional debug label (a string literal; see Literal). */
     const char *label = nullptr;
 
     /** Memory ops: if >= 0, effective address = reg[addrReg] + vaddr. */
@@ -108,23 +109,6 @@ struct MicroOp
 static_assert(std::is_trivially_copyable_v<MicroOp>);
 static_assert(std::is_trivially_destructible_v<MicroOp>);
 static_assert(sizeof(MicroOp) <= 48);
-
-/**
- * A micro-op label.  Only a string literal (or another array with
- * static storage) converts, so the op's pointer cannot dangle.
- */
-class OpLabel
-{
-  public:
-    template <std::size_t N>
-    consteval OpLabel(const char (&text)[N]) : text_(text)
-    {}
-
-    const char *text() const { return text_; }
-
-  private:
-    const char *text_;
-};
 
 /**
  * A program: an immutable-after-build list of micro-ops with a fluent
@@ -195,7 +179,7 @@ class Program
     void setTarget(int op_index, int target);
 
     /** Attach a debug label to the most recent op. */
-    Program &withLabel(OpLabel label);
+    Program &withLabel(Literal label);
 
     /** Append all ops of @p other (branch targets and hook indices are
      *  rebased); @p other may be this program. */

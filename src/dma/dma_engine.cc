@@ -1632,7 +1632,17 @@ DmaEngine::stateHash() const
     if (cap_) {
         f.mix(cap_->stateHash());
         f.mix(capArbiter_->stateHash());
+        // An idle latch mixes five zero words; a run of idle latches
+        // is mixed in one multiply (Fnv1a::mixZeros).
+        std::uint64_t idle = 0;
         for (const CapPresentation &p : capPres_) {
+            if (p.src == 0 && p.dst == 0 && p.size == 0 && p.status == 0 &&
+                p.contributors.empty()) {
+                ++idle;
+                continue;
+            }
+            f.mixZeros(5 * idle);
+            idle = 0;
             f.mix(p.src);
             f.mix(p.dst);
             f.mix(p.size);
@@ -1641,6 +1651,7 @@ DmaEngine::stateHash() const
             for (Pid q : p.contributors)
                 f.mix(q);
         }
+        f.mixZeros(5 * idle);
         f.mix(capActiveXfer_ != invalidTransfer);
         f.mix(capActiveSlot_);
         f.mix(capActiveSize_);

@@ -130,24 +130,21 @@ Histogram::reset()
 }
 
 void
-Group::addScalar(const std::string &name, const Scalar *s,
-                 const std::string &desc)
+Group::addScalar(Literal name, const Scalar *s, Literal desc)
 {
-    scalars_.push_back({name, s, desc});
+    scalars_.push_back({name.text(), s, desc.text()});
 }
 
 void
-Group::addAverage(const std::string &name, const Average *a,
-                  const std::string &desc)
+Group::addAverage(Literal name, const Average *a, Literal desc)
 {
-    averages_.push_back({name, a, desc});
+    averages_.push_back({name.text(), a, desc.text()});
 }
 
 void
-Group::addHistogram(const std::string &name, const Histogram *h,
-                    const std::string &desc)
+Group::addHistogram(Literal name, const Histogram *h, Literal desc)
 {
-    histograms_.push_back({name, h, desc});
+    histograms_.push_back({name.text(), h, desc.text()});
 }
 
 void
@@ -157,7 +154,7 @@ Group::dump(std::ostream &os) const
         os << csprintf("%-40s %12llu  # %s\n",
                        (name_ + "." + e.name).c_str(),
                        static_cast<unsigned long long>(e.stat->value()),
-                       e.desc.c_str());
+                       e.desc);
     }
     for (const auto &e : averages_) {
         os << csprintf("%-40s mean=%.4g min=%.4g max=%.4g stddev=%.4g "
@@ -165,7 +162,7 @@ Group::dump(std::ostream &os) const
                        (name_ + "." + e.name).c_str(), e.stat->mean(),
                        e.stat->min(), e.stat->max(), e.stat->stddev(),
                        static_cast<unsigned long long>(e.stat->count()),
-                       e.desc.c_str());
+                       e.desc);
     }
     for (const auto &e : histograms_) {
         // The percentile values here are the same
@@ -179,7 +176,7 @@ Group::dump(std::ostream &os) const
                        static_cast<unsigned long long>(e.stat->underflow()),
                        static_cast<unsigned long long>(e.stat->overflow()),
                        e.stat->percentile(50.0), e.stat->percentile(90.0),
-                       e.stat->percentile(99.0), e.desc.c_str());
+                       e.stat->percentile(99.0), e.desc);
         for (unsigned i = 0; i < e.stat->numBuckets(); ++i) {
             if (e.stat->bucketCount(i) == 0)
                 continue;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "util/literal.hh"
 #include "util/types.hh"
 
 namespace uldma::stats {
@@ -117,26 +118,26 @@ class Histogram
 
 /**
  * Named collection of stats owned by one component.  Components register
- * their stats once at construction; dump() renders everything.
+ * their stats once at construction; dump() renders everything.  A stat's
+ * name and description are string literals held by pointer, so
+ * registering one allocates nothing; snapshots and the text dump copy
+ * the text when they need it.
  */
 class Group
 {
   public:
-    struct ScalarEntry { std::string name; const Scalar *stat;
-                         std::string desc; };
-    struct AverageEntry { std::string name; const Average *stat;
-                          std::string desc; };
-    struct HistogramEntry { std::string name; const Histogram *stat;
-                            std::string desc; };
+    struct ScalarEntry { const char *name; const Scalar *stat;
+                         const char *desc; };
+    struct AverageEntry { const char *name; const Average *stat;
+                          const char *desc; };
+    struct HistogramEntry { const char *name; const Histogram *stat;
+                            const char *desc; };
 
     explicit Group(std::string name) : name_(std::move(name)) {}
 
-    void addScalar(const std::string &name, const Scalar *s,
-                   const std::string &desc);
-    void addAverage(const std::string &name, const Average *a,
-                    const std::string &desc);
-    void addHistogram(const std::string &name, const Histogram *h,
-                      const std::string &desc);
+    void addScalar(Literal name, const Scalar *s, Literal desc);
+    void addAverage(Literal name, const Average *a, Literal desc);
+    void addHistogram(Literal name, const Histogram *h, Literal desc);
 
     const std::string &name() const { return name_; }
     void dump(std::ostream &os) const;

@@ -41,6 +41,23 @@ struct Fnv1a
         h *= primePowers[zeroBytes];
     }
 
+    /**
+     * Mix @p words zero words, exactly as that many mix(0) calls
+     * would: each is one multiply by prime^8, so together they are one
+     * multiply by prime^(8 * words), raised here by square-and-multiply.
+     */
+    void
+    mixZeros(std::uint64_t words)
+    {
+        std::uint64_t power = 1;
+        for (std::uint64_t base = primePowers[8]; words != 0;
+             words >>= 1, base *= base) {
+            if (words & 1)
+                power *= base;
+        }
+        h *= power;
+    }
+
     /** Mix every byte of @p bytes. */
     void
     mixBytes(std::string_view bytes)

@@ -1,6 +1,7 @@
-# Run the command after "--" and require exit code EXPECT.
+# Run the command after "--" and require exit code EXPECT; with OUTPUT
+# set, its stdout goes to that file.
 #
-#   cmake -DEXPECT=<code> -P expect_exit.cmake -- <command> [args...]
+#   cmake -DEXPECT=<code> [-DOUTPUT=<file>] -P expect_exit.cmake -- <command> [args...]
 set(command)
 set(after_separator FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -11,7 +12,12 @@ foreach(i RANGE ${last})
         set(after_separator TRUE)
     endif()
 endforeach()
-execute_process(COMMAND ${command} RESULT_VARIABLE code)
+if(OUTPUT)
+    execute_process(COMMAND ${command} RESULT_VARIABLE code
+                    OUTPUT_FILE "${OUTPUT}")
+else()
+    execute_process(COMMAND ${command} RESULT_VARIABLE code)
+endif()
 if(NOT code STREQUAL EXPECT)
     message(FATAL_ERROR "exit ${code}, expected ${EXPECT}: ${command}")
 endif()

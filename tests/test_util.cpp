@@ -8,6 +8,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "util/bitfield.hh"
 #include "util/fnv.hh"
@@ -234,6 +235,31 @@ TEST(Fnv1a, StringFormHashesEachByte)
     Fnv1a f;
     f.mix(v);
     EXPECT_EQ(digest(bytes), f.h);
+}
+
+TEST(Fnv1a, MixZerosMatchesZeroMixes)
+{
+    std::vector<std::uint64_t> counts;
+    for (std::uint64_t n = 0; n <= 200; ++n)
+        counts.push_back(n);
+    for (unsigned k = 1; k <= 20; ++k) {
+        counts.push_back((1ULL << k) - 1);
+        counts.push_back(1ULL << k);
+        counts.push_back((1ULL << k) + 1);
+    }
+    Random rng(24);
+    for (const std::uint64_t n : counts) {
+        // An arbitrary prefix, so the fold starts from any state.
+        Fnv1a folded;
+        const std::uint64_t prefix = rng.below(8);
+        for (std::uint64_t i = 0; i < prefix; ++i)
+            folded.mix(rng.next64() >> rng.below(64));
+        Fnv1a looped = folded;
+        folded.mixZeros(n);
+        for (std::uint64_t i = 0; i < n; ++i)
+            looped.mix(0);
+        ASSERT_EQ(folded.h, looped.h) << "n = " << n;
+    }
 }
 
 // ---------------------------------------------------------------------

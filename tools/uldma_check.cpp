@@ -196,7 +196,8 @@ main(int argc, char **argv)
     opts.addFlag("weaken", false,
                  "fault-inject a weakened sequence recognizer");
     opts.addFlag("weaken-ring", false,
-                 "fault-inject a disabled ring frame check");
+                 "fault-inject a disabled ring frame check (requires "
+                 "--protocol=ring)");
     opts.addFlag("iommu", false,
                  "route ring descriptors through the engine's IOMMU "
                  "(virtual-address descriptors)");
@@ -268,11 +269,9 @@ main(int argc, char **argv)
     config.runner.weakIommu = opts.getFlag("weaken-iommu");
     config.runner.useIommu =
         opts.getFlag("iommu") || config.runner.weakIommu;
-    if (config.runner.useIommu && *method != DmaMethod::Ring)
-        return usageError("--iommu/--weaken-iommu require --protocol=ring");
     config.runner.weakCap = opts.getFlag("weaken-cap");
-    if (config.runner.weakCap && *method != DmaMethod::Cap)
-        return usageError("--weaken-cap requires --protocol=cap");
+    if (const char *error = configFlagsError(config.runner))
+        return usageError(error);
 
     if (opts.getFlag("fuzz")) {
         if (opts.getInt("budget-schedules") <= 0)
