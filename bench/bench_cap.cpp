@@ -88,8 +88,6 @@ measureStorm()
 {
     MachineConfig mc;
     mc.node.bus = BusParams::turboChannel();
-    mc.node.cpu = calibration::alpha3000Model300();
-    mc.node.kernel = calibration::osf1Class();
     configureNode(mc.node, DmaMethod::Cap);
     mc.node.dma.cap.numSlots = 256;
     mc.node.dma.cap.rateClasses = kClasses;

@@ -82,8 +82,6 @@ measurePoint(PinPolicy pinning, unsigned slots)
 
     MachineConfig mc;
     mc.node.bus = BusParams::turboChannel();
-    mc.node.cpu = calibration::alpha3000Model300();
-    mc.node.kernel = calibration::osf1Class();
     configureNode(mc.node, DmaMethod::Ring);
     mc.node.dma.iommu.enabled = true;
     mc.node.dma.iommu.iotlbEntries = kIotlbEntries;

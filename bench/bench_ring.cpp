@@ -70,8 +70,6 @@ measureRing(unsigned depth, Addr transfer_bytes)
 
     MachineConfig mc;
     mc.node.bus = BusParams::turboChannel();
-    mc.node.cpu = calibration::alpha3000Model300();
-    mc.node.kernel = calibration::osf1Class();
     configureNode(mc.node, DmaMethod::Ring);
     mc.node.makeScheduler = []() {
         // One process; a huge quantum keeps context-switch costs out

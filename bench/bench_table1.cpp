@@ -92,8 +92,8 @@ printTable1(benchutil::Reporter &reporter)
         recordRow(reporter, "ablation/default", m, 0.0);
 
         MeasureConfig no_merge = config;
-        no_merge.mergeBuffer.collapseStores = false;
-        no_merge.mergeBuffer.mergeLoads = false;
+        no_merge.cpu.mergeBuffer.collapseStores = false;
+        no_merge.cpu.mergeBuffer.mergeLoads = false;
         m = measureInitiation(no_merge);
         std::printf("  %-38s %8.2f\n", "write/read merging disabled",
                     m.avgUs);

@@ -308,8 +308,16 @@ struct Fuzzer
 bool
 configWeakened(const RunnerConfig &config)
 {
-    return config.weakRecognizer || config.weakRing ||
-           config.weakIommu || config.weakCap;
+    switch (config.method) {
+      case DmaMethod::Repeated5:
+        return config.weakRecognizer;
+      case DmaMethod::Ring:
+        return config.weakRing || config.weakIommu;
+      case DmaMethod::Cap:
+        return config.weakCap;
+      default:
+        return false;
+    }
 }
 
 FuzzReport

@@ -114,7 +114,10 @@ struct FuzzReport
 /** Run the fuzzing loop to budget exhaustion. Deterministic. */
 FuzzReport fuzz(const FuzzConfig &config);
 
-/** True when @p config carries any fault-injection flag. */
+/** True when @p config carries a fault-injection flag its protocol
+ *  reads: the recognizer flag on repeated, the ring and IOMMU flags on
+ *  ring, the cap flag on cap.  Any other flag weakens nothing, so a
+ *  finding under it is unexpected. */
 bool configWeakened(const RunnerConfig &config);
 
 /**

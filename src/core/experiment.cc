@@ -13,7 +13,6 @@ measureInitiation(const MeasureConfig &config)
     MachineConfig mc;
     mc.node.bus = config.bus;
     mc.node.cpu = config.cpu;
-    mc.node.cpu.mergeBuffer = config.mergeBuffer;
     mc.node.kernel = config.kernel;
     configureNode(mc.node, config.method);
     mc.node.makeScheduler = []() {

@@ -27,10 +27,8 @@ struct MeasureConfig
     Addr transferSize = 8;
 
     BusParams bus = BusParams::turboChannel();
-    CpuParams cpu = calibration::alpha3000Model300();
-    KernelParams kernel = calibration::osf1Class();
-    /** Write-buffer behaviours (ablation: footnote 6). */
-    MergeBufferParams mergeBuffer;
+    CpuParams cpu;
+    KernelParams kernel;
 };
 
 /** Result of an initiation-latency measurement. */
@@ -83,8 +81,8 @@ struct AtomicMeasureConfig
     bool keyed = false;
     unsigned iterations = 1000;
     BusParams bus = BusParams::turboChannel();
-    CpuParams cpu = calibration::alpha3000Model300();
-    KernelParams kernel = calibration::osf1Class();
+    CpuParams cpu;
+    KernelParams kernel;
 };
 
 /** Result of an atomic-op latency measurement. */

@@ -72,18 +72,18 @@ Node::registerStats(stats::Registry &registry)
 }
 
 Machine::Machine(const MachineConfig &config)
-    : config_(config), network_(eventq_, config.network)
+    : config_(config), network_(eventq_)
 {
     ULDMA_ASSERT(config.numNodes >= 1, "need at least one node");
     ULDMA_ASSERT(config.perNode.empty() ||
                      config.perNode.size() == config.numNodes,
                  "perNode configuration list must match numNodes");
+    ULDMA_ASSERT(config.numNodes <= maxNodes,
+                 "more nodes than the NIC window region supports");
     for (unsigned i = 0; i < config.numNodes; ++i) {
-        const NodeConfig &node_config = config.nodeConfig(i);
-        ULDMA_ASSERT(config.numNodes <= node_config.nic.maxNodes,
-                     "more nodes than the NIC window region supports");
         nodes_.push_back(std::make_unique<Node>(
-            eventq_, network_, static_cast<NodeId>(i), node_config));
+            eventq_, network_, static_cast<NodeId>(i),
+            config.nodeConfig(i)));
     }
     network_.registerStats(statsRegistry_);
     for (auto &node : nodes_)

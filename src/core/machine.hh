@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/calibration.hh"
 #include "dma/dma_engine.hh"
 #include "mem/memory_device.hh"
 #include "nic/atomic_unit.hh"
@@ -39,12 +38,12 @@ namespace uldma {
 struct NodeConfig
 {
     Addr memBytes = 64 * 1024 * 1024;
-    CpuParams cpu = calibration::alpha3000Model300();
+    CpuParams cpu;
     BusParams bus = BusParams::turboChannel();
     DmaEngineParams dma;
     AtomicUnitParams atomic;
     NicParams nic;
-    KernelParams kernel = calibration::osf1Class();
+    KernelParams kernel;
     /** Scheduler factory; default is round-robin @ 100 us. */
     std::function<std::unique_ptr<Scheduler>()> makeScheduler;
 };
@@ -54,7 +53,6 @@ struct MachineConfig
 {
     unsigned numNodes = 1;
     NodeConfig node;
-    NetworkParams network;
 
     /**
      * Heterogeneous machines (e.g. a workload mixing DMA protocols

@@ -38,9 +38,9 @@ Cpu::Cpu(EventQueue &eq, std::string name, const CpuParams &params,
 void
 Cpu::registerPal(std::uint64_t index, Program program)
 {
-    ULDMA_ASSERT(program.size() <= params_.palMaxInstructions,
+    ULDMA_ASSERT(program.size() <= palMaxInstructions,
                  "PAL function ", index, " has ", program.size(),
-                 " micro-ops; the limit is ", params_.palMaxInstructions);
+                 " micro-ops; the limit is ", palMaxInstructions);
     for (std::size_t i = 0; i < program.size(); ++i) {
         const OpKind kind = program.at(i).kind;
         ULDMA_ASSERT(kind != OpKind::Syscall && kind != OpKind::CallPal &&
@@ -413,7 +413,7 @@ Cpu::executePal(ExecContext &ctx, std::uint64_t index)
     int pal_pc = 0;
     unsigned executed = 0;
     while (pal_pc >= 0 && pal_pc < static_cast<int>(pal.size())) {
-        ULDMA_ASSERT(executed < 4 * params_.palMaxInstructions,
+        ULDMA_ASSERT(executed < 4 * palMaxInstructions,
                      "runaway PAL function ", index);
         const MicroOp &op = pal.at(static_cast<std::size_t>(pal_pc));
         int next_pc = pal_pc + 1;

@@ -43,7 +43,16 @@
 
 namespace uldma {
 
-/** CPU cost model and configuration. */
+/**
+ * CPU cost model and configuration.  The defaults are the paper's
+ * testbed (docs/CALIBRATION.md): a DEC Alpha 3000 model 300, whose
+ * 150 MHz core (6.67 ns/cycle) sits on the 12.5 MHz TurboChannel
+ * (80 ns/cycle, §3.4).  An uncached NI register access costs 1
+ * arbitration + 3 device (FPGA) + 2 data/response bus cycles = 480 ns
+ * plus the CPU-side issue cycles; the measured two-access
+ * extended-shadow initiation of 1.1 us and four-access key-based
+ * initiation of 2.3 us both sit on ~0.5 us per access.
+ */
 struct CpuParams
 {
     /** Core clock; 150 MHz matches the Alpha 3000/300. */
@@ -52,15 +61,14 @@ struct CpuParams
     Cycles baseInstrCycles = 1;
     /** Extra cycles for a cached (DRAM) memory access. */
     Cycles cachedMemExtraCycles = 2;
-    /** CPU-side extra cycles to issue an uncached access (pipeline
-     *  drain and bus interface), on top of the bus time itself. */
-    Cycles uncachedIssueExtraCycles = 4;
+    /** CPU-side extra cycles to issue an uncached access (write
+     *  buffer and TurboChannel interface), on top of the bus time
+     *  itself. */
+    Cycles uncachedIssueExtraCycles = 8;
     /** Cycles for a memory barrier (plus any drain bus time). */
-    Cycles membarCycles = 6;
+    Cycles membarCycles = 10;
     /** Entry + exit overhead of a PAL call. */
     Cycles palEntryExitCycles = 40;
-    /** Maximum micro-ops per PAL function (16 on the Alpha). */
-    unsigned palMaxInstructions = 16;
 
     TlbParams tlb;
     MergeBufferParams mergeBuffer;
@@ -74,6 +82,9 @@ struct CpuParams
 class Cpu : public Clocked
 {
   public:
+    /** Maximum micro-ops per PAL function (16 on the Alpha). */
+    static constexpr unsigned palMaxInstructions = 16;
+
     Cpu(EventQueue &eq, std::string name, const CpuParams &params,
         Bus &bus, PhysicalMemory &memory, NodeId node = 0);
 

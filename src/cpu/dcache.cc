@@ -40,18 +40,18 @@ Dcache::access(Addr paddr, unsigned size, bool is_write)
         ++writes_;
         // Write-through: the store goes straight to memory; a
         // resident line stays valid (the data in memory is current).
-        return params_.writeCycles;
+        return writeCycles;
     }
 
     if (line.valid && line.tag == tag) {
         ++hits_;
-        return params_.hitExtraCycles;
+        return hitExtraCycles;
     }
 
     ++misses_;
     line.valid = true;
     line.tag = tag;
-    return params_.missCycles;
+    return missCycles;
 }
 
 void

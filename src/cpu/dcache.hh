@@ -29,18 +29,12 @@
 
 namespace uldma {
 
-/** Data-cache geometry and costs. */
+/** Data-cache geometry. */
 struct DcacheParams
 {
     bool enabled = false;
     Addr sizeBytes = 16 * 1024;
     Addr lineBytes = 32;
-    /** Extra cycles on a hit (beyond the base instruction cost). */
-    Cycles hitExtraCycles = 1;
-    /** Extra cycles on a read miss (DRAM fill). */
-    Cycles missCycles = 24;
-    /** Extra cycles for a write (write-through buffer admission). */
-    Cycles writeCycles = 2;
 };
 
 /**
@@ -49,6 +43,13 @@ struct DcacheParams
 class Dcache
 {
   public:
+    /** Extra cycles on a hit (beyond the base instruction cost). */
+    static constexpr Cycles hitExtraCycles = 1;
+    /** Extra cycles on a read miss (DRAM fill). */
+    static constexpr Cycles missCycles = 24;
+    /** Extra cycles for a write (write-through buffer admission). */
+    static constexpr Cycles writeCycles = 2;
+
     Dcache(std::string name, const DcacheParams &params,
            PhysicalMemory &memory);
 

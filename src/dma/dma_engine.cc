@@ -32,16 +32,14 @@ DmaEngine::DmaEngine(EventQueue &eq, std::string name,
                      const DmaEngineParams &params, TransferBackend &backend)
     : name_(std::move(name)), params_(params), backend_(backend),
       eq_(eq),
-      xfer_(eq, name_ + ".xfer", bus_clock,
-            TransferTiming{params.bytesPerBusCycle,
-                           params.transferStartupCycles},
-            backend),
+      xfer_(eq, name_ + ".xfer", bus_clock, backend),
       statsGroup_(name_),
       ringOccupancy_(0.0, 64.0, 16)
 {
-    ULDMA_ASSERT(params_.numContexts >= 1 && params_.numContexts <= 8,
+    ULDMA_ASSERT(params_.numContexts >= 1 &&
+                     params_.numContexts <= maxContexts,
                  "numContexts must be in [1, 8]");
-    ULDMA_ASSERT(params_.ctxIdBits <= 2,
+    ULDMA_ASSERT(params_.ctxIdBits <= maxCtxIdBits,
                  "the paper envisions at most 2 CONTEXT_ID bits");
 
     pairLatch_.resize(std::size_t(1) << params_.ctxIdBits);
@@ -126,17 +124,14 @@ std::vector<AddrRange>
 DmaEngine::deviceRanges() const
 {
     std::vector<AddrRange> ranges = {
-        AddrRange(params_.kernelRegsBase,
-                  params_.kernelRegsBase + kregs::blockSize),
-        AddrRange(params_.contextPagesBase,
-                  params_.contextPagesBase + params_.numContexts * pageSize),
-        AddrRange(params_.shadowBase,
-                  params_.shadowBase + params_.shadowWindowSize()),
+        AddrRange(dmaKernelRegsBase, dmaKernelRegsBase + kregs::blockSize),
+        AddrRange(dmaContextPagesBase,
+                  dmaContextPagesBase + params_.numContexts * pageSize),
+        AddrRange(dmaShadowBase, dmaShadowBase + params_.shadowWindowSize()),
     };
     if (cap_) {
         ranges.push_back(AddrRange(
-            params_.capPagesBase,
-            params_.capPagesBase + Addr(params_.cap.numSlots) * pageSize));
+            capPagesBase, capPagesBase + Addr(params_.cap.numSlots) * pageSize));
     }
     return ranges;
 }
@@ -145,7 +140,7 @@ Addr
 DmaEngine::contextPageAddr(unsigned ctx) const
 {
     ULDMA_ASSERT(ctx < params_.numContexts, "context id out of range");
-    return params_.contextPagesBase + Addr(ctx) * pageSize;
+    return dmaContextPagesBase + Addr(ctx) * pageSize;
 }
 
 std::uint64_t
@@ -166,21 +161,18 @@ DmaEngine::access(Packet &pkt)
 {
     ULDMA_PROF_SCOPE("dma.access");
     const Addr a = pkt.paddr;
-    if (a >= params_.kernelRegsBase &&
-        a < params_.kernelRegsBase + kregs::blockSize) {
-        accessKernelRegs(pkt, a - params_.kernelRegsBase);
-    } else if (a >= params_.contextPagesBase &&
-               a < params_.contextPagesBase +
-                       params_.numContexts * pageSize) {
-        const Addr offset = a - params_.contextPagesBase;
+    if (a >= dmaKernelRegsBase && a < dmaKernelRegsBase + kregs::blockSize) {
+        accessKernelRegs(pkt, a - dmaKernelRegsBase);
+    } else if (a >= dmaContextPagesBase &&
+               a < dmaContextPagesBase + params_.numContexts * pageSize) {
+        const Addr offset = a - dmaContextPagesBase;
         accessContextPage(pkt, static_cast<unsigned>(offset / pageSize),
                           offset % pageSize);
-    } else if (cap_ && a >= params_.capPagesBase &&
-               a < params_.capPagesBase +
-                       Addr(params_.cap.numSlots) * pageSize) {
-        accessCapPage(pkt, a - params_.capPagesBase);
-    } else if (a >= params_.shadowBase &&
-               a < params_.shadowBase + params_.shadowWindowSize()) {
+    } else if (cap_ && a >= capPagesBase &&
+               a < capPagesBase + Addr(params_.cap.numSlots) * pageSize) {
+        accessCapPage(pkt, a - capPagesBase);
+    } else if (a >= dmaShadowBase &&
+               a < dmaShadowBase + params_.shadowWindowSize()) {
         accessShadow(pkt);
     } else {
         ULDMA_PANIC(name_, ": access to unmapped engine address 0x",
@@ -188,7 +180,7 @@ DmaEngine::access(Packet &pkt)
     }
     // A doorbell drain charges its descriptor walk to the access that
     // triggered it (pendingExtraCycles_, see ringDrain).
-    const Cycles cycles = params_.accessCycles + pendingExtraCycles_;
+    const Cycles cycles = niAccessCycles + pendingExtraCycles_;
     pendingExtraCycles_ = 0;
     return xfer_.clockDomain().cyclesToTicks(cycles);
 }
@@ -196,9 +188,8 @@ DmaEngine::access(Packet &pkt)
 bool
 DmaEngine::sideEffectFreeRead(Addr paddr) const
 {
-    return cap_ && paddr >= params_.capPagesBase &&
-           paddr < params_.capPagesBase +
-                       Addr(params_.cap.numSlots) * pageSize;
+    return cap_ && paddr >= capPagesBase &&
+           paddr < capPagesBase + Addr(params_.cap.numSlots) * pageSize;
 }
 
 span::SpanId
@@ -440,7 +431,7 @@ DmaEngine::kernelStart()
             sid = span::tracker().open(name_, "kernel", xfer_.now());
     }
 
-    if (kSize_ == 0 || kSize_ > params_.kernelMaxTransfer ||
+    if (kSize_ == 0 || kSize_ > kernelMaxTransfer ||
         !backend_.validEndpoint(kSrc_, kSize_) ||
         !backend_.validEndpoint(kDst_, kSize_)) {
         kFailed_ = true;
@@ -890,7 +881,7 @@ DmaEngine::ringDrain(unsigned ctx, Pid doorbell_pid)
         ++drained;
     // Two engine-side accesses per consumed descriptor: the descriptor
     // fetch and the control-word writeback.
-    pendingExtraCycles_ += Cycles(2 * drained) * params_.accessCycles;
+    pendingExtraCycles_ += Cycles(2 * drained) * niAccessCycles;
 }
 
 bool
@@ -1052,7 +1043,7 @@ DmaEngine::ringConsumeIommu(unsigned ctx, unsigned slot, Addr src,
                             Addr dst, Addr size, Pid doorbell_pid)
 {
     RingContext &ring = rings_[ctx];
-    if (size == 0 || size > params_.iommu.maxSgBytes) {
+    if (size == 0 || size > Iommu::maxSgBytes) {
         ++ringRejects_;
         ++rejected_;
         spanReject(spanOpen("ring"));
@@ -1082,7 +1073,7 @@ DmaEngine::ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
         // a plain single-page user transfer once translated.
         const Addr seg = std::min(
             {size - done, pageSize - pageOffset(src + done),
-             pageSize - pageOffset(dst + done), params_.userMaxTransfer});
+             pageSize - pageOffset(dst + done), userMaxTransfer});
         const Addr sv = src + done;
         const Addr dv = dst + done;
         Iommu::Result rs = iommu_->translate(ctx, sv, Rights::Read);
@@ -1261,7 +1252,7 @@ DmaEngine::capPageAddr(unsigned slot) const
 {
     ULDMA_ASSERT(cap_ && slot < params_.cap.numSlots,
                  name_, ": capPageAddr on invalid slot ", slot);
-    return params_.capPagesBase + Addr(slot) * pageSize;
+    return capPagesBase + Addr(slot) * pageSize;
 }
 
 void
@@ -1378,7 +1369,7 @@ DmaEngine::capCommit(unsigned slot, std::uint64_t capword)
     // machine does not have (the transfer engine asserts on them), and
     // the single-pipeline data mover keeps the paper's one-page bound.
     const bool args_ok =
-        p.size != 0 && p.size <= params_.userMaxTransfer &&
+        p.size != 0 && p.size <= userMaxTransfer &&
         pageNumber(p.src) == pageNumber(p.src + p.size - 1) &&
         pageNumber(p.dst) == pageNumber(p.dst + p.size - 1) &&
         backend_.validEndpoint(p.src, p.size) &&
@@ -1493,7 +1484,7 @@ DmaEngine::tryStartUser(Addr src, Addr dst, Addr size, unsigned ctx,
                         std::function<void()> on_complete)
 {
     ULDMA_PROF_SCOPE("dma.initiate");
-    if (size == 0 || size > params_.userMaxTransfer) {
+    if (size == 0 || size > userMaxTransfer) {
         ++rejected_;
         spanReject(span);
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "dma_reject",

@@ -1,8 +1,9 @@
 /**
  * @file
- * Configuration and physical-address-map of the DMA engine.
+ * Configuration of the DMA engine and the layout of its registers.
  *
- * The engine decodes four windows on the I/O bus:
+ * The engine decodes these windows on the I/O bus (their physical
+ * bases are in vm/layout.hh):
  *
  *  - kernel registers: the traditional privileged register block of
  *    figure 1 (never mapped into user page tables);
@@ -23,6 +24,7 @@
 #include "util/bitfield.hh"
 #include "util/logging.hh"
 #include "util/types.hh"
+#include "vm/layout.hh"
 
 namespace uldma {
 
@@ -208,6 +210,7 @@ inline constexpr Addr capSecret = 0xE0;
 inline constexpr Addr capOp = 0xE8;
 inline constexpr Addr capStatus = 0xF0;
 inline constexpr Addr blockSize = 0x100;
+static_assert(blockSize <= pageSize);
 } // namespace kregs
 
 /** Bit layout of the kregs::iommuMapEntry payload.  Pages are 8 KiB,
@@ -242,6 +245,12 @@ constexpr unsigned rateClassOf(std::uint64_t cfg)
     return static_cast<unsigned>((cfg >> 4) & 0xf);
 }
 } // namespace capconfig
+
+/** User-level transfers may not cross a page boundary (the shadow
+ *  mapping only proves rights to one page); kernel transfers may. */
+inline constexpr Addr userMaxTransfer = pageSize;
+/** Upper bound for kernel-initiated transfers. */
+inline constexpr Addr kernelMaxTransfer = 1 << 20;
 
 /** Full engine configuration. */
 struct DmaEngineParams
@@ -313,42 +322,6 @@ struct DmaEngineParams
      *  is then byte-identical to the pre-capability model. */
     CapParams cap;
 
-    /** Device-side latency of a register/shadow access in bus cycles
-     *  (the FPGA of the prototype board). */
-    Cycles accessCycles = 3;
-
-    /** Bytes moved per bus cycle once a transfer is running. */
-    Addr bytesPerBusCycle = 4;
-    /** Fixed start-up cost of a transfer in bus cycles. */
-    Cycles transferStartupCycles = 8;
-
-    /** User-level transfers may not cross a page boundary (the shadow
-     *  mapping only proves rights to one page); kernel transfers may. */
-    Addr userMaxTransfer = 8 * 1024;
-    /** Upper bound for kernel-initiated transfers. */
-    Addr kernelMaxTransfer = 1 << 20;
-
-    /// @name Physical address map.
-    /// @{
-    Addr kernelRegsBase = 0x4000'0000;
-    Addr contextPagesBase = 0x4001'0000;
-    /** Capability presentation pages, one per slot (cap.enabled). */
-    Addr capPagesBase = 0x4200'0000;
-    Addr shadowBase = 0x8000'0000;
-    /** Physical addresses representable through the shadow window
-     *  (DRAM + remote windows must fit below this). */
-    Addr shadowCoverage = 0x2000'0000;
-    /// @}
-
-    /** log2 of shadowCoverage (the CONTEXT_ID field sits above it). */
-    unsigned
-    coverageShift() const
-    {
-        ULDMA_ASSERT(isPowerOf2(shadowCoverage),
-                     "shadowCoverage must be a power of two");
-        return floorLog2(shadowCoverage);
-    }
-
     /** Size of the whole shadow window including CONTEXT_ID bits. */
     Addr shadowWindowSize() const { return shadowCoverage << ctxIdBits; }
 
@@ -364,16 +337,16 @@ struct DmaEngineParams
                      " not representable in shadow window");
         ULDMA_ASSERT(ctx < (1u << ctxIdBits) || ctx == 0,
                      "context id out of range");
-        return shadowBase + ((Addr(ctx) << coverageShift())) + paddr;
+        return dmaShadowBase + (Addr(ctx) << shadowCoverageShift) + paddr;
     }
 
     /** Inverse of shadowAddr: recover (paddr, ctx). */
     void
     decodeShadow(Addr shadow_paddr, Addr &paddr, unsigned &ctx) const
     {
-        const Addr offset = shadow_paddr - shadowBase;
+        const Addr offset = shadow_paddr - dmaShadowBase;
         paddr = offset & (shadowCoverage - 1);
-        ctx = static_cast<unsigned>(offset >> coverageShift());
+        ctx = static_cast<unsigned>(offset >> shadowCoverageShift);
     }
 };
 

@@ -13,13 +13,10 @@ namespace uldma {
 
 TransferEngine::TransferEngine(EventQueue &eq, std::string name,
                                const ClockDomain &bus_clock,
-                               const TransferTiming &timing,
                                TransferBackend &backend)
-    : Clocked(eq, bus_clock), name_(std::move(name)), timing_(timing),
-      backend_(backend), statsGroup_(name_),
-      latencyUs_(0.0, 100.0, 100)
+    : Clocked(eq, bus_clock), name_(std::move(name)), backend_(backend),
+      statsGroup_(name_), latencyUs_(0.0, 100.0, 100)
 {
-    ULDMA_ASSERT(timing_.bytesPerBusCycle > 0, "zero DMA bandwidth");
     statsGroup_.addScalar("transfers_started", &started_,
                           "DMA transfers begun");
     statsGroup_.addScalar("transfers_completed", &completed_,
@@ -50,7 +47,7 @@ TransferEngine::start(Addr src, Addr dst, Addr size,
 
     const Tick begin = std::max({now(), busyUntil_, not_before});
     const Cycles busy_cycles =
-        timing_.startupCycles + divCeil(size, timing_.bytesPerBusCycle);
+        startupCycles + divCeil(size, bytesPerBusCycle);
     const Tick end = begin + clockDomain().cyclesToTicks(busy_cycles);
     busyUntil_ = end;
     // Busy windows are serialized (begin >= the previous end), so the

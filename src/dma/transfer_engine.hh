@@ -28,22 +28,20 @@ namespace uldma {
 using TransferId = std::uint64_t;
 inline constexpr TransferId invalidTransfer = ~TransferId(0);
 
-/** Timing parameters (shared with DmaEngineParams). */
-struct TransferTiming
-{
-    Addr bytesPerBusCycle = 4;
-    Cycles startupCycles = 8;
-};
-
 /**
  * Schedules and applies DMA data movement.
  */
 class TransferEngine : public Clocked
 {
   public:
+    /** Bytes moved per bus cycle once a transfer is running: a 32-bit
+     *  TurboChannel slave streaming one word per cycle. */
+    static constexpr Addr bytesPerBusCycle = 4;
+    /** Fixed start-up cost of a transfer in bus cycles. */
+    static constexpr Cycles startupCycles = 8;
+
     TransferEngine(EventQueue &eq, std::string name,
-                   const ClockDomain &bus_clock, const TransferTiming &timing,
-                   TransferBackend &backend);
+                   const ClockDomain &bus_clock, TransferBackend &backend);
 
     /**
      * Begin a transfer.  Bytes materialize at the destination when the
@@ -112,7 +110,6 @@ class TransferEngine : public Clocked
     const Flight *findFlight(TransferId id) const;
 
     std::string name_;
-    TransferTiming timing_;
     TransferBackend &backend_;
 
     Tick busyUntil_ = 0;

@@ -151,7 +151,7 @@ Iommu::translate(unsigned ctx, Addr iova, Rights need)
         if (params_.pinPolicy == PinPolicy::OnDemand &&
             pinLocked(c, vpn, /*evict_ok=*/true)) {
             ++demandPins_;
-            r.cycles += params_.pinCycles;
+            r.cycles += pinCycles;
         } else {
             ++faults_;
             r.fault = IommuFault::NotPinned;

@@ -30,6 +30,7 @@
 #include "iommu/iommu_params.hh"
 #include "iommu/iotlb.hh"
 #include "sim/stats.hh"
+#include "vm/layout.hh"
 #include "vm/page_table.hh"
 
 namespace uldma {
@@ -48,6 +49,12 @@ const char *toString(IommuFault fault);
 class Iommu
 {
   public:
+    /** Demand-pin cost in bus cycles (PinPolicy::OnDemand only). */
+    static constexpr Cycles pinCycles = 30;
+    /** Largest virtually-addressed descriptor the engine will
+     *  scatter-gather (it becomes per-page bus transactions). */
+    static constexpr Addr maxSgBytes = 8 * pageSize;
+
     Iommu(std::string name, const IommuParams &params,
           unsigned num_contexts);
 

@@ -10,7 +10,6 @@
 #define ULDMA_IOMMU_IOMMU_PARAMS_HH
 
 #include "util/types.hh"
-#include "vm/layout.hh"
 
 namespace uldma {
 
@@ -51,18 +50,12 @@ struct IommuParams
     Cycles iotlbMissCycles = 6;
     /** I/O page-table walk on an IOTLB miss. */
     Cycles walkCycles = 60;
-    /** Demand-pin cost (PinPolicy::OnDemand only). */
-    Cycles pinCycles = 30;
 
     PinPolicy pinPolicy = PinPolicy::OnMap;
     /** Max pinned pages per context; 0 = unlimited. */
     unsigned pinBudgetPages = 0;
 
     IommuFaultPolicy faultPolicy = IommuFaultPolicy::Abort;
-
-    /** Largest virtually-addressed descriptor the engine will
-     *  scatter-gather (it becomes per-page bus transactions). */
-    Addr maxSgBytes = 8 * pageSize;
 };
 
 } // namespace uldma

@@ -91,6 +91,11 @@ struct BusParams
     static BusParams pci66();
 };
 
+/** Device-side latency of an access to the NI board in bus cycles:
+ *  the prototype's FPGA (docs/CALIBRATION.md).  The DMA engine, the
+ *  atomic unit and the NIC's remote windows all charge it. */
+inline constexpr Cycles niAccessCycles = 3;
+
 /**
  * Routes packets to devices and accounts bus occupancy.
  */

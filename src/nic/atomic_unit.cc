@@ -34,7 +34,7 @@ AtomicUnit::contextPageAddr(unsigned ctx) const
 {
     ULDMA_ASSERT(ctx < params_.numContexts,
                  "atomic context id out of range");
-    return params_.contextPagesBase + Addr(ctx) * pageSize;
+    return atomicContextPagesBase + Addr(ctx) * pageSize;
 }
 
 std::uint64_t
@@ -49,32 +49,31 @@ std::vector<AddrRange>
 AtomicUnit::deviceRanges() const
 {
     return {
-        AddrRange(params_.kernelRegsBase,
-                  params_.kernelRegsBase + akregs::blockSize),
-        AddrRange(params_.contextPagesBase,
-                  params_.contextPagesBase +
+        AddrRange(atomicKernelRegsBase,
+                  atomicKernelRegsBase + akregs::blockSize),
+        AddrRange(atomicContextPagesBase,
+                  atomicContextPagesBase +
                       Addr(params_.numContexts) * pageSize),
-        AddrRange(params_.shadowBase,
-                  params_.shadowBase + params_.windowSize()),
+        AddrRange(atomicShadowBase,
+                  atomicShadowBase + params_.windowSize()),
     };
 }
 
 Tick
 AtomicUnit::access(Packet &pkt)
 {
-    Tick latency = busClock_.cyclesToTicks(params_.accessCycles);
+    Tick latency = busClock_.cyclesToTicks(niAccessCycles);
 
-    if (pkt.paddr >= params_.kernelRegsBase &&
-        pkt.paddr < params_.kernelRegsBase + akregs::blockSize) {
-        accessKernelRegs(pkt, pkt.paddr - params_.kernelRegsBase);
+    if (pkt.paddr >= atomicKernelRegsBase &&
+        pkt.paddr < atomicKernelRegsBase + akregs::blockSize) {
+        accessKernelRegs(pkt, pkt.paddr - atomicKernelRegsBase);
         return latency;
     }
 
-    if (pkt.paddr >= params_.contextPagesBase &&
+    if (pkt.paddr >= atomicContextPagesBase &&
         pkt.paddr <
-            params_.contextPagesBase + Addr(params_.numContexts) *
-                                           pageSize) {
-        const Addr offset = pkt.paddr - params_.contextPagesBase;
+            atomicContextPagesBase + Addr(params_.numContexts) * pageSize) {
+        const Addr offset = pkt.paddr - atomicContextPagesBase;
         accessContextPage(pkt, static_cast<unsigned>(offset / pageSize),
                           offset % pageSize);
         latency += pendingExtraLatency_;

@@ -9,8 +9,8 @@
  * Encoding of the atomic shadow window:
  *
  *   atomicShadow(op, ctx, paddr) =
- *       atomicShadowBase + (op << (coverageShift + ctxIdBits))
- *                        + (ctx << coverageShift) + paddr
+ *       atomicShadowBase + (op << (shadowCoverageShift + ctxIdBits))
+ *                        + (ctx << shadowCoverageShift) + paddr
  *
  * Protocol (two accesses; CAS uses three since it carries two data
  * arguments):
@@ -41,13 +41,16 @@
 
 namespace uldma {
 
-/** Atomic operation selector (3 bits in the window encoding). */
+/** Atomic operation selector (atomicOpBits in the window encoding). */
 enum class AtomicOp : std::uint8_t
 {
     Add = 0,           ///< old = [a]; [a] = old + operand
     FetchStore = 1,    ///< old = [a]; [a] = operand
     CompareSwap = 2,   ///< old = [a]; if (old == op1) [a] = op2
 };
+
+/** Bits of the atomic shadow address that select the operation. */
+inline constexpr unsigned atomicOpBits = 3;
 
 const char *toString(AtomicOp op);
 
@@ -63,6 +66,7 @@ inline constexpr Addr keyCtxSelect = 0x28;
 inline constexpr Addr keyValue = 0x30;
 inline constexpr Addr ctxReset = 0x38;
 inline constexpr Addr blockSize = 0x100;
+static_assert(blockSize <= pageSize);
 } // namespace akregs
 
 /** Offsets within an atomic register-context page (key-based mode). */
@@ -75,13 +79,7 @@ inline constexpr Addr operand2 = 0x08;
 /** Configuration of the atomic unit. */
 struct AtomicUnitParams
 {
-    Addr kernelRegsBase = 0x4002'0000;
-    Addr shadowBase = 0x4'0000'0000;
-    /** Same coverage as the DMA shadow window. */
-    Addr shadowCoverage = 0x2000'0000;
     unsigned ctxIdBits = 0;
-    unsigned opBits = 3;
-    Cycles accessCycles = 3;
 
     /**
      * Key-based adaptation (figure 3 applied to §3.5): a shadow store
@@ -92,14 +90,11 @@ struct AtomicUnitParams
      * context; otherwise the plain latch protocol applies.
      */
     unsigned numContexts = 4;
-    Addr contextPagesBase = 0x4003'0000;
-
-    unsigned coverageShift() const { return floorLog2(shadowCoverage); }
 
     Addr
     windowSize() const
     {
-        return shadowCoverage << (ctxIdBits + opBits);
+        return shadowCoverage << (ctxIdBits + atomicOpBits);
     }
 
     /** Encode an atomic shadow physical address.  A context id that
@@ -111,22 +106,23 @@ struct AtomicUnitParams
         ULDMA_ASSERT(ctx < (1u << ctxIdBits),
                      "atomic context id ", ctx, " does not fit ",
                      ctxIdBits, " CONTEXT_ID bit(s)");
-        const unsigned shift = coverageShift();
-        return shadowBase +
-               (Addr(static_cast<unsigned>(op)) << (shift + ctxIdBits)) +
-               (Addr(ctx) << shift) + paddr;
+        return atomicShadowBase +
+               (Addr(static_cast<unsigned>(op))
+                << (shadowCoverageShift + ctxIdBits)) +
+               (Addr(ctx) << shadowCoverageShift) + paddr;
     }
 
     void
     decodeShadow(Addr shadow_paddr, AtomicOp &op, unsigned &ctx,
                  Addr &paddr) const
     {
-        const Addr offset = shadow_paddr - shadowBase;
-        const unsigned shift = coverageShift();
+        const Addr offset = shadow_paddr - atomicShadowBase;
         paddr = offset & (shadowCoverage - 1);
-        ctx = static_cast<unsigned>((offset >> shift) & mask(ctxIdBits));
-        op = static_cast<AtomicOp>((offset >> (shift + ctxIdBits)) &
-                                   mask(opBits));
+        ctx = static_cast<unsigned>((offset >> shadowCoverageShift) &
+                                    mask(ctxIdBits));
+        op = static_cast<AtomicOp>(
+            (offset >> (shadowCoverageShift + ctxIdBits)) &
+            mask(atomicOpBits));
     }
 };
 

@@ -8,10 +8,8 @@
 
 namespace uldma {
 
-Network::Network(EventQueue &eq, const NetworkParams &params)
-    : eventq_(eq), params_(params), statsGroup_("network")
+Network::Network(EventQueue &eq) : eventq_(eq), statsGroup_("network")
 {
-    ULDMA_ASSERT(params_.bitsPerSecond > 0, "zero network bandwidth");
     statsGroup_.addScalar("messages", &messages_, "messages sent");
     statsGroup_.addScalar("bytes", &bytes_, "payload bytes sent");
 }
@@ -34,15 +32,15 @@ Network::nodeMemory(NodeId node)
 Tick
 Network::serialization(Addr size) const
 {
-    const Addr wire_bytes = size + params_.messageOverheadBytes;
+    const Addr wire_bytes = size + messageOverheadBytes;
     // ticks = bytes * 8 bits * (ticks/sec) / (bits/sec)
-    return wire_bytes * 8 * tickPerSec / params_.bitsPerSecond;
+    return wire_bytes * 8 * tickPerSec / bitsPerSecond;
 }
 
 Tick
 Network::roundTripLatency(Addr request_bytes, Addr response_bytes) const
 {
-    return 2 * params_.linkLatency + serialization(request_bytes) +
+    return 2 * linkLatency + serialization(request_bytes) +
            serialization(response_bytes);
 }
 
@@ -69,7 +67,7 @@ Network::send(NodeId src_node, NodeId dst_node, Addr dst_paddr,
     const Tick launch = std::max(eventq_.now(), busy);
     const Tick sent = launch + serialization(size);
     busy = sent;
-    const Tick arrival = sent + params_.linkLatency;
+    const Tick arrival = sent + linkLatency;
 
     ULDMA_TRACE("Net", eventq_.now(), "node ", src_node, " -> node ",
                 dst_node, " paddr 0x", std::hex, dst_paddr, std::dec,

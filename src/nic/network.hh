@@ -25,26 +25,20 @@
 
 namespace uldma {
 
-/** Link characteristics. */
-struct NetworkParams
-{
-    /** One-way link latency. */
-    Tick linkLatency = 2 * tickPerUs;
-    /** Link bandwidth in bits per second (default: 1 Gb/s LAN). */
-    std::uint64_t bitsPerSecond = 1'000'000'000ULL;
-    /** Fixed per-message overhead (header/framing) in bytes. */
-    Addr messageOverheadBytes = 16;
-};
-
 /**
  * A full crossbar between N workstations.
  */
 class Network
 {
   public:
-    Network(EventQueue &eq, const NetworkParams &params);
+    /** One-way link latency. */
+    static constexpr Tick linkLatency = 2 * tickPerUs;
+    /** Link bandwidth in bits per second: a 1 Gb/s LAN. */
+    static constexpr std::uint64_t bitsPerSecond = 1'000'000'000ULL;
+    /** Fixed per-message overhead (header/framing) in bytes. */
+    static constexpr Addr messageOverheadBytes = 16;
 
-    const NetworkParams &params() const { return params_; }
+    explicit Network(EventQueue &eq);
 
     /** Current simulated time. */
     Tick now() const { return eventq_.now(); }
@@ -90,7 +84,6 @@ class Network
 
   private:
     EventQueue &eventq_;
-    NetworkParams params_;
     std::vector<PhysicalMemory *> nodes_;
     /** Per-source-node link occupancy. */
     std::vector<Tick> linkBusyUntil_;

@@ -4,6 +4,7 @@
 
 #include "sim/trace.hh"
 #include "util/logging.hh"
+#include "vm/layout.hh"
 
 namespace uldma {
 
@@ -28,17 +29,15 @@ NetworkInterface::NetworkInterface(std::string name, const NicParams &params,
 std::vector<AddrRange>
 NetworkInterface::deviceRanges() const
 {
-    return {AddrRange(params_.remoteWindowBase,
-                      params_.remoteWindowBase +
-                          Addr(params_.maxNodes) * params_.windowSize)};
+    return {AddrRange(remoteWindowBase,
+                      remoteWindowBase + Addr(maxNodes) * params_.windowSize)};
 }
 
 bool
 NetworkInterface::isRemote(Addr paddr) const
 {
-    return paddr >= params_.remoteWindowBase &&
-           paddr < params_.remoteWindowBase +
-                       Addr(params_.maxNodes) * params_.windowSize;
+    return paddr >= remoteWindowBase &&
+           paddr < remoteWindowBase + Addr(maxNodes) * params_.windowSize;
 }
 
 void
@@ -46,7 +45,7 @@ NetworkInterface::decodeRemote(Addr paddr, NodeId &node,
                                Addr &remote_paddr) const
 {
     ULDMA_ASSERT(isRemote(paddr), "not a remote-window address");
-    const Addr offset = paddr - params_.remoteWindowBase;
+    const Addr offset = paddr - remoteWindowBase;
     node = static_cast<NodeId>(offset / params_.windowSize);
     remote_paddr = offset % params_.windowSize;
 }
@@ -54,17 +53,17 @@ NetworkInterface::decodeRemote(Addr paddr, NodeId &node,
 Addr
 NetworkInterface::remoteWindowAddr(NodeId node, Addr remote_paddr) const
 {
-    ULDMA_ASSERT(node < params_.maxNodes, "node id beyond window region");
+    ULDMA_ASSERT(node < maxNodes, "node id beyond window region");
     ULDMA_ASSERT(remote_paddr < params_.windowSize,
                  "remote paddr beyond window");
-    return params_.remoteWindowBase + Addr(node) * params_.windowSize +
+    return remoteWindowBase + Addr(node) * params_.windowSize +
            remote_paddr;
 }
 
 Tick
 NetworkInterface::access(Packet &pkt)
 {
-    const Tick base = busClock_.cyclesToTicks(params_.accessCycles);
+    const Tick base = busClock_.cyclesToTicks(niAccessCycles);
 
     NodeId dst_node = 0;
     Addr remote_paddr = 0;

@@ -7,7 +7,8 @@
  * across the network.
  *
  * Physical map (within the DMA shadow coverage, so shadow addressing
- * works for remote destinations too):
+ * works for remote destinations too; remoteWindowBase and maxNodes are
+ * in vm/layout.hh):
  *
  *   [remoteWindowBase + n*windowSize, +windowSize)  = node n's DRAM
  */
@@ -29,14 +30,8 @@ namespace uldma {
 /** Remote-window configuration. */
 struct NicParams
 {
-    /** Base of the remote-memory window region. */
-    Addr remoteWindowBase = 0x0800'0000;
     /** Per-node window size (>= every node's DRAM size). */
     Addr windowSize = 0x0400'0000;   // 64 MiB
-    /** Maximum addressable nodes. */
-    unsigned maxNodes = 4;
-    /** Device-side latency of a window access in bus cycles. */
-    Cycles accessCycles = 3;
 };
 
 /**

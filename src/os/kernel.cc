@@ -145,15 +145,14 @@ Kernel::setDmaEngine(DmaEngine *engine)
 Tick
 Kernel::kregWrite(Addr reg, std::uint64_t value)
 {
-    Packet pkt =
-        Packet::makeWrite(engine_->params().kernelRegsBase + reg, value);
+    Packet pkt = Packet::makeWrite(dmaKernelRegsBase + reg, value);
     return cpu_.kernelBusAccess(pkt);
 }
 
 std::uint64_t
 Kernel::kregRead(Addr reg, Tick *cost)
 {
-    Packet pkt = Packet::makeRead(engine_->params().kernelRegsBase + reg);
+    Packet pkt = Packet::makeRead(dmaKernelRegsBase + reg);
     const Tick t = cpu_.kernelBusAccess(pkt);
     if (cost != nullptr)
         *cost += t;
@@ -163,16 +162,14 @@ Kernel::kregRead(Addr reg, Tick *cost)
 Tick
 Kernel::akregWrite(Addr reg, std::uint64_t value)
 {
-    Packet pkt =
-        Packet::makeWrite(atomicUnit_->params().kernelRegsBase + reg, value);
+    Packet pkt = Packet::makeWrite(atomicKernelRegsBase + reg, value);
     return cpu_.kernelBusAccess(pkt);
 }
 
 std::uint64_t
 Kernel::akregRead(Addr reg, Tick *cost)
 {
-    Packet pkt =
-        Packet::makeRead(atomicUnit_->params().kernelRegsBase + reg);
+    Packet pkt = Packet::makeRead(atomicKernelRegsBase + reg);
     const Tick t = cpu_.kernelBusAccess(pkt);
     if (cost != nullptr)
         *cost += t;
@@ -1297,10 +1294,10 @@ Kernel::doContextSwitch()
     Tick cost = cyclesToTicks(params_.contextSwitchCycles);
 
     // Hardware effects of leaving a process: pending writes drain,
-    // the TLB is flushed.
+    // the TLB is flushed (the Alpha's PALcode flushes; a
+    // process-tagged TLB would not).
     cost += cpu_.mergeBuffer().flushForContextSwitch();
-    if (params_.flushTlbOnSwitch)
-        cpu_.tlb().flush();
+    cpu_.tlb().flush();
 
     Process *previous = current_;
     const SchedulingDecision decision = scheduler_.pickNext(previous);

@@ -53,14 +53,16 @@ atomicShadowVirtualFor(AtomicOp op, Addr paddr)
            (Addr(static_cast<unsigned>(op)) << 36) + paddr;
 }
 
-/** Kernel cost model and policy. */
+/** Kernel cost model: a commercial UNIX-like OS whose costs match the
+ *  empty-syscall measurements of lmbench [10] (docs/CALIBRATION.md). */
 struct KernelParams
 {
     /**
      * Cycles of an empty system call (entry + exit).  Commercial
      * UNIX-likes of the era measured 1,000-5,000 cycles [10]; 2,300 at
-     * 150 MHz reproduces the "slightly under 18.6 us" headroom of the
-     * paper's kernel-DMA row.
+     * 150 MHz is 15.3 us, which leaves kernel DMA at 15.3 (trap) + 0.9
+     * (translation + range check) + 1.9 (four uncached register
+     * accesses) + instruction issue ~= the paper's 18.6 us.
      */
     Cycles syscallOverheadCycles = 2300;
     /** Cycles to switch contexts (register save/restore, runqueue). */
@@ -71,9 +73,6 @@ struct KernelParams
     Cycles perPageCheckCycles = 12;
     /** Cycles to take and triage a memory fault. */
     Cycles faultHandlingCycles = 500;
-    /** Flush the TLB on context switch (process-tagged TLBs would
-     *  not; the Alpha's PALcode flushes). */
-    bool flushTlbOnSwitch = true;
 };
 
 /**

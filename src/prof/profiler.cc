@@ -215,7 +215,7 @@ void
 writeProfileJson(std::ostream &os, const ProfileNode &root,
                  const ProfileWriteOptions &options)
 {
-    json::Writer w(os, options.pretty);
+    json::Writer w(os);
     w.beginObject();
     w.member("schema", "uldma-profile-v1");
     w.member("scopes", totalCount(root));

@@ -205,7 +205,6 @@ struct ProfileWriteOptions
      * document must be byte-deterministic.
      */
     bool includeHost = false;
-    bool pretty = true;
 };
 
 /**

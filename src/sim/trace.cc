@@ -90,6 +90,75 @@ initFromEnvironment()
 
 namespace detail { thread_local bool eventCaptureEnabled = false; }
 
+namespace {
+
+/** One exported event and the process lane ("pid") it is drawn in. */
+struct ChromeRow
+{
+    const TraceEvent *event;
+    std::uint64_t pid;
+};
+
+/**
+ * Write @p rows, in order, as one chrome://tracing / Perfetto JSON
+ * document: one tracing "thread" per component, numbered by first
+ * appearance (deterministic: depends only on the rows), then one
+ * instant event per row.
+ */
+void
+writeChromeTracing(std::ostream &os, const std::vector<ChromeRow> &rows,
+                   std::uint64_t recorded, std::uint64_t dropped,
+                   std::uint64_t filtered)
+{
+    std::map<std::string, std::uint64_t> tids;
+    for (const ChromeRow &row : rows)
+        tids.emplace(row.event->component, tids.size());
+
+    json::Writer w(os, /*pretty=*/false);
+    w.beginObject();
+    w.member("displayTimeUnit", "ns");
+    w.key("traceEvents");
+    w.beginArray();
+    for (const auto &[component, tid] : tids) {
+        w.beginObject();
+        w.member("name", "thread_name");
+        w.member("ph", "M");
+        w.member("pid", std::uint64_t{0});
+        w.member("tid", tid);
+        w.key("args");
+        w.beginObject();
+        w.member("name", component);
+        w.endObject();
+        w.endObject();
+    }
+    for (const ChromeRow &row : rows) {
+        const TraceEvent &e = *row.event;
+        w.beginObject();
+        w.member("name", e.kind);
+        w.member("cat", e.component);
+        w.member("ph", "i");
+        w.member("s", "t");
+        w.member("ts", ticksToUs(e.tick));
+        w.member("pid", row.pid);
+        w.member("tid", tids.at(e.component));
+        if (!e.payload.empty()) {
+            w.key("args");
+            w.beginObject();
+            w.member("detail", e.payload);
+            w.endObject();
+        }
+        w.endObject();
+    }
+    w.endArray();
+    w.member("meta_recorded", recorded);
+    w.member("meta_dropped", dropped);
+    w.member("meta_filtered", filtered);
+    w.endObject();
+    os << '\n';
+}
+
+} // namespace
+
 void
 EventRing::enable(std::size_t capacity)
 {
@@ -183,53 +252,11 @@ EventRing::at(std::size_t i) const
 void
 EventRing::exportChromeTracing(std::ostream &os) const
 {
-    // One tracing "thread" per component, numbered by first appearance
-    // (deterministic: depends only on the captured events).
-    std::map<std::string, std::uint64_t> tids;
+    std::vector<ChromeRow> rows;
+    rows.reserve(count_);
     for (std::size_t i = 0; i < count_; ++i)
-        tids.emplace(at(i).component, tids.size());
-
-    json::Writer w(os, /*pretty=*/false);
-    w.beginObject();
-    w.member("displayTimeUnit", "ns");
-    w.key("traceEvents");
-    w.beginArray();
-    for (const auto &[component, tid] : tids) {
-        w.beginObject();
-        w.member("name", "thread_name");
-        w.member("ph", "M");
-        w.member("pid", std::uint64_t{0});
-        w.member("tid", tid);
-        w.key("args");
-        w.beginObject();
-        w.member("name", component);
-        w.endObject();
-        w.endObject();
-    }
-    for (std::size_t i = 0; i < count_; ++i) {
-        const TraceEvent &e = at(i);
-        w.beginObject();
-        w.member("name", e.kind);
-        w.member("cat", e.component);
-        w.member("ph", "i");
-        w.member("s", "t");
-        w.member("ts", ticksToUs(e.tick));
-        w.member("pid", std::uint64_t{0});
-        w.member("tid", tids.at(e.component));
-        if (!e.payload.empty()) {
-            w.key("args");
-            w.beginObject();
-            w.member("detail", e.payload);
-            w.endObject();
-        }
-        w.endObject();
-    }
-    w.endArray();
-    w.member("meta_recorded", recorded());
-    w.member("meta_dropped", dropped());
-    w.member("meta_filtered", filteredOut());
-    w.endObject();
-    os << '\n';
+        rows.push_back({&at(i), 0});
+    writeChromeTracing(os, rows, recorded(), dropped(), filteredOut());
 }
 
 std::vector<TraceEvent>
@@ -246,71 +273,24 @@ void
 exportMergedChromeTracing(std::ostream &os,
                           const std::vector<ShardTrace> &shards)
 {
-    // Stable merge by (tick, shard, capture order): deterministic for
-    // a fixed set of shard captures, independent of thread scheduling.
-    struct Row { const TraceEvent *event; unsigned shard; std::size_t seq; };
-    std::vector<Row> rows;
+    std::vector<ChromeRow> rows;
     std::uint64_t recorded = 0, dropped = 0, filtered = 0;
     for (const ShardTrace &shard : shards) {
         recorded += shard.recorded;
         dropped += shard.dropped;
         filtered += shard.filteredOut;
-        for (std::size_t i = 0; i < shard.events.size(); ++i)
-            rows.push_back({&shard.events[i], shard.shard, i});
+        for (const TraceEvent &event : shard.events)
+            rows.push_back({&event, shard.shard});
     }
-    std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
-        if (a.event->tick != b.event->tick)
-            return a.event->tick < b.event->tick;
-        if (a.shard != b.shard)
-            return a.shard < b.shard;
-        return a.seq < b.seq;
-    });
-
-    std::map<std::string, std::uint64_t> tids;
-    for (const Row &row : rows)
-        tids.emplace(row.event->component, tids.size());
-
-    json::Writer w(os, /*pretty=*/false);
-    w.beginObject();
-    w.member("displayTimeUnit", "ns");
-    w.key("traceEvents");
-    w.beginArray();
-    for (const auto &[component, tid] : tids) {
-        w.beginObject();
-        w.member("name", "thread_name");
-        w.member("ph", "M");
-        w.member("pid", std::uint64_t{0});
-        w.member("tid", tid);
-        w.key("args");
-        w.beginObject();
-        w.member("name", component);
-        w.endObject();
-        w.endObject();
-    }
-    for (const Row &row : rows) {
-        const TraceEvent &e = *row.event;
-        w.beginObject();
-        w.member("name", e.kind);
-        w.member("cat", e.component);
-        w.member("ph", "i");
-        w.member("s", "t");
-        w.member("ts", ticksToUs(e.tick));
-        w.member("pid", std::uint64_t(row.shard));
-        w.member("tid", tids.at(e.component));
-        if (!e.payload.empty()) {
-            w.key("args");
-            w.beginObject();
-            w.member("detail", e.payload);
-            w.endObject();
-        }
-        w.endObject();
-    }
-    w.endArray();
-    w.member("meta_recorded", recorded);
-    w.member("meta_dropped", dropped);
-    w.member("meta_filtered", filtered);
-    w.endObject();
-    os << '\n';
+    // Stable merge by (tick, shard, capture order): deterministic for
+    // a fixed set of shard captures, independent of thread scheduling.
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const ChromeRow &a, const ChromeRow &b) {
+                         if (a.event->tick != b.event->tick)
+                             return a.event->tick < b.event->tick;
+                         return a.pid < b.pid;
+                     });
+    writeChromeTracing(os, rows, recorded, dropped, filtered);
 }
 
 EventRing &

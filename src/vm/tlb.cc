@@ -69,7 +69,7 @@ Tlb::translate(const PageTable &pt, Addr vaddr, Rights need,
     }
 
     ++misses_;
-    miss_cycles = params_.missCycles;
+    miss_cycles = missCycles;
 
     const auto pte = pt.lookup(vaddr);
     if (!pte) {

@@ -24,8 +24,6 @@ namespace uldma {
 struct TlbParams
 {
     unsigned entries = 32;
-    /** CPU cycles for a miss refill (software handler). */
-    Cycles missCycles = 20;
 };
 
 /**
@@ -34,6 +32,9 @@ struct TlbParams
 class Tlb
 {
   public:
+    /** CPU cycles for a miss refill (software handler). */
+    static constexpr Cycles missCycles = 20;
+
     Tlb(std::string name, const TlbParams &params);
 
     /**

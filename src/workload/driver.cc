@@ -23,20 +23,6 @@ busFor(const std::string &name)
     return BusParams::turboChannel();
 }
 
-/** The protocol row for @p protocol, appending one if new (row order
- *  is therefore first-appearance order — deterministic). */
-ProtocolStats &
-protocolRow(std::vector<ProtocolStats> &rows, const std::string &protocol)
-{
-    for (ProtocolStats &row : rows) {
-        if (row.protocol == protocol)
-            return row;
-    }
-    rows.emplace_back();
-    rows.back().protocol = protocol;
-    return rows.back();
-}
-
 /** Sum of the machine's forward-progress counters: any retired
  *  instruction or finished transfer counts. */
 std::uint64_t
@@ -82,6 +68,36 @@ dumpStallDiagnostics(Machine &machine, Tick now)
 }
 
 } // namespace
+
+ProtocolStats &
+protocolRow(std::vector<ProtocolStats> &rows, const std::string &protocol)
+{
+    for (ProtocolStats &row : rows) {
+        if (row.protocol == protocol)
+            return row;
+    }
+    rows.emplace_back();
+    rows.back().protocol = protocol;
+    return rows.back();
+}
+
+void
+addOfferedLoad(std::vector<ProtocolStats> &rows,
+               const std::vector<StreamRuntime> &streams)
+{
+    for (const StreamRuntime &stream : streams) {
+        if (stream.spec == nullptr || stream.spec->adversarial)
+            continue;
+        ProtocolStats &row =
+            protocolRow(rows, spanProtocolFor(stream.spec->method));
+        row.offeredInitiations += stream.issued;
+        row.offeredBytes += stream.offeredBytes;
+        const std::string method = methodName(stream.spec->method);
+        if (std::find(row.methods.begin(), row.methods.end(), method) ==
+            row.methods.end())
+            row.methods.push_back(method);
+    }
+}
 
 WorkloadResult
 runWorkload(const Scenario &scenario, std::uint64_t seed,
@@ -219,18 +235,7 @@ runWorkload(const Scenario &scenario, std::uint64_t seed,
 
     // Protocol rows: worker streams first (fixing first-appearance
     // order and the offered side), then whatever the tracker saw.
-    for (const StreamRuntime &stream : result.streams) {
-        if (stream.spec->adversarial)
-            continue;
-        ProtocolStats &row = protocolRow(
-            result.protocols, spanProtocolFor(stream.spec->method));
-        row.offeredInitiations += stream.issued;
-        row.offeredBytes += stream.offeredBytes;
-        const std::string method = methodName(stream.spec->method);
-        if (std::find(row.methods.begin(), row.methods.end(), method) ==
-            row.methods.end())
-            row.methods.push_back(method);
-    }
+    addOfferedLoad(result.protocols, result.streams);
 
     const span::Tracker &tracker = span::tracker();
     for (std::size_t i = 0; i < tracker.size(); ++i) {

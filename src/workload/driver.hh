@@ -113,6 +113,16 @@ struct WorkloadResult
     std::uint64_t stallWindows = 0;
 };
 
+/** The row for @p protocol in @p rows, appending one if new (row
+ *  order is therefore first-appearance order — deterministic). */
+ProtocolStats &protocolRow(std::vector<ProtocolStats> &rows,
+                           const std::string &protocol);
+
+/** Add each worker stream's offered load to its protocol row, in
+ *  stream order; adversarial streams offer none. */
+void addOfferedLoad(std::vector<ProtocolStats> &rows,
+                    const std::vector<StreamRuntime> &streams);
+
 /**
  * Run @p scenario with @p seed.  Byte-deterministic: the same
  * (scenario, seed) always yields the same result (and hence the same

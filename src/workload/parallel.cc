@@ -41,20 +41,6 @@ renameNodeComponent(const std::string &name,
     return prefix + std::to_string(global_of[local]) + name.substr(end);
 }
 
-/** The protocol row for @p protocol, appending one if new (row order
- *  is first-appearance order — deterministic). */
-ProtocolStats &
-protocolRow(std::vector<ProtocolStats> &rows, const std::string &protocol)
-{
-    for (ProtocolStats &row : rows) {
-        if (row.protocol == protocol)
-            return row;
-    }
-    rows.emplace_back();
-    rows.back().protocol = protocol;
-    return rows.back();
-}
-
 /** Run one shard on the calling thread and fill @p out.  Everything
  *  touched is thread-local or owned by this shard, so concurrent
  *  invocations for distinct shards share no mutable state. */
@@ -165,18 +151,7 @@ mergeResults(const Scenario &scenario, std::uint64_t seed,
     // (fixing row order and the offered side — exactly the unsharded
     // driver's rule), then the achieved side from each shard's rows in
     // plan order.
-    for (const StreamRuntime &stream : merged.streams) {
-        if (stream.spec == nullptr || stream.spec->adversarial)
-            continue;
-        ProtocolStats &row = protocolRow(
-            merged.protocols, spanProtocolFor(stream.spec->method));
-        row.offeredInitiations += stream.issued;
-        row.offeredBytes += stream.offeredBytes;
-        const std::string method = methodName(stream.spec->method);
-        if (std::find(row.methods.begin(), row.methods.end(), method) ==
-            row.methods.end())
-            row.methods.push_back(method);
-    }
+    addOfferedLoad(merged.protocols, merged.streams);
     for (const ShardOutput &shard : shards) {
         for (const ProtocolStats &from : shard.result.protocols) {
             ProtocolStats &row = protocolRow(merged.protocols,

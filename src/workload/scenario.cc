@@ -6,17 +6,14 @@
 #include <limits>
 #include <sstream>
 
+#include "dma/dma_params.hh"
 #include "sim/json.hh"
-#include "vm/layout.hh"
 
 namespace uldma::workload {
 
 namespace {
 
 using json::Value;
-
-/** Largest user-level transfer the engine accepts (one page). */
-constexpr Addr maxTransferBytes = pageSize;
 
 /** Largest count a stream's unsigned "initiations" or "ops" holds. */
 constexpr std::uint64_t maxCount = std::numeric_limits<unsigned>::max();
@@ -441,7 +438,7 @@ parseStream(const Value &v, unsigned num_nodes, bool iommu,
 
     // The engine caps one user transfer at a page; a scatter-gather
     // buffer lifts the cap to its page count (docs/IOMMU.md).
-    const Addr size_cap = Addr(out.sgPages) * maxTransferBytes;
+    const Addr size_cap = Addr(out.sgPages) * userMaxTransfer;
     if (!parseSize(v["size"], out.size, size_cap, where + ".size",
                    error) ||
         !parsePacing(v["pacing"], out.pacing, where + ".pacing", error))

@@ -254,8 +254,8 @@ TEST(Experiment, MergeBufferAblationBreaksRepeated5)
     with.method = DmaMethod::Repeated5;
     with.iterations = 50;
     MeasureConfig without = with;
-    without.mergeBuffer.collapseStores = false;
-    without.mergeBuffer.mergeLoads = false;
+    without.cpu.mergeBuffer.collapseStores = false;
+    without.cpu.mergeBuffer.mergeLoads = false;
 
     const InitiationMeasurement a = measureInitiation(with);
     const InitiationMeasurement b = measureInitiation(without);
@@ -653,8 +653,8 @@ TEST(PollFastForward, OnlyCapPagesReadWithoutSideEffects)
     EXPECT_TRUE(pure(engine.capPageAddr(0)));
     EXPECT_TRUE(pure(engine.capPageAddr(1) + 8));
     EXPECT_FALSE(pure(engine.contextPageAddr(0)));
-    EXPECT_FALSE(pure(engine.params().shadowBase));
-    EXPECT_FALSE(pure(engine.params().kernelRegsBase));
+    EXPECT_FALSE(pure(dmaShadowBase));
+    EXPECT_FALSE(pure(dmaKernelRegsBase));
     EXPECT_FALSE(pure(0x1000));   // DRAM on the bus
 }
 

@@ -410,7 +410,7 @@ TEST_F(CpuTest, PalCallbackRunsThePalHook)
 TEST_F(CpuTest, PalTooLongPanics)
 {
     Program pal;
-    for (unsigned i = 0; i < CpuParams{}.palMaxInstructions + 1; ++i)
+    for (unsigned i = 0; i < Cpu::palMaxInstructions + 1; ++i)
         pal.move(reg::t0, i);
     EXPECT_DEATH(cpu_.registerPal(3, std::move(pal)), "limit");
 }

@@ -36,9 +36,9 @@ class DcacheTest : public ::testing::Test
 TEST_F(DcacheTest, MissThenHit)
 {
     const Cycles miss = cache_->access(0x100, 8, false);
-    EXPECT_EQ(miss, cache_->params().missCycles);
+    EXPECT_EQ(miss, Dcache::missCycles);
     const Cycles hit = cache_->access(0x108, 8, false);   // same line
-    EXPECT_EQ(hit, cache_->params().hitExtraCycles);
+    EXPECT_EQ(hit, Dcache::hitExtraCycles);
     EXPECT_EQ(cache_->hits(), 1u);
     EXPECT_EQ(cache_->misses(), 1u);
 }
@@ -48,7 +48,7 @@ TEST_F(DcacheTest, DirectMappedConflictEvicts)
     cache_->access(0x100, 8, false);            // line fill
     cache_->access(0x100 + 1024, 8, false);     // same index, new tag
     const Cycles again = cache_->access(0x100, 8, false);
-    EXPECT_EQ(again, cache_->params().missCycles);
+    EXPECT_EQ(again, Dcache::missCycles);
     EXPECT_EQ(cache_->misses(), 3u);
 }
 
@@ -56,10 +56,10 @@ TEST_F(DcacheTest, WritesAreWriteThrough)
 {
     cache_->access(0x200, 8, false);    // line resident
     const Cycles w = cache_->access(0x200, 8, true);
-    EXPECT_EQ(w, cache_->params().writeCycles);
+    EXPECT_EQ(w, Dcache::writeCycles);
     // Line stays valid: the next read hits.
     EXPECT_EQ(cache_->access(0x200, 8, false),
-              cache_->params().hitExtraCycles);
+              Dcache::hitExtraCycles);
 }
 
 TEST_F(DcacheTest, ExternalWriteInvalidates)
@@ -68,7 +68,7 @@ TEST_F(DcacheTest, ExternalWriteInvalidates)
     memory_.writeInt(0x308, 0xAB, 8);   // external write, same line
     EXPECT_EQ(cache_->invalidations(), 1u);
     EXPECT_EQ(cache_->access(0x300, 8, false),
-              cache_->params().missCycles);
+              Dcache::missCycles);
 }
 
 TEST_F(DcacheTest, ExternalWriteElsewhereDoesNotInvalidate)
@@ -77,7 +77,7 @@ TEST_F(DcacheTest, ExternalWriteElsewhereDoesNotInvalidate)
     memory_.writeInt(0x5000, 1, 8);     // different line
     EXPECT_EQ(cache_->invalidations(), 0u);
     EXPECT_EQ(cache_->access(0x300, 8, false),
-              cache_->params().hitExtraCycles);
+              Dcache::hitExtraCycles);
 }
 
 TEST_F(DcacheTest, BulkWriteFlushesEverything)
@@ -87,7 +87,7 @@ TEST_F(DcacheTest, BulkWriteFlushesEverything)
     memory_.fill(0, 0, 1 << 20);        // giant write: full flush path
     EXPECT_GE(cache_->invalidations(), 2u);
     EXPECT_EQ(cache_->access(0x0, 8, false),
-              cache_->params().missCycles);
+              Dcache::missCycles);
 }
 
 TEST_F(DcacheTest, CopyInvalidatesDestinationLines)
@@ -95,7 +95,7 @@ TEST_F(DcacheTest, CopyInvalidatesDestinationLines)
     cache_->access(0x800, 8, false);
     memory_.copy(0x800, 0x4000, 64);    // DMA-style local copy
     EXPECT_EQ(cache_->access(0x800, 8, false),
-              cache_->params().missCycles);
+              Dcache::missCycles);
 }
 
 // ---------------------------------------------------------------------

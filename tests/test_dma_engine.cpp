@@ -73,17 +73,14 @@ class EngineTest : public ::testing::Test
     void
     kwrite(Addr offset, std::uint64_t data)
     {
-        Packet pkt =
-            Packet::makeWrite(engine_->params().kernelRegsBase + offset,
-                              data);
+        Packet pkt = Packet::makeWrite(dmaKernelRegsBase + offset, data);
         engine_->access(pkt);
     }
 
     std::uint64_t
     kread(Addr offset)
     {
-        Packet pkt =
-            Packet::makeRead(engine_->params().kernelRegsBase + offset);
+        Packet pkt = Packet::makeRead(dmaKernelRegsBase + offset);
         engine_->access(pkt);
         return pkt.data;
     }
@@ -157,7 +154,7 @@ TEST_F(EngineTest, KernelChannelRejectsZeroAndHugeSizes)
     kwrite(kregs::size, 0);
     EXPECT_EQ(kread(kregs::status), dmastatus::failure);
 
-    kwrite(kregs::size, engine_->params().kernelMaxTransfer + 1);
+    kwrite(kregs::size, kernelMaxTransfer + 1);
     EXPECT_EQ(kread(kregs::status), dmastatus::failure);
     EXPECT_EQ(engine_->numInitiations(), 0u);
 }
@@ -575,7 +572,7 @@ TEST_F(EngineTest, UserTransferSizeLimits)
     sstore(0x4000, 0);   // zero size
     EXPECT_EQ(sload(0x2000), dmastatus::failure);
 
-    sstore(0x4000, engine_->params().userMaxTransfer + 1);
+    sstore(0x4000, userMaxTransfer + 1);
     EXPECT_EQ(sload(0x2000), dmastatus::failure);
 }
 
@@ -835,7 +832,7 @@ capDigest(bool weak_cap, std::uint64_t seed, unsigned steps)
         f.mix(engine.stateHash());
     };
     const auto kernelWrite = [&](Addr reg, std::uint64_t value) {
-        access(Packet::makeWrite(params.kernelRegsBase + reg, value));
+        access(Packet::makeWrite(dmaKernelRegsBase + reg, value));
     };
     f.mix(engine.stateHash());
 

@@ -133,8 +133,7 @@ TEST(DramRecycling, TransferEngineDmaLeavesNothingBehind)
         EventQueue eq;
         LocalBackend backend(mem);
         const ClockDomain bus_clock("bus.clk", 80 * tickPerNs);
-        TransferEngine xfer(eq, "xfer", bus_clock, TransferTiming{},
-                            backend);
+        TransferEngine xfer(eq, "xfer", bus_clock, backend);
         mem.fill(0x1000, 0x77, 512);
         xfer.start(0x1000, 0x40000, 512, [] {});
         eq.runToExhaustion();
@@ -154,8 +153,7 @@ struct TwoNodes
     std::unique_ptr<PhysicalMemory> mem1 =
         std::make_unique<PhysicalMemory>(fourMiB);
     ClockDomain busClock{"bus.clk", 80 * tickPerNs};
-    std::unique_ptr<Network> network =
-        std::make_unique<Network>(eq, NetworkParams{});
+    std::unique_ptr<Network> network = std::make_unique<Network>(eq);
     std::unique_ptr<NetworkInterface> nic0;
     std::unique_ptr<AtomicUnit> unit;
 

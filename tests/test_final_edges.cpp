@@ -141,8 +141,7 @@ TEST(FinalEdges, EngineKernelRegistersReadBack)
     MachineConfig config;
     Machine machine(config);
     Cpu &cpu = machine.node(0).cpu();
-    const Addr base =
-        machine.node(0).dmaEngine().params().kernelRegsBase;
+    const Addr base = dmaKernelRegsBase;
 
     Packet w = Packet::makeWrite(base + kregs::source, 0x1234);
     cpu.kernelBusAccess(w);

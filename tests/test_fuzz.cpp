@@ -267,6 +267,38 @@ TEST(Fuzzer, SwarmDrawsMultipleConfigs)
         EXPECT_TRUE(configWeakened(f.schedule.config));
 }
 
+TEST(Fuzzer, ConfigWeakenedCountsOnlyFlagsTheProtocolReads)
+{
+    // Only the repeated-passing recognizer reads weakRecognizer.
+    for (DmaMethod method : {DmaMethod::PalCode, DmaMethod::KeyBased,
+                             DmaMethod::ExtShadow, DmaMethod::Ring,
+                             DmaMethod::Cap}) {
+        RunnerConfig c;
+        c.method = method;
+        c.weakRecognizer = true;
+        EXPECT_FALSE(configWeakened(c)) << protocolToken(method);
+    }
+
+    RunnerConfig repeated;
+    repeated.method = DmaMethod::Repeated5;
+    repeated.weakRecognizer = true;
+    EXPECT_TRUE(configWeakened(repeated));
+
+    RunnerConfig ring;
+    ring.method = DmaMethod::Ring;
+    ring.weakRing = true;
+    EXPECT_TRUE(configWeakened(ring));
+    ring.weakRing = false;
+    ring.useIommu = true;
+    ring.weakIommu = true;
+    EXPECT_TRUE(configWeakened(ring));
+
+    RunnerConfig cap;
+    cap.method = DmaMethod::Cap;
+    cap.weakCap = true;
+    EXPECT_TRUE(configWeakened(cap));
+}
+
 // ---------------------------------------------------------------------
 // Mutation invariants: every schedule the fuzzer executed respected
 // the runner's contract (observable through the findings).

@@ -280,7 +280,7 @@ TEST(IommuUnit, OnDemandPinsAndEvictsWithinBudget)
     EXPECT_EQ(iommu.pinEvictions(), 0u);
     // The demand pin's cost rides on the translation.
     EXPECT_EQ(first.cycles, params.iotlbMissCycles +
-                                params.walkCycles + params.pinCycles);
+                                params.walkCycles + Iommu::pinCycles);
 
     // A second page pins by evicting the first (budget 1).
     ASSERT_TRUE(iommu.translate(0, 0x12000, Rights::Read).ok());

@@ -69,7 +69,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TlbEquivalence,
 TEST(NetworkOrdering, PerSenderFifoDelivery)
 {
     EventQueue eq;
-    Network network(eq, NetworkParams{});
+    Network network(eq);
     PhysicalMemory mem0(1 << 20), mem1(1 << 20);
     network.addNode(mem0);
     network.addNode(mem1);
@@ -99,7 +99,7 @@ TEST(NetworkOrdering, PerSenderFifoDelivery)
 TEST(NetworkOrdering, DistinctSendersDoNotBlockEachOther)
 {
     EventQueue eq;
-    Network network(eq, NetworkParams{});
+    Network network(eq);
     PhysicalMemory mem0(1 << 20), mem1(1 << 20), mem2(1 << 20);
     network.addNode(mem0);
     network.addNode(mem1);

@@ -21,7 +21,7 @@ class NicTest : public ::testing::Test
     static constexpr Addr memSize = 4 * 1024 * 1024;
 
     NicTest()
-        : network_(eq_, NetworkParams{}), mem0_(memSize), mem1_(memSize),
+        : network_(eq_), mem0_(memSize), mem1_(memSize),
           busClock_("bus.clk", 80 * tickPerNs)
     {
         NicParams params;
@@ -52,7 +52,7 @@ TEST_F(NicTest, SendDeliversAfterLatency)
     const std::uint64_t value = 0xFACE;
     const Tick arrival =
         network_.send(0, 1, 0x1000, &value, 8);
-    EXPECT_GT(arrival, network_.params().linkLatency);
+    EXPECT_GT(arrival, Network::linkLatency);
 
     // Not yet delivered.
     EXPECT_EQ(mem1_.readInt(0x1000, 8), 0u);
@@ -97,7 +97,7 @@ TEST_F(NicTest, RemoteReadReturnsDataAndRtt)
     std::uint64_t out = 0;
     const Tick rtt = network_.remoteRead(0, 1, 0x3000, &out, 8);
     EXPECT_EQ(out, 0xBEEFu);
-    EXPECT_GE(rtt, 2 * network_.params().linkLatency);
+    EXPECT_GE(rtt, 2 * Network::linkLatency);
 }
 
 TEST_F(NicTest, DeliveryCallbackFires)
@@ -142,7 +142,7 @@ TEST_F(NicTest, UncachedLoadFromWindowReadsRemoteMemory)
     const Tick latency = nic0_->access(pkt);
     EXPECT_EQ(pkt.data, 0x77u);
     // Synchronous remote read pays the round trip.
-    EXPECT_GE(latency, 2 * network_.params().linkLatency);
+    EXPECT_GE(latency, 2 * Network::linkLatency);
 }
 
 TEST_F(NicTest, OwnWindowLoopsBackLocally)
@@ -316,15 +316,14 @@ TEST_F(AtomicUnitTest, RemoteTargetWorksAndPaysRtt)
     const Tick latency = unit_->access(pkt);
     EXPECT_EQ(pkt.data, 100u);
     EXPECT_EQ(mem1_.readInt(0x4000, 8), 111u);
-    EXPECT_GE(latency, 2 * network_.params().linkLatency);
+    EXPECT_GE(latency, 2 * Network::linkLatency);
 }
 
 TEST_F(AtomicUnitTest, KernelRegisterBaseline)
 {
     mem0_.writeInt(0x1000, 41, 8);
     auto kwrite = [&](Addr offset, std::uint64_t data) {
-        Packet pkt = Packet::makeWrite(
-            unit_->params().kernelRegsBase + offset, data);
+        Packet pkt = Packet::makeWrite(atomicKernelRegsBase + offset, data);
         unit_->access(pkt);
     };
     kwrite(akregs::address, 0x1000);
@@ -332,8 +331,7 @@ TEST_F(AtomicUnitTest, KernelRegisterBaseline)
     kwrite(akregs::opcodeExec,
            static_cast<std::uint64_t>(AtomicOp::Add));
 
-    Packet res = Packet::makeRead(unit_->params().kernelRegsBase +
-                                  akregs::result);
+    Packet res = Packet::makeRead(atomicKernelRegsBase + akregs::result);
     unit_->access(res);
     EXPECT_EQ(res.data, 41u);
     EXPECT_EQ(mem0_.readInt(0x1000, 8), 42u);

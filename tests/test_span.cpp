@@ -74,9 +74,7 @@ class SpanEngineTest : public ::testing::Test
     void
     kwrite(Addr offset, std::uint64_t data)
     {
-        Packet pkt =
-            Packet::makeWrite(engine_->params().kernelRegsBase + offset,
-                              data);
+        Packet pkt = Packet::makeWrite(dmaKernelRegsBase + offset, data);
         engine_->access(pkt);
     }
 

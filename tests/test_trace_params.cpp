@@ -84,12 +84,12 @@ TEST(DmaParams, ShadowRoundTripExhaustiveCtx)
     params.ctxIdBits = 2;
     Random rng(321);
     for (int i = 0; i < 2000; ++i) {
-        const Addr paddr = rng.below(params.shadowCoverage);
+        const Addr paddr = rng.below(shadowCoverage);
         const unsigned ctx = static_cast<unsigned>(rng.below(4));
         const Addr shadow = params.shadowAddr(paddr, ctx);
 
-        ASSERT_GE(shadow, params.shadowBase);
-        ASSERT_LT(shadow, params.shadowBase + params.shadowWindowSize());
+        ASSERT_GE(shadow, dmaShadowBase);
+        ASSERT_LT(shadow, dmaShadowBase + params.shadowWindowSize());
 
         Addr out_paddr = 0;
         unsigned out_ctx = 99;
@@ -103,13 +103,13 @@ TEST(DmaParams, ShadowWindowsDoNotOverlapOtherRanges)
 {
     DmaEngineParams params;
     params.ctxIdBits = 2;
-    const AddrRange kernel_regs(params.kernelRegsBase,
-                                params.kernelRegsBase + kregs::blockSize);
+    const AddrRange kernel_regs(dmaKernelRegsBase,
+                                dmaKernelRegsBase + kregs::blockSize);
     const AddrRange ctx_pages(
-        params.contextPagesBase,
-        params.contextPagesBase + params.numContexts * pageSize);
-    const AddrRange shadow(params.shadowBase,
-                           params.shadowBase + params.shadowWindowSize());
+        dmaContextPagesBase,
+        dmaContextPagesBase + params.numContexts * pageSize);
+    const AddrRange shadow(dmaShadowBase,
+                           dmaShadowBase + params.shadowWindowSize());
     EXPECT_FALSE(kernel_regs.overlaps(ctx_pages));
     EXPECT_FALSE(kernel_regs.overlaps(shadow));
     EXPECT_FALSE(ctx_pages.overlaps(shadow));
@@ -118,7 +118,7 @@ TEST(DmaParams, ShadowWindowsDoNotOverlapOtherRanges)
 TEST(DmaParamsDeath, ShadowAddrRangeChecks)
 {
     DmaEngineParams params;
-    EXPECT_DEATH(params.shadowAddr(params.shadowCoverage, 0),
+    EXPECT_DEATH(params.shadowAddr(shadowCoverage, 0),
                  "not representable");
 }
 
@@ -145,13 +145,13 @@ TEST(AtomicParams, ShadowRoundTrip)
     const AtomicOp ops[] = {AtomicOp::Add, AtomicOp::FetchStore,
                             AtomicOp::CompareSwap};
     for (int i = 0; i < 2000; ++i) {
-        const Addr paddr = rng.below(params.shadowCoverage);
+        const Addr paddr = rng.below(shadowCoverage);
         const unsigned ctx = static_cast<unsigned>(rng.below(4));
         const AtomicOp op = ops[rng.below(3)];
 
         const Addr shadow = params.shadowAddr(op, paddr, ctx);
-        ASSERT_GE(shadow, params.shadowBase);
-        ASSERT_LT(shadow, params.shadowBase + params.windowSize());
+        ASSERT_GE(shadow, atomicShadowBase);
+        ASSERT_LT(shadow, atomicShadowBase + params.windowSize());
 
         AtomicOp out_op = AtomicOp::Add;
         unsigned out_ctx = 99;
@@ -170,21 +170,21 @@ TEST(AtomicParams, WindowsDisjointFromDmaWindows)
     AtomicUnitParams atomic;
     atomic.ctxIdBits = 2;
 
-    const AddrRange dma_shadow(dma.shadowBase,
-                               dma.shadowBase + dma.shadowWindowSize());
+    const AddrRange dma_shadow(dmaShadowBase,
+                               dmaShadowBase + dma.shadowWindowSize());
     const AddrRange atomic_shadow(
-        atomic.shadowBase, atomic.shadowBase + atomic.windowSize());
+        atomicShadowBase, atomicShadowBase + atomic.windowSize());
     const AddrRange atomic_regs(
-        atomic.kernelRegsBase,
-        atomic.kernelRegsBase + akregs::blockSize);
+        atomicKernelRegsBase,
+        atomicKernelRegsBase + akregs::blockSize);
     const AddrRange atomic_ctx(
-        atomic.contextPagesBase,
-        atomic.contextPagesBase + atomic.numContexts * pageSize);
-    const AddrRange dma_regs(dma.kernelRegsBase,
-                             dma.kernelRegsBase + kregs::blockSize);
+        atomicContextPagesBase,
+        atomicContextPagesBase + atomic.numContexts * pageSize);
+    const AddrRange dma_regs(dmaKernelRegsBase,
+                             dmaKernelRegsBase + kregs::blockSize);
     const AddrRange dma_ctx(
-        dma.contextPagesBase,
-        dma.contextPagesBase + dma.numContexts * pageSize);
+        dmaContextPagesBase,
+        dmaContextPagesBase + dma.numContexts * pageSize);
 
     EXPECT_FALSE(dma_shadow.overlaps(atomic_shadow));
     EXPECT_FALSE(atomic_regs.overlaps(dma_regs));

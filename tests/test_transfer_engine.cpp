@@ -28,7 +28,7 @@ class DeepQueueTest : public ::testing::Test
     DeepQueueTest()
         : memory_(1024 * 1024), backend_(memory_),
           busClock_("bus.clk", 80 * tickPerNs),
-          xfer_(eq_, "xfer", busClock_, TransferTiming{}, backend_)
+          xfer_(eq_, "xfer", busClock_, backend_)
     {
         for (unsigned i = 0; i < count; ++i)
             memory_.fill(src(i), static_cast<std::uint8_t>(i % 255 + 1),

@@ -153,7 +153,7 @@ TEST(Tlb, MissThenHit)
     Cycles miss = 0;
     const Translation t1 = tlb.translate(pt, 0x10008, Rights::Read, miss);
     ASSERT_TRUE(t1.ok());
-    EXPECT_EQ(miss, TlbParams{}.missCycles);
+    EXPECT_EQ(miss, Tlb::missCycles);
     EXPECT_EQ(tlb.misses(), 1u);
 
     const Translation t2 = tlb.translate(pt, 0x10010, Rights::Read, miss);

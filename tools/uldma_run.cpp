@@ -28,25 +28,22 @@
 #include "util/options.hh"
 #include "util/output.hh"
 #include "util/strutil.hh"
+#include "workload/scenario.hh"
 
 using namespace uldma;
 
 namespace {
 
+/** One of the paper's methods (allMethods) by name; ring and cap are
+ *  refused like any unknown name. */
 DmaMethod
 parseMethod(const std::string &name)
 {
-    if (name == "kernel") return DmaMethod::Kernel;
-    if (name == "shrimp1") return DmaMethod::Shrimp1;
-    if (name == "shrimp2") return DmaMethod::Shrimp2;
-    if (name == "flash") return DmaMethod::Flash;
-    if (name == "pal") return DmaMethod::PalCode;
-    if (name == "key-based") return DmaMethod::KeyBased;
-    if (name == "ext-shadow") return DmaMethod::ExtShadow;
-    if (name == "repeated3") return DmaMethod::Repeated3;
-    if (name == "repeated4") return DmaMethod::Repeated4;
-    if (name == "repeated5") return DmaMethod::Repeated5;
-    ULDMA_FATAL("unknown method '", name, "'");
+    DmaMethod method{};
+    if (!workload::parseMethodName(name, method) ||
+        std::ranges::find(allMethods, method) == std::end(allMethods))
+        ULDMA_FATAL("unknown method '", name, "'");
+    return method;
 }
 
 BusParams
