@@ -25,7 +25,7 @@ struct BusGen
 };
 
 const BusGen busGens[] = {
-    {"TurboChannel 12.5MHz", BusParams::turboChannel()},
+    {"TurboChannel 12.5MHz", BusParams{}},
     {"PCI 33MHz", BusParams::pci33()},
     {"PCI 66MHz", BusParams::pci66()},
 };

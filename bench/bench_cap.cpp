@@ -87,7 +87,6 @@ StormMeasurement
 measureStorm()
 {
     MachineConfig mc;
-    mc.node.bus = BusParams::turboChannel();
     configureNode(mc.node, DmaMethod::Cap);
     mc.node.dma.cap.numSlots = 256;
     mc.node.dma.cap.rateClasses = kClasses;

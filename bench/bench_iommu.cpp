@@ -81,7 +81,6 @@ measurePoint(PinPolicy pinning, unsigned slots)
                  "transfer budget must divide evenly into batches");
 
     MachineConfig mc;
-    mc.node.bus = BusParams::turboChannel();
     configureNode(mc.node, DmaMethod::Ring);
     mc.node.dma.iommu.enabled = true;
     mc.node.dma.iommu.iotlbEntries = kIotlbEntries;

@@ -69,7 +69,6 @@ measureRing(unsigned depth, Addr transfer_bytes)
                  "transfer budget must divide evenly into batches");
 
     MachineConfig mc;
-    mc.node.bus = BusParams::turboChannel();
     configureNode(mc.node, DmaMethod::Ring);
     mc.node.makeScheduler = []() {
         // One process; a huge quantum keeps context-switch costs out

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "dma/dma_params.hh"
+#include "util/logging.hh"
 
 namespace uldma::check {
 namespace {
@@ -26,6 +27,38 @@ withinRights(const std::vector<FrameSpan> &spans, Addr base, Addr bytes,
             return need_write ? s.write : s.read;
     }
     return false;
+}
+
+/** The spans @p frames holds under @p key; none when it holds none. */
+template <typename Key>
+const std::vector<FrameSpan> &
+spansOf(const std::map<Key, std::vector<FrameSpan>> &frames, Key key)
+{
+    static const std::vector<FrameSpan> none;
+    auto it = frames.find(key);
+    return it != frames.end() ? it->second : none;
+}
+
+/** True when @p rec reads only readable and writes only writable
+ *  bytes of @p spans. */
+bool
+staysWithin(const std::vector<FrameSpan> &spans,
+            const DmaEngine::InitiationRecord &rec)
+{
+    return withinRights(spans, rec.src, rec.size, /*need_write=*/false) &&
+           withinRights(spans, rec.dst, rec.size, /*need_write=*/true);
+}
+
+/** True when @p a declares that @p pid asked for exactly @p rec. */
+bool
+declared(const RunArtifacts &a, Pid pid,
+         const DmaEngine::InitiationRecord &rec)
+{
+    return std::any_of(a.allowed.begin(), a.allowed.end(),
+                       [&](const AllowedTransfer &t) {
+                           return t.pid == pid && t.src == rec.src &&
+                                  t.dst == rec.dst && t.size == rec.size;
+                       });
 }
 
 } // namespace
@@ -58,10 +91,7 @@ checkInvariants(const RunArtifacts &a)
         const Pid initiator = rec.contributors.front();
 
         // protection: both endpoints inside the initiator's frames.
-        auto frames_it = a.frames.find(initiator);
-        const std::vector<FrameSpan> empty;
-        const std::vector<FrameSpan> &spans =
-            frames_it != a.frames.end() ? frames_it->second : empty;
+        const std::vector<FrameSpan> &spans = spansOf(a.frames, initiator);
         if (!withinRights(spans, rec.src, rec.size, /*need_write=*/false)) {
             std::ostringstream d;
             d << "transfer #" << i << " reads 0x" << std::hex << rec.src
@@ -78,13 +108,7 @@ checkInvariants(const RunArtifacts &a)
         }
 
         // intent-match: some process asked for exactly this transfer.
-        const bool intended = std::any_of(
-            a.allowed.begin(), a.allowed.end(),
-            [&](const AllowedTransfer &t) {
-                return t.pid == initiator && t.src == rec.src &&
-                       t.dst == rec.dst && t.size == rec.size;
-            });
-        if (!intended) {
+        if (!declared(a, initiator, rec)) {
             out.push_back({"intent-match",
                            "transfer #" + std::to_string(i) + " (" +
                                describeTransfer(rec) +
@@ -95,43 +119,22 @@ checkInvariants(const RunArtifacts &a)
         // ring-isolation: a descriptor-ring transfer stays inside the
         // frames the kernel authorized for its context, and the ring's
         // context belongs to the process that rang the doorbell.
+        // iommu-isolation replaces the first half when the engine
+        // translated the descriptor's virtual addresses: the recorded
+        // physical endpoints must lie inside the frames mapped (with
+        // matching rights) into this context's I/O page table.  A weak
+        // engine that bypasses a translation fault records the raw
+        // untranslated address, which no table entry covers.
         if (rec.viaRing) {
-            if (a.iommuEnabled) {
-                // iommu-isolation: the engine translated the descriptor's
-                // virtual addresses, so the recorded physical endpoints
-                // must lie inside the frames mapped (with matching
-                // rights) into this context's I/O page table.  A weak
-                // engine that bypasses a translation fault records the
-                // raw untranslated address, which no table entry covers.
-                auto io_it = a.iommuFrames.find(rec.ctx);
-                const std::vector<FrameSpan> &io_spans =
-                    io_it != a.iommuFrames.end() ? io_it->second : empty;
-                if (!withinRights(io_spans, rec.src, rec.size,
-                                  /*need_write=*/false) ||
-                    !withinRights(io_spans, rec.dst, rec.size,
-                                  /*need_write=*/true)) {
-                    std::ostringstream d;
-                    d << "ring transfer #" << i << " ("
-                      << describeTransfer(rec)
-                      << ") escapes ctx " << rec.ctx
-                      << "'s I/O page table";
-                    out.push_back({"iommu-isolation", d.str()});
-                }
-            } else {
-                auto ring_it = a.ringFrames.find(rec.ctx);
-                const std::vector<FrameSpan> &ring_spans =
-                    ring_it != a.ringFrames.end() ? ring_it->second : empty;
-                if (!withinRights(ring_spans, rec.src, rec.size,
-                                  /*need_write=*/false) ||
-                    !withinRights(ring_spans, rec.dst, rec.size,
-                                  /*need_write=*/true)) {
-                    std::ostringstream d;
-                    d << "ring transfer #" << i << " ("
-                      << describeTransfer(rec)
-                      << ") escapes ctx " << rec.ctx
-                      << "'s authorized ring frames";
-                    out.push_back({"ring-isolation", d.str()});
-                }
+            const bool io = a.iommuEnabled;
+            const auto &granted = io ? a.iommuFrames : a.ringFrames;
+            if (!staysWithin(spansOf(granted, rec.ctx), rec)) {
+                std::ostringstream d;
+                d << "ring transfer #" << i << " (" << describeTransfer(rec)
+                  << ") escapes ctx " << rec.ctx
+                  << (io ? "'s I/O page table" : "'s authorized ring frames");
+                out.push_back(
+                    {io ? "iommu-isolation" : "ring-isolation", d.str()});
             }
             auto ring_owner = a.ctxOwner.find(rec.ctx);
             if (ring_owner != a.ctxOwner.end() &&
@@ -178,13 +181,7 @@ checkInvariants(const RunArtifacts &a)
                   << initiator;
                 out.push_back({"cap-revocation", d.str()});
             }
-            auto span_it = a.capSpans.find(rec.capSlot);
-            const std::vector<FrameSpan> &cap_spans =
-                span_it != a.capSpans.end() ? span_it->second : empty;
-            if (!withinRights(cap_spans, rec.src, rec.size,
-                              /*need_write=*/false) ||
-                !withinRights(cap_spans, rec.dst, rec.size,
-                              /*need_write=*/true)) {
+            if (!staysWithin(spansOf(a.capSpans, rec.capSlot), rec)) {
                 std::ostringstream d;
                 d << "cap transfer #" << i << " (" << describeTransfer(rec)
                   << ") escapes slot " << rec.capSlot
@@ -217,13 +214,7 @@ checkInvariants(const RunArtifacts &a)
             [&](const DmaEngine::InitiationRecord &rec) {
                 return !rec.contributors.empty() &&
                        rec.contributors.front() == a.victimPid &&
-                       std::any_of(a.allowed.begin(), a.allowed.end(),
-                                   [&](const AllowedTransfer &t) {
-                                       return t.pid == a.victimPid &&
-                                              t.src == rec.src &&
-                                              t.dst == rec.dst &&
-                                              t.size == rec.size;
-                                   });
+                       declared(a, a.victimPid, rec);
             });
         if (!victim_started) {
             out.push_back({"status-honesty",
@@ -240,6 +231,53 @@ checkInvariants(const RunArtifacts &a)
         out.push_back({"no-progress", "a process failed to finish"});
 
     return out;
+}
+
+RunArtifacts
+grantArtifacts(const Kernel &kernel, const DmaEngine &engine)
+{
+    RunArtifacts a;
+    a.initiations = engine.initiations();
+    a.iommuEnabled = engine.iommu() != nullptr;
+    a.capEnabled = engine.cap() != nullptr;
+
+    auto own = [&](std::map<unsigned, Pid> &owners, const char *what,
+                   const Grant &g) {
+        const auto [it, fresh] = owners.emplace(g.id, g.pid);
+        ULDMA_ASSERT(fresh || it->second == g.pid, kernel.name(), ": ",
+                     what, " ", g.id, " was granted to pid", it->second,
+                     " and to pid", g.pid);
+    };
+    std::map<unsigned, Rights> cap_rights;   // spans take their slot's
+    for (const Grant &g : kernel.grants()) {
+        const Rights r =
+            g.kind == Grant::Kind::CapSpan ? cap_rights.at(g.id) : g.rights;
+        const FrameSpan span{g.base, g.bytes, allows(r, Rights::Read),
+                             allows(r, Rights::Write)};
+        switch (g.kind) {
+          case Grant::Kind::Frames: a.frames[g.pid].push_back(span); break;
+          case Grant::Kind::Context: own(a.ctxOwner, "context id", g); break;
+          case Grant::Kind::RingFrames:
+            a.ringFrames[g.id].push_back(span);
+            break;
+          case Grant::Kind::IommuPage:
+            a.iommuFrames[g.id].push_back(span);
+            break;
+          case Grant::Kind::CapSlot:
+            own(a.capSlotOwner, "capability slot", g);
+            cap_rights[g.id] = g.rights;
+            break;
+          case Grant::Kind::CapSpan: a.capSpans[g.id].push_back(span); break;
+          case Grant::Kind::CapDelegate:
+            a.capDelegates[g.id].push_back(g.pid);
+            break;
+          case Grant::Kind::CapRevoke:
+            a.capDelegates.erase(g.id);
+            a.capRevoked.push_back(g.id);
+            break;
+        }
+    }
+    return a;
 }
 
 } // namespace uldma::check

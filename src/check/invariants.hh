@@ -4,8 +4,8 @@
  *
  * Every explored schedule is audited against the paper's safety
  * claims, expressed as predicates over what one run actually did (the
- * engine's initiation records plus the buffers and grants the runner
- * set up).  See docs/CHECKING.md for the invariant catalog in prose.
+ * engine's initiation records plus the kernel's grant ledger).  See
+ * docs/CHECKING.md for the invariant catalog in prose.
  */
 
 #ifndef ULDMA_CHECK_INVARIANTS_HH
@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "core/methods.hh"
 #include "dma/dma_engine.hh"
+#include "os/kernel.hh"
 
 namespace uldma::check {
 
@@ -52,28 +52,29 @@ struct FrameSpan
 };
 
 /**
- * Everything the invariant checker needs to audit one run.  Filled by
- * the runner from oracle state (initiation records, grants, page
- * frames) that no protocol decision ever reads.
+ * Everything the invariant checker needs to audit one run.
+ * grantArtifacts() fills the grants from the kernel's ledger and the
+ * initiations from the engine's records, neither of which any protocol
+ * decision reads; the caller adds the run's own facts (allowed, the
+ * victim fields, machineFinished).
  */
 struct RunArtifacts
 {
-    DmaMethod method = DmaMethod::Repeated5;
-
     /// Every DMA the engine started, in order.
     std::vector<DmaEngine::InitiationRecord> initiations;
 
     /// Transfers that were legitimately requested by some process.
     std::vector<AllowedTransfer> allowed;
 
-    /// Physical frames each process has mapped, with rights.
+    /// Physical frames each process has mapped, with rights (a remote
+    /// window at its bus address).
     std::map<Pid, std::vector<FrameSpan>> frames;
 
     /// Granted context id -> owning process (key or shadow contexts).
     std::map<unsigned, Pid> ctxOwner;
 
-    /// Ring context id -> physical frame spans the kernel authorized
-    /// for ring DMA (Kernel::authorizeRingDma), page granular.
+    /// Ring context id -> physical frame runs the kernel authorized
+    /// for ring DMA (Kernel::authorizeRingDma).
     std::map<unsigned, std::vector<FrameSpan>> ringFrames;
 
     /// Ring descriptors carry virtual addresses translated through the
@@ -95,12 +96,12 @@ struct RunArtifacts
     /// revoked) delegation of that slot.
     std::map<unsigned, std::vector<Pid>> capDelegates;
 
-    /// Slots whose capability was revoked before the run's transfers:
-    /// ex-delegates keep their stale capwords, which must fail closed.
+    /// Slots whose capability was revoked: ex-delegates keep their
+    /// stale capwords, which must fail closed.
     std::vector<unsigned> capRevoked;
 
-    /// Capability slot -> physical frame spans the kernel granted it
-    /// (oracle copy of the engine's table spans).
+    /// Capability slot -> physical frame spans the kernel granted it,
+    /// with the slot's rights.
     std::map<unsigned, std::vector<FrameSpan>> capSpans;
 
     Pid victimPid = 1;
@@ -147,6 +148,18 @@ struct RunArtifacts
  *    completion.
  */
 std::vector<Violation> checkInvariants(const RunArtifacts &a);
+
+/**
+ * The artifacts of one node's run: @p kernel's grant ledger
+ * (Kernel::grants()) turned into frames, context owners, ring and
+ * IOMMU frames and capability owners, spans, delegates and
+ * revocations, plus @p engine's initiations, iommuEnabled and
+ * capEnabled.  A revocation drops the slot's delegates.  Panics,
+ * naming the id, when one context id (key context or CONTEXT_ID) or
+ * capability slot was granted to two processes: ctxOwner and
+ * capSlotOwner hold one owner each.
+ */
+RunArtifacts grantArtifacts(const Kernel &kernel, const DmaEngine &engine);
 
 } // namespace uldma::check
 

@@ -70,6 +70,7 @@ runSchedule(const RunnerConfig &config,
     configureNode(mconfig.node, method);
     mconfig.node.dma.weakRecognizer = config.weakRecognizer;
     mconfig.node.dma.weakRing = config.weakRing;
+    mconfig.node.dma.weakCap = config.weakCap;
 
     // IOMMU mode (weakIommu implies it): descriptors carry virtual
     // addresses and the engine translates them.  A deliberately tiny
@@ -84,12 +85,6 @@ runSchedule(const RunnerConfig &config,
         mconfig.node.dma.iommu.pinPolicy = PinPolicy::OnMap;
         mconfig.node.dma.weakIommu = config.weakIommu;
     }
-
-    // Capability mode: configureNode already enabled the table; the
-    // weakened engine starts presentations without consulting it.
-    const bool capOn = method == DmaMethod::Cap;
-    if (capOn)
-        mconfig.node.dma.weakCap = config.weakCap;
 
     ScriptedScheduler *sched = nullptr;
     mconfig.node.makeScheduler = [&]() {
@@ -154,9 +149,9 @@ runSchedule(const RunnerConfig &config,
     //  - C: the adversary's own legitimate slot over its own buffers —
     //    the valid word a span-escape attack presents while naming the
     //    victim's frames.
-    int slotA = -1, slotB = -1, slotC = -1;
+    int slotB = -1, slotC = -1;
     std::uint64_t staleWordB = 0, validWordC = 0;
-    if (capOn) {
+    if (method == DmaMethod::Cap) {
         slotB = kernel.capGrant(victim, vsrc, pageSize, /*rate_class=*/1);
         ULDMA_ASSERT(slotB >= 0, "cap grant (slot B) failed");
         kernel.capExtend(victim, static_cast<unsigned>(slotB), vdst,
@@ -168,7 +163,8 @@ runSchedule(const RunnerConfig &config,
         ULDMA_ASSERT(kernel.capRevoke(victim,
                                       static_cast<unsigned>(slotB)),
                      "cap revocation failed");
-        slotA = kernel.capGrant(victim, vsrc, pageSize, /*rate_class=*/0);
+        const int slotA =
+            kernel.capGrant(victim, vsrc, pageSize, /*rate_class=*/0);
         ULDMA_ASSERT(slotA >= 0, "cap grant (slot A) failed");
         kernel.capExtend(victim, static_cast<unsigned>(slotA), vdst,
                          pageSize);
@@ -204,62 +200,11 @@ runSchedule(const RunnerConfig &config,
     mem.fill(asrc_p, 0xA5, burstBytes);
     mem.fill(adst_p, 0x00, burstBytes);
 
-    // Oracle inputs for the invariant audit.
-    RunArtifacts art;
-    art.method = method;
-    art.victimPid = victim.pid();
-    art.allowed.push_back({victim.pid(), vsrc_p, vdst_p, payloadSize});
-    art.frames[victim.pid()] = {{vsrc_p, pageSize, true, true},
-                                {vdst_p, pageSize, true, true}};
-    art.frames[adversary.pid()] = {{asrc_p, pageSize, true, true},
-                                   {adst_p, pageSize, true, true}};
-    for (Process *p : {&victim, &adversary}) {
-        const DmaGrant &g = p->dmaGrant();
-        if (g.keyContext)
-            art.ctxOwner[*g.keyContext] = p->pid();
-        if (g.shadowContext)
-            art.ctxOwner[*g.shadowContext] = p->pid();
-        // Oracle copy of the kernel's ring frame table: what this
-        // context's ring DMA is allowed to touch, page granular.
-        if (g.ringConfigured && g.keyContext) {
-            std::vector<FrameSpan> &spans = art.ringFrames[*g.keyContext];
-            for (Addr region : {g.ringDescVaddr, g.ringCplVaddr}) {
-                const Addr p_paddr = pageAlignDown(
-                    kernel.translateFor(*p, region, Rights::Read).paddr);
-                spans.push_back({p_paddr, pageSize, true, true});
-            }
-            const Addr own_src = p == &victim ? vsrc_p : asrc_p;
-            const Addr own_dst = p == &victim ? vdst_p : adst_p;
-            spans.push_back({pageAlignDown(own_src), pageSize, true, true});
-            spans.push_back({pageAlignDown(own_dst), pageSize, true, true});
-            // In IOMMU mode the same pages are what got mapped into
-            // this context's I/O page table (setupRing mapped the ring
-            // regions, iommuMapRange above mapped the buffers).
-            if (iommuOn)
-                art.iommuFrames[*g.keyContext] = spans;
-        }
-    }
-    art.iommuEnabled = iommuOn;
-
-    // Capability oracle: who owns each slot, which slots were revoked,
-    // and the frame spans the kernel granted — independent copies of
-    // the kernel's bookkeeping, never read by the engine.
-    art.capEnabled = capOn;
-    if (capOn) {
-        const std::vector<FrameSpan> victim_spans = {
-            {vsrc_p, pageSize, true, true}, {vdst_p, pageSize, true, true}};
-        const std::vector<FrameSpan> adversary_spans = {
-            {asrc_p, pageSize, true, true}, {adst_p, pageSize, true, true}};
-        art.capSlotOwner[static_cast<unsigned>(slotA)] = victim.pid();
-        art.capSlotOwner[static_cast<unsigned>(slotB)] = victim.pid();
-        art.capSlotOwner[static_cast<unsigned>(slotC)] = adversary.pid();
-        art.capSpans[static_cast<unsigned>(slotA)] = victim_spans;
-        art.capSpans[static_cast<unsigned>(slotB)] = victim_spans;
-        art.capSpans[static_cast<unsigned>(slotC)] = adversary_spans;
-        // B's delegation was revoked, so no slot has a currently-valid
-        // delegate: capDelegates stays empty and B joins capRevoked.
-        art.capRevoked.push_back(static_cast<unsigned>(slotB));
-    }
+    // The run's own intent: the victim's transfer (and, below, the
+    // adversary's own shadow-pair transfer).  Every grant comes from
+    // the kernel's ledger after the run (grantArtifacts).
+    std::vector<AllowedTransfer> allowed = {
+        {victim.pid(), vsrc_p, vdst_p, payloadSize}};
 
     // Victim: one DMA initiation, then capture the status register.
     std::uint64_t status = 0;
@@ -344,10 +289,9 @@ runSchedule(const RunnerConfig &config,
                 ap.load(reg::t0, s_asrc);
                 ap.store(s_adst, burstBytes);
             }
-            if (!preemptAfter.empty()) {
-                art.allowed.push_back(
+            if (!preemptAfter.empty())
+                allowed.push_back(
                     {adversary.pid(), asrc_p, adst_p, burstBytes});
-            }
             break;
           case EngineMode::KeyBased: {
             // Forged key aimed at the *victim's* register context.
@@ -405,7 +349,9 @@ runSchedule(const RunnerConfig &config,
     machine.start();
     const bool finished = machine.run(tickPerSec / 100);
 
-    art.initiations = engine.initiations();
+    RunArtifacts art = grantArtifacts(kernel, engine);
+    art.allowed = std::move(allowed);
+    art.victimPid = victim.pid();
     art.machineFinished = finished;
     art.victimFinished = victim.context().state() == RunState::Exited;
     art.victimStatus = status;

@@ -16,46 +16,17 @@ namespace {
 constexpr std::uint8_t victimPattern = 0xAA;
 constexpr std::uint8_t attackerPattern = 0x55;
 
-/** A page-rights registry the audit uses to evaluate initiations. */
-struct RightsRegistry
+/** True when @p kernel granted some process @p need on the frame
+ *  holding @p paddr (its grant ledger, Kernel::grants()). */
+bool
+someoneGranted(const Kernel &kernel, Addr paddr, Rights need)
 {
-    struct Entry
-    {
-        Addr page;     ///< physical page number
-        Pid pid;
-        Rights rights;
-    };
-
-    std::vector<Entry> entries;
-
-    void
-    note(Addr paddr, Pid pid, Rights rights)
-    {
-        entries.push_back(Entry{pageNumber(paddr), pid, rights});
-    }
-
-    bool
-    has(Addr paddr, Pid pid, Rights need) const
-    {
-        const Addr page = pageNumber(paddr);
-        for (const Entry &e : entries) {
-            if (e.page == page && e.pid == pid && allows(e.rights, need))
-                return true;
-        }
-        return false;
-    }
-
-    /** True if some single process can read src and write dst. */
-    bool
-    someProcessAllowed(Addr src, Addr dst,
-                       const std::vector<Pid> &pids) const
-    {
-        return std::any_of(pids.begin(), pids.end(), [&](Pid pid) {
-            return has(src, pid, Rights::Read) &&
-                   has(dst, pid, Rights::Write);
-        });
-    }
-};
+    const std::vector<Grant> &grants = kernel.grants();
+    return std::any_of(grants.begin(), grants.end(), [&](const Grant &g) {
+        return g.kind == Grant::Kind::Frames && paddr >= g.base &&
+               paddr < g.base + g.bytes && allows(g.rights, need);
+    });
+}
 
 /** Common two-process (victim + attacker) machine for the figures. */
 struct FigureSetup
@@ -306,7 +277,6 @@ runRandomizedAttack(const RandomAttackConfig &config)
     Machine machine(mc);
     prepareMachine(machine, config.method);
     Kernel &kernel = machine.node(0).kernel();
-    RightsRegistry registry;
 
     // Victim with private A (source) and B (destination).
     Process &legit = kernel.createProcess("legit");
@@ -320,8 +290,6 @@ runRandomizedAttack(const RandomAttackConfig &config)
                                             Rights::Read).paddr;
     const Addr paddrB = kernel.translateFor(legit, bufB,
                                             Rights::Write).paddr;
-    registry.note(paddrA, legit.pid(), Rights::ReadWrite);
-    registry.note(paddrB, legit.pid(), Rights::ReadWrite);
 
     const Addr size = 128;
     std::uint64_t legit_successes = 0;
@@ -342,7 +310,6 @@ runRandomizedAttack(const RandomAttackConfig &config)
     // Attackers: own pages (rw) + read-only view of A, issuing random
     // shadow accesses.
     Random rng(config.seed * 0x9E3779B97F4A7C15ULL + 1);
-    std::vector<Pid> pids = {legit.pid()};
     for (unsigned m = 0; m < config.malProcesses; ++m) {
         Process &mal = kernel.createProcess(csprintf("mal%u", m));
         prepareProcess(kernel, mal, config.method);
@@ -353,13 +320,6 @@ runRandomizedAttack(const RandomAttackConfig &config)
         const Addr mal_a = kernel.mapShared(legit, bufA, pageSize, mal,
                                             Rights::Read);
         kernel.createShadowMappings(mal, mal_a, pageSize);
-
-        registry.note(kernel.translateFor(mal, c1, Rights::Read).paddr,
-                      mal.pid(), Rights::ReadWrite);
-        registry.note(kernel.translateFor(mal, c2, Rights::Read).paddr,
-                      mal.pid(), Rights::ReadWrite);
-        registry.note(paddrA, mal.pid(), Rights::Read);
-        pids.push_back(mal.pid());
 
         Program mal_prog;
         appendAdversarialOps(mal_prog, kernel, mal, c1, c2, mal_a, rng,
@@ -400,13 +360,8 @@ runRandomizedAttack(const RandomAttackConfig &config)
         // through a readable shadow mapping by *someone*, the
         // destination through a writable one.
         const bool rights_hold =
-            std::any_of(pids.begin(), pids.end(),
-                        [&](Pid p) {
-                            return registry.has(rec.src, p, Rights::Read);
-                        }) &&
-            std::any_of(pids.begin(), pids.end(), [&](Pid p) {
-                return registry.has(rec.dst, p, Rights::Write);
-            });
+            someoneGranted(kernel, rec.src, Rights::Read) &&
+            someoneGranted(kernel, rec.dst, Rights::Write);
         if (harms_victim || !rights_hold)
             ++result.violations;
     }

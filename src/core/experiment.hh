@@ -26,7 +26,7 @@ struct MeasureConfig
     /** Transfer size passed as the DMA argument. */
     Addr transferSize = 8;
 
-    BusParams bus = BusParams::turboChannel();
+    BusParams bus;
     CpuParams cpu;
     KernelParams kernel;
 };
@@ -80,7 +80,7 @@ struct AtomicMeasureConfig
      *  (only meaningful when userLevel). */
     bool keyed = false;
     unsigned iterations = 1000;
-    BusParams bus = BusParams::turboChannel();
+    BusParams bus;
     CpuParams cpu;
     KernelParams kernel;
 };

@@ -39,7 +39,7 @@ struct NodeConfig
 {
     Addr memBytes = 64 * 1024 * 1024;
     CpuParams cpu;
-    BusParams bus = BusParams::turboChannel();
+    BusParams bus;
     DmaEngineParams dma;
     AtomicUnitParams atomic;
     NicParams nic;

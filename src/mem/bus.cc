@@ -7,20 +7,6 @@
 namespace uldma {
 
 BusParams
-BusParams::turboChannel()
-{
-    BusParams p;
-    // The prototype board of the paper runs on a 12.5 MHz TurboChannel;
-    // 12.5 MHz is an 80 ns period, expressed exactly via clockPeriod.
-    p.clockMHz = 12;
-    p.clockPeriod = 80 * tickPerNs;
-    p.arbitrationCycles = 1;
-    p.writeDataCycles = 2;
-    p.readResponseCycles = 2;
-    return p;
-}
-
-BusParams
 BusParams::pci33()
 {
     BusParams p;

@@ -62,13 +62,17 @@ class BusDevice
     }
 };
 
-/** Timing parameters of a bus generation. */
+/** Timing parameters of a bus generation.  The defaults are the
+ *  12.5 MHz TurboChannel of the paper's prototype board. */
 struct BusParams
 {
     /** Bus clock in MHz. */
     std::uint64_t clockMHz = 12;
-    /** Exact clock period override in ticks; 0 means derive from MHz. */
-    Tick clockPeriod = 0;
+    /**
+     * Exact clock period override in ticks; 0 means derive from MHz.
+     * 12.5 MHz is an 80 ns period, which clockMHz cannot express.
+     */
+    Tick clockPeriod = 80 * tickPerNs;
     /** Cycles to win arbitration and drive the address phase. */
     Cycles arbitrationCycles = 1;
     /** Cycles for the data phase of a write. */
@@ -83,8 +87,6 @@ struct BusParams
      */
     Cycles dmaContentionCycles = 0;
 
-    /** The 12.5 MHz TurboChannel of the paper's prototype board. */
-    static BusParams turboChannel();
     /** 33 MHz PCI. */
     static BusParams pci33();
     /** 66 MHz PCI. */

@@ -13,15 +13,15 @@ namespace {
 
 /**
  * Walk [vaddr, vaddr+bytes) of @p process page by page, in order, and
- * call @p run once per physically contiguous frame run with its
- * [base, limit) and the rights all of its pages allow.  Stops at the
- * first unmapped page (its pending run is not passed on) or at the
- * first run @p run refuses.  @return false when it stopped early.
+ * call @p run(base, limit, rights) once per physically contiguous
+ * frame run with its [base, limit) and the rights all of its pages
+ * allow.  Stops at the first unmapped page (its pending run is not
+ * passed on) or at the first run @p run refuses.  @return false when
+ * it stopped early.
  */
+template <typename Run>
 bool
-forEachFrameRun(
-    Process &process, Addr vaddr, Addr bytes,
-    const std::function<bool(Addr base, Addr limit, Rights rights)> &run)
+forEachFrameRun(Process &process, Addr vaddr, Addr bytes, Run &&run)
 {
     const Addr first = pageAlignDown(vaddr);
     const Addr last = pageAlignDown(vaddr + bytes - 1);
@@ -257,6 +257,8 @@ Kernel::allocate(Process &process, Addr bytes, Rights rights)
     process.pageTable().mapRange(vaddr, paddr, npages, rights);
     // Leave a guard page between allocations.
     process.setAllocCursor(vaddr + (npages + 1) * pageSize);
+    grants_.push_back({Grant::Kind::Frames, process.pid(), 0, paddr,
+                       npages * pageSize, rights});
     return vaddr;
 }
 
@@ -272,6 +274,9 @@ Kernel::mapShared(Process &owner, Addr owner_vaddr, Addr bytes,
     other.pageTable().mapRange(pageAlignDown(vaddr),
                                pageAlignDown(xlate.paddr), npages, rights);
     other.setAllocCursor(pageAlignDown(vaddr) + (npages + 1) * pageSize);
+    grants_.push_back({Grant::Kind::Frames, other.pid(), 0,
+                       pageAlignDown(xlate.paddr), npages * pageSize,
+                       rights});
     return vaddr;
 }
 
@@ -288,6 +293,9 @@ Kernel::mapRemoteWindow(Process &process, NodeId node, Addr remote_paddr,
     process.pageTable().mapRange(vaddr, window, npages, rights,
                                  /*uncacheable=*/true);
     process.setAllocCursor(vaddr + (npages + 1) * pageSize);
+    // The window's bus address is what a transfer to it names.
+    grants_.push_back({Grant::Kind::Frames, process.pid(), 0, window,
+                       npages * pageSize, rights});
     return vaddr;
 }
 
@@ -366,6 +374,7 @@ Kernel::grantKeyContext(Process &process)
                 Rights::ReadWrite, /*uncacheable=*/true);
             process.dmaGrant().atomicContextPageVaddr = avaddr;
         }
+        grants_.push_back({Grant::Kind::Context, process.pid(), ctx});
         return true;
     }
     return false;   // all contexts taken: fall back to kernel DMA
@@ -402,6 +411,7 @@ Kernel::grantShadowContext(Process &process)
             continue;
         shadowContextOwner_[ctx] = process.pid();
         process.dmaGrant().shadowContext = ctx;
+        grants_.push_back({Grant::Kind::Context, process.pid(), ctx});
         return true;
     }
     return false;   // §3.2: "the rest will have to go through the kernel"
@@ -549,6 +559,8 @@ Kernel::authorizeRingDma(Process &process, Addr vaddr, Addr bytes)
             kregWrite(kregs::ringCtxSelect, ctx);
             kregWrite(kregs::ringFrameBase, base);
             kregWrite(kregs::ringFrameLimit, limit);
+            grants_.push_back({Grant::Kind::RingFrames, process.pid(), ctx,
+                               base, limit - base, Rights::ReadWrite});
             return true;
         });
     ULDMA_ASSERT(mapped, "authorizeRingDma: page not mapped");
@@ -580,6 +592,7 @@ Kernel::iommuMapRange(Process &process, Addr vaddr, Addr bytes, bool pin)
     // pointer a process passes to the engine in a descriptor is the
     // one the kernel maps here, so user code needs no address
     // arithmetic at all.
+    const unsigned ctx = *process.dmaGrant().keyContext;
     bool ok = true;
     const Addr last = pageAlignDown(vaddr + bytes - 1);
     for (Addr page = pageAlignDown(vaddr); page <= last; page += pageSize) {
@@ -588,7 +601,8 @@ Kernel::iommuMapRange(Process &process, Addr vaddr, Addr bytes, bool pin)
             ok = false;
             continue;
         }
-        std::uint64_t entry = pte->pfn << pageShift;
+        const Addr paddr = pte->pfn << pageShift;
+        std::uint64_t entry = paddr;
         if (allows(pte->rights, Rights::Read))
             entry |= iommumap::read;
         if (allows(pte->rights, Rights::Write))
@@ -597,6 +611,9 @@ Kernel::iommuMapRange(Process &process, Addr vaddr, Addr bytes, bool pin)
             entry |= iommumap::pin;
         kregWrite(kregs::iommuIova, page);
         kregWrite(kregs::iommuMapEntry, entry);
+        // The page is mapped even when its pin fails.
+        grants_.push_back({Grant::Kind::IommuPage, process.pid(), ctx, paddr,
+                           pageSize, pte->rights});
         // Read the status back: a failed map-time pin (budget
         // exhaustion) must reach the caller.
         if (kregRead(kregs::iommuStatus) != dmastatus::ok)
@@ -695,6 +712,16 @@ Kernel::capGrant(Process &process, Addr vaddr, Addr bytes,
     }
 
     capSlotOwner_[static_cast<unsigned>(slot)] = process.pid();
+    // The grant held: the ledger takes the slot, then the same runs.
+    grants_.push_back({Grant::Kind::CapSlot, process.pid(),
+                       static_cast<unsigned>(slot), 0, 0, allowed});
+    forEachFrameRun(
+        process, vaddr, bytes, [&](Addr base, Addr limit, Rights) {
+            grants_.push_back({Grant::Kind::CapSpan, process.pid(),
+                               static_cast<unsigned>(slot), base,
+                               limit - base});
+            return true;
+        });
     const std::uint64_t word = capfield::pack(
         static_cast<unsigned>(slot),
         engine_->cap()->generation(static_cast<unsigned>(slot)), secret);
@@ -726,10 +753,14 @@ Kernel::capExtend(Process &owner, unsigned slot, Addr vaddr, Addr bytes)
         return false;
     }
     kregWrite(kregs::capSlotSelect, slot);
-    return forEachFrameRun(owner, vaddr, bytes,
-                           [this](Addr base, Addr limit, Rights) {
-                               return capAddSpan(base, limit);
-                           });
+    return forEachFrameRun(
+        owner, vaddr, bytes, [&](Addr base, Addr limit, Rights) {
+            if (!capAddSpan(base, limit))
+                return false;
+            grants_.push_back({Grant::Kind::CapSpan, owner.pid(), slot, base,
+                               limit - base});
+            return true;
+        });
 }
 
 bool
@@ -760,6 +791,7 @@ Kernel::capDelegate(Process &owner, unsigned slot, Process &target)
     tg.capPageVaddrs.push_back(pvaddr);
     tg.capWords.push_back(og.capWords[idx]);
     tg.capRateClasses.push_back(og.capRateClasses[idx]);
+    grants_.push_back({Grant::Kind::CapDelegate, target.pid(), slot});
     ++capDelegations_;
     ULDMA_TRACE("Kernel", cpu_.clockEdge(), name_, ": cap delegate slot ",
                 slot, " pid ", owner.pid(), " -> ", target.pid());
@@ -794,6 +826,7 @@ Kernel::capRevoke(Process &owner, unsigned slot)
             break;
         }
     }
+    grants_.push_back({Grant::Kind::CapRevoke, owner.pid(), slot});
     ++capRevocations_;
     ULDMA_TRACE("Kernel", cpu_.clockEdge(), name_, ": cap revoke slot ",
                 slot, " by pid ", owner.pid());

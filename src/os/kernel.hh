@@ -76,6 +76,33 @@ struct KernelParams
 };
 
 /**
+ * One grant a kernel made, recorded by the call that made it once that
+ * call succeeded.  Reaping at exit records nothing, so the ledger
+ * (Kernel::grants()) keeps what each process held during the run.
+ */
+struct Grant
+{
+    enum class Kind : std::uint8_t
+    {
+        Frames,        ///< pid may touch [base, base+bytes) with rights
+        Context,       ///< pid owns key context (§3.1) or CONTEXT_ID id
+        RingFrames,    ///< context id's ring may DMA [base, base+bytes)
+        IommuPage,     ///< context id's I/O page table maps page base
+        CapSlot,       ///< pid owns capability slot id, with rights
+        CapSpan,       ///< slot id covers [base, base+bytes)
+        CapDelegate,   ///< pid holds a delegation of slot id
+        CapRevoke,     ///< slot id was revoked
+    };
+
+    Kind kind;
+    Pid pid = invalidPid;
+    unsigned id = 0;   ///< context id or capability slot
+    Addr base = 0;
+    Addr bytes = 0;
+    Rights rights = Rights::None;
+};
+
+/**
  * The operating-system kernel of one workstation.
  */
 class Kernel : public OsCallbacks
@@ -286,6 +313,10 @@ class Kernel : public OsCallbacks
     /// @}
     /// @}
 
+    /** Every grant this kernel made, in order.  Only the invariant
+     *  audit reads it (check::grantArtifacts). */
+    const std::vector<Grant> &grants() const { return grants_; }
+
     /**
      * Observe every context switch (model checker / tests): invoked
      * after the scheduling decision with the outgoing process (may be
@@ -420,6 +451,9 @@ class Kernel : public OsCallbacks
     std::vector<Pid> shadowContextOwner_;
     /** Capability-slot occupancy (owner pid; delegates never own). */
     std::vector<Pid> capSlotOwner_;
+
+    /** The grant ledger (see grants()). */
+    std::vector<Grant> grants_;
 
     Random keyRng_;
 

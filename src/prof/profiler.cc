@@ -213,17 +213,17 @@ writeNode(json::Writer &w, const ProfileNode &node, bool include_host)
 
 void
 writeProfileJson(std::ostream &os, const ProfileNode &root,
-                 const ProfileWriteOptions &options)
+                 bool include_host)
 {
     json::Writer w(os);
     w.beginObject();
     w.member("schema", "uldma-profile-v1");
     w.member("scopes", totalCount(root));
-    w.member("host_time", options.includeHost);
+    w.member("host_time", include_host);
     w.key("tree");
     w.beginArray();
     for (const ProfileNode &child : root.children)
-        writeNode(w, child, options.includeHost);
+        writeNode(w, child, include_host);
     w.endArray();
     w.endObject();
     os << "\n";

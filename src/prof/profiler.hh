@@ -20,8 +20,8 @@
  *  - writeProfileJson(): the `uldma-profile-v1` document.  By default
  *    it contains only deterministic fields (names, counts, simulated
  *    ticks) so identical runs produce identical bytes — the repo-wide
- *    artifact rule.  Host wall-time attribution is opt-in via
- *    ProfileWriteOptions::includeHost.
+ *    artifact rule.  Host wall-time attribution is opt-in via its
+ *    include_host argument.
  *  - writeCollapsedProfile(): Brendan-Gregg collapsed-stack text
  *    ("a;b;c <weight>") for flamegraph.pl / speedscope.
  *
@@ -196,25 +196,16 @@ class TickSourceScope
     bool active_;
 };
 
-/** Options for writeProfileJson(). */
-struct ProfileWriteOptions
-{
-    /**
-     * Include inclusive_ns/exclusive_ns host wall-time members.
-     * Off by default: host time varies run to run, and the default
-     * document must be byte-deterministic.
-     */
-    bool includeHost = false;
-};
-
 /**
  * Serialise a profile tree as one `uldma-profile-v1` document.  The
  * tree is emitted depth-first in capture order; exclusive values are
  * derived as inclusive minus the children's inclusive sum (clamped at
- * zero).
+ * zero).  @p include_host adds the inclusive_ns/exclusive_ns host
+ * wall-time members; off by default, because host time varies run to
+ * run and the default document must be byte-deterministic.
  */
 void writeProfileJson(std::ostream &os, const ProfileNode &root,
-                      const ProfileWriteOptions &options = {});
+                      bool include_host = false);
 
 /**
  * Serialise as collapsed-stack text, one line per tree node:

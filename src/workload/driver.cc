@@ -20,7 +20,7 @@ busFor(const std::string &name)
     if (name == "pci66")
         return BusParams::pci66();
     ULDMA_ASSERT(name == "tc", "unknown bus '", name, "'");
-    return BusParams::turboChannel();
+    return BusParams{};
 }
 
 /** Sum of the machine's forward-progress counters: any retired

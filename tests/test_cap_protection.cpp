@@ -353,27 +353,17 @@ TEST(CapProtection, WeakCapReopensTheHoleAndTheOracleCatchesIt)
     EXPECT_EQ(rec.src, rig.vSrcPaddr);
 
     // Feed the run to the checker's oracle exactly as the runner
-    // would: the revocation struck the adversary from the delegate
-    // list, so both cap-forgery and cap-revocation must fire (and the
-    // endpoints escape the — conceptually torn-down — slot spans).
-    check::RunArtifacts art;
-    art.method = DmaMethod::Cap;
-    art.initiations = engine.initiations();
+    // does, with the grants from the kernel's ledger: the revocation
+    // struck the adversary from the delegate list, so both cap-forgery
+    // and cap-revocation must fire.
+    check::RunArtifacts art = check::grantArtifacts(rig.kernel, engine);
+    EXPECT_TRUE(art.capEnabled);
+    EXPECT_EQ(art.capSlotOwner.at(rig.vSlot), rig.victim.pid());
+    EXPECT_EQ(art.capRevoked, std::vector<unsigned>{rig.vSlot});
+    EXPECT_TRUE(art.capDelegates.empty());
     art.machineFinished = true;
     art.victimFinished = true;
     art.victimStatus = dmastatus::failure;
-    art.capEnabled = true;
-    art.capSlotOwner[rig.vSlot] = rig.victim.pid();
-    art.capSlotOwner[rig.aSlot] = rig.adversary.pid();
-    art.capRevoked.push_back(rig.vSlot);
-    auto pageSpan = [](Addr paddr) {
-        return check::FrameSpan{paddr & ~(pageSize - 1), pageSize, true,
-                                true};
-    };
-    art.capSpans[rig.vSlot] = {pageSpan(rig.vSrcPaddr),
-                               pageSpan(rig.vDstPaddr)};
-    art.capSpans[rig.aSlot] = {pageSpan(rig.aSrcPaddr),
-                               pageSpan(rig.aDstPaddr)};
 
     const std::vector<check::Violation> violations =
         check::checkInvariants(art);

@@ -1,7 +1,8 @@
 /**
  * @file
  * The model checker checked: invariant-catalog unit tests on
- * hand-built artifacts, schedule-file round-tripping and strict
+ * hand-built artifacts, the artifacts the kernel's grant ledger
+ * yields, schedule-file round-tripping and strict
  * rejection, deterministic re-execution of single schedules, and
  * end-to-end exploration — clean protocols stay clean at a bounded
  * depth, and a weakened recognizer yields a shrunk counterexample
@@ -11,14 +12,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "check/explorer.hh"
 #include "check/invariants.hh"
 #include "check/runner.hh"
 #include "check/schedule.hh"
+#include "core/machine.hh"
+#include "core/methods.hh"
+#include "sim/ticks.hh"
 
 namespace uldma::check {
 namespace {
@@ -33,7 +40,6 @@ RunArtifacts
 cleanArtifacts()
 {
     RunArtifacts a;
-    a.method = DmaMethod::Repeated5;
     a.initiations.push_back(
         {0, EngineMode::Repeated5, 0x10000, 0x20000, 192, 0, false, false,
          {1}});
@@ -127,6 +133,186 @@ TEST(Invariants, KernelInitiationsAreExempt)
     a.allowed.clear();                        // and intent-match
     a.victimStatus = dmastatus::failure;
     EXPECT_TRUE(checkInvariants(a).empty());
+}
+
+// ---------------------------------------------------------------------
+// The kernel's grant ledger, turned into artifacts.
+// ---------------------------------------------------------------------
+
+using Span = std::tuple<Addr, Addr, bool, bool>;
+
+std::vector<Span>
+spans(const std::vector<FrameSpan> &in)
+{
+    std::vector<Span> out;
+    for (const FrameSpan &s : in)
+        out.emplace_back(s.base, s.bytes, s.read, s.write);
+    return out;
+}
+
+MachineConfig
+nodeConfig(DmaMethod method)
+{
+    MachineConfig config;
+    configureNode(config.node, method);
+    return config;
+}
+
+TEST(GrantArtifacts, FramesAndContextsComeFromTheLedger)
+{
+    MachineConfig config = nodeConfig(DmaMethod::ExtShadow);
+    config.numNodes = 2;
+    Machine machine(config);
+    Kernel &kernel = machine.node(0).kernel();
+    Process &a = kernel.createProcess("a");
+    Process &b = kernel.createProcess("b");
+    ASSERT_TRUE(kernel.grantShadowContext(a));
+    ASSERT_TRUE(kernel.grantShadowContext(b));
+    const Addr buf = kernel.allocate(a, 2 * pageSize, Rights::ReadWrite);
+    const Addr paddr = kernel.translateFor(a, buf, Rights::Read).paddr;
+    kernel.mapShared(a, buf + pageSize, pageSize, b, Rights::Read);
+    const Addr window = kernel.mapRemoteWindow(b, 1, 0x40000, pageSize,
+                                               Rights::Write);
+    const Addr window_paddr =
+        kernel.translateFor(b, window, Rights::Write).paddr;
+
+    const RunArtifacts art =
+        grantArtifacts(kernel, machine.node(0).dmaEngine());
+    EXPECT_EQ(spans(art.frames.at(a.pid())),
+              (std::vector<Span>{{paddr, 2 * pageSize, true, true}}));
+    EXPECT_EQ(spans(art.frames.at(b.pid())),
+              (std::vector<Span>{{paddr + pageSize, pageSize, true, false},
+                                 {window_paddr, pageSize, false, true}}));
+    EXPECT_EQ(art.ctxOwner,
+              (std::map<unsigned, Pid>{{0, a.pid()}, {1, b.pid()}}));
+    EXPECT_TRUE(art.ringFrames.empty());
+    EXPECT_FALSE(art.iommuEnabled);
+    EXPECT_FALSE(art.capEnabled);
+    EXPECT_TRUE(art.initiations.empty());
+}
+
+TEST(GrantArtifacts, RingAndIommuFramesComeFromTheLedger)
+{
+    MachineConfig config = nodeConfig(DmaMethod::Ring);
+    config.node.dma.iommu.enabled = true;
+    Machine machine(config);
+    Kernel &kernel = machine.node(0).kernel();
+    Process &p = kernel.createProcess("p");
+    ASSERT_TRUE(kernel.setupRing(p, 4, ringdesc::policyPolling));
+    const unsigned ctx = *p.dmaGrant().keyContext;
+    const Addr buf = kernel.allocate(p, pageSize, Rights::Read);
+    const Addr paddr = kernel.translateFor(p, buf, Rights::Read).paddr;
+    kernel.authorizeRingDma(p, buf, pageSize);
+    EXPECT_TRUE(kernel.iommuMapRange(p, buf, pageSize, /*pin=*/false));
+
+    const RunArtifacts art =
+        grantArtifacts(kernel, machine.node(0).dmaEngine());
+    EXPECT_TRUE(art.iommuEnabled);
+    EXPECT_EQ(art.ctxOwner.at(ctx), p.pid());
+    // setupRing authorizes and maps the descriptor and completion
+    // pages first; the buffer comes last, with its own rights in the
+    // I/O page table.
+    ASSERT_EQ(art.ringFrames.at(ctx).size(), 3u);
+    EXPECT_EQ(spans(art.ringFrames.at(ctx)).back(),
+              (Span{paddr, pageSize, true, true}));
+    ASSERT_EQ(art.iommuFrames.at(ctx).size(), 3u);
+    EXPECT_EQ(spans(art.iommuFrames.at(ctx)).back(),
+              (Span{paddr, pageSize, true, false}));
+}
+
+TEST(GrantArtifacts, CapabilityGrantsComeFromTheLedger)
+{
+    MachineConfig config = nodeConfig(DmaMethod::Cap);
+    config.node.dma.cap.maxSpansPerSlot = 2;
+    Machine machine(config);
+    Kernel &kernel = machine.node(0).kernel();
+    const DmaEngine &engine = machine.node(0).dmaEngine();
+    Process &owner = kernel.createProcess("owner");
+    Process &other = kernel.createProcess("other");
+    const Addr src = kernel.allocate(owner, pageSize, Rights::ReadWrite);
+    const Addr dst = kernel.allocate(owner, pageSize, Rights::ReadWrite);
+    const Addr third = kernel.allocate(owner, pageSize, Rights::ReadWrite);
+    const int granted = kernel.capGrant(owner, src, pageSize, 0);
+    ASSERT_GE(granted, 0);
+    const unsigned slot = static_cast<unsigned>(granted);
+    ASSERT_TRUE(kernel.capExtend(owner, slot, dst, pageSize));
+
+    // Refused grants and a refused extension record nothing: a bad
+    // rate class, a range running into the unmapped guard page (the
+    // rollback path), and a span past maxSpansPerSlot.
+    const std::size_t before = kernel.grants().size();
+    EXPECT_EQ(kernel.capGrant(owner, src, pageSize, 99), -1);
+    EXPECT_EQ(kernel.capGrant(owner, src, 2 * pageSize, 0), -1);
+    EXPECT_FALSE(kernel.capExtend(owner, slot, third, pageSize));
+    EXPECT_EQ(kernel.grants().size(), before);
+
+    ASSERT_TRUE(kernel.capDelegate(owner, slot, other));
+    RunArtifacts art = grantArtifacts(kernel, engine);
+    EXPECT_TRUE(art.capEnabled);
+    EXPECT_EQ(art.capSlotOwner,
+              (std::map<unsigned, Pid>{{slot, owner.pid()}}));
+    const Addr src_p = kernel.translateFor(owner, src, Rights::Read).paddr;
+    const Addr dst_p = kernel.translateFor(owner, dst, Rights::Read).paddr;
+    EXPECT_EQ(spans(art.capSpans.at(slot)),
+              (std::vector<Span>{{src_p, pageSize, true, true},
+                                 {dst_p, pageSize, true, true}}));
+    EXPECT_EQ(art.capDelegates.at(slot), std::vector<Pid>{other.pid()});
+    EXPECT_TRUE(art.capRevoked.empty());
+
+    // A revocation strikes the delegates and marks the slot.
+    ASSERT_TRUE(kernel.capRevoke(owner, slot));
+    art = grantArtifacts(kernel, engine);
+    EXPECT_TRUE(art.capDelegates.empty());
+    EXPECT_EQ(art.capRevoked, std::vector<unsigned>{slot});
+    EXPECT_EQ(art.capSlotOwner.at(slot), owner.pid());
+}
+
+TEST(GrantArtifacts, ContextGrantedToTwoProcessesPanics)
+{
+    Machine machine(nodeConfig(DmaMethod::KeyBased));
+    Kernel &kernel = machine.node(0).kernel();
+    Process &a = kernel.createProcess("a");
+    Process &b = kernel.createProcess("b");
+    ASSERT_TRUE(kernel.grantKeyContext(a));
+    kernel.revokeKeyContext(a);
+    ASSERT_TRUE(kernel.grantKeyContext(b));   // the same register context
+    EXPECT_DEATH(grantArtifacts(kernel, machine.node(0).dmaEngine()),
+                 "context id 0 was granted to pid1 and to pid2");
+}
+
+TEST(GrantArtifacts, KeyContextAndContextIdOfTwoProcessesPanics)
+{
+    // ctxOwner is one map for both kinds of context.
+    Machine machine(nodeConfig(DmaMethod::KeyBased));
+    Kernel &kernel = machine.node(0).kernel();
+    Process &a = kernel.createProcess("a");
+    Process &b = kernel.createProcess("b");
+    ASSERT_TRUE(kernel.grantKeyContext(a));
+    ASSERT_TRUE(kernel.grantShadowContext(b));
+    EXPECT_DEATH(grantArtifacts(kernel, machine.node(0).dmaEngine()),
+                 "context id 0 was granted to pid1 and to pid2");
+}
+
+TEST(GrantArtifacts, CapabilitySlotGrantedToTwoProcessesPanics)
+{
+    // Exit-time reaping frees the slot, and the ledger keeps the
+    // first owner, so a later grant of the same slot is a second one.
+    Machine machine(nodeConfig(DmaMethod::Cap));
+    Kernel &kernel = machine.node(0).kernel();
+    Process &a = kernel.createProcess("a");
+    const Addr abuf = kernel.allocate(a, pageSize, Rights::ReadWrite);
+    ASSERT_EQ(kernel.capGrant(a, abuf, pageSize, 0), 0);
+    Program prog;
+    prog.exit();
+    kernel.launch(a, std::move(prog));
+    machine.start();
+    ASSERT_TRUE(machine.run(tickPerSec));
+
+    Process &b = kernel.createProcess("b");
+    const Addr bbuf = kernel.allocate(b, pageSize, Rights::ReadWrite);
+    ASSERT_EQ(kernel.capGrant(b, bbuf, pageSize, 0), 0);
+    EXPECT_DEATH(grantArtifacts(kernel, machine.node(0).dmaEngine()),
+                 "capability slot 0 was granted to pid1 and to pid2");
 }
 
 // ---------------------------------------------------------------------

@@ -82,7 +82,7 @@ class CpuTest : public ::testing::Test
 {
   protected:
     CpuTest()
-        : memory_(1 << 20), bus_(eq_, "bus", BusParams::turboChannel()),
+        : memory_(1 << 20), bus_(eq_, "bus", BusParams{}),
           dram_("dram", memory_),
           cpu_(eq_, "cpu", CpuParams{}, bus_, memory_),
           ctx_(1, "proc", pt_)

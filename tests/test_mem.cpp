@@ -183,7 +183,7 @@ class ProbeDevice : public BusDevice
 TEST(Bus, RoutesByAddress)
 {
     EventQueue eq;
-    Bus bus(eq, "bus", BusParams::turboChannel());
+    Bus bus(eq, "bus", BusParams{});
     ProbeDevice low("low", AddrRange(0x0, 0x1000), 0);
     ProbeDevice high("high", AddrRange(0x1000, 0x2000), 0);
     bus.attach(&low);
@@ -204,7 +204,7 @@ TEST(Bus, RoutesByAddress)
 TEST(Bus, OverlappingAttachPanics)
 {
     EventQueue eq;
-    Bus bus(eq, "bus", BusParams::turboChannel());
+    Bus bus(eq, "bus", BusParams{});
     ProbeDevice a("a", AddrRange(0x0, 0x1000), 0);
     ProbeDevice b("b", AddrRange(0x800, 0x1800), 0);
     bus.attach(&a);
@@ -214,7 +214,7 @@ TEST(Bus, OverlappingAttachPanics)
 TEST(Bus, UnmappedAccessPanics)
 {
     EventQueue eq;
-    Bus bus(eq, "bus", BusParams::turboChannel());
+    Bus bus(eq, "bus", BusParams{});
     Packet pkt = Packet::makeRead(0x9999);
     EXPECT_DEATH(bus.access(pkt), "no device");
 }
@@ -222,7 +222,7 @@ TEST(Bus, UnmappedAccessPanics)
 TEST(Bus, WriteLatencyIsPhasesPlusDevice)
 {
     EventQueue eq;
-    Bus bus(eq, "bus", BusParams::turboChannel());   // 80 ns cycle
+    Bus bus(eq, "bus", BusParams{});   // 80 ns cycle
     ProbeDevice dev("d", AddrRange(0x0, 0x1000), 240 * tickPerNs);
     bus.attach(&dev);
 
@@ -235,7 +235,7 @@ TEST(Bus, WriteLatencyIsPhasesPlusDevice)
 TEST(Bus, AccessAlignsToClockEdge)
 {
     EventQueue eq;
-    Bus bus(eq, "bus", BusParams::turboChannel());
+    Bus bus(eq, "bus", BusParams{});
     ProbeDevice dev("d", AddrRange(0x0, 0x1000), 0);
     bus.attach(&dev);
 
@@ -249,7 +249,7 @@ TEST(Bus, AccessAlignsToClockEdge)
 TEST(Bus, ReadCostsMoreThanWrite)
 {
     EventQueue eq;
-    Bus bus(eq, "bus", BusParams::turboChannel());
+    Bus bus(eq, "bus", BusParams{});
     ProbeDevice dev("d", AddrRange(0x0, 0x1000), 0);
     bus.attach(&dev);
     Packet w = Packet::makeWrite(0x0, 7);
@@ -260,7 +260,7 @@ TEST(Bus, ReadCostsMoreThanWrite)
 TEST(Bus, PciPresetsAreFaster)
 {
     EventQueue eq;
-    Bus tc(eq, "tc", BusParams::turboChannel());
+    Bus tc(eq, "tc", BusParams{});
     Bus pci(eq, "pci", BusParams::pci33());
     Bus pci66(eq, "pci66", BusParams::pci66());
     ProbeDevice d1("d1", AddrRange(0x0, 0x1000), 0);
@@ -288,7 +288,7 @@ TEST(MemoryDevice, ReadsWritesBackingStore)
 {
     EventQueue eq;
     PhysicalMemory mem(4096);
-    Bus bus(eq, "bus", BusParams::turboChannel());
+    Bus bus(eq, "bus", BusParams{});
     MemoryDevice dram("dram", mem);
     bus.attach(&dram);
 
@@ -305,7 +305,7 @@ TEST(MemoryDevice, RmwExchanges)
 {
     EventQueue eq;
     PhysicalMemory mem(4096);
-    Bus bus(eq, "bus", BusParams::turboChannel());
+    Bus bus(eq, "bus", BusParams{});
     MemoryDevice dram("dram", mem);
     bus.attach(&dram);
 
@@ -325,7 +325,7 @@ class MergeBufferTest : public ::testing::Test
 {
   protected:
     MergeBufferTest()
-        : bus_(eq_, "bus", BusParams::turboChannel()),
+        : bus_(eq_, "bus", BusParams{}),
           probe_("dev", AddrRange(0x0, 0x10000), 0)
     {
         bus_.attach(&probe_);

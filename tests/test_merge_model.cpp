@@ -65,7 +65,7 @@ TEST_P(MergeModel, RandomStreamAgainstReference)
 {
     Random rng(GetParam());
     EventQueue eq;
-    Bus bus(eq, "bus", BusParams::turboChannel());
+    Bus bus(eq, "bus", BusParams{});
     WordDevice dev(AddrRange(0x0, 0x10000));
     bus.attach(&dev);
 

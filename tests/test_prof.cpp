@@ -154,9 +154,7 @@ TEST_F(ProfTest, JsonExportIsDeterministicAndDerivesExclusive)
 TEST_F(ProfTest, HostTimeExportIsOptInAndClampsExclusive)
 {
     std::ostringstream os;
-    prof::ProfileWriteOptions options;
-    options.includeHost = true;
-    prof::writeProfileJson(os, sampleTree(), options);
+    prof::writeProfileJson(os, sampleTree(), /*include_host=*/true);
 
     std::string error;
     const json::Value doc = json::parse(os.str(), &error);

@@ -352,26 +352,15 @@ TEST(RingProtection, WeakRingReopensTheHoleAndTheOracleCatchesIt)
     EXPECT_EQ(rec.ctx, rig.advCtx());
 
     // Feed the run to the checker's oracle exactly as the runner
-    // would: the adversary's authorized ring frames do NOT include the
-    // victim's buffer, so ring-isolation must fire.
-    check::RunArtifacts art;
-    art.method = DmaMethod::Ring;
-    art.initiations = engine.initiations();
+    // does: the grants come from the kernel's ledger, and the
+    // adversary's authorized ring frames do NOT include the victim's
+    // buffer, so ring-isolation must fire.
+    check::RunArtifacts art = check::grantArtifacts(rig.kernel, engine);
+    EXPECT_EQ(art.ctxOwner.at(rig.victimCtx()), rig.victim.pid());
+    EXPECT_EQ(art.ctxOwner.at(rig.advCtx()), rig.adversary.pid());
     art.machineFinished = true;
     art.victimFinished = true;
     art.victimStatus = dmastatus::failure;
-    art.ctxOwner[rig.victimCtx()] = rig.victim.pid();
-    art.ctxOwner[rig.advCtx()] = rig.adversary.pid();
-    auto pageSpan = [](Addr paddr) {
-        return check::FrameSpan{paddr & ~(pageSize - 1), pageSize, true,
-                                true};
-    };
-    art.ringFrames[rig.advCtx()] = {pageSpan(rig.advSrcPaddr),
-                                    pageSpan(rig.advDstPaddr)};
-    art.ringFrames[rig.victimCtx()] = {pageSpan(rig.victimBufPaddr)};
-    art.frames[rig.adversary.pid()] = {pageSpan(rig.advSrcPaddr),
-                                       pageSpan(rig.advDstPaddr)};
-    art.frames[rig.victim.pid()] = {pageSpan(rig.victimBufPaddr)};
     art.allowed.push_back({rig.adversary.pid(), rig.victimBufPaddr,
                            rig.advDstPaddr, 64});
 

@@ -340,7 +340,6 @@ spansAfterInitiations(DmaMethod method, unsigned n)
     // The Table-1 calibration point (uldma_run's defaults): 150 MHz
     // CPU, TURBOchannel I/O bus, 2300-cycle syscall overhead.
     MachineConfig config;
-    config.node.bus = BusParams::turboChannel();
     config.node.cpu.clockMHz = 150;
     config.node.kernel.syscallOverheadCycles = Cycles(2300);
     configureNode(config.node, method);

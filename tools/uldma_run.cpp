@@ -50,7 +50,7 @@ BusParams
 parseBus(const std::string &name)
 {
     if (name == "tc" || name == "turbochannel")
-        return BusParams::turboChannel();
+        return BusParams{};
     if (name == "pci33")
         return BusParams::pci33();
     if (name == "pci66")
@@ -324,9 +324,8 @@ main(int argc, char **argv)
     if (!profile_json_path.empty()) {
         const prof::ProfileNode tree = prof::profiler().snapshot();
         io_ok &= writeOutput(profile_json_path, [&](std::ostream &os) {
-            prof::ProfileWriteOptions pw;
-            pw.includeHost = opts.getFlag("profile-host-time");
-            prof::writeProfileJson(os, tree, pw);
+            prof::writeProfileJson(os, tree,
+                                   opts.getFlag("profile-host-time"));
         });
         prof::profiler().disable();
     }

@@ -237,9 +237,7 @@ main(int argc, char **argv)
         const prof::ProfileNode merged_profile = run.mergedProfile();
         if (!profile_path.empty()) {
             io_ok &= writeOutput(profile_path, [&](std::ostream &os) {
-                prof::ProfileWriteOptions pw;
-                pw.includeHost = profile_host;
-                prof::writeProfileJson(os, merged_profile, pw);
+                prof::writeProfileJson(os, merged_profile, profile_host);
             });
         }
         if (!collapsed_path.empty()) {
