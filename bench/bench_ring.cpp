@@ -145,10 +145,7 @@ measureRing(unsigned depth, Addr transfer_bytes)
                             uncached_marks.front()) /
         kTransfers;
     m.successes = successes;
-    for (const auto &rec : node.dmaEngine().initiations()) {
-        (void)rec;
-        ++m.initiationsStarted;
-    }
+    m.initiationsStarted = node.dmaEngine().initiations().size();
     return m;
 }
 

@@ -66,7 +66,8 @@ main(int argc, char **argv)
     // 2. Create a process and grant it the method's DMA resources
     //    (a register context + secret key, or a CONTEXT_ID, ...).
     Process &app = kernel.createProcess("app");
-    if (!prepareProcess(kernel, app, method)) {
+    DmaSession session(machine, 0, app, method);
+    if (!session.ready()) {
         std::fprintf(stderr,
                      "no DMA context available; use kernel DMA\n");
         return 1;
@@ -74,7 +75,6 @@ main(int argc, char **argv)
 
     // 3. Allocate buffers and let the kernel build shadow mappings
     //    (paper §2.3) at mmap time.
-    DmaSession session(machine, 0, app, method);
     const Addr src = session.allocBuffer(pageSize);
     const Addr dst = session.allocBuffer(pageSize);
 

@@ -1,135 +1,156 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/user_atomics.hh"
 #include "util/logging.hh"
 
 namespace uldma {
 
-InitiationMeasurement
-measureInitiation(const MeasureConfig &config)
+namespace {
+
+/** One node for one measured process: a huge quantum keeps
+ *  context-switch costs out of the measurement. */
+MachineConfig
+measurementMachine(const BusParams &bus, const CpuParams &cpu,
+                   const KernelParams &kernel)
 {
     MachineConfig mc;
-    mc.node.bus = config.bus;
-    mc.node.cpu = config.cpu;
-    mc.node.kernel = config.kernel;
-    configureNode(mc.node, config.method);
+    mc.node.bus = bus;
+    mc.node.cpu = cpu;
+    mc.node.kernel = kernel;
     mc.node.makeScheduler = []() {
-        // One process; a huge quantum keeps context-switch costs out
-        // of the measurement.
         return std::make_unique<RoundRobinScheduler>(tickPerSec);
     };
+    return mc;
+}
 
-    Machine machine(mc);
-    prepareMachine(machine, config.method);
-    Node &node = machine.node(0);
-    Kernel &kernel = node.kernel();
+MachineConfig
+initiationMachine(const MeasureConfig &config)
+{
+    MachineConfig mc =
+        measurementMachine(config.bus, config.cpu, config.kernel);
+    configureNode(mc.node, config.method);
+    return mc;
+}
 
-    Process &proc = kernel.createProcess("bench");
-    ULDMA_ASSERT(prepareProcess(kernel, proc, config.method),
-                 "benchmark process could not get a DMA context");
+} // namespace
+
+InitiationExperiment::InitiationExperiment(const MeasureConfig &config)
+    : config_(config), machine_(initiationMachine(config))
+{
+    ULDMA_ASSERT(config.iterations >= 1,
+                 "an initiation measurement needs an iteration");
+    prepareMachine(machine_, config.method);
+    Kernel &kernel = machine_.node(0).kernel();
 
     // Source/destination slot arrays so successive DMAs hit different
-    // addresses (kills write-buffer/read-buffer reuse, paper §3.4).
+    // addresses (kills write-buffer/read-buffer reuse, paper §3.4); a
+    // capability slot spans both (docs/CAPABILITIES.md).
+    proc_ = &kernel.createProcess("app");
+    DmaSession session(machine_, 0, *proc_, config.method);
     const unsigned slots = std::max(1u, config.addressSlots);
-    const Addr src_base =
-        kernel.allocate(proc, slots * pageSize, Rights::ReadWrite);
-    const Addr dst_base =
-        kernel.allocate(proc, slots * pageSize, Rights::ReadWrite);
-    kernel.createShadowMappings(proc, src_base, slots * pageSize);
-    kernel.createShadowMappings(proc, dst_base, slots * pageSize);
+    srcBase_ = session.allocBuffer(slots * pageSize);
+    dstBase_ = session.allocBuffer(slots * pageSize);
+    ULDMA_ASSERT(session.ready(),
+                 "benchmark process could not get its DMA grants");
 
     if (config.method == DmaMethod::Shrimp1) {
         // Pre-arrange each source page's mapped-out destination.
         for (unsigned s = 0; s < slots; ++s) {
             const Addr dst_paddr =
-                kernel.translateFor(proc, dst_base + s * pageSize,
+                kernel.translateFor(*proc_, dstBase_ + s * pageSize,
                                     Rights::Write).paddr;
-            kernel.setupMapOut(proc, src_base + s * pageSize, dst_paddr);
+            kernel.setupMapOut(*proc_, srcBase_ + s * pageSize, dst_paddr);
         }
     }
 
-    if (config.method == DmaMethod::Cap) {
-        // One slot spanning both slot arrays (docs/CAPABILITIES.md).
-        const int slot =
-            kernel.capGrant(proc, src_base, slots * pageSize,
-                            /*rate_class=*/0);
-        ULDMA_ASSERT(slot >= 0,
-                     "benchmark process could not get a capability");
-        ULDMA_ASSERT(kernel.capExtend(proc, static_cast<unsigned>(slot),
-                                      dst_base, slots * pageSize),
-                     "benchmark capability could not span the "
-                     "destination");
-    }
-
-    std::vector<Tick> marks;
-    marks.reserve(config.iterations + 1);
-    std::vector<std::uint64_t> instr_marks;
-    instr_marks.reserve(config.iterations + 1);
-    std::vector<std::uint64_t> uncached_marks;
-    uncached_marks.reserve(config.iterations + 1);
-    std::uint64_t successes = 0;
-
-    Machine *machine_ptr = &machine;
-    Cpu *cpu_ptr = &node.cpu();
-    auto mark = [machine_ptr, cpu_ptr, &marks, &instr_marks,
-                 &uncached_marks](ExecContext &) {
-        marks.push_back(machine_ptr->now());
-        instr_marks.push_back(cpu_ptr->instructionsRetired());
-        uncached_marks.push_back(cpu_ptr->numUncachedAccesses());
-    };
-
+    marks_.reserve(config.iterations + 1);
     Program prog;
-    prog.callback(mark);
+    const Cpu *cpu = &machine_.node(0).cpu();
+    const int mark = prog.addHook([this, cpu](ExecContext &) {
+        marks_.push_back({machine_.now(), cpu->instructionsRetired(),
+                          cpu->numUncachedAccesses()});
+    });
+    const int count_success = prog.addHook([this](ExecContext &ctx) {
+        if (ctx.reg(reg::v0) != dmastatus::failure)
+            ++successes_;
+    });
+    prog.callbackAt(mark);
     for (unsigned i = 0; i < config.iterations; ++i) {
         const unsigned s = i % slots;
-        emitInitiation(prog, kernel, proc, config.method,
-                       src_base + s * pageSize, dst_base + s * pageSize,
+        emitInitiation(prog, kernel, *proc_, config.method,
+                       srcBase_ + s * pageSize, dstBase_ + s * pageSize,
                        config.transferSize);
-        prog.callback([&successes](ExecContext &ctx) {
-            if (ctx.reg(reg::v0) != dmastatus::failure)
-                ++successes;
-        });
-        prog.callback(mark);
+        prog.callbackAt(count_success);
+        prog.callbackAt(mark);
     }
     prog.exit();
+    kernel.launch(*proc_, std::move(prog));
+}
 
-    kernel.launch(proc, std::move(prog));
-    machine.start();
-    const bool finished = machine.run(60 * tickPerSec);
-    ULDMA_ASSERT(finished, "initiation benchmark did not finish");
-    ULDMA_ASSERT(marks.size() == config.iterations + 1,
+Program
+InitiationExperiment::firstInitiation()
+{
+    Program prog;
+    emitInitiation(prog, machine_.node(0).kernel(), *proc_, config_.method,
+                   srcBase_, dstBase_, config_.transferSize);
+    return prog;
+}
+
+InitiationMeasurement
+InitiationExperiment::run()
+{
+    ULDMA_ASSERT(marks_.empty(), "an initiation experiment runs once");
+    InitiationMeasurement m;
+    m.method = config_.method;
+    m.iterations = config_.iterations;
+    machine_.start();
+    m.finished = machine_.run(600 * tickPerSec);
+    if (!m.finished)
+        return m;
+    ULDMA_ASSERT(marks_.size() == config_.iterations + 1,
                  "missing measurement marks");
 
-    InitiationMeasurement m;
-    m.method = config.method;
-    m.iterations = config.iterations;
-    double sum = 0.0, lo = 1e300, hi = 0.0;
-    for (unsigned i = 0; i < config.iterations; ++i) {
-        const double us = ticksToUs(marks[i + 1] - marks[i]);
-        sum += us;
-        lo = std::min(lo, us);
-        hi = std::max(hi, us);
-    }
-    m.avgUs = sum / config.iterations;
+    m.samplesUs.reserve(config_.iterations);
+    for (unsigned i = 0; i < config_.iterations; ++i)
+        m.samplesUs.push_back(ticksToUs(marks_[i + 1].at - marks_[i].at));
+    // Summed in program order: the committed Table 1 figures pin its
+    // rounding.
+    m.avgUs = std::accumulate(m.samplesUs.begin(), m.samplesUs.end(), 0.0) /
+              config_.iterations;
+    const auto [lo, hi] = std::ranges::minmax(m.samplesUs);
     m.minUs = lo;
     m.maxUs = hi;
-    m.simulatedTicks = machine.now();
-    m.totalInstructions = instr_marks.back() - instr_marks.front();
+    m.simulatedTicks = machine_.now();
+    m.totalInstructions =
+        marks_.back().instructions - marks_.front().instructions;
     m.instructions =
-        static_cast<double>(instr_marks.back() - instr_marks.front()) /
-        config.iterations;
+        static_cast<double>(m.totalInstructions) / config_.iterations;
     m.uncachedAccesses =
-        static_cast<double>(uncached_marks.back() -
-                            uncached_marks.front()) /
-        config.iterations;
-    m.successes = successes;
-    for (const auto &rec : node.dmaEngine().initiations()) {
-        (void)rec;
-        ++m.initiationsStarted;
-    }
+        static_cast<double>(marks_.back().uncached -
+                            marks_.front().uncached) /
+        config_.iterations;
+    m.successes = successes_;
+    m.initiationsStarted = machine_.node(0).dmaEngine().initiations().size();
     return m;
+}
+
+InitiationMeasurement
+measureInitiation(const MeasureConfig &config)
+{
+    InitiationExperiment experiment(config);
+    InitiationMeasurement m = experiment.run();
+    ULDMA_ASSERT(m.finished, "initiation benchmark did not finish");
+    return m;
+}
+
+unsigned
+maxAddressSlots()
+{
+    return static_cast<unsigned>(
+        (NodeConfig{}.memBytes / pageSize - Kernel::reservedFrames) / 2);
 }
 
 std::vector<InitiationMeasurement>
@@ -167,15 +188,8 @@ wireTimeUs(Addr bytes, std::uint64_t bits_per_second)
 AtomicMeasurement
 measureAtomic(const AtomicMeasureConfig &config)
 {
-    MachineConfig mc;
-    mc.node.bus = config.bus;
-    mc.node.cpu = config.cpu;
-    mc.node.kernel = config.kernel;
-    mc.node.makeScheduler = []() {
-        return std::make_unique<RoundRobinScheduler>(tickPerSec);
-    };
-
-    Machine machine(mc);
+    Machine machine(
+        measurementMachine(config.bus, config.cpu, config.kernel));
     Node &node = machine.node(0);
     Kernel &kernel = node.kernel();
     Process &proc = kernel.createProcess("bench");

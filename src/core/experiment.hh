@@ -36,9 +36,14 @@ struct InitiationMeasurement
 {
     DmaMethod method;
     unsigned iterations = 0;
+    /** False when the run limit stopped the run; nothing below is
+     *  filled in then. */
+    bool finished = false;
     double avgUs = 0.0;
     double minUs = 0.0;
     double maxUs = 0.0;
+    /** Each initiation's wall time in us, in program order. */
+    std::vector<double> samplesUs;
     /** Per-initiation averages. */
     double instructions = 0.0;
     double uncachedAccesses = 0.0;
@@ -53,12 +58,51 @@ struct InitiationMeasurement
 };
 
 /**
- * Run the Table-1 experiment for one method: a single process starts
- * @p iterations DMAs back to back (no data-transfer wait), successive
- * operations on different addresses, and the per-initiation wall time
- * is averaged.
+ * The Table-1 experiment for one method, set up but not yet run: a
+ * one-node machine, a process holding the method's DMA grant, two
+ * arrays of addressSlots pages, and the timed program, in which the
+ * process starts @p iterations DMAs back to back (no data-transfer
+ * wait) on successive slots and marks the time after each.  Reach
+ * machine() before run() to sample counters, and after it to export.
+ */
+class InitiationExperiment
+{
+  public:
+    explicit InitiationExperiment(const MeasureConfig &config);
+    // The timed program's hooks hold this object's address.
+    InitiationExperiment(const InitiationExperiment &) = delete;
+    InitiationExperiment &operator=(const InitiationExperiment &) = delete;
+
+    Machine &machine() { return machine_; }
+
+    /** The timed program's first initiation, as a program of its own. */
+    Program firstInitiation();
+
+    /** Run the timed program for at most 600 simulated seconds and
+     *  reduce its marks; call once. */
+    InitiationMeasurement run();
+
+  private:
+    MeasureConfig config_;
+    Machine machine_;
+    Process *proc_ = nullptr;
+    Addr srcBase_ = 0;
+    Addr dstBase_ = 0;
+    /** Time, retired instructions and uncached accesses at a mark. */
+    struct Mark { Tick at; std::uint64_t instructions, uncached; };
+    std::vector<Mark> marks_;
+    std::uint64_t successes_ = 0;
+};
+
+/**
+ * Run the Table-1 experiment for one method (InitiationExperiment)
+ * and average the per-initiation wall time; the run must finish.
  */
 InitiationMeasurement measureInitiation(const MeasureConfig &config);
+
+/** The most addressSlots a measurement's node memory holds: two slot
+ *  arrays beside the kernel's reserved frames. */
+unsigned maxAddressSlots();
 
 /** Run measureInitiation for every Table-1 row. */
 std::vector<InitiationMeasurement>

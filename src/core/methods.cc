@@ -481,8 +481,8 @@ DmaSession::mapForDma(Addr vaddr, Addr bytes)
             ready_ = kernel_.capGrant(process_, vaddr, bytes,
                                       /*rate_class=*/0) >= 0;
         } else {
-            kernel_.capExtend(process_, grant.capSlots.back(), vaddr,
-                              bytes);
+            ready_ = kernel_.capExtend(process_, grant.capSlots.back(),
+                                       vaddr, bytes);
         }
         return;
     }

@@ -195,6 +195,8 @@ class DmaSession
     DmaSession(Machine &machine, NodeId node, Process &process,
                DmaMethod method);
 
+    /** False once the kernel refused a grant: no context was free, or
+     *  a capability slot or span was refused in mapForDma. */
     bool ready() const { return ready_; }
     DmaMethod method() const { return method_; }
     Process &process() { return process_; }

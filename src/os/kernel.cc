@@ -343,6 +343,8 @@ bool
 Kernel::grantKeyContext(Process &process)
 {
     ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
+    if (process.dmaGrant().keyContext)
+        return true;   // one register context per process
     if (keyContextOwner_.empty())
         keyContextOwner_.assign(engine_->params().numContexts, invalidPid);
 
@@ -402,6 +404,8 @@ bool
 Kernel::grantShadowContext(Process &process)
 {
     ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
+    if (process.dmaGrant().shadowContext)
+        return true;   // one CONTEXT_ID per process
     const unsigned slots = 1u << engine_->params().ctxIdBits;
     if (shadowContextOwner_.empty())
         shadowContextOwner_.assign(slots, invalidPid);
@@ -489,7 +493,7 @@ Kernel::setupRing(Process &process, unsigned slots, std::uint64_t policy,
     auto &grant = process.dmaGrant();
     // The ring doorbell rides on the key-gated register-context page,
     // so a ring grant implies a key grant.
-    if (!grant.keyContext && !grantKeyContext(process))
+    if (!grantKeyContext(process))
         return false;
     const unsigned ctx = *grant.keyContext;
 

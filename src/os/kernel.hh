@@ -198,14 +198,16 @@ class Kernel : public OsCallbacks
     Addr shadowVaddrFor(Process &process, Addr vaddr) const;
 
     /** Grant a key-based register context (paper §3.1). false = none
-     *  free, the process must fall back to kernel DMA. */
+     *  free, the process must fall back to kernel DMA; true without a
+     *  second grant when @p process already holds one. */
     bool grantKeyContext(Process &process);
 
     /** Release a previously granted key context. */
     void revokeKeyContext(Process &process);
 
     /** Grant an extended-shadow CONTEXT_ID (paper §3.2). false = all
-     *  (1 << ctxIdBits) ids are taken. */
+     *  (1 << ctxIdBits) ids are taken; true without a second grant
+     *  when @p process already holds one. */
     bool grantShadowContext(Process &process);
 
     /**
@@ -359,6 +361,10 @@ class Kernel : public OsCallbacks
     std::uint64_t numFaultedProcesses() const { return faults_.value(); }
     /// @}
 
+    /** Frames at the bottom of memory kept for the kernel itself;
+     *  allocFrames never hands them out. */
+    static constexpr Addr reservedFrames = 16;
+
     /** Allocate @p npages fresh physical frames. @return base paddr. */
     Addr allocFrames(Addr npages);
 
@@ -433,7 +439,7 @@ class Kernel : public OsCallbacks
 
     /// Context-switch observer (see the setter).
     std::function<void(Tick, Process *, Process *)> switchObserver_;
-    Addr nextFreeFrame_ = 16;   ///< first frames reserved for the kernel
+    Addr nextFreeFrame_ = reservedFrames;
 
     bool shrimp2Hook_ = false;
     bool flashHook_ = false;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 
 #include "sim/json.hh"
 #include "sim/ticks.hh"
-#include "util/strutil.hh"
 
 namespace uldma::trace {
 
@@ -65,23 +63,6 @@ emit(const std::string &flag, Tick when, const std::string &msg)
     std::fprintf(stderr, "%12llu: [%s] %s\n",
                  static_cast<unsigned long long>(when), flag.c_str(),
                  msg.c_str());
-}
-
-void
-initFromEnvironment()
-{
-    const char *env = std::getenv("ULDMA_DEBUG");
-    if (env == nullptr)
-        return;
-    for (const auto &raw : split(env, ',')) {
-        const std::string flag = trim(raw);
-        if (flag.empty())
-            continue;
-        if (flag == "All")
-            enableAll();
-        else
-            enable(flag);
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Lightweight debug tracing with named flags, in the spirit of gem5's
- * DPRINTF.  Flags are enabled programmatically or via the ULDMA_DEBUG
- * environment variable (comma-separated list, or "All").
+ * DPRINTF.  Flags are enabled programmatically (uldma_run --trace=
+ * takes a comma-separated list, or "All").
  *
  * Tracing is for humans debugging the simulator; it never affects
  * simulated behaviour.
@@ -37,9 +37,6 @@ bool enabled(const std::string &flag);
 
 /** Emit one trace line (internal; use the ULDMA_TRACE macro). */
 void emit(const std::string &flag, Tick when, const std::string &msg);
-
-/** Re-read the ULDMA_DEBUG environment variable. */
-void initFromEnvironment();
 
 // ---------------------------------------------------------------------
 // Structured event capture

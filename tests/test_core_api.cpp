@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <vector>
@@ -118,6 +119,69 @@ TEST(DmaSession, EndToEnd)
     EXPECT_EQ(machine.node(0).memory().readInt(dst_paddr, 1), 0x21u);
 }
 
+TEST(DmaSession, NotReadyWhenASpanIsRefused)
+{
+    MachineConfig config;
+    configureNode(config.node, DmaMethod::Cap);
+    config.node.dma.cap.maxSpansPerSlot = 1;
+    Machine machine(config);
+    prepareMachine(machine, DmaMethod::Cap);
+
+    Process &proc = machine.node(0).kernel().createProcess("app");
+    DmaSession session(machine, 0, proc, DmaMethod::Cap);
+    session.allocBuffer(pageSize);
+    EXPECT_TRUE(session.ready());
+    session.allocBuffer(pageSize);   // a second span: past the limit
+    EXPECT_FALSE(session.ready());
+}
+
+/** A second prepareProcess for the same method grants nothing: one
+ *  Context ledger entry, and every other context stays grantable. */
+class OneContextPerProcess : public ::testing::TestWithParam<DmaMethod>
+{};
+
+TEST_P(OneContextPerProcess, SecondGrantGrantsNothing)
+{
+    const DmaMethod method = GetParam();
+    MachineConfig config;
+    configureNode(config.node, method);
+    Machine machine(config);
+    prepareMachine(machine, method);
+    Kernel &kernel = machine.node(0).kernel();
+
+    Process &holder = kernel.createProcess("holder");
+    ASSERT_TRUE(prepareProcess(kernel, holder, method));
+    const DmaGrant first = holder.dmaGrant();
+    ASSERT_TRUE(prepareProcess(kernel, holder, method));
+    EXPECT_EQ(holder.dmaGrant().keyContext, first.keyContext);
+    EXPECT_EQ(holder.dmaGrant().shadowContext, first.shadowContext);
+    EXPECT_EQ(holder.dmaGrant().key, first.key);
+
+    std::size_t contexts = 0;
+    for (const Grant &g : kernel.grants())
+        contexts += g.kind == Grant::Kind::Context;
+    EXPECT_EQ(contexts, 1u);
+
+    const DmaEngineParams &dma = machine.node(0).dmaEngine().params();
+    const unsigned total = method == DmaMethod::KeyBased
+                               ? dma.numContexts
+                               : 1u << dma.ctxIdBits;
+    for (unsigned i = 1; i < total; ++i) {
+        Process &other = kernel.createProcess("other");
+        EXPECT_TRUE(prepareProcess(kernel, other, method)) << i;
+    }
+    Process &late = kernel.createProcess("late");
+    EXPECT_FALSE(prepareProcess(kernel, late, method));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ContextMethods, OneContextPerProcess,
+    ::testing::Values(DmaMethod::KeyBased, DmaMethod::ExtShadow),
+    [](const ::testing::TestParamInfo<DmaMethod> &info) {
+        return std::string(info.param == DmaMethod::KeyBased ? "key_based"
+                                                             : "ext_shadow");
+    });
+
 TEST(DmaSession, NotReadyWhenContextsExhausted)
 {
     MachineConfig config;
@@ -154,6 +218,67 @@ TEST(Experiment, InitiationMeasurementSanity)
     EXPECT_GE(m.maxUs, m.minUs);
     // Two shadow accesses per initiation (plus nothing else uncached).
     EXPECT_NEAR(m.uncachedAccesses, 2.0, 0.01);
+}
+
+TEST(Experiment, SamplesReduceToTheMeasurement)
+{
+    MeasureConfig config;
+    config.method = DmaMethod::Repeated5;
+    config.iterations = 50;
+    InitiationExperiment experiment(config);
+    experiment.machine().enableSampling(10 * tickPerUs);
+    const InitiationMeasurement m = experiment.run();
+
+    ASSERT_TRUE(m.finished);
+    ASSERT_EQ(m.samplesUs.size(), 50u);
+    double sum = 0.0;
+    for (double us : m.samplesUs)
+        sum += us;
+    EXPECT_EQ(sum / 50, m.avgUs);   // summed in the same order
+    EXPECT_EQ(*std::min_element(m.samplesUs.begin(), m.samplesUs.end()),
+              m.minUs);
+    EXPECT_EQ(*std::max_element(m.samplesUs.begin(), m.samplesUs.end()),
+              m.maxUs);
+    EXPECT_EQ(m.initiationsStarted, 50u);
+    EXPECT_EQ(m.simulatedTicks, experiment.machine().now());
+    std::ostringstream timeseries;
+    experiment.machine().dumpTimeseriesJson(timeseries);
+    EXPECT_NE(timeseries.str().find("\"tick\""), std::string::npos);
+
+    // The wrapper measures the same run.
+    const InitiationMeasurement again = measureInitiation(config);
+    EXPECT_EQ(again.samplesUs, m.samplesUs);
+    EXPECT_EQ(again.avgUs, m.avgUs);
+}
+
+TEST(Experiment, FirstInitiationIsTheTimedSequence)
+{
+    MeasureConfig config;
+    config.method = DmaMethod::KeyBased;
+    InitiationExperiment experiment(config);
+    const Program one = experiment.firstInitiation();
+    EXPECT_EQ(one.size(), 4u);   // three keyed stores and the status load
+    EXPECT_EQ(one.at(one.size() - 1).kind, OpKind::Load);
+}
+
+TEST(Experiment, RunLimitLeavesTheRunUnfinished)
+{
+    MeasureConfig config;
+    config.method = DmaMethod::Kernel;
+    config.iterations = 1;
+    config.kernel.syscallOverheadCycles = 1'000'000'000'000ULL;   // ~2 h
+    InitiationExperiment experiment(config);
+    const InitiationMeasurement m = experiment.run();
+    EXPECT_FALSE(m.finished);
+    EXPECT_TRUE(m.samplesUs.empty());
+}
+
+TEST(ExperimentDeathTest, NeedsAnIteration)
+{
+    MeasureConfig config;
+    config.iterations = 0;
+    EXPECT_DEATH({ InitiationExperiment experiment(config); },
+                 "needs an iteration");
 }
 
 TEST(Experiment, KernelCostsAnOrderOfMagnitudeMore)

@@ -2,26 +2,32 @@
  * @file
  * uldma_run — the simulator's command-line front end.
  *
- * Builds a machine from command-line knobs, runs a configurable burst
- * of DMA initiations, and reports timing plus (optionally) the full
- * statistics of every component and the disassembly of the emitted
- * initiation sequence.  Everything the benches measure is reachable
- * from here interactively:
+ * A front end over the Table-1 experiment (InitiationExperiment in
+ * core/experiment.hh, the code every bench measures with): it maps
+ * command-line knobs onto a MeasureConfig, runs the burst of DMA
+ * initiations, and reports timing plus (optionally) the full
+ * statistics of every component and the disassembly of one emitted
+ * initiation.  Everything the benches measure is reachable from here
+ * interactively:
  *
  *   $ uldma_run --method=key-based --iterations=1000
  *   $ uldma_run --method=kernel --syscall-cycles=5000 --bus=pci66
  *   $ uldma_run --method=repeated5 --show-program --stats
  *   $ uldma_run --trace=Dma,Sched --iterations=3
+ *
+ * Exit status: 0 when every initiation succeeded; 1 when one failed,
+ * the run did not finish, or a method or bus name is unknown; 2 for a
+ * number out of range or a failed write.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
-#include <algorithm>
-
-#include "core/machine.hh"
-#include "core/methods.hh"
+#include "core/experiment.hh"
 #include "prof/profiler.hh"
 #include "sim/span.hh"
 #include "sim/trace.hh"
@@ -56,6 +62,21 @@ parseBus(const std::string &name)
     if (name == "pci66")
         return BusParams::pci66();
     ULDMA_FATAL("unknown bus '", name, "' (tc, pci33, pci66)");
+}
+
+/** Integer option @p name, which must lie in [lo, hi]; otherwise the
+ *  program exits with status 2 and a message naming the option. */
+std::int64_t
+intInRange(const Options &opts, const std::string &name, std::int64_t lo,
+           std::int64_t hi = std::numeric_limits<std::int64_t>::max())
+{
+    const std::int64_t value = opts.getInt(name);
+    if (value < lo || value > hi) {
+        std::cerr << "uldma_run: --" << name << "=" << value
+                  << " is out of range [" << lo << ", " << hi << "]\n";
+        std::exit(2);
+    }
+    return value;
 }
 
 } // namespace
@@ -111,6 +132,28 @@ main(int argc, char **argv)
     if (!opts.parse(argc, argv))
         return 0;
 
+    MeasureConfig config;
+    config.method = parseMethod(opts.getString("method"));
+    config.iterations =
+        static_cast<unsigned>(intInRange(opts, "iterations", 1, 1 << 20));
+    config.addressSlots = static_cast<unsigned>(
+        intInRange(opts, "slots", 1, maxAddressSlots()));
+    config.transferSize = static_cast<Addr>(opts.getInt("size"));
+    config.bus = parseBus(opts.getString("bus"));
+    // A clock period is tickPerUs / MHz ticks, at least one.
+    config.cpu.clockMHz = static_cast<std::uint64_t>(
+        intInRange(opts, "cpu-mhz", 1, std::int64_t(tickPerUs)));
+    config.cpu.dcache.enabled = opts.getFlag("dcache");
+    if (opts.getFlag("no-merge")) {
+        config.cpu.mergeBuffer.collapseStores = false;
+        config.cpu.mergeBuffer.mergeLoads = false;
+    }
+    config.kernel.syscallOverheadCycles =
+        static_cast<Cycles>(intInRange(opts, "syscall-cycles", 0));
+    const std::int64_t sample_interval_us = intInRange(
+        opts, "sample-interval", 0, std::int64_t(maxTick / tickPerUs));
+    const std::int64_t trace_capacity = intInRange(opts, "trace-capacity", 0);
+
     for (const auto &flag : split(opts.getString("trace"), ',')) {
         const std::string f = trim(flag);
         if (f == "All")
@@ -126,7 +169,7 @@ main(int argc, char **argv)
         opts.getString("timeseries-json");
     if (!trace_out_path.empty()) {
         trace::eventRing().enable(static_cast<std::size_t>(
-            std::max<std::int64_t>(1, opts.getInt("trace-capacity"))));
+            std::max<std::int64_t>(1, trace_capacity)));
         const std::string filter_spec = opts.getString("trace-filter");
         if (!filter_spec.empty()) {
             const auto parts = split(filter_spec, ',');
@@ -141,122 +184,42 @@ main(int argc, char **argv)
     if (!profile_json_path.empty())
         prof::profiler().enable();
 
-    const DmaMethod method = parseMethod(opts.getString("method"));
-    const unsigned iterations =
-        static_cast<unsigned>(opts.getInt("iterations"));
-    const unsigned slots =
-        std::max<unsigned>(1, static_cast<unsigned>(opts.getInt("slots")));
-    const Addr size = static_cast<Addr>(opts.getInt("size"));
-
-    MachineConfig config;
-    config.node.bus = parseBus(opts.getString("bus"));
-    config.node.cpu.clockMHz =
-        static_cast<std::uint64_t>(opts.getInt("cpu-mhz"));
-    config.node.cpu.dcache.enabled = opts.getFlag("dcache");
-    if (opts.getFlag("no-merge")) {
-        config.node.cpu.mergeBuffer.collapseStores = false;
-        config.node.cpu.mergeBuffer.mergeLoads = false;
-    }
-    config.node.kernel.syscallOverheadCycles =
-        static_cast<Cycles>(opts.getInt("syscall-cycles"));
-    configureNode(config.node, method);
-    config.node.makeScheduler = []() {
-        return std::make_unique<RoundRobinScheduler>(tickPerSec);
-    };
-
-    Machine machine(config);
-    prepareMachine(machine, method);
-    if (!timeseries_json_path.empty() ||
-        opts.getInt("sample-interval") > 0) {
-        const std::int64_t interval_us = opts.getInt("sample-interval") > 0
-            ? opts.getInt("sample-interval") : 100;
-        machine.enableSampling(static_cast<Tick>(interval_us) * tickPerUs);
-    }
-    Node &node = machine.node(0);
-    Kernel &kernel = node.kernel();
-
-    Process &proc = kernel.createProcess("app");
-    if (!prepareProcess(kernel, proc, method))
-        ULDMA_FATAL("no DMA context available for this method");
-
-    const Addr src_base =
-        kernel.allocate(proc, slots * pageSize, Rights::ReadWrite);
-    const Addr dst_base =
-        kernel.allocate(proc, slots * pageSize, Rights::ReadWrite);
-    kernel.createShadowMappings(proc, src_base, slots * pageSize);
-    kernel.createShadowMappings(proc, dst_base, slots * pageSize);
-    if (method == DmaMethod::Shrimp1) {
-        for (unsigned s = 0; s < slots; ++s) {
-            kernel.setupMapOut(
-                proc, src_base + s * pageSize,
-                kernel.translateFor(proc, dst_base + s * pageSize,
-                                    Rights::Write)
-                    .paddr);
-        }
+    InitiationExperiment experiment(config);
+    Machine &machine = experiment.machine();
+    if (!timeseries_json_path.empty()) {
+        machine.enableSampling(
+            static_cast<Tick>(sample_interval_us > 0 ? sample_interval_us
+                                                     : 100) *
+            tickPerUs);
     }
 
     if (opts.getFlag("show-program")) {
-        Program sample;
-        emitInitiation(sample, kernel, proc, method, src_base, dst_base,
-                       size);
-        std::printf("one initiation of %s:\n%s\n", toString(method),
-                    sample.disassemble().c_str());
+        std::printf("one initiation of %s:\n%s\n", toString(config.method),
+                    experiment.firstInitiation().disassemble().c_str());
     }
 
-    std::vector<Tick> marks;
-    marks.reserve(iterations + 1);
-    Machine *mp = &machine;
-    auto mark = [mp, &marks](ExecContext &) {
-        marks.push_back(mp->now());
-    };
-    std::uint64_t failures = 0;
-
-    Program prog;
-    prog.callback(mark);
-    for (unsigned i = 0; i < iterations; ++i) {
-        const unsigned s = i % slots;
-        emitInitiation(prog, kernel, proc, method,
-                       src_base + s * pageSize, dst_base + s * pageSize,
-                       size);
-        prog.callback([&failures](ExecContext &ctx) {
-            if (ctx.reg(reg::v0) == dmastatus::failure)
-                ++failures;
-        });
-        prog.callback(mark);
-    }
-    prog.exit();
-
-    kernel.launch(proc, std::move(prog));
-    machine.start();
-    if (!machine.run(600 * tickPerSec)) {
+    const InitiationMeasurement m = experiment.run();
+    if (!m.finished) {
         std::fprintf(stderr, "simulation did not finish\n");
         return 1;
     }
-
-    double sum = 0, lo = 1e300, hi = 0;
-    std::vector<double> sorted_us;
-    sorted_us.reserve(iterations);
-    for (unsigned i = 0; i < iterations; ++i) {
-        const double us = ticksToUs(marks[i + 1] - marks[i]);
-        sum += us;
-        lo = std::min(lo, us);
-        hi = std::max(hi, us);
-        sorted_us.push_back(us);
-    }
+    const std::uint64_t failures = m.iterations - m.successes;
+    std::vector<double> sorted_us = m.samplesUs;
     std::sort(sorted_us.begin(), sorted_us.end());
 
-    std::printf("method          : %s%s\n", toString(method),
-                requiresKernelModification(method)
+    std::printf("method          : %s%s\n", toString(m.method),
+                requiresKernelModification(m.method)
                     ? "  [requires kernel modification]"
                     : "");
     std::printf("machine         : %llu MHz CPU, %s bus, dcache %s\n",
-                static_cast<unsigned long long>(opts.getInt("cpu-mhz")),
+                static_cast<unsigned long long>(config.cpu.clockMHz),
                 opts.getString("bus").c_str(),
                 opts.getFlag("dcache") ? "on" : "off");
-    std::printf("iterations      : %u (size %s, %u slots)\n", iterations,
-                formatBytes(size).c_str(), slots);
+    std::printf("iterations      : %u (size %s, %u slots)\n", m.iterations,
+                formatBytes(config.transferSize).c_str(),
+                config.addressSlots);
     std::printf("initiation time : avg %.3f us  min %.3f  max %.3f\n",
-                sum / iterations, lo, hi);
+                m.avgUs, m.minUs, m.maxUs);
     std::printf("percentiles     : p50 %.3f us  p90 %.3f  p99 %.3f\n",
                 stats::percentileOfSorted(sorted_us, 50.0),
                 stats::percentileOfSorted(sorted_us, 90.0),
@@ -264,15 +227,15 @@ main(int argc, char **argv)
     std::printf("failures        : %llu\n",
                 static_cast<unsigned long long>(failures));
     std::printf("engine starts   : %llu\n",
-                static_cast<unsigned long long>(
-                    node.dmaEngine().numInitiations()));
+                static_cast<unsigned long long>(m.initiationsStarted));
     std::printf("simulated time  : %s\n",
-                formatTime(machine.now()).c_str());
+                formatTime(m.simulatedTicks).c_str());
 
     if (opts.getFlag("histogram")) {
-        stats::Histogram histogram(lo * 0.95, hi * 1.05 + 0.001, 20);
-        for (unsigned i = 0; i < iterations; ++i)
-            histogram.sample(ticksToUs(marks[i + 1] - marks[i]));
+        stats::Histogram histogram(m.minUs * 0.95, m.maxUs * 1.05 + 0.001,
+                                   20);
+        for (double us : m.samplesUs)
+            histogram.sample(us);
         std::printf("\nlatency distribution (us):\n");
         const double width =
             (histogram.hi() - histogram.lo()) / histogram.numBuckets();
@@ -285,7 +248,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(
                             histogram.bucketCount(b)));
             const unsigned bars = static_cast<unsigned>(
-                60.0 * histogram.bucketCount(b) / iterations);
+                60.0 * histogram.bucketCount(b) / m.iterations);
             for (unsigned i = 0; i < bars; ++i)
                 std::fputc('#', stdout);
             std::fputc('\n', stdout);
@@ -308,13 +271,11 @@ main(int argc, char **argv)
         io_ok &= writeOutput(trace_out_path, [&](std::ostream &os) {
             trace::eventRing().exportChromeTracing(os);
         });
-        trace::eventRing().disable();
     }
     if (!spans_json_path.empty()) {
         io_ok &= writeOutput(spans_json_path, [&](std::ostream &os) {
             span::tracker().exportJson(os);
         });
-        span::tracker().disable();
     }
     if (!timeseries_json_path.empty()) {
         io_ok &= writeOutput(timeseries_json_path, [&](std::ostream &os) {
@@ -327,7 +288,6 @@ main(int argc, char **argv)
             prof::writeProfileJson(os, tree,
                                    opts.getFlag("profile-host-time"));
         });
-        prof::profiler().disable();
     }
 
     if (!io_ok)

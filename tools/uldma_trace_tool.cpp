@@ -63,6 +63,8 @@
  */
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -1480,6 +1482,30 @@ cmdBenchPerturb(const std::string &in_path, const std::string &out_path,
     return written ? 0 : 2;
 }
 
+/** Split argv[2..] into @p paths and the value of --<option>=, which
+ *  must parse whole as a finite number; false when it does not. */
+template <typename T>
+bool
+splitArgs(int argc, char **argv, const std::string &option, T &value,
+          std::vector<std::string> &paths)
+{
+    const std::string prefix = "--" + option + "=";
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind(prefix, 0) != 0) {
+            paths.push_back(arg);
+            continue;
+        }
+        const char *end = arg.data() + arg.size();
+        const auto [ptr, ec] =
+            std::from_chars(arg.data() + prefix.size(), end, value);
+        if (ec != std::errc() || ptr != end ||
+            !std::isfinite(static_cast<double>(value)))
+            return false;
+    }
+    return true;
+}
+
 int
 usage()
 {
@@ -1514,34 +1540,22 @@ main(int argc, char **argv)
         return cmdSummarize(argv[2]);
     }
 
-    if (cmd == "diff") {
+    if (cmd == "diff" || cmd == "bench-diff") {
         double threshold = 10.0;
         std::vector<std::string> paths;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg.rfind("--threshold=", 0) == 0)
-                threshold = std::atof(arg.c_str() + std::strlen(
-                                          "--threshold="));
-            else
-                paths.push_back(arg);
-        }
-        if (paths.size() != 2)
+        if (!splitArgs(argc, argv, "threshold", threshold, paths) ||
+            paths.size() != 2)
             return usage();
-        return cmdDiff(paths[0], paths[1], threshold);
+        return cmd == "diff"
+                   ? cmdDiff(paths[0], paths[1], threshold)
+                   : cmdBenchDiff(paths[0], paths[1], threshold);
     }
 
     if (cmd == "profile") {
         unsigned top = 10;
         std::vector<std::string> paths;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg.rfind("--top=", 0) == 0)
-                top = static_cast<unsigned>(
-                    std::strtoul(arg.c_str() + std::strlen("--top="),
-                                 nullptr, 10));
-            else
-                paths.push_back(arg);
-        }
+        if (!splitArgs(argc, argv, "top", top, paths))
+            return usage();
         if (paths.size() == 1)
             return cmdProfile(paths[0], top);
         if (paths.size() == 2)
@@ -1549,34 +1563,11 @@ main(int argc, char **argv)
         return usage();
     }
 
-    if (cmd == "bench-diff") {
-        double threshold = 10.0;
-        std::vector<std::string> paths;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg.rfind("--threshold=", 0) == 0)
-                threshold = std::atof(arg.c_str() + std::strlen(
-                                          "--threshold="));
-            else
-                paths.push_back(arg);
-        }
-        if (paths.size() != 2)
-            return usage();
-        return cmdBenchDiff(paths[0], paths[1], threshold);
-    }
-
     if (cmd == "bench-perturb") {
         double factor = 1.5;
         std::vector<std::string> paths;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg.rfind("--factor=", 0) == 0)
-                factor = std::atof(arg.c_str() + std::strlen(
-                                       "--factor="));
-            else
-                paths.push_back(arg);
-        }
-        if (paths.size() != 2)
+        if (!splitArgs(argc, argv, "factor", factor, paths) ||
+            factor <= 0 || paths.size() != 2)
             return usage();
         return cmdBenchPerturb(paths[0], paths[1], factor);
     }
