@@ -100,7 +100,7 @@ measurePoint(PinPolicy pinning, unsigned slots)
     Kernel &kernel = node.kernel();
 
     Process &proc = kernel.createProcess("bench");
-    ULDMA_ASSERT(kernel.setupRing(proc, kDepth, ringdesc::policyPolling),
+    ULDMA_ASSERT(kernel.setupRing(proc, kDepth),
                  "benchmark process could not set up a ring");
 
     const Addr region = Addr(slots) * pageSize;

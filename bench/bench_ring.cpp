@@ -82,7 +82,7 @@ measureRing(unsigned depth, Addr transfer_bytes)
     Kernel &kernel = node.kernel();
 
     Process &proc = kernel.createProcess("bench");
-    ULDMA_ASSERT(kernel.setupRing(proc, depth, ringdesc::policyPolling),
+    ULDMA_ASSERT(kernel.setupRing(proc, depth),
                  "benchmark process could not set up a ring");
 
     const Addr region = Addr(kAddressSlots) * pageSize;

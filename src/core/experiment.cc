@@ -55,16 +55,7 @@ InitiationExperiment::InitiationExperiment(const MeasureConfig &config)
     dstBase_ = session.allocBuffer(slots * pageSize);
     ULDMA_ASSERT(session.ready(),
                  "benchmark process could not get its DMA grants");
-
-    if (config.method == DmaMethod::Shrimp1) {
-        // Pre-arrange each source page's mapped-out destination.
-        for (unsigned s = 0; s < slots; ++s) {
-            const Addr dst_paddr =
-                kernel.translateFor(*proc_, dstBase_ + s * pageSize,
-                                    Rights::Write).paddr;
-            kernel.setupMapOut(*proc_, srcBase_ + s * pageSize, dst_paddr);
-        }
-    }
+    session.pairMappedOut(srcBase_, dstBase_, slots);
 
     marks_.reserve(config.iterations + 1);
     Program prog;

@@ -138,9 +138,10 @@ class Machine
      * Install a run-loop hook, invoked after every event-queue step
      * while run() executes with the current simulated tick.  Returning
      * false stops the run at that boundary (run() then reports whether
-     * everything had already finished).  Used by the workload driver
-     * for scenario duration caps and progress reporting; pass nullptr
-     * to remove.
+     * everything had already finished).  A hook also keeps every CPU
+     * op on the event queue, so tests install one to force the queue
+     * path they compare the inline path against; pass nullptr to
+     * remove.
      */
     void setRunHook(std::function<bool(Tick)> hook)
     {

@@ -142,12 +142,9 @@ spanProtocolFor(DmaMethod method)
     return toString(engineModeFor(method));
 }
 
-/** Default ring geometry for prepareProcess (tests and workloads that
- *  need a different shape call Kernel::setupRing directly first). */
-inline constexpr unsigned defaultRingSlots = 16;
-
 bool
-prepareProcess(Kernel &kernel, Process &process, DmaMethod method)
+prepareProcess(Kernel &kernel, Process &process, DmaMethod method,
+               unsigned ring_slots)
 {
     switch (method) {
       case DmaMethod::KeyBased:
@@ -157,8 +154,7 @@ prepareProcess(Kernel &kernel, Process &process, DmaMethod method)
       case DmaMethod::Ring:
         if (process.dmaGrant().ringConfigured)
             return true;   // pre-configured by the caller
-        return kernel.setupRing(process, defaultRingSlots,
-                                ringdesc::policyPolling);
+        return kernel.setupRing(process, ring_slots);
       case DmaMethod::Cap:
         // Capabilities are granted per buffer (Kernel::capGrant at
         // DmaSession::mapForDma time), not per process; slot
@@ -436,29 +432,23 @@ emitRingBatch(Program &program, Kernel &kernel, Process &process,
         // is done.
         const Addr last_cpl =
             grant.ringCplVaddr + Addr(last_slot) * ringdesc::cplBytes;
-        if (grant.ringPolicy == ringdesc::policyCoalesce) {
-            program.syscall(sys::ringWait);
-            program.withLabel("ring: wait for coalesced interrupt");
-            program.load(reg::v0, last_cpl);
-            program.withLabel("ring: load completion record");
-        } else {
-            const int poll = program.here();
-            program.load(reg::v0, last_cpl);
-            program.withLabel("ring: poll completion record");
-            program.membar();
-            program.compute(8);
-            program.branchEq(reg::v0, 0, poll);
-        }
+        const int poll = program.here();
+        program.load(reg::v0, last_cpl);
+        program.withLabel("ring: poll completion record");
+        program.membar();
+        program.compute(8);
+        program.branchEq(reg::v0, 0, poll);
         next += chunk;
     }
 }
 
 DmaSession::DmaSession(Machine &machine, NodeId node, Process &process,
-                       DmaMethod method)
+                       DmaMethod method, unsigned ring_slots,
+                       unsigned rate_class)
     : kernel_(machine.node(node).kernel()), process_(process),
-      method_(method)
+      method_(method), rateClass_(rate_class)
 {
-    ready_ = prepareProcess(kernel_, process_, method_);
+    ready_ = prepareProcess(kernel_, process_, method_, ring_slots);
 }
 
 Addr
@@ -479,7 +469,7 @@ DmaSession::mapForDma(Addr vaddr, Addr bytes)
         auto &grant = process_.dmaGrant();
         if (grant.capSlots.empty()) {
             ready_ = kernel_.capGrant(process_, vaddr, bytes,
-                                      /*rate_class=*/0) >= 0;
+                                      rateClass_) >= 0;
         } else {
             ready_ = kernel_.capExtend(process_, grant.capSlots.back(),
                                        vaddr, bytes);
@@ -501,6 +491,20 @@ DmaSession::mapForDma(Addr vaddr, Addr bytes)
             // table, not the MMU: register the buffer's frames.
             kernel_.authorizeRingDma(process_, vaddr, bytes);
         }
+    }
+}
+
+void
+DmaSession::pairMappedOut(Addr vsrc, Addr vdst, unsigned pages)
+{
+    if (method_ != DmaMethod::Shrimp1)
+        return;
+    for (unsigned s = 0; s < pages; ++s) {
+        const Addr dst_paddr =
+            kernel_.translateFor(process_, vdst + Addr(s) * pageSize,
+                                 Rights::Write).paddr;
+        kernel_.setupMapOut(process_, vsrc + Addr(s) * pageSize,
+                            dst_paddr);
     }
 }
 

@@ -121,13 +121,19 @@ void prepareNode(Machine &machine, NodeId node, DmaMethod method);
  */
 const char *spanProtocolFor(DmaMethod method);
 
+/** Descriptor slots of a ring that prepareProcess sets up unless the
+ *  caller asks for another depth. */
+inline constexpr unsigned defaultRingSlots = 16;
+
 /**
  * Per-process setup: grant the register context / CONTEXT_ID the
- * method needs.
+ * method needs.  A Ring process without a ring gets one of
+ * @p ring_slots descriptors (Kernel::setupRing).
  * @return false if the engine's contexts are exhausted and this
  *         process must fall back to kernel DMA (paper §3.2).
  */
-bool prepareProcess(Kernel &kernel, Process &process, DmaMethod method);
+bool prepareProcess(Kernel &kernel, Process &process, DmaMethod method,
+                    unsigned ring_slots = defaultRingSlots);
 
 /**
  * Append the initiation sequence for DMA(vsrc, vdst, size) to
@@ -153,12 +159,11 @@ struct RingTransfer
 /**
  * Append a descriptor-ring batch to @p program: enqueue every transfer
  * in @p batch (control word written last per descriptor), ring the
- * doorbell once per chunk of at most ringSlots descriptors, and wait
- * for completion (poll the last completion record under the polling
- * policy, sys::ringWait under coalescing).  The last completion record
- * value lands in reg::v0 (dmastatus::failure on a rejected
- * descriptor).  Requires Kernel::setupRing and authorizeRingDma over
- * every buffer the batch touches.
+ * doorbell once per chunk of at most ringSlots descriptors, and poll
+ * each chunk's last completion record until it turns nonzero.  The
+ * last completion record value lands in reg::v0 (dmastatus::failure
+ * on a rejected descriptor).  Requires Kernel::setupRing and
+ * authorizeRingDma over every buffer the batch touches.
  */
 void emitRingBatch(Program &program, Kernel &kernel, Process &process,
                    const std::vector<RingTransfer> &batch);
@@ -191,9 +196,13 @@ unsigned initiationAccessCount(DmaMethod method);
 class DmaSession
 {
   public:
-    /** Prepares @p process for @p method (grants resources). */
+    /** Prepares @p process for @p method (grants resources).  A Ring
+     *  session's ring has @p ring_slots descriptors; a Cap session's
+     *  capability runs at weighted-round-robin @p rate_class
+     *  (docs/CAPABILITIES.md). */
     DmaSession(Machine &machine, NodeId node, Process &process,
-               DmaMethod method);
+               DmaMethod method, unsigned ring_slots = defaultRingSlots,
+               unsigned rate_class = 0);
 
     /** False once the kernel refused a grant: no context was free, or
      *  a capability slot or span was refused in mapForDma. */
@@ -205,8 +214,15 @@ class DmaSession
     /** Allocate a buffer and create its shadow mappings. */
     Addr allocBuffer(Addr bytes, Rights rights = Rights::ReadWrite);
 
-    /** Shadow-map an existing buffer (e.g. a shared mapping). */
+    /** Shadow-map an existing buffer (e.g. a shared mapping or a
+     *  remote window) and grant the method's DMA rights over it. */
     void mapForDma(Addr vaddr, Addr bytes);
+
+    /** SHRIMP-1 (§2.4): make the destination page at each of the
+     *  first @p pages page offsets from @p vdst the mapped-out target
+     *  of the source page at the same offset from @p vsrc.  Does
+     *  nothing for any other method. */
+    void pairMappedOut(Addr vsrc, Addr vdst, unsigned pages);
 
     /** Append one DMA initiation to @p program. */
     void
@@ -220,6 +236,7 @@ class DmaSession
     Kernel &kernel_;
     Process &process_;
     DmaMethod method_;
+    unsigned rateClass_;
     bool ready_ = false;
 };
 

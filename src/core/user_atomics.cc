@@ -115,10 +115,4 @@ emitKeyedCompareAndSwap(Program &program, Kernel &kernel,
     program.membar();
 }
 
-unsigned
-atomicAccessCount(AtomicOp op)
-{
-    return op == AtomicOp::CompareSwap ? 3 : 2;
-}
-
 } // namespace uldma

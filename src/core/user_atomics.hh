@@ -60,9 +60,6 @@ void emitKeyedCompareAndSwap(Program &program, Kernel &kernel,
                              std::uint64_t newval);
 /** @} */
 
-/** Uncached accesses issued by the user-level emission of @p op. */
-unsigned atomicAccessCount(AtomicOp op);
-
 } // namespace uldma
 
 #endif // ULDMA_CORE_USER_ATOMICS_HH

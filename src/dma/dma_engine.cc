@@ -304,10 +304,6 @@ DmaEngine::accessKernelRegs(Packet &pkt, Addr offset)
                 ring.cplBase = ringCplStage_;
                 ring.slots = static_cast<unsigned>(
                     ringdesc::slotsOf(pkt.data));
-                ring.policy = ringdesc::policyOf(pkt.data);
-                ring.coalesce = std::max<unsigned>(
-                    1, static_cast<unsigned>(
-                           ringdesc::coalesceOf(pkt.data)));
                 ring.configured = ring.slots > 0;
             }
             break;
@@ -820,13 +816,6 @@ DmaEngine::ringRetired(unsigned ctx) const
     return rings_[ctx].retired;
 }
 
-bool
-DmaEngine::ringConfigured(unsigned ctx) const
-{
-    ULDMA_ASSERT(ctx < rings_.size(), "context id out of range");
-    return rings_[ctx].configured;
-}
-
 void
 DmaEngine::ringDoorbell(Packet &pkt, unsigned ctx)
 {
@@ -929,15 +918,6 @@ DmaEngine::ringConsume(unsigned ctx, Pid doorbell_pid)
                            ringdesc::ctrl::done);
                 if (span::captureOn())
                     span::tracker().complete(sid, xfer_.now());
-                // A fence is a flush point: always interrupt under the
-                // coalescing policy, never leave one batched up.
-                RingContext &r = rings_[ctx];
-                if (r.policy == ringdesc::policyCoalesce &&
-                    ringCompletionHandler_) {
-                    r.coalesceCount = 0;
-                    ++ringInterrupts_;
-                    ringCompletionHandler_(ctx);
-                }
             },
             Event::DevicePrio);
         return true;
@@ -1021,17 +1001,6 @@ DmaEngine::ringTransferDone(unsigned ctx)
     RingContext &ring = rings_[ctx];
     if (ring.outstanding > 0)
         --ring.outstanding;
-    if (ring.policy != ringdesc::policyCoalesce ||
-        !ringCompletionHandler_)
-        return;
-    // Interrupt coalescing: fire every N completions, and always when
-    // the ring goes idle so no completion is ever announced late.
-    ++ring.coalesceCount;
-    if (ring.coalesceCount >= ring.coalesce || ring.outstanding == 0) {
-        ring.coalesceCount = 0;
-        ++ringInterrupts_;
-        ringCompletionHandler_(ctx);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1584,12 +1553,15 @@ DmaEngine::stateHash() const
         f.mix(r.base);
         f.mix(r.cplBase);
         f.mix(r.slots);
-        f.mix(r.policy);
-        f.mix(r.coalesce);
+        // Constant words where the digest mixed the completion policy,
+        // coalescing factor and coalescing count, which always held
+        // 0, 1 and 0: the digest feeds fuzz coverage and its goldens.
+        f.mix(0);
+        f.mix(1);
         f.mix(r.head);
         f.mix(r.retired);
         f.mix(r.outstanding);
-        f.mix(r.coalesceCount);
+        f.mix(0);
         f.mix(r.frames.size());
         for (const RingContext::Frame &frame : r.frames) {
             f.mix(frame.base);

@@ -98,17 +98,6 @@ class DmaEngine : public BusDevice
     void setLocalMemory(PhysicalMemory *mem) { localMemory_ = mem; }
 
     /**
-     * Coalesced completion interrupt for the descriptor ring: invoked
-     * with the register-context id when a ring transfer completes and
-     * the context's policy/coalescing calls for an interrupt.
-     */
-    void
-    setRingCompletionHandler(std::function<void(unsigned)> handler)
-    {
-        ringCompletionHandler_ = std::move(handler);
-    }
-
-    /**
      * Kernel fix-up hook for IOMMU translation faults under
      * IommuFaultPolicy::Trap: called with (ctx, faulting IOVA,
      * is-write).  Returns the fix-up cost in ticks when the kernel
@@ -136,18 +125,10 @@ class DmaEngine : public BusDevice
     /** Physical address of capability presentation page @p slot. */
     Addr capPageAddr(unsigned slot) const;
 
-    /** Number of register contexts (and descriptor rings). */
-    unsigned numContexts() const
-    {
-        return static_cast<unsigned>(contexts_.size());
-    }
-
     /** Outstanding (started, not yet completed) ring transfers. */
     unsigned ringOutstanding(unsigned ctx) const;
     /** Descriptors retired (completed or rejected) on @p ctx's ring. */
     std::uint64_t ringRetired(unsigned ctx) const;
-    /** True once the OS committed a ring configuration for @p ctx. */
-    bool ringConfigured(unsigned ctx) const;
 
     /** Physical address of register-context page @p ctx. */
     Addr contextPageAddr(unsigned ctx) const;
@@ -282,12 +263,9 @@ class DmaEngine : public BusDevice
         Addr base = 0;         ///< descriptor ring base (physical)
         Addr cplBase = 0;      ///< completion record base (physical)
         unsigned slots = 0;
-        std::uint64_t policy = ringdesc::policyPolling;
-        unsigned coalesce = 1; ///< completions per interrupt
         unsigned head = 0;     ///< next slot the engine examines
         std::uint64_t retired = 0;     ///< descriptors retired
         unsigned outstanding = 0;      ///< transfers in flight
-        unsigned coalesceCount = 0;    ///< completions since interrupt
         Tick lastDoorbell = 0;         ///< observability only (latency)
 
         /** One kernel-authorized physical span [base, limit). */
@@ -453,9 +431,6 @@ class DmaEngine : public BusDevice
     /// Kernel-channel completion interrupt (see the setter).
     std::function<void()> kernelCompletionHandler_;
 
-    /// Ring coalesced-completion interrupt (see the setter).
-    std::function<void(unsigned)> ringCompletionHandler_;
-
     /// Local DRAM for descriptor fetch / completion-record writes.
     PhysicalMemory *localMemory_ = nullptr;
 
@@ -561,6 +536,8 @@ class DmaEngine : public BusDevice
     stats::Scalar ringDescriptors_;
     stats::Scalar ringRejects_;
     stats::Scalar ringFences_;
+    /// Always 0 (polling is the only ring completion policy); it stays
+    /// registered because the stats schema and its goldens list it.
     stats::Scalar ringInterrupts_;
     stats::Histogram ringOccupancy_;
     stats::Average doorbellToRetireUs_;

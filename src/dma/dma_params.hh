@@ -123,27 +123,8 @@ inline constexpr std::uint64_t done = 0x4;   ///< engine: retired ok
 inline constexpr std::uint64_t error = 0x8;  ///< engine: rejected
 } // namespace ctrl
 
-/** Completion policy encoded in the ringConfig register. */
-inline constexpr std::uint64_t policyPolling = 0;
-inline constexpr std::uint64_t policyCoalesce = 1;
-
-/** ringConfig register layout: slots | policy << 8 | coalesce << 16. */
-constexpr std::uint64_t
-packConfig(std::uint64_t slots, std::uint64_t policy,
-           std::uint64_t coalesce)
-{
-    return slots | (policy << 8) | (coalesce << 16);
-}
-
+/** The ringConfig register carries the slot count in its low byte. */
 constexpr std::uint64_t slotsOf(std::uint64_t cfg) { return cfg & 0xff; }
-constexpr std::uint64_t policyOf(std::uint64_t cfg)
-{
-    return (cfg >> 8) & 0xff;
-}
-constexpr std::uint64_t coalesceOf(std::uint64_t cfg)
-{
-    return (cfg >> 16) & 0xff;
-}
 } // namespace ringdesc
 
 /** Offsets within the kernel register block (figure 1's registers). */
@@ -175,7 +156,7 @@ inline constexpr Addr mapOutPfn = 0x48;
 inline constexpr Addr mapOutTarget = 0x50;
 /** Descriptor-ring management (docs/RING.md): the OS selects a
  *  context, programs the ring/completion base addresses, then commits
- *  slot count + completion policy via ringConfig.  The frame pair
+ *  the slot count via ringConfig.  The frame pair
  *  appends one authorized physical frame span to the context's
  *  ring-DMA rights table (base write latches, limit write commits). */
 inline constexpr Addr ringCtxSelect = 0x60;

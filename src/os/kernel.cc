@@ -86,6 +86,9 @@ Kernel::Kernel(std::string name, Cpu &cpu, Scheduler &scheduler,
                           "processes blocked in sys::dmaWait");
     statsGroup_.addScalar("dma_interrupts", &dmaInterrupts_,
                           "kernel-channel completion interrupts");
+    // Always 0 (polling is the ring's only completion policy).  They
+    // stay registered, descriptions included, because the stats
+    // schema and its goldens list them.
     statsGroup_.addScalar("ring_waits", &ringWaits_,
                           "processes blocked in sys::ringWait");
     statsGroup_.addScalar("ring_interrupts", &ringInterrupts_,
@@ -102,10 +105,6 @@ Kernel::setDmaEngine(DmaEngine *engine)
     // sys::dmaWait when the kernel channel's transfer finishes.
     engine_->setKernelCompletionHandler(
         [this]() { onKernelDmaInterrupt(); });
-    // Ring completion interrupts (coalescing policy) wake processes
-    // blocked in sys::ringWait on that ring's context.
-    engine_->setRingCompletionHandler(
-        [this](unsigned ctx) { onRingDmaInterrupt(ctx); });
     if (engine_->iommu() != nullptr) {
         // Translation-fault fix-up under IommuFaultPolicy::Trap.  The
         // kernel-side counters join the stats group only when the
@@ -484,8 +483,7 @@ Kernel::mapContextPage(Process &process)
 }
 
 bool
-Kernel::setupRing(Process &process, unsigned slots, std::uint64_t policy,
-                  unsigned coalesce)
+Kernel::setupRing(Process &process, unsigned slots)
 {
     ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
     ULDMA_ASSERT(slots > 0, "setupRing: need at least one slot");
@@ -516,15 +514,12 @@ Kernel::setupRing(Process &process, unsigned slots, std::uint64_t policy,
     kregWrite(kregs::ringCtxSelect, ctx);
     kregWrite(kregs::ringBase, desc_x.paddr);
     kregWrite(kregs::ringCplBase, cpl_x.paddr);
-    kregWrite(kregs::ringConfig,
-              ringdesc::packConfig(slots, policy, coalesce));
+    kregWrite(kregs::ringConfig, slots);
 
     grant.ringConfigured = true;
     grant.ringDescVaddr = desc_vaddr;
     grant.ringCplVaddr = cpl_vaddr;
     grant.ringSlots = slots;
-    grant.ringPolicy = policy;
-    grant.ringCoalesce = std::max(1u, coalesce);
     grant.ringEnqueueSeq = 0;
     grant.ringIommu = engine_->iommu() != nullptr;
 
@@ -867,9 +862,6 @@ Kernel::syscall(ExecContext &ctx, std::uint64_t number)
       case sys::dmaWait:
         r = sysDmaWait(ctx);
         break;
-      case sys::ringWait:
-        r = sysRingWait(ctx);
-        break;
       case sys::iommuMap:
       case sys::iommuUnmap:
       case sys::iommuPin:
@@ -1012,31 +1004,6 @@ Kernel::sysDmaWait(ExecContext &ctx)
     proc.context().setState(RunState::Blocked);
     dmaWaiters_.push_back(&proc);
     ++dmaWaits_;
-    r.cost += doContextSwitch();
-    return r;
-}
-
-SyscallResult
-Kernel::sysRingWait(ExecContext &ctx)
-{
-    SyscallResult r;
-    ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
-
-    Process &proc = process(ctx.pid());
-    const auto &grant = proc.dmaGrant();
-    // No ring, polling policy, or idle ring: nothing will interrupt,
-    // return immediately (under polling, poll the completion records).
-    if (!grant.ringConfigured || !grant.keyContext ||
-        grant.ringPolicy != ringdesc::policyCoalesce) {
-        return r;
-    }
-    const unsigned ring_ctx = *grant.keyContext;
-    if (engine_->ringOutstanding(ring_ctx) == 0)
-        return r;
-
-    proc.context().setState(RunState::Blocked);
-    ringWaiters_.emplace_back(&proc, ring_ctx);
-    ++ringWaits_;
     r.cost += doContextSwitch();
     return r;
 }
@@ -1191,36 +1158,6 @@ Kernel::onKernelDmaInterrupt()
     }
 }
 
-void
-Kernel::onRingDmaInterrupt(unsigned ctx)
-{
-    ++ringInterrupts_;
-    if (ringWaiters_.empty())
-        return;
-    // Wake sleepers on this ring only once it is fully drained —
-    // sys::ringWait's contract is "ring idle", and a coalesced
-    // interrupt can fire with transfers still outstanding.
-    if (engine_ != nullptr && engine_->ringOutstanding(ctx) != 0)
-        return;
-    bool woke = false;
-    std::vector<std::pair<Process *, unsigned>> keep;
-    for (auto &[waiter, ring_ctx] : ringWaiters_) {
-        if (ring_ctx == ctx && waiter->state() == RunState::Blocked) {
-            waiter->context().setState(RunState::Ready);
-            scheduler_.enqueue(*waiter);
-            woke = true;
-        } else {
-            keep.emplace_back(waiter, ring_ctx);
-        }
-    }
-    ringWaiters_ = std::move(keep);
-
-    if (woke && cpu_.idle()) {
-        doContextSwitch();
-        cpu_.start();
-    }
-}
-
 Tick
 Kernel::handleFault(ExecContext &ctx, Fault fault, Addr vaddr)
 {
@@ -1277,8 +1214,6 @@ Kernel::reapGrants(Process &process)
         grant.ringDescVaddr = 0;
         grant.ringCplVaddr = 0;
         grant.ringSlots = 0;
-        grant.ringPolicy = 0;
-        grant.ringCoalesce = 1;
         grant.ringEnqueueSeq = 0;
         grant.ringIommu = false;
     }

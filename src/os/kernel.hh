@@ -236,13 +236,11 @@ class Kernel : public OsCallbacks
      * Set up a descriptor ring for @p process (docs/RING.md): grant a
      * key context if none yet, allocate user-mapped descriptor and
      * completion-record regions, and program the engine's privileged
-     * ring registers.  @p policy is ringdesc::policyPolling or
-     * ringdesc::policyCoalesce; @p coalesce is the completions-per-
-     * interrupt threshold (coalescing policy only).  false = no
-     * register context free, fall back to per-transfer DMA.
+     * ring registers.  The process learns of completions by polling
+     * the completion records.  false = no register context free, fall
+     * back to per-transfer DMA.
      */
-    bool setupRing(Process &process, unsigned slots, std::uint64_t policy,
-                   unsigned coalesce = 1);
+    bool setupRing(Process &process, unsigned slots);
 
     /**
      * Authorize ring DMA to/from [vaddr, vaddr+bytes) of @p process:
@@ -398,7 +396,6 @@ class Kernel : public OsCallbacks
     /// @{
     SyscallResult sysDma(ExecContext &ctx);
     SyscallResult sysDmaWait(ExecContext &ctx);
-    SyscallResult sysRingWait(ExecContext &ctx);
     SyscallResult sysAtomic(ExecContext &ctx);
     /** sys::iommuMap, iommuUnmap or iommuPin, by @p number. */
     SyscallResult sysIommu(ExecContext &ctx, std::uint64_t number);
@@ -418,9 +415,6 @@ class Kernel : public OsCallbacks
 
     /** Completion interrupt from the engine's kernel channel. */
     void onKernelDmaInterrupt();
-
-    /** Coalesced completion interrupt from a descriptor ring. */
-    void onRingDmaInterrupt(unsigned ctx);
 
     Tick cyclesToTicks(Cycles c) const { return cpu_.cyclesToTicks(c); }
 
@@ -446,10 +440,6 @@ class Kernel : public OsCallbacks
 
     /** Processes blocked in sys::dmaWait. */
     std::vector<Process *> dmaWaiters_;
-
-    /** Processes blocked in sys::ringWait, with the ring context each
-     *  one is waiting on. */
-    std::vector<std::pair<Process *, unsigned>> ringWaiters_;
 
     /** Register-context occupancy (key-based protocol). */
     std::vector<Pid> keyContextOwner_;

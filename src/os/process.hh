@@ -38,8 +38,6 @@ struct DmaGrant
     Addr ringDescVaddr = 0;   ///< descriptor ring, user-mapped
     Addr ringCplVaddr = 0;    ///< completion records, user-mapped
     unsigned ringSlots = 0;
-    std::uint64_t ringPolicy = 0;   ///< ringdesc::policy*
-    unsigned ringCoalesce = 1;      ///< completions per interrupt
     /** Program-build-time enqueue cursor (emitRingBatch's slot
      *  allocator; not runtime state). */
     std::uint64_t ringEnqueueSeq = 0;

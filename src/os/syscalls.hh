@@ -47,14 +47,8 @@ inline constexpr std::uint64_t yield = 4;
  */
 inline constexpr std::uint64_t dmaWait = 5;
 
-/**
- * Block until the calling process's descriptor ring is idle (every
- * started ring transfer completed).  Only meaningful under the
- * interrupt-coalescing completion policy — the engine's coalesced
- * interrupt wakes the sleeper; under the polling policy it returns
- * immediately (poll the completion records instead, docs/RING.md).
- */
-inline constexpr std::uint64_t ringWait = 6;
+/* Number 6 is unassigned: a ring's completions are polled from user
+ * space (docs/RING.md), so no syscall waits on them. */
 
 /*
  * Syscalls 7-12 check their argument registers whole, before narrowing

@@ -48,15 +48,6 @@ Tracker::disable()
     opened_ = 0;
 }
 
-void
-Tracker::clear()
-{
-    spans_.clear();
-    nextId_ = 1;
-    stagedKernel_ = invalidSpan;
-    opened_ = 0;
-}
-
 SpanId
 Tracker::open(const std::string &engine, const std::string &protocol,
               Tick first_access)
@@ -76,7 +67,7 @@ Tracker::open(const std::string &engine, const std::string &protocol,
 Span *
 Tracker::find(SpanId id)
 {
-    // Ids are dense and monotonic since the last enable()/clear(), so
+    // Ids are dense and monotonic since the last enable(), so
     // lookup is an index computation off the newest span's id.
     if (!enabled_ || id == invalidSpan || spans_.empty())
         return nullptr;

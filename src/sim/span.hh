@@ -100,9 +100,6 @@ class Tracker
 
     bool enabled() const { return enabled_; }
 
-    /** Drop captured spans but keep capturing. */
-    void clear();
-
     /**
      * Open a span at its first engine-visible access.
      * @return the new id, or invalidSpan while disabled.

@@ -190,16 +190,6 @@ Group::dump(std::ostream &os) const
     }
 }
 
-std::uint64_t
-Group::scalarValue(const std::string &name) const
-{
-    for (const auto &e : scalars_) {
-        if (e.name == name)
-            return e.stat->value();
-    }
-    return 0;
-}
-
 void
 Registry::add(const Group *group)
 {
@@ -208,16 +198,6 @@ Registry::add(const Group *group)
                      groups_.end(),
                  "stats group registered twice: ", group->name());
     groups_.push_back(group);
-}
-
-const Group *
-Registry::find(const std::string &name) const
-{
-    for (const Group *g : groups_) {
-        if (g->name() == name)
-            return g;
-    }
-    return nullptr;
 }
 
 void

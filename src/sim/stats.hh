@@ -148,9 +148,6 @@ class Group
     const std::vector<HistogramEntry> &histograms() const
     { return histograms_; }
 
-    /** Scalar lookup by stat name; 0 if absent. */
-    std::uint64_t scalarValue(const std::string &name) const;
-
   private:
     std::string name_;
     std::vector<ScalarEntry> scalars_;
@@ -171,9 +168,6 @@ class Registry
     void add(const Group *group);
 
     const std::vector<const Group *> &groups() const { return groups_; }
-
-    /** Group lookup by full name; nullptr if absent. */
-    const Group *find(const std::string &name) const;
 
     /** Render every group in registration order (text form). */
     void dump(std::ostream &os) const;

@@ -186,16 +186,6 @@ EventRing::clearFilter()
 }
 
 void
-EventRing::clear()
-{
-    for (auto &e : ring_)
-        e = TraceEvent{};
-    next_ = 0;
-    count_ = 0;
-    recorded_ = 0;
-}
-
-void
 EventRing::record(const std::string &component, Tick tick,
                   const std::string &kind, std::string payload)
 {

@@ -74,9 +74,6 @@ class EventRing
 
     bool enabled() const { return enabled_; }
 
-    /** Drop captured events but keep capturing with the same storage. */
-    void clear();
-
     /** Allocated slots (0 while disabled). */
     std::size_t capacity() const { return ring_.size(); }
 

@@ -1,7 +1,6 @@
 #include "workload/driver.hh"
 
 #include <algorithm>
-#include <iostream>
 
 #include "prof/profiler.hh"
 #include "sim/span.hh"
@@ -21,50 +20,6 @@ busFor(const std::string &name)
         return BusParams::pci66();
     ULDMA_ASSERT(name == "tc", "unknown bus '", name, "'");
     return BusParams{};
-}
-
-/** Sum of the machine's forward-progress counters: any retired
- *  instruction or finished transfer counts. */
-std::uint64_t
-progressCount(Machine &machine)
-{
-    std::uint64_t progress = 0;
-    for (unsigned n = 0; n < machine.numNodes(); ++n) {
-        progress += machine.node(n).cpu().instructionsRetired();
-        progress += machine.node(n)
-                        .dmaEngine()
-                        .transferEngine()
-                        .transfersCompleted();
-    }
-    return progress;
-}
-
-/** One-shot watchdog diagnostics: per-node queue/progress state. */
-void
-dumpStallDiagnostics(Machine &machine, Tick now)
-{
-    std::cerr << "workload: stall watchdog: no progress by tick " << now
-              << " (" << ticksToUs(now) << " us)\n";
-    for (unsigned n = 0; n < machine.numNodes(); ++n) {
-        DmaEngine &engine = machine.node(n).dmaEngine();
-        std::cerr << "  node" << n << ": instructions "
-                  << machine.node(n).cpu().instructionsRetired()
-                  << ", syscalls " << machine.node(n).kernel().numSyscalls()
-                  << ", switches "
-                  << machine.node(n).kernel().numContextSwitches()
-                  << ", initiations " << engine.numInitiations()
-                  << ", completed "
-                  << engine.transferEngine().transfersCompleted()
-                  << ", engine busy until "
-                  << engine.transferEngine().busyUntil();
-        for (unsigned ctx = 0; ctx < engine.numContexts(); ++ctx) {
-            if (engine.ringConfigured(ctx)) {
-                std::cerr << ", ring" << ctx << " outstanding "
-                          << engine.ringOutstanding(ctx);
-            }
-        }
-        std::cerr << "\n";
-    }
 }
 
 } // namespace
@@ -198,40 +153,8 @@ runWorkload(const Scenario &scenario, std::uint64_t seed,
     }
 
     machine.start();
-
-    std::uint64_t stall_windows = 0;
-    if (options.stallWindowUs > 0.0) {
-        const Tick window =
-            std::max<Tick>(1, Tick(options.stallWindowUs * tickPerUs));
-        // State lives in shared_ptr-free lambda captures by value via
-        // mutable: the hook outlives nothing (cleared after run()).
-        machine.setRunHook(
-            [&machine, &stall_windows, window, next_check = window,
-             last_progress = std::uint64_t(0),
-             dumped = false](Tick now_tick) mutable {
-                if (now_tick < next_check)
-                    return true;
-                while (next_check <= now_tick)
-                    next_check += window;
-                const std::uint64_t progress = progressCount(machine);
-                if (progress == last_progress) {
-                    ++stall_windows;
-                    if (!dumped) {
-                        dumped = true;
-                        dumpStallDiagnostics(machine, now_tick);
-                    }
-                }
-                last_progress = progress;
-                return true;
-            });
-    }
-
-    result.finished =
-        machine.run(Tick(scenario.limitUs) * tickPerUs);
+    result.finished = machine.run(Tick(scenario.limitUs) * tickPerUs);
     result.durationUs = ticksToUs(machine.now());
-    result.stallWindows = stall_windows;
-    if (options.stallWindowUs > 0.0)
-        machine.setRunHook(nullptr);
 
     // Protocol rows: worker streams first (fixing first-appearance
     // order and the offered side), then whatever the tracker saw.

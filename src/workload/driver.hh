@@ -42,18 +42,6 @@ struct WorkloadOptions
      * sharded runner captures per-shard stats through this.
      */
     std::function<void(Machine &)> inspectMachine;
-
-    /**
-     * Stall watchdog: when nonzero, the driver checks every
-     * stallWindowUs of simulated time whether the machine made
-     * progress (instructions retired or transfers completed).  A
-     * windowful of no progress counts in WorkloadResult::stallWindows
-     * and dumps per-node diagnostics to stderr once per run.  The run
-     * itself is never aborted — the scenario's limit_us still bounds
-     * it — and the check writes nothing into exported artifacts, so
-     * determinism is unaffected.
-     */
-    double stallWindowUs = 0.0;
 };
 
 /** Achieved-side aggregate of one span protocol. */
@@ -109,8 +97,6 @@ struct WorkloadResult
     std::vector<StreamRuntime> streams;
     std::vector<ProtocolStats> protocols;
     std::vector<NodeStats> perNode;
-    /** Watchdog windows that saw no progress (0 when disabled). */
-    std::uint64_t stallWindows = 0;
 };
 
 /** The row for @p protocol in @p rows, appending one if new (row

@@ -1,6 +1,7 @@
 #include "workload/generator.hh"
 
 #include "core/attack.hh"
+#include "util/bitfield.hh"
 #include "workload/prng.hh"
 
 namespace uldma::workload {
@@ -8,9 +9,9 @@ namespace uldma::workload {
 namespace {
 
 /**
- * Build one worker replica's program: slots × pageSize source and
- * destination regions (destination possibly a remote window), then
- * the paced initiation loop.
+ * Build one worker replica's program: slots × sg_buffer pages of
+ * source and destination (the destination possibly a remote window),
+ * granted through a DmaSession, then the paced initiation loop.
  */
 Program
 buildWorker(Machine &machine, const Scenario &scenario,
@@ -18,81 +19,35 @@ buildWorker(Machine &machine, const Scenario &scenario,
             const SizeSampler &sizes, Random &size_rng, Random &pace_rng,
             StreamRuntime &runtime)
 {
-    DmaMethod method = spec.method;
-    if (method == DmaMethod::Ring) {
-        // Size the ring to the stream's queue depth so one doorbell
-        // drains exactly one batch (docs/RING.md).
-        if (!kernel.setupRing(proc, spec.queueDepth,
-                              ringdesc::policyPolling)) {
-            method = DmaMethod::Kernel;
-            ++runtime.kernelFallbacks;
-        }
-    } else if (!prepareProcess(kernel, proc, method)) {
-        // Contexts exhausted: this replica degrades to the kernel
-        // channel, exactly the fallback §3.2 prescribes.
-        method = DmaMethod::Kernel;
-        ++runtime.kernelFallbacks;
-    }
+    // A ring is sized to the stream's queue depth, so one doorbell
+    // drains exactly one batch (docs/RING.md).
+    DmaSession session(machine, spec.node, proc, spec.method,
+                       spec.queueDepth, spec.rateClass);
 
     // Slot stride: sg streams cycle through multi-page buffers.
     const Addr stride = Addr(spec.sgPages) * pageSize;
     const Addr region = Addr(spec.slots) * stride;
-    const Addr src = kernel.allocate(proc, region, Rights::ReadWrite);
-    kernel.createShadowMappings(proc, src, region);
-
+    const Addr src = session.allocBuffer(region);
     Addr dst;
     if (spec.remoteNode >= 0) {
-        Kernel &remote =
-            machine.node(static_cast<NodeId>(spec.remoteNode)).kernel();
-        const Addr frames = remote.allocFrames(spec.slots);
-        dst = kernel.mapRemoteWindow(proc,
-                                     static_cast<NodeId>(spec.remoteNode),
-                                     frames, region, Rights::ReadWrite);
+        const auto remote = static_cast<NodeId>(spec.remoteNode);
+        const Addr frames =
+            machine.node(remote).kernel().allocFrames(region / pageSize);
+        dst = kernel.mapRemoteWindow(proc, remote, frames, region,
+                                     Rights::ReadWrite);
+        session.mapForDma(dst, region);
     } else {
-        dst = kernel.allocate(proc, region, Rights::ReadWrite);
+        dst = session.allocBuffer(region);
     }
-    kernel.createShadowMappings(proc, dst, region);
+    session.pairMappedOut(src, dst, spec.slots);
 
-    if (method == DmaMethod::Ring) {
-        const DmaEngine &engine = machine.node(spec.node).dmaEngine();
-        if (engine.iommu() != nullptr) {
-            // IOMMU mode: descriptors carry virtual addresses, so the
-            // buffers go into the process's I/O page table instead of
-            // the kernel's physical-frame table.  Under on-demand
-            // pinning the first device access pins (docs/IOMMU.md).
-            const bool pin = engine.iommu()->params().pinPolicy ==
-                             PinPolicy::OnMap;
-            kernel.iommuMapRange(proc, src, region, pin);
-            kernel.iommuMapRange(proc, dst, region, pin);
-        } else {
-            kernel.authorizeRingDma(proc, src, region);
-            kernel.authorizeRingDma(proc, dst, region);
-        }
-    }
-
-    if (method == DmaMethod::Cap) {
-        // One slot covers both buffers: the grant walks src's frames,
-        // the extension widens the same slot over dst.  Slot or span
-        // exhaustion degrades to the kernel channel like every other
-        // fallback (the reaper reclaims the slot at process exit).
-        const int slot = kernel.capGrant(proc, src, region,
-                                         spec.rateClass);
-        if (slot < 0 ||
-            !kernel.capExtend(proc, static_cast<unsigned>(slot), dst,
-                              region)) {
-            method = DmaMethod::Kernel;
-            ++runtime.kernelFallbacks;
-        }
-    }
-
-    if (method == DmaMethod::Shrimp1) {
-        for (unsigned s = 0; s < spec.slots; ++s) {
-            kernel.setupMapOut(
-                proc, src + Addr(s) * pageSize,
-                kernel.translateFor(proc, dst + Addr(s) * pageSize,
-                                    Rights::Write)
-                    .paddr);
-        }
+    // No free context, ring, capability slot or span: this replica
+    // degrades to the kernel channel, the fallback §3.2 prescribes
+    // (the reaper reclaims a partial grant at process exit).
+    DmaMethod method = spec.method;
+    if (!session.ready()) {
+        method = DmaMethod::Kernel;
+        ++runtime.kernelFallbacks;
     }
 
     StreamRuntime *rt = &runtime;
@@ -167,6 +122,33 @@ buildAdversary(const StreamSpec &spec, Kernel &kernel, Process &proc,
 }
 
 } // namespace
+
+std::vector<Addr>
+framesPerNode(const Scenario &scenario)
+{
+    std::vector<Addr> frames(scenario.nodes, 0);
+    for (const StreamSpec &spec : scenario.streams) {
+        if (spec.adversarial) {
+            frames[spec.node] += Addr(spec.count) * 2;  // buildAdversary
+            continue;
+        }
+        const Addr region = Addr(spec.slots) * spec.sgPages;
+        const NodeId dst_node = spec.remoteNode >= 0
+                                    ? static_cast<NodeId>(spec.remoteNode)
+                                    : spec.node;
+        frames[spec.node] += Addr(spec.count) * region;
+        frames[dst_node] += Addr(spec.count) * region;
+        if (spec.method == DmaMethod::Ring) {
+            // Kernel::setupRing's descriptor and completion regions.
+            const Addr depth = spec.queueDepth;
+            frames[spec.node] +=
+                Addr(spec.count) *
+                (divCeil(depth * ringdesc::descBytes, pageSize) +
+                 divCeil(depth * ringdesc::cplBytes, pageSize));
+        }
+    }
+    return frames;
+}
 
 void
 spawnStream(Machine &machine, const Scenario &scenario,

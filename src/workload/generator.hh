@@ -40,6 +40,17 @@ struct StreamRuntime
 };
 
 /**
+ * Physical frames that spawning every replica of @p scenario's
+ * streams takes from each node's kernel, indexed by node.  A worker
+ * replica takes slots × sg_buffer pages for its source and as many
+ * for its destination, on remote_node when that is set; a ring
+ * replica also takes its descriptor and completion pages; an
+ * adversary replica takes two pages.  An upper bound: a ring replica
+ * that falls back to the kernel channel sets up no ring.
+ */
+std::vector<Addr> framesPerNode(const Scenario &scenario);
+
+/**
  * Spawn every replica of @p spec on its node.  @p stream_index is the
  * stream's position in the scenario (seed derivation); @p seed is the
  * run seed.  Counters land in @p runtime, whose address must stay

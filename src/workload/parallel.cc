@@ -50,7 +50,6 @@ runShard(const Shard &shard, std::uint64_t seed,
 {
     WorkloadOptions wl;
     wl.keepSpans = true;
-    wl.stallWindowUs = options.stallWindowUs;
     // Seed identity stays global: node n seeds as global id
     // shard.nodes[n], stream j as global index shard.streams[j] —
     // so a shard draws exactly the randomness its streams would draw
@@ -125,7 +124,6 @@ mergeResults(const Scenario &scenario, std::uint64_t seed,
         const WorkloadResult &result = shards[k].result;
         merged.finished = merged.finished && result.finished;
         merged.durationUs = std::max(merged.durationUs, result.durationUs);
-        merged.stallWindows += result.stallWindows;
         ULDMA_ASSERT(result.streams.size() == shard.streams.size(),
                      "shard result / plan stream count mismatch");
         for (std::size_t j = 0; j < shard.streams.size(); ++j) {
@@ -235,7 +233,6 @@ ParallelResult::workerTimeline() const
         row.startMs = shards[k].hostStartNs / 1e6;
         row.endMs = shards[k].hostEndNs / 1e6;
         row.simUs = shards[k].result.durationUs;
-        row.stallWindows = shards[k].result.stallWindows;
         rows.push_back(row);
     }
     return rows;

@@ -47,10 +47,6 @@ struct ParallelOptions
     /** Capture each shard's scoped profile (prof::Profiler) for the
      *  merged uldma-profile-v1 export. */
     bool captureProfile = false;
-
-    /** Per-shard stall-watchdog window, simulated microseconds
-     *  (0 disables — see WorkloadOptions::stallWindowUs). */
-    double stallWindowUs = 0.0;
 };
 
 /** Everything one shard produced. */
@@ -126,7 +122,6 @@ struct ParallelResult
         double startMs = 0.0;  ///< host ms after pool launch
         double endMs = 0.0;
         double simUs = 0.0;    ///< simulated time the shard covered
-        std::uint64_t stallWindows = 0;
     };
 
     /** Host-clock shard schedule across the worker pool, shard order.

@@ -8,6 +8,7 @@
 
 #include "dma/dma_params.hh"
 #include "sim/json.hh"
+#include "workload/generator.hh"
 
 namespace uldma::workload {
 
@@ -557,8 +558,11 @@ parseScenario(const Value &doc, Scenario &out, std::string *error)
     if (!getUint(doc, "cpu_mhz", scenario.cpuMhz, false, "scenario",
                  error))
         return false;
-    if (scenario.cpuMhz < 1)
-        return fail(error, "scenario.cpu_mhz must be >= 1");
+    // A clock period is tickPerUs / MHz ticks: past tickPerUs MHz it
+    // would round to 0.
+    if (scenario.cpuMhz < 1 || scenario.cpuMhz > tickPerUs)
+        return fail(error, "scenario.cpu_mhz must be in [1, " +
+                               std::to_string(tickPerUs) + "]");
 
     std::uint64_t syscall_cycles = scenario.syscallCycles;
     if (!getUint(doc, "syscall_cycles", syscall_cycles, false, "scenario",
@@ -589,19 +593,29 @@ parseScenario(const Value &doc, Scenario &out, std::string *error)
     const Value &streams = doc["streams"];
     if (!streams.isArray() || streams.size() == 0)
         return fail(error, "scenario.streams must be a non-empty array");
+    std::uint64_t work = 0;
     for (std::size_t i = 0; i < streams.size(); ++i) {
+        const std::string where = "streams[" + std::to_string(i) + "]";
         StreamSpec spec;
         if (!parseStream(streams[i], scenario.nodes,
                          scenario.iotlb.enabled, scenario.cap.rateClasses,
-                         spec, "streams[" + std::to_string(i) + "]",
-                         error))
+                         spec, where, error))
             return false;
         for (const StreamSpec &prior : scenario.streams) {
             if (prior.name == spec.name)
-                return fail(error, "streams[" + std::to_string(i) +
-                                       "]: duplicate stream name '" +
+                return fail(error, where + ": duplicate stream name '" +
                                        spec.name + "'");
         }
+        work += std::uint64_t(spec.count) *
+                (spec.adversarial ? spec.ops : spec.initiations);
+        if (work > maxScenarioWork)
+            return fail(error,
+                        where + (spec.adversarial ? ".ops" : ".initiations") +
+                            ": the streams so far ask for " +
+                            std::to_string(work) +
+                            " initiations and ops (count x each), more "
+                            "than the scenario limit of " +
+                            std::to_string(maxScenarioWork));
         scenario.streams.push_back(std::move(spec));
     }
 
@@ -609,6 +623,21 @@ parseScenario(const Value &doc, Scenario &out, std::string *error)
     std::vector<std::vector<DmaMethod>> per_node;
     if (!deriveNodeMethods(scenario, per_node, error))
         return false;
+
+    // Every replica's pages must fit its node's DRAM, or spawning
+    // would run the kernel out of physical memory.
+    const Addr node_frames =
+        NodeConfig{}.memBytes / pageSize - Kernel::reservedFrames;
+    const std::vector<Addr> frames = framesPerNode(scenario);
+    for (unsigned n = 0; n < scenario.nodes; ++n) {
+        if (frames[n] > node_frames)
+            return fail(error, "node " + std::to_string(n) +
+                                   ": the streams take " +
+                                   std::to_string(frames[n]) +
+                                   " frames, more than the " +
+                                   std::to_string(node_frames) +
+                                   " the node has");
+    }
 
     out = std::move(scenario);
     return true;

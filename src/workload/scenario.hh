@@ -169,6 +169,14 @@ struct Scenario
     std::vector<StreamSpec> streams;
 };
 
+/**
+ * Most initiations and adversarial ops one scenario may ask for,
+ * summed over its streams (count × initiations or ops): workers and
+ * adversaries are built up front, one micro-op sequence per
+ * initiation, so the bound keeps a scenario within host memory.
+ */
+inline constexpr std::uint64_t maxScenarioWork = std::uint64_t(1) << 20;
+
 /** CLI/scenario protocol name of @p method (e.g. "key-based"). */
 const char *methodName(DmaMethod method);
 
@@ -177,8 +185,10 @@ bool parseMethodName(const std::string &name, DmaMethod &out);
 
 /**
  * Parse @p text as one uldma-scenario-v1 document.  Strict: schema
- * violations, unknown members, out-of-range values and per-node
- * engine-mode conflicts are all errors.
+ * violations, unknown members, out-of-range values, per-node
+ * engine-mode conflicts, more than maxScenarioWork in all and more
+ * frames on a node than its DRAM holds (framesPerNode) are all
+ * errors.
  * @return true on success; on failure @p error describes the problem.
  */
 bool parseScenario(const std::string &text, Scenario &out,

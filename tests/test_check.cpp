@@ -198,7 +198,7 @@ TEST(GrantArtifacts, RingAndIommuFramesComeFromTheLedger)
     Machine machine(config);
     Kernel &kernel = machine.node(0).kernel();
     Process &p = kernel.createProcess("p");
-    ASSERT_TRUE(kernel.setupRing(p, 4, ringdesc::policyPolling));
+    ASSERT_TRUE(kernel.setupRing(p, 4));
     const unsigned ctx = *p.dmaGrant().keyContext;
     const Addr buf = kernel.allocate(p, pageSize, Rights::Read);
     const Addr paddr = kernel.translateFor(p, buf, Rights::Read).paddr;

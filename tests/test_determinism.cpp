@@ -243,7 +243,7 @@ runRingOnce()
     prepareMachine(machine, DmaMethod::Ring);
     Kernel &kernel = machine.node(0).kernel();
     Process &p = kernel.createProcess("p");
-    EXPECT_TRUE(kernel.setupRing(p, 4, ringdesc::policyPolling));
+    EXPECT_TRUE(kernel.setupRing(p, 4));
     const Addr src = kernel.allocate(p, 4 * pageSize, Rights::ReadWrite);
     const Addr dst = kernel.allocate(p, 4 * pageSize, Rights::ReadWrite);
     kernel.authorizeRingDma(p, src, 4 * pageSize);

@@ -549,6 +549,18 @@ TEST_F(EngineTest, MappedOutWithoutMappingFails)
     EXPECT_EQ(engine_->numInitiations(), 0u);
 }
 
+TEST_F(EngineTest, MappedOutShadowLoadFails)
+{
+    // SHRIMP-1 initiates with one store to shadow(src); a shadow load
+    // names no transfer, so it reads failure and counts as a reject.
+    make(EngineMode::MappedOut);
+    kwrite(kregs::mapOutPfn, pageNumber(0x2000));
+    kwrite(kregs::mapOutTarget, 0x10000);
+    EXPECT_EQ(sload(0x2000), dmastatus::failure);
+    EXPECT_EQ(engine_->numRejects(), 1u);
+    EXPECT_EQ(engine_->numInitiations(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // User-transfer validation.
 // ---------------------------------------------------------------------

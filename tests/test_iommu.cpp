@@ -325,7 +325,7 @@ struct IommuRig
           proc(kernel.createProcess("proc"))
     {
         prepareMachine(machine, DmaMethod::Ring);
-        EXPECT_TRUE(kernel.setupRing(proc, 4, ringdesc::policyPolling));
+        EXPECT_TRUE(kernel.setupRing(proc, 4));
     }
 
     /** Allocate and (optionally) iommu-map a region of @p pages. */
@@ -429,6 +429,69 @@ TEST(IommuEngine, TrapPolicyFixesUpAndResumes)
     EXPECT_GE(engine.numIommuResumes(), 1u);
     EXPECT_EQ(engine.numRingRejects(), 0u);
     EXPECT_EQ(engine.initiations().size(), 1u);
+}
+
+TEST(IommuEngine, EmptyAndOversizedDescriptorsAreRefused)
+{
+    // A virtually-addressed descriptor carries 1 to maxSgBytes bytes;
+    // outside that it is refused before any translation.
+    IommuRig rig;
+    const Addr src = rig.buffer(1, /*iommu_map=*/true);
+    const Addr dst = rig.buffer(1, /*iommu_map=*/true);
+    const Addr desc_paddr = rig.kernel.translateFor(
+        rig.proc, rig.proc.dmaGrant().ringDescVaddr, Rights::Read).paddr;
+    const Addr cpl_paddr = rig.kernel.translateFor(
+        rig.proc, rig.proc.dmaGrant().ringCplVaddr, Rights::Read).paddr;
+    rig.run({{src, dst, 0}, {src, dst, Iommu::maxSgBytes + 1}});
+
+    const DmaEngine &engine = rig.node.dmaEngine();
+    EXPECT_EQ(engine.numRingDescriptors(), 2u);
+    EXPECT_EQ(engine.numRingRejects(), 2u);
+    EXPECT_EQ(engine.numRejects(), 2u);
+    EXPECT_TRUE(engine.initiations().empty());
+    EXPECT_EQ(engine.iommu()->walks(), 0u);
+    PhysicalMemory &mem = rig.node.memory();
+    for (unsigned slot = 0; slot < 2; ++slot) {
+        EXPECT_EQ(mem.readInt(cpl_paddr + slot * ringdesc::cplBytes, 8),
+                  dmastatus::failure);
+        EXPECT_TRUE(mem.readInt(desc_paddr + slot * ringdesc::descBytes +
+                                    ringdesc::ctrlOff, 8) &
+                    ringdesc::ctrl::error);
+    }
+}
+
+TEST(IommuEngine, TrapPolicyAbortsWhatTheProcessNeverMapped)
+{
+    // The IOVA is not in the process's address space either, so the
+    // kernel refuses the fix-up: the parked descriptor retires with an
+    // error, and the one queued behind it drains and completes.
+    IommuRig rig(IommuFaultPolicy::Trap);
+    const Addr src = rig.buffer(1, /*iommu_map=*/true);
+    const Addr dst = rig.buffer(1, /*iommu_map=*/true);
+    const Addr never_mapped = rig.proc.allocCursor() + 16 * pageSize;
+    ASSERT_FALSE(rig.proc.pageTable().lookup(never_mapped).has_value());
+    const Addr desc_paddr = rig.kernel.translateFor(
+        rig.proc, rig.proc.dmaGrant().ringDescVaddr, Rights::Read).paddr;
+    const Addr cpl_paddr = rig.kernel.translateFor(
+        rig.proc, rig.proc.dmaGrant().ringCplVaddr, Rights::Read).paddr;
+    const Addr dst_paddr =
+        rig.kernel.translateFor(rig.proc, dst, Rights::Write).paddr;
+    rig.run({{never_mapped, dst, 256}, {src, dst, 256}});
+
+    const DmaEngine &engine = rig.node.dmaEngine();
+    EXPECT_EQ(engine.numIommuTraps(), 1u);
+    EXPECT_EQ(engine.numIommuResumes(), 0u);
+    EXPECT_EQ(engine.numRingRejects(), 1u);
+    ASSERT_EQ(engine.initiations().size(), 1u);
+    EXPECT_EQ(engine.initiations()[0].dst, dst_paddr);
+    PhysicalMemory &mem = rig.node.memory();
+    EXPECT_EQ(mem.readInt(cpl_paddr, 8), dmastatus::failure);
+    EXPECT_TRUE(mem.readInt(desc_paddr + ringdesc::ctrlOff, 8) &
+                ringdesc::ctrl::error);
+    EXPECT_EQ(mem.readInt(cpl_paddr + ringdesc::cplBytes, 8), 1u);
+    EXPECT_TRUE(mem.readInt(desc_paddr + ringdesc::descBytes +
+                                ringdesc::ctrlOff, 8) &
+                ringdesc::ctrl::done);
 }
 
 TEST(IommuEngine, WeakIommuBypassesTranslationOnFault)

@@ -691,7 +691,7 @@ TEST(FrameRuns, RingFramesFollowPhysicalRuns)
     prepareMachine(machine, DmaMethod::Ring);
     Kernel &kernel = machine.node(0).kernel();
     Process &p = kernel.createProcess("p");
-    ASSERT_TRUE(kernel.setupRing(p, 4, ringdesc::policyPolling));
+    ASSERT_TRUE(kernel.setupRing(p, 4));
 
     // Three frames back to back.  The process maps the outer two as
     // one virtual range, and the middle one on a page of its own that
@@ -804,7 +804,7 @@ struct IommuKernel
           iommu(*machine.node(0).dmaEngine().iommu())
     {
         prepareMachine(machine, DmaMethod::Ring);
-        EXPECT_TRUE(kernel.setupRing(p, 4, ringdesc::policyPolling));
+        EXPECT_TRUE(kernel.setupRing(p, 4));
         ctx = *p.dmaGrant().keyContext;
     }
 

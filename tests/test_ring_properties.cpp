@@ -92,8 +92,7 @@ runChain(const std::vector<ChainItem> &chain, unsigned ring_depth)
     Process &proc = kernel.createProcess("chain");
 
     if (ring_depth > 0) {
-        EXPECT_TRUE(
-            kernel.setupRing(proc, ring_depth, ringdesc::policyPolling));
+        EXPECT_TRUE(kernel.setupRing(proc, ring_depth));
     } else {
         EXPECT_TRUE(prepareProcess(kernel, proc, method));
     }
@@ -245,7 +244,7 @@ TEST(RingProperties, DoorbellCountAmortizesExactlyAsConfigured)
     Node &node = machine.node(0);
     Kernel &kernel = node.kernel();
     Process &proc = kernel.createProcess("chain");
-    ASSERT_TRUE(kernel.setupRing(proc, 4, ringdesc::policyPolling));
+    ASSERT_TRUE(kernel.setupRing(proc, 4));
 
     const Addr region = Addr(kSlots) * pageSize;
     const Addr src = kernel.allocate(proc, region, Rights::ReadWrite);
@@ -300,7 +299,7 @@ TEST(RingProperties, FenceDescriptorDrainsEverythingQueuedBeforeIt)
     Node &node = machine.node(0);
     Kernel &kernel = node.kernel();
     Process &proc = kernel.createProcess("fence");
-    ASSERT_TRUE(kernel.setupRing(proc, 4, ringdesc::policyPolling));
+    ASSERT_TRUE(kernel.setupRing(proc, 4));
 
     const Addr src = kernel.allocate(proc, pageSize, Rights::ReadWrite);
     const Addr dst = kernel.allocate(proc, pageSize, Rights::ReadWrite);

@@ -53,10 +53,8 @@ struct RingPair
           adversary(kernel.createProcess("adversary"))
     {
         prepareMachine(machine, DmaMethod::Ring);
-        EXPECT_TRUE(kernel.setupRing(victim, 4,
-                                     ringdesc::policyPolling));
-        EXPECT_TRUE(kernel.setupRing(adversary, 4,
-                                     ringdesc::policyPolling));
+        EXPECT_TRUE(kernel.setupRing(victim, 4));
+        EXPECT_TRUE(kernel.setupRing(adversary, 4));
 
         victimBuf = kernel.allocate(victim, pageSize, Rights::ReadWrite);
         kernel.authorizeRingDma(victim, victimBuf, pageSize);
@@ -372,6 +370,150 @@ TEST(RingProtection, WeakRingReopensTheHoleAndTheOracleCatchesIt)
     EXPECT_TRUE(ring_isolation)
         << "oracle missed the weakRing theft (" << violations.size()
         << " other violations)";
+}
+
+/** A one-node ring machine with one process that holds a key context;
+ *  @p ring_slots > 0 also sets up its ring. */
+struct KeyedProcess
+{
+    Machine machine;
+    Node &node;
+    Kernel &kernel;
+    Process &proc;
+
+    static MachineConfig
+    makeConfig()
+    {
+        MachineConfig config;
+        configureNode(config.node, DmaMethod::Ring);
+        return config;
+    }
+
+    explicit KeyedProcess(unsigned ring_slots)
+        : machine(makeConfig()), node(machine.node(0)),
+          kernel(node.kernel()), proc(kernel.createProcess("keyed"))
+    {
+        prepareMachine(machine, DmaMethod::Ring);
+        EXPECT_TRUE(kernel.grantKeyContext(proc));
+        if (ring_slots > 0) {
+            EXPECT_TRUE(kernel.setupRing(proc, ring_slots));
+        }
+    }
+
+    Addr
+    doorbell() const
+    {
+        return proc.dmaGrant().contextPageVaddr + ctxpage::ringDoorbell;
+    }
+
+    /** Physical address of the ring's descriptor or completion region
+     *  (translated while the grant is live: reaping zeroes it). */
+    Addr
+    paddr(Addr vaddr)
+    {
+        return kernel.translateFor(proc, vaddr, Rights::Read).paddr;
+    }
+
+    void
+    run(Program prog)
+    {
+        kernel.launch(proc, std::move(prog));
+        machine.start();
+        ASSERT_TRUE(machine.run(60 * tickPerSec));
+    }
+};
+
+TEST(RingProtection, DoorbellOnAContextWithoutARingIsRefused)
+{
+    // The kernel granted the key context but never set up a ring: the
+    // doorbell's key is right, yet there is nothing to drain.  The
+    // store is refused, and a load of the doorbell reads failure.
+    KeyedProcess rig(/*ring_slots=*/0);
+    const auto &grant = rig.proc.dmaGrant();
+    std::uint64_t status = 0;
+
+    Program prog;
+    prog.store(rig.doorbell(), keyfield::pack(grant.key, *grant.keyContext));
+    prog.membar();
+    prog.load(reg::v0, rig.doorbell());
+    prog.callback([&](ExecContext &ctx) { status = ctx.reg(reg::v0); });
+    prog.exit();
+    rig.run(std::move(prog));
+
+    const DmaEngine &engine = rig.node.dmaEngine();
+    EXPECT_EQ(status, dmastatus::failure);
+    EXPECT_EQ(engine.numRejects(), 1u);
+    EXPECT_EQ(engine.numKeyMismatches(), 0u);
+    EXPECT_EQ(engine.numRingDoorbells(), 0u);
+    EXPECT_EQ(engine.numRingDescriptors(), 0u);
+    EXPECT_TRUE(engine.initiations().empty());
+}
+
+TEST(RingProtection, DoorbellLoadReadsTheDescriptorsRetired)
+{
+    // docs/RING.md: a load of the doorbell returns drain progress,
+    // the count of descriptors the ring has retired.
+    KeyedProcess rig(/*ring_slots=*/4);
+    const Addr src = rig.kernel.allocate(rig.proc, pageSize,
+                                         Rights::ReadWrite);
+    const Addr dst = rig.kernel.allocate(rig.proc, pageSize,
+                                         Rights::ReadWrite);
+    rig.kernel.authorizeRingDma(rig.proc, src, pageSize);
+    rig.kernel.authorizeRingDma(rig.proc, dst, pageSize);
+    std::uint64_t retired = 0;
+
+    Program prog;
+    emitRingBatch(prog, rig.kernel, rig.proc,
+                  {{src, dst, 64}, {src + 64, dst + 64, 32}});
+    prog.membar();
+    prog.load(reg::t0, rig.doorbell());
+    prog.callback([&](ExecContext &ctx) { retired = ctx.reg(reg::t0); });
+    prog.exit();
+    rig.run(std::move(prog));
+
+    EXPECT_EQ(retired, 2u);
+    EXPECT_EQ(rig.node.dmaEngine().initiations().size(), 2u);
+}
+
+TEST(RingProtection, PageCrossingDescriptorInsideItsFramesIsRefused)
+{
+    // Both pages of a two-page buffer form one authorized frame span,
+    // so a descriptor that straddles them passes the frame check.  A
+    // user transfer must still stay inside one page: the engine
+    // refuses it and retires the slot with an error.
+    KeyedProcess rig(/*ring_slots=*/4);
+    const Addr src = rig.kernel.allocate(rig.proc, 2 * pageSize,
+                                         Rights::ReadWrite);
+    const Addr dst = rig.kernel.allocate(rig.proc, pageSize,
+                                         Rights::ReadWrite);
+    rig.kernel.authorizeRingDma(rig.proc, src, 2 * pageSize);
+    rig.kernel.authorizeRingDma(rig.proc, dst, pageSize);
+    const Addr src_paddr = rig.paddr(src);
+    unsigned two_page_spans = 0;
+    for (const Grant &g : rig.kernel.grants()) {
+        if (g.kind == Grant::Kind::RingFrames && g.base == src_paddr &&
+            g.bytes == 2 * pageSize)
+            ++two_page_spans;
+    }
+    ASSERT_EQ(two_page_spans, 1u);
+    const Addr desc_paddr = rig.paddr(rig.proc.dmaGrant().ringDescVaddr);
+    const Addr cpl_paddr = rig.paddr(rig.proc.dmaGrant().ringCplVaddr);
+
+    Program prog;
+    emitRingBatch(prog, rig.kernel, rig.proc,
+                  {{src + pageSize - 32, dst, 64}});
+    prog.exit();
+    rig.run(std::move(prog));
+
+    const DmaEngine &engine = rig.node.dmaEngine();
+    EXPECT_EQ(engine.numRingDescriptors(), 1u);
+    EXPECT_EQ(engine.numRingRejects(), 1u);
+    EXPECT_EQ(engine.numRejects(), 1u);
+    EXPECT_TRUE(engine.initiations().empty());
+    PhysicalMemory &mem = rig.node.memory();
+    EXPECT_EQ(mem.readInt(cpl_paddr, 8), dmastatus::failure);
+    EXPECT_TRUE(mem.readInt(desc_paddr + ringdesc::ctrlOff, 8) &
+                ringdesc::ctrl::error);
 }
 
 } // namespace

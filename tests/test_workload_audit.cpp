@@ -26,6 +26,7 @@
 #include "check/invariants.hh"
 #include "core/machine.hh"
 #include "workload/driver.hh"
+#include "workload/generator.hh"
 #include "workload/scenario.hh"
 
 namespace uldma::check {
@@ -78,7 +79,9 @@ load(const std::string &path)
     return scenario;
 }
 
-TEST(WorkloadAudit, EveryShippedScenarioHoldsTheInvariants)
+/** Every scenario file in ULDMA_SCENARIO_DIR, sorted. */
+std::vector<std::string>
+scenarioPaths()
 {
     std::vector<std::string> paths;
     for (const auto &entry :
@@ -88,13 +91,49 @@ TEST(WorkloadAudit, EveryShippedScenarioHoldsTheInvariants)
     }
     std::sort(paths.begin(), paths.end());
     EXPECT_GE(paths.size(), 9u);
-    for (const std::string &path : paths) {
+    return paths;
+}
+
+TEST(WorkloadAudit, EveryShippedScenarioHoldsTheInvariants)
+{
+    for (const std::string &path : scenarioPaths()) {
         const workload::Scenario scenario = load(path);
         for (std::uint64_t seed : {0, 1}) {
             SCOPED_TRACE(path + " seed " + std::to_string(seed));
             const auto counts = auditRun(scenario, seed);
             EXPECT_TRUE(counts.empty()) << "violations:" << describe(counts);
         }
+    }
+}
+
+TEST(WorkloadAudit, FrameRuleMatchesWhatTheKernelsHandOut)
+{
+    // The validator bounds each node's frames by framesPerNode.  The
+    // kernels hand out exactly that many while spawning, less the
+    // descriptor and completion pages of a ring replica that fell back
+    // to the kernel channel.
+    for (const std::string &path : scenarioPaths()) {
+        SCOPED_TRACE(path);
+        workload::Scenario scenario = load(path);
+        scenario.limitUs = 1;   // the frames are taken at spawn
+        std::vector<Addr> handed_out;
+        workload::WorkloadOptions options;
+        options.inspectMachine = [&](Machine &machine) {
+            for (unsigned n = 0; n < machine.numNodes(); ++n) {
+                Kernel &kernel = machine.node(static_cast<NodeId>(n)).kernel();
+                handed_out.push_back(kernel.allocFrames(1) / pageSize -
+                                     Kernel::reservedFrames);
+            }
+        };
+        const workload::WorkloadResult result =
+            workload::runWorkload(scenario, 0, options);
+
+        std::vector<Addr> expected = workload::framesPerNode(scenario);
+        for (const workload::StreamRuntime &stream : result.streams) {
+            if (stream.spec->method == DmaMethod::Ring)
+                expected[stream.spec->node] -= 2 * stream.kernelFallbacks;
+        }
+        EXPECT_EQ(handed_out, expected);
     }
 }
 

@@ -17,6 +17,7 @@
 #include "core/machine.hh"
 #include "sim/json.hh"
 #include "workload/driver.hh"
+#include "workload/generator.hh"
 #include "workload/prng.hh"
 #include "workload/report.hh"
 #include "workload/scenario.hh"
@@ -191,16 +192,98 @@ TEST(ScenarioParse, CountsPast32BitsAreRejected)
               std::string::npos)
         << error;
 
-    // The largest count still parses (and is not run here).
-    ASSERT_TRUE(parseScenario(
+    // The largest count fits the stream's unsigned field, but asks
+    // for more than a scenario may build (maxScenarioWork).
+    EXPECT_FALSE(parseScenario(
         minimalScenario(R"({"name": "s", "protocol": "ext-shadow",
                             "initiations": 4294967295},
                            {"name": "a", "protocol": "ext-shadow",
                             "adversarial": true, "ops": 4294967295})"),
+        s, &error));
+    EXPECT_NE(error.find("streams[0].initiations"), std::string::npos)
+        << error;
+}
+
+TEST(ScenarioParse, TotalWorkIsBounded)
+{
+    Scenario s;
+    std::string error;
+    // count x initiations plus count x ops, summed over the streams:
+    // exactly the bound parses, one more is refused at the stream
+    // that crosses it.
+    const std::string workers =
+        R"({"name": "w", "count": 64, "protocol": "ext-shadow",
+            "initiations": 16383})";
+    ASSERT_TRUE(parseScenario(
+        minimalScenario(workers + R"(, {"name": "a", "count": 2,
+                        "protocol": "ext-shadow", "adversarial": true,
+                        "ops": 32})"),
         s, &error))
         << error;
-    EXPECT_EQ(s.streams[0].initiations, 4294967295u);
-    EXPECT_EQ(s.streams[1].ops, 4294967295u);
+    EXPECT_EQ(64u * 16383 + 2 * 32, maxScenarioWork);
+    EXPECT_FALSE(parseScenario(
+        minimalScenario(workers + R"(, {"name": "a", "count": 1,
+                        "protocol": "ext-shadow", "adversarial": true,
+                        "ops": 65})"),
+        s, &error));
+    EXPECT_NE(error.find("streams[1].ops"), std::string::npos) << error;
+    EXPECT_NE(error.find("1048577"), std::string::npos) << error;
+}
+
+TEST(ScenarioParse, CpuClockMustHaveATickPeriod)
+{
+    // A clock period is tickPerUs / MHz ticks: past tickPerUs MHz it
+    // rounds to 0 and the machine build would abort.
+    Scenario s;
+    std::string error;
+    const auto withMhz = [](std::uint64_t mhz) {
+        return R"({"schema": "uldma-scenario-v1", "name": "t",
+                   "cpu_mhz": )" +
+               std::to_string(mhz) + ", \"streams\": [" + oneStream +
+               "]}";
+    };
+    ASSERT_TRUE(parseScenario(withMhz(tickPerUs), s, &error)) << error;
+    EXPECT_EQ(s.cpuMhz, tickPerUs);
+    for (std::uint64_t mhz : {std::uint64_t(0), tickPerUs + 1,
+                              std::uint64_t(2000000)}) {
+        EXPECT_FALSE(parseScenario(withMhz(mhz), s, &error)) << mhz;
+        EXPECT_NE(error.find("cpu_mhz must be in [1, 1000000]"),
+                  std::string::npos)
+            << error;
+    }
+}
+
+TEST(ScenarioParse, NodeFramesAreBounded)
+{
+    // 32 replicas x (64 + 64) pages is 4,096 frames: two such streams
+    // ask for 8,192 of a node's 8,176 free 8 KiB frames, and the
+    // refusal names the node.  framesPerNode counts a remote
+    // destination on its own node, so the same streams fit once one
+    // of them sends to a second node.
+    const std::string big =
+        R"({"name": "%", "count": 32, "node": 0, "protocol": "kernel",
+            "initiations": 1, "slots": 64})";
+    auto named = [&](const char *name, const char *extra) {
+        std::string stream = big;
+        stream.replace(stream.find('%'), 1, name);
+        return stream.substr(0, stream.size() - 1) + extra + "}";
+    };
+    Scenario s;
+    std::string error;
+    EXPECT_FALSE(parseScenario(
+        minimalScenario(named("a", "") + ", " + named("b", "")), s,
+        &error));
+    EXPECT_NE(error.find("node 0: the streams take 8192 frames, more "
+                         "than the 8176"),
+              std::string::npos)
+        << error;
+
+    const std::string two_nodes =
+        R"({"schema": "uldma-scenario-v1", "name": "t", "nodes": 2,
+            "streams": [)" +
+        named("a", "") + ", " + named("b", R"(, "remote_node": 1)") + "]}";
+    ASSERT_TRUE(parseScenario(two_nodes, s, &error)) << error;
+    EXPECT_EQ(framesPerNode(s), (std::vector<Addr>{4096 + 2048, 2048}));
 }
 
 TEST(ScenarioParse, MethodNamesRoundTrip)
@@ -576,6 +659,38 @@ TEST(WorkloadEngine, WorkerProgramSharesOneFailureHook)
     EXPECT_EQ(hooks, 1u);
     // The count a fresh hook per initiation gave.
     EXPECT_EQ(result.streams[0].failures, 9u);
+}
+
+TEST(WorkloadEngine, RemoteScatterGatherWindowIsAllAllocated)
+{
+    // A ring stream with 4-page buffers whose destinations live on
+    // node 1: the window spans slots x sg_buffer pages, and all of
+    // them must be frames node 1 handed out, not just one per slot.
+    const std::string text = R"({
+      "schema": "uldma-scenario-v1",
+      "name": "remote-sg",
+      "nodes": 2,
+      "iotlb": {},
+      "streams": [
+        {"name": "sg", "node": 0, "protocol": "ring", "remote_node": 1,
+         "initiations": 2, "slots": 3, "sg_buffer": 4,
+         "size": {"kind": "fixed", "bytes": 64}}
+      ]
+    })";
+    Scenario scenario;
+    std::string error;
+    ASSERT_TRUE(parseScenario(text, scenario, &error)) << error;
+    scenario.limitUs = 1;   // the frames are taken at spawn
+
+    Addr next_free = 0;
+    WorkloadOptions options;
+    options.inspectMachine = [&](Machine &machine) {
+        next_free = machine.node(1).kernel().allocFrames(1);
+    };
+    runWorkload(scenario, 0, options);
+    const Addr window = 3 * 4 * pageSize;
+    EXPECT_EQ(next_free, Kernel::reservedFrames * pageSize + window);
+    EXPECT_EQ(framesPerNode(scenario)[1], window / pageSize);
 }
 
 TEST(WorkloadEngine, ContextExhaustionFallsBackToKernelChannel)

@@ -152,7 +152,10 @@ main(int argc, char **argv)
         static_cast<Cycles>(intInRange(opts, "syscall-cycles", 0));
     const std::int64_t sample_interval_us = intInRange(
         opts, "sample-interval", 0, std::int64_t(maxTick / tickPerUs));
-    const std::int64_t trace_capacity = intInRange(opts, "trace-capacity", 0);
+    // EventRing::enable fills every slot up front, about 100 bytes
+    // each: 2^22 slots is some 400 MiB of host memory.
+    const std::int64_t trace_capacity =
+        intInRange(opts, "trace-capacity", 0, 1 << 22);
 
     for (const auto &flag : split(opts.getString("trace"), ',')) {
         const std::string f = trim(flag);

@@ -69,9 +69,6 @@ main(int argc, char **argv)
     opts.addFlag("profile-host-time", false,
                  "include host wall-time attribution in the profile "
                  "exports (makes them non-deterministic)");
-    opts.addInt("stall-watchdog-us", 0,
-                "simulated-us window of the per-shard stall watchdog; "
-                "0 disables.  Diagnostics go to stderr only");
     opts.addFlag("check", false,
                  "parse and validate the scenario, then exit without "
                  "running");
@@ -110,20 +107,12 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const long stall_us = opts.getInt("stall-watchdog-us");
-    if (stall_us < 0) {
-        std::fprintf(stderr,
-                     "uldma_workload: --stall-watchdog-us must be >= 0\n");
-        return 2;
-    }
-
     ParallelOptions par;
     par.threads = static_cast<unsigned>(threads_arg);
     par.captureStats = !opts.getString("stats-json").empty();
     par.captureTrace = !opts.getString("trace-json").empty();
     par.captureProfile = !opts.getString("profile-json").empty() ||
                          !opts.getString("profile-collapsed").empty();
-    par.stallWindowUs = static_cast<double>(stall_us);
 
     const auto wall_start = std::chrono::steady_clock::now();
     const ParallelResult run = runParallelWorkload(scenario, seed, par);
@@ -182,12 +171,6 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(row.rejected),
                         static_cast<unsigned long long>(row.aborted),
                         p50);
-        }
-        if (result.stallWindows > 0) {
-            std::printf("\nWARNING: stall watchdog flagged %llu "
-                        "no-progress window(s); diagnostics on stderr\n",
-                        static_cast<unsigned long long>(
-                            result.stallWindows));
         }
         // Worker busy/idle timeline: which pool thread ran which shard
         // and when (host clock — human diagnostics only, never
