@@ -98,6 +98,11 @@ Cpu::tick()
         if (!ctx.atEnd() && ctx.currentOp().pollHead)
             pollHead(ctx, poll);
         Tick cost = executeOne(ctx);
+        // Past a block's last op, its source emits the next one: host
+        // work, no simulated cost.  That block's status polls sit at
+        // the pcs this one's did, so poll recognition starts afresh.
+        if (ctx.atEnd() && ctx.refill())
+            poll = PollTracker{};
 
         // Quantum accounting happens at instruction boundaries only —
         // exactly where the paper's context-switch races live.
@@ -269,7 +274,8 @@ Cpu::executeOne(ExecContext &ctx)
     }
 
     // By reference: nothing replaces a running context's program
-    // (Kernel::launch asserts it), so the op outlives its execution.
+    // (Kernel::launch asserts it), and tick() refills it only after
+    // this returns, so the op outlives its execution.
     const MicroOp &op = ctx.currentOp();
     int next_pc = ctx.pc() + 1;
     ++instrs_;

@@ -226,7 +226,8 @@ class Cpu : public Clocked
     };
 
     /** Execute instructions until another event may come first, then
-     *  reschedule. */
+     *  reschedule.  An op that leaves the PC past a block's end
+     *  refills the program from its source (Program::setSource). */
     void tick();
 
     /** The CPU's own stats, in PollMark::cpu order. */

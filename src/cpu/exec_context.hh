@@ -92,6 +92,17 @@ class ExecContext
     {
         return program_.at(static_cast<std::size_t>(pc_));
     }
+
+    /** Past the end of a program with a source: load its next block
+     *  and restart the PC at 0 (Program::refill). */
+    bool
+    refill()
+    {
+        if (!program_.refill())
+            return false;
+        pc_ = 0;
+        return true;
+    }
     /// @}
 
     RunState state() const { return state_; }

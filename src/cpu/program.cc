@@ -282,6 +282,18 @@ Program::append(const Program &other)
         hooks_.push_back(other.hooks_[i]);
 }
 
+bool
+Program::refill()
+{
+    if (!source_)
+        return false;
+    ops_.clear();
+    if (source_(*this))
+        return true;
+    source_ = nullptr;
+    return false;
+}
+
 namespace {
 
 /** Render a memory operand: [0xADDR] or [rN + 0xOFF]. */

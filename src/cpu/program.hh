@@ -111,8 +111,7 @@ static_assert(std::is_trivially_destructible_v<MicroOp>);
 static_assert(sizeof(MicroOp) <= 48);
 
 /**
- * A program: an immutable-after-build list of micro-ops with a fluent
- * builder interface.
+ * A program: a list of micro-ops with a fluent builder interface.
  *
  * Example — the extended-shadow-addressing initiation (paper fig. 4):
  * @code
@@ -121,12 +120,27 @@ static_assert(sizeof(MicroOp) <= 48);
  *   p.load(reg::v0, shadowOf(vsrc));      // LOAD status FROM shadow(vsrc)
  *   p.exit();
  * @endcode
+ *
+ * A program may instead be emitted one block at a time: with a source
+ * (setSource), the ops are the current block, and once the CPU steps
+ * past its last op refill() replaces them with the next block, which
+ * runs from its own op 0.  A workload worker holds one initiation
+ * this way instead of its whole run.
  */
 class Program
 {
   public:
     /** A Callback op's host-side hook. */
     using Hook = std::function<void(ExecContext &)>;
+
+    /**
+     * Where a program's next block comes from.  Called with the ops
+     * emptied and the hooks kept, it appends the next block, whose
+     * branch targets count from the block's first op, and returns
+     * true; or it appends nothing and returns false when no block is
+     * left.
+     */
+    using Source = std::function<bool(Program &)>;
 
     Program() = default;
 
@@ -182,8 +196,21 @@ class Program
     Program &withLabel(Literal label);
 
     /** Append all ops of @p other (branch targets and hook indices are
-     *  rebased); @p other may be this program. */
+     *  rebased); @p other may be this program.  Its source is not
+     *  copied. */
     void append(const Program &other);
+
+    /** Emit the rest of the program from @p source, a block per
+     *  refill(). */
+    void setSource(Source source) { source_ = std::move(source); }
+
+    /**
+     * Replace the ops with the source's next block; the hooks stay.
+     * @return false, changing nothing, without a source; false, with
+     *         no ops left and the source dropped, once it has no block
+     *         left.
+     */
+    bool refill();
 
     /**
      * Human-readable listing (one op per line, with labels), e.g.
@@ -204,6 +231,7 @@ class Program
     std::vector<MicroOp> ops_;
     /** Callback hooks, indexed by MicroOp::target. */
     std::vector<Hook> hooks_;
+    Source source_;
 };
 
 /** Printable opcode name. */

@@ -82,8 +82,6 @@ DmaEngine::DmaEngine(EventQueue &eq, std::string name,
                           "ring descriptors rejected");
     statsGroup_.addScalar("ring_fences", &ringFences_,
                           "ring fence descriptors retired");
-    statsGroup_.addScalar("ring_interrupts", &ringInterrupts_,
-                          "coalesced ring completion interrupts");
     statsGroup_.addHistogram("ring_occupancy", &ringOccupancy_,
                              "in-flight ring transfers after each drain");
     statsGroup_.addAverage("doorbell_to_retire_us", &doorbellToRetireUs_,

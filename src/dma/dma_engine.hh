@@ -536,9 +536,6 @@ class DmaEngine : public BusDevice
     stats::Scalar ringDescriptors_;
     stats::Scalar ringRejects_;
     stats::Scalar ringFences_;
-    /// Always 0 (polling is the only ring completion policy); it stays
-    /// registered because the stats schema and its goldens list it.
-    stats::Scalar ringInterrupts_;
     stats::Histogram ringOccupancy_;
     stats::Average doorbellToRetireUs_;
     /// IOMMU-path counters (registered only when iommu.enabled, so the

@@ -86,13 +86,6 @@ Kernel::Kernel(std::string name, Cpu &cpu, Scheduler &scheduler,
                           "processes blocked in sys::dmaWait");
     statsGroup_.addScalar("dma_interrupts", &dmaInterrupts_,
                           "kernel-channel completion interrupts");
-    // Always 0 (polling is the ring's only completion policy).  They
-    // stay registered, descriptions included, because the stats
-    // schema and its goldens list them.
-    statsGroup_.addScalar("ring_waits", &ringWaits_,
-                          "processes blocked in sys::ringWait");
-    statsGroup_.addScalar("ring_interrupts", &ringInterrupts_,
-                          "coalesced ring completion interrupts");
 }
 
 void

@@ -460,8 +460,6 @@ class Kernel : public OsCallbacks
     stats::Scalar hookRuns_;
     stats::Scalar dmaWaits_;
     stats::Scalar dmaInterrupts_;
-    stats::Scalar ringWaits_;
-    stats::Scalar ringInterrupts_;
     stats::Scalar iommuMaps_;
     stats::Scalar iommuFixups_;
     stats::Scalar capGrants_;

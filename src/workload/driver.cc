@@ -54,11 +54,11 @@ addOfferedLoad(std::vector<ProtocolStats> &rows,
     }
 }
 
-WorkloadResult
-runWorkload(const Scenario &scenario, std::uint64_t seed,
-            const WorkloadOptions &options)
+std::unique_ptr<Machine>
+spawnScenario(const Scenario &scenario, std::uint64_t seed,
+              std::vector<StreamRuntime> &streams,
+              const WorkloadOptions &options)
 {
-    ULDMA_PROF_SCOPE("workload.run");
     std::vector<std::vector<DmaMethod>> node_methods;
     std::string error;
     const bool derivable = deriveNodeMethods(scenario, node_methods,
@@ -133,24 +133,34 @@ runWorkload(const Scenario &scenario, std::uint64_t seed,
         config.perNode.push_back(std::move(nc));
     }
 
-    Machine machine(config);
+    auto machine = std::make_unique<Machine>(config);
     for (unsigned n = 0; n < scenario.nodes; ++n) {
         for (DmaMethod m : node_methods[n])
-            prepareNode(machine, static_cast<NodeId>(n), m);
+            prepareNode(*machine, static_cast<NodeId>(n), m);
     }
 
-    span::tracker().enable();
-
-    WorkloadResult result;
-    result.seed = seed;
-    result.streams.resize(scenario.streams.size());
+    streams.resize(scenario.streams.size());
     for (std::size_t i = 0; i < scenario.streams.size(); ++i) {
         const std::uint64_t seed_index =
             options.streamSeedIds.empty() ? i
                                           : options.streamSeedIds.at(i);
-        spawnStream(machine, scenario, scenario.streams[i], seed_index,
-                    seed, result.streams[i]);
+        spawnStream(*machine, scenario, scenario.streams[i], seed_index,
+                    seed, streams[i]);
     }
+    return machine;
+}
+
+WorkloadResult
+runWorkload(const Scenario &scenario, std::uint64_t seed,
+            const WorkloadOptions &options)
+{
+    ULDMA_PROF_SCOPE("workload.run");
+    WorkloadResult result;
+    result.seed = seed;
+    const std::unique_ptr<Machine> spawned =
+        spawnScenario(scenario, seed, result.streams, options);
+    Machine &machine = *spawned;
+    span::tracker().enable();
 
     machine.start();
     result.finished = machine.run(Tick(scenario.limitUs) * tickPerUs);

@@ -110,6 +110,17 @@ void addOfferedLoad(std::vector<ProtocolStats> &rows,
                     const std::vector<StreamRuntime> &streams);
 
 /**
+ * Build @p scenario's machine, each node prepared for the methods its
+ * streams use, and spawn every stream with @p seed, counting into
+ * @p streams (one entry per stream, which must outlive the run).
+ * Nothing runs yet: runWorkload starts and runs the machine.
+ */
+std::unique_ptr<Machine> spawnScenario(const Scenario &scenario,
+                                       std::uint64_t seed,
+                                       std::vector<StreamRuntime> &streams,
+                                       const WorkloadOptions &options = {});
+
+/**
  * Run @p scenario with @p seed.  Byte-deterministic: the same
  * (scenario, seed) always yields the same result (and hence the same
  * serialised report).

@@ -8,10 +8,18 @@ namespace uldma::workload {
 
 namespace {
 
+/** What one initiation of a worker draws at spawn. */
+struct Draw
+{
+    Addr size = 0;
+    std::uint64_t gapUs = 0;   ///< open pacing only
+};
+
 /**
  * Build one worker replica's program: slots × sg_buffer pages of
  * source and destination (the destination possibly a remote window),
- * granted through a DmaSession, then the paced initiation loop.
+ * granted through a DmaSession, then the paced initiation loop, whose
+ * blocks the program's source emits as the CPU reaches them.
  */
 Program
 buildWorker(Machine &machine, const Scenario &scenario,
@@ -50,51 +58,74 @@ buildWorker(Machine &machine, const Scenario &scenario,
         ++runtime.kernelFallbacks;
     }
 
+    // Every draw now, in the stream's order, so the replicas after
+    // this one draw what they always did.
+    std::vector<Draw> draws(spec.initiations);
+    for (Draw &draw : draws) {
+        draw.size = sizes.sample(size_rng);
+        if (spec.pacing.kind == Pacing::Kind::Open)
+            draw.gapUs = sampleIntervalUs(spec.pacing.interval, pace_rng);
+        ++runtime.issued;
+        runtime.offeredBytes += draw.size;
+    }
+
     StreamRuntime *rt = &runtime;
     Program prog;
     const int count_failure = prog.addHook([rt](ExecContext &ctx) {
         if (ctx.reg(reg::v0) == dmastatus::failure)
             ++rt->failures;
     });
-    std::vector<RingTransfer> batch;
-    for (unsigned i = 0; i < spec.initiations; ++i) {
-        const unsigned s = i % spec.slots;
-        const Addr size = sizes.sample(size_rng);
+    // Each call runs the loop until one block is out: one initiation
+    // (a ring stream: a batch of queueDepth) with its pacing and
+    // failure check, and exit() after the last.  The process owns
+    // the program and outlives it, the kernel outlives the process,
+    // and the spec outlives the run (StreamRuntime::spec).
+    auto blocks = [spec = &spec, kernel = &kernel, proc = &proc, method,
+                   src, dst, stride, count_failure,
+                   cpu_mhz = scenario.cpuMhz, draws = std::move(draws),
+                   i = std::size_t(0),
+                   batch = std::vector<RingTransfer>()](
+                      Program &block) mutable {
+        const std::size_t n = draws.size();
+        if (i > n)
+            return false;   // exit() went out
+        while (i < n) {
+            const Addr s = i % spec->slots;
+            const Draw draw = draws[i++];
+            if (draw.gapUs > 0)
+                block.compute(draw.gapUs * cpu_mhz);
 
-        if (spec.pacing.kind == Pacing::Kind::Open) {
-            const std::uint64_t gap_us =
-                sampleIntervalUs(spec.pacing.interval, pace_rng);
-            if (gap_us > 0)
-                prog.compute(gap_us * scenario.cpuMhz);
+            if (method == DmaMethod::Ring) {
+                // Ring streams batch queueDepth descriptors per
+                // doorbell; the wait + status check happen once per
+                // batch.
+                batch.push_back({src + s * stride, dst + s * stride,
+                                 draw.size});
+                if (batch.size() < spec->queueDepth && i < n)
+                    continue;
+                emitRingBatch(block, *kernel, *proc, batch);
+                batch.clear();
+            } else {
+                emitInitiation(block, *kernel, *proc, method,
+                               src + s * pageSize, dst + s * pageSize,
+                               draw.size);
+            }
+            block.callbackAt(count_failure);
+            block.membar();
+
+            if (spec->pacing.kind == Pacing::Kind::Closed &&
+                spec->pacing.thinkUs > 0)
+                block.compute(spec->pacing.thinkUs * cpu_mhz);
+            break;
         }
-
-        if (method == DmaMethod::Ring) {
-            // Ring streams batch queueDepth descriptors per doorbell;
-            // the wait + status check happen once per batch.
-            batch.push_back({src + Addr(s) * stride,
-                             dst + Addr(s) * stride, size});
-            ++runtime.issued;
-            runtime.offeredBytes += size;
-            if (batch.size() < spec.queueDepth &&
-                i + 1 < spec.initiations)
-                continue;
-            emitRingBatch(prog, kernel, proc, batch);
-            batch.clear();
-        } else {
-            emitInitiation(prog, kernel, proc, method,
-                           src + Addr(s) * pageSize,
-                           dst + Addr(s) * pageSize, size);
-            ++runtime.issued;
-            runtime.offeredBytes += size;
+        if (i == n) {
+            block.exit();
+            ++i;
         }
-        prog.callbackAt(count_failure);
-        prog.membar();
-
-        if (spec.pacing.kind == Pacing::Kind::Closed &&
-            spec.pacing.thinkUs > 0)
-            prog.compute(spec.pacing.thinkUs * scenario.cpuMhz);
-    }
-    prog.exit();
+        return true;
+    };
+    blocks(prog);
+    prog.setSource(std::move(blocks));
     return prog;
 }
 

@@ -4,9 +4,11 @@
  * live processes on its node — worker processes issuing paced DMA
  * initiations, or adversarial processes replaying the attack harness's
  * random shadow-access mix.  All randomness (sizes, arrival gaps,
- * adversarial mixes) is drawn at build time from per-stream PRNGs
- * derived via workload/prng.hh, so the emitted programs — and hence
- * the whole run — are a pure function of (scenario, seed).
+ * adversarial mixes) is drawn at spawn from per-stream PRNGs derived
+ * via workload/prng.hh, so the emitted programs — and hence the whole
+ * run — are a pure function of (scenario, seed).  A worker's
+ * initiations are emitted a block at a time as its CPU reaches them
+ * (Program::setSource), an adversary's ops all at spawn.
  */
 
 #ifndef ULDMA_WORKLOAD_GENERATOR_HH

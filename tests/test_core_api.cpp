@@ -813,5 +813,166 @@ TEST(PollFastForward, ProgramMarksOnlyTheExactLoopShape)
     EXPECT_TRUE(appended.at(1).pollHead);
 }
 
+// ---------------------------------------------------------------------
+// A program emitted a block at a time (Program::setSource) runs like
+// the same ops unrolled.
+// ---------------------------------------------------------------------
+
+/** What a block-source run saw. */
+struct SourceProbe
+{
+    /** now() at each refill of the first process: the tick its
+     *  block's last op started at. */
+    std::vector<Tick> refills;
+    /** The first context switch's tick. */
+    Tick firstSwitch = maxTick;
+    /** A switch left the first process on a fresh block: its quantum
+     *  expired on the op whose refill came first. */
+    bool switchedAtRefill = false;
+};
+
+/**
+ * Two capability tenants, each running @p blocks blocks: a compute of
+ * a block-dependent length, then an @p size -byte presentation that
+ * polls its status at the same index of every block; exit() ends the
+ * last.  Unrolled with Program::append, or (@p sourced) emitted a
+ * block per refill.
+ */
+ProcessSetup
+capBlocks(unsigned blocks, bool sourced, Addr size = pageSize,
+          SourceProbe *probe = nullptr)
+{
+    return [=](Machine &machine) {
+        prepareMachine(machine, DmaMethod::Cap);
+        Kernel &kernel = machine.node(0).kernel();
+        std::vector<Process *> procs;
+        for (const char *name : {"a", "b"}) {
+            Process &p = kernel.createProcess(name);
+            DmaSession session(machine, 0, p, DmaMethod::Cap);
+            EXPECT_TRUE(session.ready());
+            const Addr src = session.allocBuffer(pageSize);
+            const Addr dst = session.allocBuffer(pageSize);
+            const auto emit = [&kernel, &p, src, dst, size,
+                               blocks](Program &prog, unsigned k) {
+                prog.compute(40 + 13 * k);
+                emitInitiation(prog, kernel, p, DmaMethod::Cap, src, dst,
+                               size);
+                if (k + 1 == blocks)
+                    prog.exit();
+            };
+            Program prog;
+            if (sourced) {
+                emit(prog, 0);
+                const bool first = procs.empty();
+                prog.setSource([=, &machine, k = 1u](Program &next) mutable {
+                    if (probe != nullptr && first)
+                        probe->refills.push_back(machine.now());
+                    if (k == blocks)
+                        return false;
+                    emit(next, k++);
+                    return true;
+                });
+            } else {
+                for (unsigned k = 0; k < blocks; ++k) {
+                    Program block;
+                    emit(block, k);
+                    prog.append(block);
+                }
+            }
+            kernel.launch(p, std::move(prog));
+            procs.push_back(&p);
+        }
+        if (probe != nullptr) {
+            const Process *first = procs.front();
+            kernel.setContextSwitchObserver(
+                [probe, first](Tick when, Process *previous, Process *) {
+                    probe->firstSwitch = std::min(probe->firstSwitch, when);
+                    if (previous == first && !previous->finished() &&
+                        previous->context().pc() == 0 &&
+                        previous->context().instructionsRetired() > 0)
+                        probe->switchedAtRefill = true;
+                });
+        }
+        return procs;
+    };
+}
+
+/** The runs ended alike: every stop's time, retired count and
+ *  registers, the stats, and the poll iterations skipped.  The PCs
+ *  differ: a block's count from its own first op. */
+void
+expectSameEnd(const RunEnd &unrolled, const RunEnd &sourced)
+{
+    ASSERT_EQ(unrolled.stops.size(), sourced.stops.size());
+    for (std::size_t i = 0; i < unrolled.stops.size(); ++i) {
+        EXPECT_EQ(unrolled.stops[i].finished, sourced.stops[i].finished);
+        EXPECT_EQ(unrolled.stops[i].now, sourced.stops[i].now);
+        EXPECT_EQ(unrolled.stops[i].retired, sourced.stops[i].retired);
+        EXPECT_EQ(unrolled.stops[i].regs, sourced.stops[i].regs);
+    }
+    EXPECT_EQ(unrolled.stats, sourced.stats);
+    EXPECT_EQ(unrolled.skipped, sourced.skipped);
+}
+
+TEST(ProgramSource, BlocksRunLikeTheUnrolledOps)
+{
+    // Three blocks whose status polls sit at the same index: a refill
+    // must not let the next block's poll inherit the last one's
+    // iterations.  A run limit mid-way, then a run to the end, on the
+    // inline and the queue path, under each slicing.
+    for (Slicing slicing : {Slicing::Long, Slicing::TimeQuantum,
+                            Slicing::InstrQuantum}) {
+        SCOPED_TRACE(static_cast<int>(slicing));
+        const NodeConfig node = pollNode(DmaMethod::Cap, slicing);
+        const std::vector<Tick> limits = {25 * tickPerUs + 321, maxTick};
+        for (bool queue_path : {false, true}) {
+            SCOPED_TRACE(queue_path);
+            const RunEnd unrolled =
+                runMachine(node, capBlocks(3, false), limits, queue_path);
+            const RunEnd sourced =
+                runMachine(node, capBlocks(3, true), limits, queue_path);
+            expectSameEnd(unrolled, sourced);
+            EXPECT_TRUE(sourced.stops.back().finished);
+            if (!queue_path && slicing == Slicing::Long) {
+                EXPECT_GT(sourced.skipped, 0u);
+            }
+        }
+    }
+}
+
+TEST(ProgramSource, RefillOnAQuantumExpiryRunsLikeTheUnrolledOps)
+{
+    // Time the first tenant's first block under a quantum it does not
+    // reach, then size a round-robin quantum to expire on that block's
+    // last op: the CPU refills the program and the kernel switches
+    // away at the same op boundary.
+    const Addr size = 256;
+    NodeConfig node = pollNode(DmaMethod::Cap, Slicing::Long);
+    node.makeScheduler = []() {
+        return std::make_unique<RoundRobinScheduler>(1000 * tickPerUs);
+    };
+    SourceProbe timing;
+    runMachine(node, capBlocks(3, true, size, &timing), {maxTick}, false);
+    ASSERT_EQ(timing.refills.size(), 3u);   // two blocks, then none
+    ASSERT_LT(timing.firstSwitch, timing.refills[0]);
+    const Tick quantum = timing.refills[0] + 1 - timing.firstSwitch;
+
+    node.makeScheduler = [quantum]() {
+        return std::make_unique<RoundRobinScheduler>(quantum);
+    };
+    for (bool queue_path : {false, true}) {
+        SCOPED_TRACE(queue_path);
+        SourceProbe probe;
+        const RunEnd sourced = runMachine(
+            node, capBlocks(3, true, size, &probe), {maxTick}, queue_path);
+        EXPECT_TRUE(probe.switchedAtRefill);
+        EXPECT_EQ(probe.refills.front(), timing.refills.front());
+        const RunEnd unrolled = runMachine(
+            node, capBlocks(3, false, size), {maxTick}, queue_path);
+        expectSameEnd(unrolled, sourced);
+        EXPECT_TRUE(sourced.stops.back().finished);
+    }
+}
+
 } // namespace
 } // namespace uldma

@@ -641,24 +641,101 @@ TEST(WorkloadEngine, WorkerProgramSharesOneFailureHook)
     std::string error;
     ASSERT_TRUE(parseScenario(text, scenario, &error)) << error;
 
-    std::size_t hooks = 0, callbacks = 0;
+    std::size_t hooks = 0;
     WorkloadOptions options;
     options.inspectMachine = [&](Machine &machine) {
         for (const auto &proc : machine.node(0).kernel().processes()) {
-            if (proc->name() != "victim")
-                continue;
-            const Program &prog = proc->context().program();
-            hooks = prog.numHooks();
-            for (std::size_t i = 0; i < prog.size(); ++i)
-                callbacks += prog.at(i).kind == OpKind::Callback;
+            if (proc->name() == "victim")
+                hooks = proc->context().program().numHooks();
         }
     };
     const WorkloadResult result = runWorkload(scenario, 0, options);
     EXPECT_TRUE(result.finished);
-    EXPECT_EQ(callbacks, 100u);
     EXPECT_EQ(hooks, 1u);
     // The count a fresh hook per initiation gave.
     EXPECT_EQ(result.streams[0].failures, 9u);
+
+    // One Callback op per initiation, over the blocks the victim's
+    // source emits.
+    std::vector<StreamRuntime> streams;
+    const std::unique_ptr<Machine> machine =
+        spawnScenario(scenario, 0, streams);
+    ExecContext &victim =
+        machine->node(0).kernel().processes().front()->context();
+    ASSERT_EQ(victim.name(), "victim");
+    std::size_t callbacks = 0;
+    do {
+        for (std::size_t i = 0; i < victim.program().size(); ++i)
+            callbacks += victim.program().at(i).kind == OpKind::Callback;
+    } while (victim.refill());
+    EXPECT_EQ(callbacks, 100u);
+}
+
+TEST(WorkloadEngine, WorkerProgramHoldsOneBlockAtATime)
+{
+    // A cap, a ring (three descriptors per doorbell) and a key-based
+    // worker share one node.  After every op, so at every refill, a
+    // live worker's program is one block: one initiation (a ring's
+    // batch) with its one failure check, exit() last if at all.
+    const std::string text = R"({
+      "schema": "uldma-scenario-v1",
+      "name": "one-block",
+      "scheduler": {"kind": "round-robin", "quantum_us": 20},
+      "streams": [
+        {"name": "cap", "protocol": "cap", "initiations": 12,
+         "size": {"kind": "uniform", "min": 64, "max": 4096}},
+        {"name": "ring", "protocol": "ring", "queue_depth": 3,
+         "initiations": 12, "size": {"kind": "fixed", "bytes": 512},
+         "pacing": {"kind": "open",
+                    "interval": {"kind": "uniform", "min_us": 0,
+                                 "max_us": 4}}},
+        {"name": "keyed", "protocol": "key-based", "initiations": 12,
+         "size": {"kind": "fixed", "bytes": 256},
+         "pacing": {"kind": "closed", "think_us": 2}}
+      ]
+    })";
+    Scenario scenario;
+    std::string error;
+    ASSERT_TRUE(parseScenario(text, scenario, &error)) << error;
+
+    std::vector<StreamRuntime> streams;
+    const std::unique_ptr<Machine> machine =
+        spawnScenario(scenario, 3, streams);
+    const auto &procs = machine->node(0).kernel().processes();
+    ASSERT_EQ(procs.size(), 3u);
+    // Refills seen per worker: a fresh block starts at pc 0 with more
+    // instructions retired than at the last one seen.
+    std::vector<unsigned> refills(procs.size(), 0);
+    std::vector<std::uint64_t> retired_at(procs.size(), 0);
+    machine->setRunHook([&](Tick) {
+        for (std::size_t w = 0; w < procs.size(); ++w) {
+            const ExecContext &ctx = procs[w]->context();
+            if (procs[w]->finished())
+                continue;
+            const Program &prog = ctx.program();
+            std::size_t callbacks = 0;
+            for (std::size_t i = 0; i < prog.size(); ++i) {
+                const OpKind kind = prog.at(i).kind;
+                callbacks += kind == OpKind::Callback;
+                EXPECT_TRUE(kind != OpKind::Exit || i + 1 == prog.size());
+            }
+            EXPECT_EQ(callbacks, 1u) << ctx.name();
+            if (ctx.pc() == 0 &&
+                ctx.instructionsRetired() > retired_at[w]) {
+                ++refills[w];
+                retired_at[w] = ctx.instructionsRetired();
+            }
+        }
+        return true;
+    });
+    machine->start();
+    EXPECT_TRUE(machine->run(Tick(scenario.limitUs) * tickPerUs));
+    // 12 one-initiation blocks for cap and key-based, 4 ring batches.
+    EXPECT_EQ(refills, (std::vector<unsigned>{11, 3, 11}));
+    for (const StreamRuntime &stream : streams) {
+        EXPECT_EQ(stream.failures, 0u);
+        EXPECT_EQ(stream.kernelFallbacks, 0u);
+    }
 }
 
 TEST(WorkloadEngine, RemoteScatterGatherWindowIsAllAllocated)
