@@ -74,14 +74,12 @@ runSchedule(const RunnerConfig &config,
 
     // IOMMU mode (weakIommu implies it): descriptors carry virtual
     // addresses and the engine translates them.  A deliberately tiny
-    // IOTLB keeps walks on the explored paths; aborting faults keep
-    // every schedule finite.
+    // IOTLB keeps walks on the explored paths.
     const bool iommuOn = config.useIommu || config.weakIommu;
     if (iommuOn) {
         mconfig.node.dma.iommu.enabled = true;
         mconfig.node.dma.iommu.iotlbEntries = 8;
         mconfig.node.dma.iommu.iotlbWays = 2;
-        mconfig.node.dma.iommu.faultPolicy = IommuFaultPolicy::Abort;
         mconfig.node.dma.iommu.pinPolicy = PinPolicy::OnMap;
         mconfig.node.dma.weakIommu = config.weakIommu;
     }

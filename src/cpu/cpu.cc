@@ -295,7 +295,7 @@ Tick
 Cpu::executeOp(ExecContext &ctx, const Program &program, const MicroOp &op,
                bool in_pal, int &next_pc)
 {
-    Tick cost = cyclesToTicks(params_.baseInstrCycles);
+    Tick cost = cyclesToTicks(baseInstrCycles);
 
     switch (op.kind) {
       case OpKind::Move:
@@ -338,7 +338,7 @@ Cpu::executeOp(ExecContext &ctx, const Program &program, const MicroOp &op,
 
       case OpKind::Membar:
         ++membars_;
-        cost += cyclesToTicks(params_.membarCycles);
+        cost += cyclesToTicks(membarCycles);
         cost += mergeBuffer_.membar();
         break;
 
@@ -415,7 +415,7 @@ Cpu::executePal(ExecContext &ctx, std::uint64_t index)
 
     // The whole PAL body runs inside this one tick event: no quantum
     // check, no interrupt — the uninterruptibility of paper §2.7.
-    Tick cost = cyclesToTicks(params_.palEntryExitCycles);
+    Tick cost = cyclesToTicks(palEntryExitCycles);
     int pal_pc = 0;
     unsigned executed = 0;
     while (pal_pc >= 0 && pal_pc < static_cast<int>(pal.size())) {
@@ -465,7 +465,7 @@ Cpu::atomicAccess(ExecContext &ctx, const MicroOp &op, bool in_pal,
         pkt.rmw = true;
         pkt.srcPid = ctx.pid();
         pkt.srcNode = node_;
-        cost += cyclesToTicks(params_.uncachedIssueExtraCycles);
+        cost += cyclesToTicks(uncachedIssueExtraCycles);
         cost += mergeBuffer_.rmw(pkt);
         ctx.setReg(op.dstReg, pkt.data);
     } else {
@@ -482,7 +482,7 @@ Cpu::atomicAccess(ExecContext &ctx, const MicroOp &op, bool in_pal,
                 dcache_->access(xlate.paddr, op.size, false) +
                 dcache_->access(xlate.paddr, op.size, true));
         } else {
-            cost += cyclesToTicks(params_.cachedMemExtraCycles * 2);
+            cost += cyclesToTicks(cachedMemExtraCycles * 2);
         }
     }
     return cost;
@@ -526,7 +526,7 @@ Cpu::memoryAccess(ExecContext &ctx, const MicroOp &op, bool is_load,
         pkt.srcPid = ctx.pid();
         pkt.srcNode = node_;
 
-        cost += cyclesToTicks(params_.uncachedIssueExtraCycles);
+        cost += cyclesToTicks(uncachedIssueExtraCycles);
         if (is_load) {
             ++uncachedLoads_;
             cost += mergeBuffer_.load(pkt);
@@ -540,7 +540,7 @@ Cpu::memoryAccess(ExecContext &ctx, const MicroOp &op, bool is_load,
             cost += cyclesToTicks(
                 dcache_->access(xlate.paddr, op.size, !is_load));
         } else {
-            cost += cyclesToTicks(params_.cachedMemExtraCycles);
+            cost += cyclesToTicks(cachedMemExtraCycles);
         }
         if (is_load) {
             ctx.setReg(op.dstReg, memory_.readInt(xlate.paddr, op.size));

@@ -44,31 +44,15 @@
 namespace uldma {
 
 /**
- * CPU cost model and configuration.  The defaults are the paper's
- * testbed (docs/CALIBRATION.md): a DEC Alpha 3000 model 300, whose
- * 150 MHz core (6.67 ns/cycle) sits on the 12.5 MHz TurboChannel
- * (80 ns/cycle, §3.4).  An uncached NI register access costs 1
- * arbitration + 3 device (FPGA) + 2 data/response bus cycles = 480 ns
- * plus the CPU-side issue cycles; the measured two-access
- * extended-shadow initiation of 1.1 us and four-access key-based
- * initiation of 2.3 us both sit on ~0.5 us per access.
+ * CPU configuration.  The defaults are the paper's testbed
+ * (docs/CALIBRATION.md): a DEC Alpha 3000 model 300, whose 150 MHz
+ * core (6.67 ns/cycle) sits on the 12.5 MHz TurboChannel (80 ns/cycle,
+ * §3.4).  The per-operation cycle costs are Cpu's constants.
  */
 struct CpuParams
 {
     /** Core clock; 150 MHz matches the Alpha 3000/300. */
     std::uint64_t clockMHz = 150;
-    /** Cycles charged to every instruction. */
-    Cycles baseInstrCycles = 1;
-    /** Extra cycles for a cached (DRAM) memory access. */
-    Cycles cachedMemExtraCycles = 2;
-    /** CPU-side extra cycles to issue an uncached access (write
-     *  buffer and TurboChannel interface), on top of the bus time
-     *  itself. */
-    Cycles uncachedIssueExtraCycles = 8;
-    /** Cycles for a memory barrier (plus any drain bus time). */
-    Cycles membarCycles = 10;
-    /** Entry + exit overhead of a PAL call. */
-    Cycles palEntryExitCycles = 40;
 
     TlbParams tlb;
     MergeBufferParams mergeBuffer;
@@ -84,6 +68,27 @@ class Cpu : public Clocked
   public:
     /** Maximum micro-ops per PAL function (16 on the Alpha). */
     static constexpr unsigned palMaxInstructions = 16;
+
+    /// @name Cost model (docs/CALIBRATION.md).
+    /// An uncached NI register access costs 1 arbitration + 3 device
+    /// (FPGA) + 2 data/response bus cycles = 480 ns plus the CPU-side
+    /// issue cycles; the measured two-access extended-shadow
+    /// initiation of 1.1 us and four-access key-based initiation of
+    /// 2.3 us both sit on ~0.5 us per access.
+    /// @{
+    /** Cycles charged to every instruction. */
+    static constexpr Cycles baseInstrCycles = 1;
+    /** Extra cycles for a cached (DRAM) memory access. */
+    static constexpr Cycles cachedMemExtraCycles = 2;
+    /** CPU-side extra cycles to issue an uncached access (write
+     *  buffer and TurboChannel interface), on top of the bus time
+     *  itself. */
+    static constexpr Cycles uncachedIssueExtraCycles = 8;
+    /** Cycles for a memory barrier (plus any drain bus time). */
+    static constexpr Cycles membarCycles = 10;
+    /** Entry + exit overhead of a PAL call. */
+    static constexpr Cycles palEntryExitCycles = 40;
+    /// @}
 
     Cpu(EventQueue &eq, std::string name, const CpuParams &params,
         Bus &bus, PhysicalMemory &memory, NodeId node = 0);

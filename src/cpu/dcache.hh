@@ -12,7 +12,7 @@
  * access after a DMA lands.
  *
  * Disabled by default to keep the Table-1 calibration
- * (CpuParams::cachedMemExtraCycles models the typical hit) — enable
+ * (Cpu::cachedMemExtraCycles models the typical hit) — enable
  * via CpuParams::dcache.enabled for cache-sensitive studies.
  */
 

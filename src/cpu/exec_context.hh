@@ -18,14 +18,15 @@
 
 namespace uldma {
 
-/** Why an ExecContext stopped running. */
+/** Why an ExecContext stopped running.  The checker hashes these
+ *  values into its boundary digests (check::runSchedule), whose
+ *  goldens pin them, so the numbers are fixed; 2 is unused. */
 enum class RunState : std::uint8_t
 {
-    Ready,      ///< runnable, waiting for the CPU
-    Running,    ///< currently on the CPU
-    Blocked,    ///< waiting (yield / sleep)
-    Exited,     ///< ran its Exit op
-    Faulted,    ///< killed by an unhandled memory fault
+    Ready = 0,     ///< runnable, waiting for the CPU
+    Running = 1,   ///< currently on the CPU
+    Exited = 3,    ///< ran its Exit op
+    Faulted = 4,   ///< killed by an unhandled memory fault
 };
 
 /**

@@ -94,10 +94,6 @@ DmaEngine::DmaEngine(EventQueue &eq, std::string name,
                               "per-page scatter-gather segments issued");
         statsGroup_.addScalar("iommu_faults", &iommuTransFaults_,
                               "descriptor translation faults seen");
-        statsGroup_.addScalar("iommu_traps", &iommuTraps_,
-                              "faults parked for kernel fix-up");
-        statsGroup_.addScalar("iommu_resumes", &iommuResumes_,
-                              "parked descriptors resumed mid-transfer");
         statsGroup_.addScalar("iommu_aborts", &iommuAborts_,
                               "descriptors aborted on a fault");
         statsGroup_.addScalar("iommu_bypasses", &iommuBypasses_,
@@ -875,10 +871,6 @@ bool
 DmaEngine::ringConsume(unsigned ctx, Pid doorbell_pid)
 {
     RingContext &ring = rings_[ctx];
-    // A descriptor parked on an IOMMU fault stalls the whole ring:
-    // descriptors retire in FIFO order, and the parked one isn't done.
-    if (ring.park.active)
-        return false;
     const unsigned slot = ring.head;
     const Addr desc = ring.base + Addr(slot) * ringdesc::descBytes;
     if (desc + ringdesc::descBytes > localMemory_->size())
@@ -923,8 +915,10 @@ DmaEngine::ringConsume(unsigned ctx, Pid doorbell_pid)
 
     // IOMMU mode: descriptors carry user virtual addresses and may
     // span pages; translation (not the frame table) is the protection.
-    if (iommu_)
-        return ringConsumeIommu(ctx, slot, src, dst, size, doorbell_pid);
+    if (iommu_) {
+        ringConsumeIommu(ctx, slot, src, dst, size, doorbell_pid);
+        return true;
+    }
 
     const span::SpanId sid = spanOpen("ring");
 
@@ -1005,7 +999,7 @@ DmaEngine::ringTransferDone(unsigned ctx)
 // IOMMU scatter-gather path (docs/IOMMU.md).
 // ---------------------------------------------------------------------
 
-bool
+void
 DmaEngine::ringConsumeIommu(unsigned ctx, unsigned slot, Addr src,
                             Addr dst, Addr size, Pid doorbell_pid)
 {
@@ -1017,25 +1011,16 @@ DmaEngine::ringConsumeIommu(unsigned ctx, unsigned slot, Addr src,
         ULDMA_TRACE_EVENT(name_, xfer_.now(), "ring_reject",
                           "ctx ", ctx, " bad sg size ", size);
         ringRetire(ctx, slot, dmastatus::failure, ringdesc::ctrl::error);
-        return true;
+        return;
     }
+    ULDMA_PROF_SCOPE("dma.iommu_sg");
     // Descriptor-level occupancy: one descriptor in flight no matter
     // how many per-page segments it scatters into.
-    ring.sg[slot] = RingContext::SlotSg{};
-    ++ring.outstanding;
-    return ringIssueSegments(ctx, slot, src, dst, size, /*done=*/0,
-                             doorbell_pid);
-}
-
-bool
-DmaEngine::ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
-                             Addr dst, Addr size, Addr done, Pid pid)
-{
-    ULDMA_PROF_SCOPE("dma.iommu_sg");
-    RingContext &ring = rings_[ctx];
     RingContext::SlotSg &sg = ring.sg[slot];
+    sg = RingContext::SlotSg{};
+    ++ring.outstanding;
     sg.issuing = true;
-    while (done < size) {
+    for (Addr done = 0; done < size;) {
         // Segments never cross a page at either endpoint: each one is
         // a plain single-page user transfer once translated.
         const Addr seg = std::min(
@@ -1046,12 +1031,10 @@ DmaEngine::ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
         Iommu::Result rs = iommu_->translate(ctx, sv, Rights::Read);
         Iommu::Result rd = iommu_->translate(ctx, dv, Rights::Write);
         // Translation latency is charged to the access that triggered
-        // the drain (or accumulates onto the next engine access after
-        // a trap resume) — deterministic either way.
+        // the drain.
         pendingExtraCycles_ += rs.cycles + rd.cycles;
         if (!rs.ok() || !rd.ok()) {
             const Addr fault_iova = !rs.ok() ? sv : dv;
-            const bool fault_write = rs.ok();
             ++iommuTransFaults_;
             ULDMA_TRACE_EVENT(name_, xfer_.now(), "iommu_fault",
                               "ctx ", ctx, " iova 0x", std::hex,
@@ -1065,19 +1048,6 @@ DmaEngine::ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
                     rs.paddr = sv;
                 if (!rd.ok())
                     rd.paddr = dv;
-            } else if (params_.iommu.faultPolicy ==
-                           IommuFaultPolicy::Trap &&
-                       iommuFaultHandler_) {
-                // Park the descriptor mid-transfer and ask the kernel
-                // to repair the mapping; iommuResume continues from
-                // byte `done` once the fix-up cost has elapsed.
-                sg.issuing = false;
-                ring.park = RingContext::IommuPark{
-                    true, slot, src, dst, size, done, pid, fault_iova,
-                    fault_write};
-                ++iommuTraps_;
-                scheduleIommuFaultFixup(ctx);
-                return false;
             } else {
                 sg.error = true;
                 ++iommuAborts_;
@@ -1096,7 +1066,8 @@ DmaEngine::ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
                                        rs.cycles + rd.cycles));
         }
         const TransferId id = tryStartUser(
-            rs.paddr, rd.paddr, seg, ctx, {pid}, sid, /*via_ring=*/true,
+            rs.paddr, rd.paddr, seg, ctx, {doorbell_pid}, sid,
+            /*via_ring=*/true,
             [this, ctx, slot]() { ringSegmentDone(ctx, slot); });
         if (id == invalidTransfer) {
             sg.error = true;
@@ -1108,7 +1079,6 @@ DmaEngine::ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
     }
     sg.issuing = false;
     maybeFinishSgSlot(ctx, slot);
-    return true;
 }
 
 void
@@ -1133,81 +1103,11 @@ DmaEngine::maybeFinishSgSlot(unsigned ctx, unsigned slot)
     const RingContext::SlotSg &sg = it->second;
     if (sg.remaining > 0 || sg.issuing)
         return;
-    // Parked mid-descriptor: earlier segments may drain while the
-    // kernel repairs the mapping, but the slot retires only after the
-    // resumed tail finishes.
-    if (ring.park.active && ring.park.slot == slot)
-        return;
     const bool err = sg.error;
     ring.sg.erase(it);
     ringRetire(ctx, slot, err ? dmastatus::failure : dmastatus::ok,
                err ? ringdesc::ctrl::error : ringdesc::ctrl::done);
     ringTransferDone(ctx);
-}
-
-void
-DmaEngine::scheduleIommuFaultFixup(unsigned ctx)
-{
-    // Deferred past the current bus access: the kernel's fix-up
-    // programs the engine over the bus and must not reenter the
-    // access being processed.
-    const Tick when = std::max(xfer_.busyUntil(), xfer_.now());
-    eq_.scheduleLambda(
-        name_ + ".iommuFixup", when,
-        [this, ctx]() {
-            RingContext &ring = rings_[ctx];
-            if (!ring.park.active)
-                return;
-            std::uint64_t cost = ~std::uint64_t(0);
-            if (iommuFaultHandler_)
-                cost = iommuFaultHandler_(ctx, ring.park.faultIova,
-                                          ring.park.faultWrite);
-            if (cost == ~std::uint64_t(0)) {
-                abortParked(ctx);
-                return;
-            }
-            eq_.scheduleLambda(
-                name_ + ".iommuResume", xfer_.now() + cost,
-                [this, ctx]() { iommuResume(ctx); }, Event::DevicePrio);
-        },
-        Event::DevicePrio);
-}
-
-void
-DmaEngine::abortParked(unsigned ctx)
-{
-    RingContext &ring = rings_[ctx];
-    if (!ring.park.active)
-        return;
-    const unsigned slot = ring.park.slot;
-    const Pid pid = ring.park.pid;
-    ring.park = RingContext::IommuPark{};
-    ring.sg[slot].error = true;
-    ++iommuAborts_;
-    ++ringRejects_;
-    ULDMA_TRACE_EVENT(name_, xfer_.now(), "iommu_abort", "ctx ", ctx,
-                      " slot ", slot);
-    maybeFinishSgSlot(ctx, slot);
-    // Descriptors enqueued behind the aborted one drain now.
-    ringDrain(ctx, pid);
-}
-
-void
-DmaEngine::iommuResume(unsigned ctx)
-{
-    RingContext &ring = rings_[ctx];
-    if (!ring.park.active)
-        return;
-    const RingContext::IommuPark park = ring.park;
-    ring.park = RingContext::IommuPark{};
-    ++iommuResumes_;
-    ULDMA_TRACE_EVENT(name_, xfer_.now(), "iommu_resume", "ctx ", ctx,
-                      " slot ", park.slot, " done ", park.done);
-    if (ringIssueSegments(ctx, park.slot, park.src, park.dst, park.size,
-                          park.done, park.pid)) {
-        // Drain descriptors that queued up behind the parked one.
-        ringDrain(ctx, park.pid);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1572,16 +1472,17 @@ DmaEngine::stateHash() const
     // are unchanged from the pre-IOMMU model.
     if (iommu_) {
         f.mix(iommu_->stateHash());
+        // Constant zero words where the digest mixed the fault park
+        // (three per ring) and the trap and resume counts, which an
+        // always-aborting fault left at 0: the digest feeds fuzz
+        // coverage and its goldens.
         for (const RingContext &r : rings_) {
             f.mix(r.sg.size());
-            f.mix(r.park.active);
-            f.mix(r.park.slot);
-            f.mix(r.park.done);
+            f.mixZeros(3);
         }
         f.mix(iommuSegments_.value());
         f.mix(iommuTransFaults_.value());
-        f.mix(iommuTraps_.value());
-        f.mix(iommuResumes_.value());
+        f.mixZeros(2);
         f.mix(iommuAborts_.value());
         f.mix(iommuBypasses_.value());
     }

@@ -80,14 +80,6 @@ class DmaEngine : public BusDevice
         kernelCompletionHandler_ = std::move(handler);
     }
 
-    /** True while a kernel-channel transfer is in flight. */
-    bool
-    kernelChannelBusy() const
-    {
-        return kTransfer_ != invalidTransfer &&
-               !xfer_.complete(kTransfer_);
-    }
-
     /**
      * Local DRAM for descriptor-ring fetches and completion-record
      * writes (docs/RING.md).  Wired by the Node at construction;
@@ -96,21 +88,6 @@ class DmaEngine : public BusDevice
      * the memory's write observers (cache invalidation) fire.
      */
     void setLocalMemory(PhysicalMemory *mem) { localMemory_ = mem; }
-
-    /**
-     * Kernel fix-up hook for IOMMU translation faults under
-     * IommuFaultPolicy::Trap: called with (ctx, faulting IOVA,
-     * is-write).  Returns the fix-up cost in ticks when the kernel
-     * repaired the mapping (the parked descriptor resumes that much
-     * later, mid-transfer), or ~0 to signal failure (the descriptor
-     * aborts with the error bit).
-     */
-    void
-    setIommuFaultHandler(
-        std::function<std::uint64_t(unsigned, Addr, bool)> handler)
-    {
-        iommuFaultHandler_ = std::move(handler);
-    }
 
     /** The address-translation unit, or nullptr when not enabled. */
     const Iommu *iommu() const { return iommu_.get(); }
@@ -214,11 +191,6 @@ class DmaEngine : public BusDevice
     {
         return iommuTransFaults_.value();
     }
-    std::uint64_t numIommuTraps() const { return iommuTraps_.value(); }
-    std::uint64_t numIommuResumes() const
-    {
-        return iommuResumes_.value();
-    }
     std::uint64_t numIommuBypasses() const
     {
         return iommuBypasses_.value();
@@ -286,23 +258,6 @@ class DmaEngine : public BusDevice
             bool error = false;      ///< any segment faulted/rejected
         };
         std::unordered_map<unsigned, SlotSg> sg;
-
-        /** A descriptor parked on an IOMMU translation fault awaiting
-         *  kernel fix-up (IommuFaultPolicy::Trap).  While active, the
-         *  ring drain is stalled to preserve FIFO order. */
-        struct IommuPark
-        {
-            bool active = false;
-            unsigned slot = 0;
-            Addr src = 0;
-            Addr dst = 0;
-            Addr size = 0;
-            Addr done = 0;        ///< bytes issued before the fault
-            Pid pid = invalidPid;
-            Addr faultIova = 0;
-            bool faultWrite = false;
-        };
-        IommuPark park;
 
         void
         reset()
@@ -396,24 +351,15 @@ class DmaEngine : public BusDevice
 
     /// @name IOMMU scatter-gather path (docs/IOMMU.md).
     /// @{
-    /** Consume one virtually-addressed descriptor (IOMMU mode). */
-    bool ringConsumeIommu(unsigned ctx, unsigned slot, Addr src,
+    /** Consume one virtually-addressed descriptor (IOMMU mode):
+     *  translate it and issue its per-page segments.  A translation
+     *  fault aborts the descriptor with the error bit. */
+    void ringConsumeIommu(unsigned ctx, unsigned slot, Addr src,
                           Addr dst, Addr size, Pid doorbell_pid);
-    /** Translate + issue per-page segments from byte @p done on.
-     *  @return false when the descriptor parked on a fault (drain
-     *  must stop). */
-    bool ringIssueSegments(unsigned ctx, unsigned slot, Addr src,
-                           Addr dst, Addr size, Addr done, Pid pid);
     /** Segment-completion callback; retires the slot when last. */
     void ringSegmentDone(unsigned ctx, unsigned slot);
     /** Retire the slot if no segments remain in flight. */
     void maybeFinishSgSlot(unsigned ctx, unsigned slot);
-    /** Defer the kernel fault fix-up call past the current access. */
-    void scheduleIommuFaultFixup(unsigned ctx);
-    /** Abort the parked descriptor (fix-up failed / no handler). */
-    void abortParked(unsigned ctx);
-    /** Resume the parked descriptor after a successful fix-up. */
-    void iommuResume(unsigned ctx);
     /// @}
 
     /** Start (or reject) a kernel-channel transfer. */
@@ -449,8 +395,6 @@ class DmaEngine : public BusDevice
     Addr iommuIovaStage_ = 0;
     /// Status of the last IOMMU management op, readable at iommuStatus.
     std::uint64_t iommuLastStatus_ = 0;
-    /// Kernel translation-fault fix-up hook (see the setter).
-    std::function<std::uint64_t(unsigned, Addr, bool)> iommuFaultHandler_;
 
     /// Capability table + arbiter (nullptr unless params_.cap.enabled).
     std::unique_ptr<CapTable> cap_;
@@ -542,8 +486,6 @@ class DmaEngine : public BusDevice
     /// stats document is unchanged for non-IOMMU configurations).
     stats::Scalar iommuSegments_;
     stats::Scalar iommuTransFaults_;
-    stats::Scalar iommuTraps_;
-    stats::Scalar iommuResumes_;
     stats::Scalar iommuAborts_;
     stats::Scalar iommuBypasses_;
     /// Capability-path counters (registered only when cap.enabled, so

@@ -25,16 +25,6 @@ enum class PinPolicy : std::uint8_t
     OnDemand,
 };
 
-/** What a translation fault during a descriptor does. */
-enum class IommuFaultPolicy : std::uint8_t
-{
-    /** Retire the descriptor with the error bit set. */
-    Abort,
-    /** Trap to the kernel's fix-up handler (map + pin the page), then
-     *  resume the descriptor from the faulting segment. */
-    Trap,
-};
-
 struct IommuParams
 {
     bool enabled = false;
@@ -54,8 +44,6 @@ struct IommuParams
     PinPolicy pinPolicy = PinPolicy::OnMap;
     /** Max pinned pages per context; 0 = unlimited. */
     unsigned pinBudgetPages = 0;
-
-    IommuFaultPolicy faultPolicy = IommuFaultPolicy::Abort;
 };
 
 } // namespace uldma

@@ -22,7 +22,7 @@ AtomicUnit::AtomicUnit(std::string name, const AtomicUnitParams &params,
       nic_(nic), statsGroup_(name_)
 {
     latches_.resize(std::size_t(1) << params_.ctxIdBits);
-    contexts_.resize(params_.numContexts);
+    contexts_.resize(numContexts);
     statsGroup_.addScalar("executed", &executed_,
                           "atomic operations performed");
     statsGroup_.addScalar("refused", &refused_,
@@ -32,7 +32,7 @@ AtomicUnit::AtomicUnit(std::string name, const AtomicUnitParams &params,
 Addr
 AtomicUnit::contextPageAddr(unsigned ctx) const
 {
-    ULDMA_ASSERT(ctx < params_.numContexts,
+    ULDMA_ASSERT(ctx < numContexts,
                  "atomic context id out of range");
     return atomicContextPagesBase + Addr(ctx) * pageSize;
 }
@@ -40,7 +40,7 @@ AtomicUnit::contextPageAddr(unsigned ctx) const
 std::uint64_t
 AtomicUnit::contextKey(unsigned ctx) const
 {
-    ULDMA_ASSERT(ctx < params_.numContexts,
+    ULDMA_ASSERT(ctx < numContexts,
                  "atomic context id out of range");
     return contexts_[ctx].key;
 }
@@ -53,7 +53,7 @@ AtomicUnit::deviceRanges() const
                   atomicKernelRegsBase + akregs::blockSize),
         AddrRange(atomicContextPagesBase,
                   atomicContextPagesBase +
-                      Addr(params_.numContexts) * pageSize),
+                      Addr(numContexts) * pageSize),
         AddrRange(atomicShadowBase,
                   atomicShadowBase + params_.windowSize()),
     };
@@ -72,7 +72,7 @@ AtomicUnit::access(Packet &pkt)
 
     if (pkt.paddr >= atomicContextPagesBase &&
         pkt.paddr <
-            atomicContextPagesBase + Addr(params_.numContexts) * pageSize) {
+            atomicContextPagesBase + Addr(numContexts) * pageSize) {
         const Addr offset = pkt.paddr - atomicContextPagesBase;
         accessContextPage(pkt, static_cast<unsigned>(offset / pageSize),
                           offset % pageSize);

@@ -81,16 +81,6 @@ struct AtomicUnitParams
 {
     unsigned ctxIdBits = 0;
 
-    /**
-     * Key-based adaptation (figure 3 applied to §3.5): a shadow store
-     * carries key#context_id instead of the operand; operands travel
-     * through the process's atomic register-context page, and a load
-     * from that page executes the operation.  Both modes can coexist:
-     * a store whose payload matches a programmed key#ctx arms the
-     * context; otherwise the plain latch protocol applies.
-     */
-    unsigned numContexts = 4;
-
     Addr
     windowSize() const
     {
@@ -132,6 +122,16 @@ struct AtomicUnitParams
 class AtomicUnit : public BusDevice
 {
   public:
+    /**
+     * Key-based register contexts (figure 3 applied to §3.5): a shadow
+     * store carries key#context_id instead of the operand; operands
+     * travel through the process's atomic register-context page, and
+     * a load from that page executes the operation.  Both modes can
+     * coexist: a store whose payload matches a programmed key#ctx arms
+     * the context; otherwise the plain latch protocol applies.
+     */
+    static constexpr unsigned numContexts = 4;
+
     AtomicUnit(std::string name, const AtomicUnitParams &params,
                const ClockDomain &bus_clock, NetworkInterface &nic);
 

@@ -1,7 +1,5 @@
 #include "os/kernel.hh"
 
-#include <algorithm>
-
 #include "prof/profiler.hh"
 #include "sim/span.hh"
 #include "sim/trace.hh"
@@ -47,24 +45,6 @@ forEachFrameRun(Process &process, Addr vaddr, Addr bytes, Run &&run)
     return run(base, limit, rights);
 }
 
-/** True when [vaddr, vaddr+bytes) is non-empty and lies inside
- *  @p process's [userRegionBase, allocCursor()).  Written so that
- *  nothing can wrap. */
-bool
-userRange(const Process &process, Addr vaddr, Addr bytes)
-{
-    return bytes != 0 && vaddr >= userRegionBase &&
-           vaddr <= process.allocCursor() &&
-           bytes <= process.allocCursor() - vaddr;
-}
-
-/** Pages touched by the non-wrapping range [vaddr, vaddr+bytes). */
-Addr
-pagesSpanned(Addr vaddr, Addr bytes)
-{
-    return pageNumber(vaddr + bytes - 1) - pageNumber(vaddr) + 1;
-}
-
 } // namespace
 
 Kernel::Kernel(std::string name, Cpu &cpu, Scheduler &scheduler,
@@ -82,8 +62,6 @@ Kernel::Kernel(std::string name, Cpu &cpu, Scheduler &scheduler,
                           "processes killed by memory faults");
     statsGroup_.addScalar("hook_invocations", &hookRuns_,
                           "context-switch hook executions (kernel mods)");
-    statsGroup_.addScalar("dma_waits", &dmaWaits_,
-                          "processes blocked in sys::dmaWait");
     statsGroup_.addScalar("dma_interrupts", &dmaInterrupts_,
                           "kernel-channel completion interrupts");
 }
@@ -94,23 +72,15 @@ Kernel::setDmaEngine(DmaEngine *engine)
     engine_ = engine;
     if (engine_ == nullptr)
         return;
-    // Wire the completion interrupt: wake any process blocked in
-    // sys::dmaWait when the kernel channel's transfer finishes.
-    engine_->setKernelCompletionHandler(
-        [this]() { onKernelDmaInterrupt(); });
+    // Count the kernel channel's completion interrupts; completion
+    // itself is polled (sys::dmaPoll).
+    engine_->setKernelCompletionHandler([this]() { ++dmaInterrupts_; });
     if (engine_->iommu() != nullptr) {
-        // Translation-fault fix-up under IommuFaultPolicy::Trap.  The
-        // kernel-side counters join the stats group only when the
+        // The kernel-side counter joins the stats group only when the
         // engine has an IOMMU, keeping non-IOMMU stats documents
         // byte-identical.
-        engine_->setIommuFaultHandler(
-            [this](unsigned ctx, Addr iova, bool is_write) {
-                return onIommuFault(ctx, iova, is_write);
-            });
         statsGroup_.addScalar("iommu_maps", &iommuMaps_,
                               "pages mapped into I/O page tables");
-        statsGroup_.addScalar("iommu_fixups", &iommuFixups_,
-                              "IOMMU faults repaired and resumed");
     }
     if (engine_->cap() != nullptr) {
         // Same byte-identity rule for the capability family's
@@ -127,7 +97,7 @@ Kernel::setDmaEngine(DmaEngine *engine)
     // kernel-channel transfers start at the honest wall-clock time.
     kregWrite(kregs::startDelay,
               cyclesToTicks(params_.syscallOverheadCycles * 3 / 4 +
-                            2 * params_.translateCycles));
+                            2 * translateCycles));
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +328,7 @@ Kernel::grantKeyContext(Process &process)
         // The same grant covers the atomic unit (keyed §3.5
         // adaptation): program the key and map its context page too.
         if (atomicUnit_ != nullptr &&
-            ctx < atomicUnit_->params().numContexts) {
+            ctx < AtomicUnit::numContexts) {
             akregWrite(akregs::keyCtxSelect, ctx);
             akregWrite(akregs::keyValue, key);
 
@@ -384,7 +354,7 @@ Kernel::revokeKeyContext(Process &process)
     keyContextOwner_[ctx] = invalidPid;
     kregWrite(kregs::ctxReset, ctx);
     if (atomicUnit_ != nullptr &&
-        ctx < atomicUnit_->params().numContexts) {
+        ctx < AtomicUnit::numContexts) {
         akregWrite(akregs::ctxReset, ctx);
     }
     grant.keyContext.reset();
@@ -728,7 +698,6 @@ Kernel::capGrant(Process &process, Addr vaddr, Addr bytes,
     grant.capSlots.push_back(static_cast<unsigned>(slot));
     grant.capPageVaddrs.push_back(pvaddr);
     grant.capWords.push_back(word);
-    grant.capRateClasses.push_back(rate_class);
     ++capGrants_;
     ULDMA_TRACE("Kernel", cpu_.clockEdge(), name_, ": cap grant slot ",
                 slot, " to pid ", process.pid(), " rate ", rate_class);
@@ -782,7 +751,6 @@ Kernel::capDelegate(Process &owner, unsigned slot, Process &target)
     tg.capSlots.push_back(slot);
     tg.capPageVaddrs.push_back(pvaddr);
     tg.capWords.push_back(og.capWords[idx]);
-    tg.capRateClasses.push_back(og.capRateClasses[idx]);
     grants_.push_back({Grant::Kind::CapDelegate, target.pid(), slot});
     ++capDelegations_;
     ULDMA_TRACE("Kernel", cpu_.clockEdge(), name_, ": cap delegate slot ",
@@ -849,26 +817,6 @@ Kernel::syscall(ExecContext &ctx, std::uint64_t number)
       case sys::atomic:
         r = sysAtomic(ctx);
         break;
-      case sys::yield:
-        r.cost = yielded();
-        break;
-      case sys::dmaWait:
-        r = sysDmaWait(ctx);
-        break;
-      case sys::iommuMap:
-      case sys::iommuUnmap:
-      case sys::iommuPin:
-        r = sysIommu(ctx, number);
-        break;
-      case sys::capGrant:
-        r = sysCapGrant(ctx);
-        break;
-      case sys::capDelegate:
-        r = sysCapDelegate(ctx);
-        break;
-      case sys::capRevoke:
-        r = sysCapRevoke(ctx);
-        break;
       default:
         ULDMA_WARN(name_, ": unknown syscall ", number);
         r.retval = ~std::uint64_t(0);
@@ -904,7 +852,7 @@ Kernel::sysDma(ExecContext &ctx)
             span::tracker().reject(sid, cpu_.now());
     };
 
-    r.cost += cyclesToTicks(2 * params_.translateCycles);
+    r.cost += cyclesToTicks(2 * translateCycles);
     r.retval = ~std::uint64_t(0);
 
     if (size == 0) {
@@ -916,7 +864,7 @@ Kernel::sysDma(ExecContext &ctx)
     // whole transfer range, page by page.
     const Addr npages_src = pageNumber(vsrc + size - 1) - pageNumber(vsrc);
     const Addr npages_dst = pageNumber(vdst + size - 1) - pageNumber(vdst);
-    r.cost += cyclesToTicks(params_.perPageCheckCycles *
+    r.cost += cyclesToTicks(perPageCheckCycles *
                             (npages_src + npages_dst + 2));
 
     const Translation src0 = translateFor(proc, vsrc, Rights::Read);
@@ -967,7 +915,7 @@ Kernel::sysAtomic(ExecContext &ctx)
     const std::uint64_t op1 = ctx.reg(reg::a2);
     const std::uint64_t op2 = ctx.reg(reg::a3);
 
-    r.cost += cyclesToTicks(params_.translateCycles);
+    r.cost += cyclesToTicks(translateCycles);
     const Translation xlate = translateFor(proc, vaddr, Rights::ReadWrite);
     if (!xlate.ok()) {
         r.retval = ~std::uint64_t(0);
@@ -982,175 +930,6 @@ Kernel::sysAtomic(ExecContext &ctx)
     return r;
 }
 
-SyscallResult
-Kernel::sysDmaWait(ExecContext &ctx)
-{
-    SyscallResult r;
-    ULDMA_ASSERT(engine_ != nullptr, "no DMA engine attached");
-
-    if (!engine_->kernelChannelBusy())
-        return r;   // nothing in flight: return immediately
-
-    // Sleep: the process leaves the run queue until the completion
-    // interrupt; meanwhile another process (or the idle loop) runs.
-    Process &proc = process(ctx.pid());
-    proc.context().setState(RunState::Blocked);
-    dmaWaiters_.push_back(&proc);
-    ++dmaWaits_;
-    r.cost += doContextSwitch();
-    return r;
-}
-
-SyscallResult
-Kernel::sysIommu(ExecContext &ctx, std::uint64_t number)
-{
-    SyscallResult r;
-    r.retval = ~std::uint64_t(0);
-    if (engine_ == nullptr || engine_->iommu() == nullptr)
-        return r;
-    Process &proc = process(ctx.pid());
-    const Addr vaddr = ctx.reg(reg::a0);
-    const Addr bytes = ctx.reg(reg::a1);
-    if (!proc.dmaGrant().keyContext || !userRange(proc, vaddr, bytes))
-        return r;
-    bool ok = true;
-    if (number == sys::iommuMap) {
-        // One software translation per page, like check_size().
-        r.cost += cyclesToTicks(params_.translateCycles *
-                                pagesSpanned(vaddr, bytes));
-        ok = iommuMapRange(proc, vaddr, bytes,
-                           engine_->iommu()->params().pinPolicy ==
-                               PinPolicy::OnMap);
-    } else if (number == sys::iommuUnmap) {
-        iommuUnmapRange(proc, vaddr, bytes);
-    } else {
-        ok = iommuPinRange(proc, vaddr, bytes);
-    }
-    if (ok)
-        r.retval = 0;
-    return r;
-}
-
-SyscallResult
-Kernel::sysCapGrant(ExecContext &ctx)
-{
-    SyscallResult r;
-    r.retval = ~std::uint64_t(0);
-    if (engine_ == nullptr || engine_->cap() == nullptr)
-        return r;
-    Process &proc = process(ctx.pid());
-    const Addr vaddr = ctx.reg(reg::a0);
-    const Addr bytes = ctx.reg(reg::a1);
-    const std::uint64_t rate = ctx.reg(reg::a2);
-    if (rate >= engine_->params().cap.rateClasses ||
-        !userRange(proc, vaddr, bytes))
-        return r;
-    // One software translation per page, like check_size().
-    r.cost += cyclesToTicks(params_.translateCycles *
-                            pagesSpanned(vaddr, bytes));
-    const int slot =
-        capGrant(proc, vaddr, bytes, static_cast<unsigned>(rate));
-    if (slot >= 0)
-        r.retval = static_cast<std::uint64_t>(slot);
-    return r;
-}
-
-SyscallResult
-Kernel::sysCapDelegate(ExecContext &ctx)
-{
-    SyscallResult r;
-    r.retval = ~std::uint64_t(0);
-    if (engine_ == nullptr || engine_->cap() == nullptr)
-        return r;
-    const std::uint64_t slot = ctx.reg(reg::a0);
-    const std::uint64_t target_pid = ctx.reg(reg::a1);
-    if (slot >= engine_->params().cap.numSlots)
-        return r;
-    Process *target = nullptr;
-    for (auto &p : processes_) {
-        if (static_cast<std::uint64_t>(p->pid()) == target_pid) {
-            target = p.get();
-            break;
-        }
-    }
-    if (target == nullptr || target->finished())
-        return r;
-    if (capDelegate(process(ctx.pid()), static_cast<unsigned>(slot),
-                    *target))
-        r.retval = 0;
-    return r;
-}
-
-SyscallResult
-Kernel::sysCapRevoke(ExecContext &ctx)
-{
-    SyscallResult r;
-    r.retval = ~std::uint64_t(0);
-    if (engine_ == nullptr || engine_->cap() == nullptr)
-        return r;
-    const std::uint64_t slot = ctx.reg(reg::a0);
-    if (slot < engine_->params().cap.numSlots &&
-        capRevoke(process(ctx.pid()), static_cast<unsigned>(slot)))
-        r.retval = 0;
-    return r;
-}
-
-std::uint64_t
-Kernel::onIommuFault(unsigned ctx, Addr iova, bool is_write)
-{
-    (void)is_write;
-    if (engine_ == nullptr || engine_->iommu() == nullptr)
-        return ~std::uint64_t(0);
-    // Find the process owning the faulting register context.
-    Process *owner = nullptr;
-    for (auto &p : processes_) {
-        const auto &grant = p->dmaGrant();
-        if (grant.keyContext && *grant.keyContext == ctx) {
-            owner = p.get();
-            break;
-        }
-    }
-    if (owner == nullptr || owner->finished())
-        return ~std::uint64_t(0);
-    // Repairable only if the page really is mapped in the process —
-    // an IOVA outside the address space stays a hard fault.
-    const Addr page = pageAlignDown(iova);
-    if (!owner->pageTable().lookup(page).has_value())
-        return ~std::uint64_t(0);
-    // Map and pin the one faulting page; the engine resumes the
-    // parked descriptor after the fault-handling cost.
-    if (!iommuMapRange(*owner, page, pageSize, /*pin=*/true))
-        return ~std::uint64_t(0);
-    ++iommuFixups_;
-    ULDMA_TRACE("Kernel", cpu_.clockEdge(), name_, ": iommu fix-up ctx ",
-                ctx, " iova 0x", std::hex, iova);
-    return cyclesToTicks(params_.faultHandlingCycles +
-                         params_.translateCycles);
-}
-
-void
-Kernel::onKernelDmaInterrupt()
-{
-    ++dmaInterrupts_;
-    if (dmaWaiters_.empty())
-        return;
-    for (Process *waiter : dmaWaiters_) {
-        if (waiter->state() == RunState::Blocked) {
-            waiter->context().setState(RunState::Ready);
-            scheduler_.enqueue(*waiter);
-        }
-    }
-    dmaWaiters_.clear();
-
-    // If the CPU idled waiting for this interrupt, dispatch now.  (A
-    // busy CPU keeps running; the woken process competes at the next
-    // scheduling point — we do not model preemptive interrupts.)
-    if (cpu_.idle()) {
-        doContextSwitch();
-        cpu_.start();
-    }
-}
-
 Tick
 Kernel::handleFault(ExecContext &ctx, Fault fault, Addr vaddr)
 {
@@ -1162,7 +941,7 @@ Kernel::handleFault(ExecContext &ctx, Fault fault, Addr vaddr)
     (void)vaddr;
     // The process was already marked Faulted by the CPU; kill it and
     // move on.
-    return cyclesToTicks(params_.faultHandlingCycles) + doContextSwitch();
+    return cyclesToTicks(faultHandlingCycles) + doContextSwitch();
 }
 
 Tick
@@ -1244,7 +1023,6 @@ Kernel::reapGrants(Process &process)
         grant.capSlots.clear();
         grant.capPageVaddrs.clear();
         grant.capWords.clear();
-        grant.capRateClasses.clear();
     }
     return cost;
 }
@@ -1256,7 +1034,7 @@ Kernel::doContextSwitch()
     ++switches_;
     ULDMA_TRACE_EVENT(name_, cpu_.clockEdge(), "context_switch", "n=",
                       switches_.value());
-    Tick cost = cyclesToTicks(params_.contextSwitchCycles);
+    Tick cost = cyclesToTicks(contextSwitchCycles);
 
     // Hardware effects of leaving a process: pending writes drain,
     // the TLB is flushed (the Alpha's PALcode flushes; a

@@ -65,14 +65,6 @@ struct KernelParams
      * accesses) + instruction issue ~= the paper's 18.6 us.
      */
     Cycles syscallOverheadCycles = 2300;
-    /** Cycles to switch contexts (register save/restore, runqueue). */
-    Cycles contextSwitchCycles = 1200;
-    /** Cycles for one software virtual_to_physical translation. */
-    Cycles translateCycles = 60;
-    /** Cycles per additional page of check_size() range checking. */
-    Cycles perPageCheckCycles = 12;
-    /** Cycles to take and triage a memory fault. */
-    Cycles faultHandlingCycles = 500;
 };
 
 /**
@@ -273,8 +265,7 @@ class Kernel : public OsCallbacks
     /// @}
 
     /// @name Capability services (docs/CAPABILITIES.md; engine must
-    /// have a capability table).  Also reachable at runtime through
-    /// sys::capGrant / capDelegate / capRevoke.
+    /// have a capability table).
     /// @{
     /**
      * Grant @p process a DMA capability over [vaddr, vaddr+bytes) with
@@ -363,6 +354,18 @@ class Kernel : public OsCallbacks
      *  allocFrames never hands them out. */
     static constexpr Addr reservedFrames = 16;
 
+    /// @name Cost model beyond the trap (docs/CALIBRATION.md).
+    /// @{
+    /** Cycles to switch contexts (register save/restore, runqueue). */
+    static constexpr Cycles contextSwitchCycles = 1200;
+    /** Cycles for one software virtual_to_physical translation. */
+    static constexpr Cycles translateCycles = 60;
+    /** Cycles per additional page of check_size() range checking. */
+    static constexpr Cycles perPageCheckCycles = 12;
+    /** Cycles to take and triage a memory fault. */
+    static constexpr Cycles faultHandlingCycles = 500;
+    /// @}
+
     /** Allocate @p npages fresh physical frames. @return base paddr. */
     Addr allocFrames(Addr npages);
 
@@ -395,26 +398,8 @@ class Kernel : public OsCallbacks
     /// @name Syscall handlers; syscall() adds the trap overhead.
     /// @{
     SyscallResult sysDma(ExecContext &ctx);
-    SyscallResult sysDmaWait(ExecContext &ctx);
     SyscallResult sysAtomic(ExecContext &ctx);
-    /** sys::iommuMap, iommuUnmap or iommuPin, by @p number. */
-    SyscallResult sysIommu(ExecContext &ctx, std::uint64_t number);
-    SyscallResult sysCapGrant(ExecContext &ctx);
-    SyscallResult sysCapDelegate(ExecContext &ctx);
-    SyscallResult sysCapRevoke(ExecContext &ctx);
     /// @}
-
-    /**
-     * IOMMU translation-fault fix-up (IommuFaultPolicy::Trap): the
-     * engine parked a descriptor on @p iova of register context
-     * @p ctx.  Map (and pin) the page from the owning process's page
-     * table; @return the fix-up cost in ticks, or ~0 when the page is
-     * genuinely unmapped in the process too (the descriptor aborts).
-     */
-    std::uint64_t onIommuFault(unsigned ctx, Addr iova, bool is_write);
-
-    /** Completion interrupt from the engine's kernel channel. */
-    void onKernelDmaInterrupt();
 
     Tick cyclesToTicks(Cycles c) const { return cpu_.cyclesToTicks(c); }
 
@@ -438,9 +423,6 @@ class Kernel : public OsCallbacks
     bool shrimp2Hook_ = false;
     bool flashHook_ = false;
 
-    /** Processes blocked in sys::dmaWait. */
-    std::vector<Process *> dmaWaiters_;
-
     /** Register-context occupancy (key-based protocol). */
     std::vector<Pid> keyContextOwner_;
     /** CONTEXT_ID occupancy (extended shadow addressing). */
@@ -458,10 +440,8 @@ class Kernel : public OsCallbacks
     stats::Scalar syscalls_;
     stats::Scalar faults_;
     stats::Scalar hookRuns_;
-    stats::Scalar dmaWaits_;
     stats::Scalar dmaInterrupts_;
     stats::Scalar iommuMaps_;
-    stats::Scalar iommuFixups_;
     stats::Scalar capGrants_;
     stats::Scalar capDelegations_;
     stats::Scalar capRevocations_;

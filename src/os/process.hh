@@ -59,7 +59,6 @@ struct DmaGrant
     std::vector<unsigned> capSlots;        ///< engine slot indices
     std::vector<Addr> capPageVaddrs;       ///< mapped presentation pages
     std::vector<std::uint64_t> capWords;   ///< capwords as last issued
-    std::vector<unsigned> capRateClasses;  ///< QoS class per slot
     /// @}
 };
 

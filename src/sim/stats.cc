@@ -60,16 +60,6 @@ Average::stddev() const
     return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
-void
-Average::reset()
-{
-    count_ = 0;
-    sum_ = 0.0;
-    sumSq_ = 0.0;
-    min_ = 0.0;
-    max_ = 0.0;
-}
-
 Histogram::Histogram(double lo, double hi, unsigned nbuckets)
     : lo_(lo), hi_(hi),
       bucketWidth_((hi - lo) / (nbuckets ? nbuckets : 1)),
@@ -117,16 +107,6 @@ Histogram::percentile(double p) const
         need -= count;
     }
     return hi_;   // the target rank falls in the overflow bin
-}
-
-void
-Histogram::reset()
-{
-    for (auto &b : buckets_)
-        b = 0;
-    underflow_ = 0;
-    overflow_ = 0;
-    total_ = 0;
 }
 
 void

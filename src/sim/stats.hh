@@ -64,7 +64,6 @@ class Average
     double max() const { return count_ ? max_ : 0.0; }
     /** Population standard deviation. */
     double stddev() const;
-    void reset();
 
   private:
     std::uint64_t count_ = 0;
@@ -93,7 +92,6 @@ class Histogram
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
     std::uint64_t totalSamples() const { return total_; }
-    void reset();
 
     /**
      * Cumulative-mass percentile with linear interpolation inside

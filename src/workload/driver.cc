@@ -108,9 +108,6 @@ spawnScenario(const Scenario &scenario, std::uint64_t seed,
                                          : PinPolicy::OnMap;
             nc.dma.iommu.pinBudgetPages =
                 static_cast<unsigned>(scenario.iotlb.pinBudgetPages);
-            nc.dma.iommu.faultPolicy = scenario.iotlb.fault == "trap"
-                                           ? IommuFaultPolicy::Trap
-                                           : IommuFaultPolicy::Abort;
         }
         if (scenario.scheduler.kind == SchedulerSpec::Kind::Random) {
             const std::uint64_t seed_node =

@@ -247,7 +247,7 @@ parseIotlb(const Value &v, IotlbSpec &out, const std::string &where,
         return fail(error, where + " must be an object");
     if (!checkKeys(v,
                    {"entries", "ways", "hit_cycles", "miss_cycles",
-                    "walk_cycles", "pinning", "pin_budget_pages", "fault"},
+                    "walk_cycles", "pinning", "pin_budget_pages"},
                    where, error))
         return false;
 
@@ -273,10 +273,6 @@ parseIotlb(const Value &v, IotlbSpec &out, const std::string &where,
         return false;
     if (out.pinning != "on-map" && out.pinning != "on-demand")
         return fail(error, where + ".pinning must be on-map|on-demand");
-    if (!getString(v, "fault", out.fault, false, where, error))
-        return false;
-    if (out.fault != "abort" && out.fault != "trap")
-        return fail(error, where + ".fault must be abort|trap");
 
     out.enabled = true;
     return true;

@@ -119,8 +119,6 @@ struct IotlbSpec
     std::string pinning = "on-map";
     /** Max pinned pages per context; 0 = unlimited. */
     std::uint64_t pinBudgetPages = 0;
-    /** "abort" | "trap" (IommuFaultPolicy). */
-    std::string fault = "abort";
 };
 
 /** Capability-table geometry (the "capability" scenario member,

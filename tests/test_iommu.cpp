@@ -3,9 +3,9 @@
  * IOMMU subsystem tests (docs/IOMMU.md): vm::Tlb edge cases the CPU
  * path never exercised, IoTlb set-associativity and generation-based
  * staleness, Iommu map/pin/translate/fault semantics under both
- * pinning policies, the kernel's iommu syscall surface, and the DMA
- * engine's virtually-addressed ring path — scatter-gather splitting,
- * abort-vs-trap fault handling, and the weakIommu raw-address bypass.
+ * pinning policies, the kernel's IOMMU calls, and the DMA engine's
+ * virtually-addressed ring path — scatter-gather splitting, aborting
+ * on a translation fault, and the weakIommu raw-address bypass.
  */
 
 #include <gtest/gtest.h>
@@ -291,7 +291,7 @@ TEST(IommuUnit, OnDemandPinsAndEvictsWithinBudget)
 
 // ---------------------------------------------------------------------
 // Machine-level: the engine's virtually-addressed ring path and the
-// kernel's iommu syscall surface.
+// kernel's setup-time IOMMU calls.
 // ---------------------------------------------------------------------
 
 /** One-node ring machine with an IOMMU in front of the engine. */
@@ -303,23 +303,19 @@ struct IommuRig
     Process &proc;
 
     static MachineConfig
-    makeConfig(IommuFaultPolicy fault, PinPolicy pinning, bool weak)
+    makeConfig(bool weak)
     {
         MachineConfig config;
         configureNode(config.node, DmaMethod::Ring);
         config.node.dma.iommu.enabled = true;
         config.node.dma.iommu.iotlbEntries = 8;
         config.node.dma.iommu.iotlbWays = 2;
-        config.node.dma.iommu.faultPolicy = fault;
-        config.node.dma.iommu.pinPolicy = pinning;
         config.node.dma.weakIommu = weak;
         return config;
     }
 
-    explicit IommuRig(IommuFaultPolicy fault = IommuFaultPolicy::Abort,
-                      PinPolicy pinning = PinPolicy::OnMap,
-                      bool weak = false)
-        : machine(makeConfig(fault, pinning, weak)),
+    explicit IommuRig(bool weak = false)
+        : machine(makeConfig(weak)),
           node(machine.node(0)),
           kernel(node.kernel()),
           proc(kernel.createProcess("proc"))
@@ -401,34 +397,34 @@ TEST(IommuEngine, UnalignedTransferSplitsAtFirstPageCrossing)
 
 TEST(IommuEngine, AbortPolicyRejectsUnmappedIova)
 {
-    IommuRig rig(IommuFaultPolicy::Abort);
+    // The faulting descriptor retires with an error, and the one
+    // queued behind it drains and completes.
+    IommuRig rig;
     const Addr src = rig.buffer(1, /*iommu_map=*/true);
     // Destination never enters the I/O page table.
     const Addr dst = rig.buffer(1, /*iommu_map=*/false);
-    rig.run({{src, dst, 256}});
+    const Addr mapped_dst = rig.buffer(1, /*iommu_map=*/true);
+    const Addr desc_paddr = rig.kernel.translateFor(
+        rig.proc, rig.proc.dmaGrant().ringDescVaddr, Rights::Read).paddr;
+    const Addr cpl_paddr = rig.kernel.translateFor(
+        rig.proc, rig.proc.dmaGrant().ringCplVaddr, Rights::Read).paddr;
+    const Addr mapped_dst_paddr =
+        rig.kernel.translateFor(rig.proc, mapped_dst, Rights::Write).paddr;
+    rig.run({{src, dst, 256}, {src, mapped_dst, 256}});
 
     const DmaEngine &engine = rig.node.dmaEngine();
-    EXPECT_TRUE(engine.initiations().empty());
+    ASSERT_EQ(engine.initiations().size(), 1u);
+    EXPECT_EQ(engine.initiations()[0].dst, mapped_dst_paddr);
     EXPECT_EQ(engine.numRingRejects(), 1u);
     EXPECT_GE(engine.numIommuFaults(), 1u);
-    EXPECT_EQ(engine.numIommuTraps(), 0u);
-}
-
-TEST(IommuEngine, TrapPolicyFixesUpAndResumes)
-{
-    IommuRig rig(IommuFaultPolicy::Trap);
-    const Addr src = rig.buffer(1, /*iommu_map=*/true);
-    // Unmapped in the I/O page table but present in the process: the
-    // kernel's fix-up maps and pins it, then the engine resumes the
-    // parked descriptor mid-transfer.
-    const Addr dst = rig.buffer(1, /*iommu_map=*/false);
-    rig.run({{src, dst, 256}});
-
-    const DmaEngine &engine = rig.node.dmaEngine();
-    EXPECT_GE(engine.numIommuTraps(), 1u);
-    EXPECT_GE(engine.numIommuResumes(), 1u);
-    EXPECT_EQ(engine.numRingRejects(), 0u);
-    EXPECT_EQ(engine.initiations().size(), 1u);
+    PhysicalMemory &mem = rig.node.memory();
+    EXPECT_EQ(mem.readInt(cpl_paddr, 8), dmastatus::failure);
+    EXPECT_TRUE(mem.readInt(desc_paddr + ringdesc::ctrlOff, 8) &
+                ringdesc::ctrl::error);
+    EXPECT_EQ(mem.readInt(cpl_paddr + ringdesc::cplBytes, 8), 1u);
+    EXPECT_TRUE(mem.readInt(desc_paddr + ringdesc::descBytes +
+                                ringdesc::ctrlOff, 8) &
+                ringdesc::ctrl::done);
 }
 
 TEST(IommuEngine, EmptyAndOversizedDescriptorsAreRefused)
@@ -460,44 +456,9 @@ TEST(IommuEngine, EmptyAndOversizedDescriptorsAreRefused)
     }
 }
 
-TEST(IommuEngine, TrapPolicyAbortsWhatTheProcessNeverMapped)
-{
-    // The IOVA is not in the process's address space either, so the
-    // kernel refuses the fix-up: the parked descriptor retires with an
-    // error, and the one queued behind it drains and completes.
-    IommuRig rig(IommuFaultPolicy::Trap);
-    const Addr src = rig.buffer(1, /*iommu_map=*/true);
-    const Addr dst = rig.buffer(1, /*iommu_map=*/true);
-    const Addr never_mapped = rig.proc.allocCursor() + 16 * pageSize;
-    ASSERT_FALSE(rig.proc.pageTable().lookup(never_mapped).has_value());
-    const Addr desc_paddr = rig.kernel.translateFor(
-        rig.proc, rig.proc.dmaGrant().ringDescVaddr, Rights::Read).paddr;
-    const Addr cpl_paddr = rig.kernel.translateFor(
-        rig.proc, rig.proc.dmaGrant().ringCplVaddr, Rights::Read).paddr;
-    const Addr dst_paddr =
-        rig.kernel.translateFor(rig.proc, dst, Rights::Write).paddr;
-    rig.run({{never_mapped, dst, 256}, {src, dst, 256}});
-
-    const DmaEngine &engine = rig.node.dmaEngine();
-    EXPECT_EQ(engine.numIommuTraps(), 1u);
-    EXPECT_EQ(engine.numIommuResumes(), 0u);
-    EXPECT_EQ(engine.numRingRejects(), 1u);
-    ASSERT_EQ(engine.initiations().size(), 1u);
-    EXPECT_EQ(engine.initiations()[0].dst, dst_paddr);
-    PhysicalMemory &mem = rig.node.memory();
-    EXPECT_EQ(mem.readInt(cpl_paddr, 8), dmastatus::failure);
-    EXPECT_TRUE(mem.readInt(desc_paddr + ringdesc::ctrlOff, 8) &
-                ringdesc::ctrl::error);
-    EXPECT_EQ(mem.readInt(cpl_paddr + ringdesc::cplBytes, 8), 1u);
-    EXPECT_TRUE(mem.readInt(desc_paddr + ringdesc::descBytes +
-                                ringdesc::ctrlOff, 8) &
-                ringdesc::ctrl::done);
-}
-
 TEST(IommuEngine, WeakIommuBypassesTranslationOnFault)
 {
-    IommuRig rig(IommuFaultPolicy::Abort, PinPolicy::OnMap,
-                 /*weak=*/true);
+    IommuRig rig(/*weak=*/true);
     const Addr src = rig.buffer(1, /*iommu_map=*/false);
     const Addr dst = rig.buffer(1, /*iommu_map=*/false);
     // Raw physical frames, never iommu-mapped: the strong model

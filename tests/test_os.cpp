@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <iterator>
 #include <vector>
 
@@ -720,263 +719,6 @@ TEST(FrameRuns, RingFramesFollowPhysicalRuns)
     EXPECT_EQ(engine.initiations()[1].src, f2 + 128);
     EXPECT_EQ(engine.initiations()[1].dst, f0 + 128);
     EXPECT_EQ(engine.numRingRejects(), 1u);
-}
-
-// ---------------------------------------------------------------------
-// Runtime syscalls 7-12 issued from user code: valid calls take
-// effect; malformed registers are refused at the cost of the trap.
-// ---------------------------------------------------------------------
-
-/** One trap from user code: its number and argument registers. */
-struct Trap
-{
-    std::uint64_t number;
-    std::uint64_t a0 = 0;
-    std::uint64_t a1 = 0;
-    std::uint64_t a2 = 0;
-};
-
-/** What user code saw of one trap. */
-struct TrapResult
-{
-    std::uint64_t v0 = 0x5EED;   ///< left alone if the caller never resumed
-    Tick ticks = 0;              ///< simulated time across the trap
-};
-
-/**
- * Launch @p proc (the only launched process) on @p traps, in order,
- * and run for at most a simulated second.  After each trap, record
- * v0 and the time it took, then call @p after with its index: checks
- * of the caller's grants belong there, since exit-time reaping tears
- * them down.
- */
-std::vector<TrapResult>
-runTraps(Machine &machine, Process &proc, const std::vector<Trap> &traps,
-         std::function<void(std::size_t)> after = nullptr)
-{
-    std::vector<TrapResult> out(traps.size());
-    Program prog;
-    for (std::size_t i = 0; i < traps.size(); ++i) {
-        prog.move(reg::a0, traps[i].a0);
-        prog.move(reg::a1, traps[i].a1);
-        prog.move(reg::a2, traps[i].a2);
-        prog.callback([&out, &machine, i](ExecContext &) {
-            out[i].ticks = machine.now();
-        });
-        prog.syscall(traps[i].number);
-        prog.callback([&out, &machine, after, i](ExecContext &ctx) {
-            out[i].v0 = ctx.reg(reg::v0);
-            out[i].ticks = machine.now() - out[i].ticks;
-            if (after)
-                after(i);
-        });
-    }
-    prog.exit();
-    machine.node(0).kernel().launch(proc, std::move(prog));
-    machine.start();
-    machine.run(tickPerSec);
-    return out;
-}
-
-constexpr std::uint64_t refused = ~std::uint64_t(0);
-
-/** A one-node ring machine with an IOMMU and one ring process. */
-struct IommuKernel
-{
-    Machine machine;
-    Kernel &kernel;
-    Process &p;
-    Iommu &iommu;
-    unsigned ctx = 0;
-
-    static MachineConfig
-    makeConfig()
-    {
-        MachineConfig config;
-        configureNode(config.node, DmaMethod::Ring);
-        config.node.dma.iommu.enabled = true;
-        return config;
-    }
-
-    IommuKernel()
-        : machine(makeConfig()), kernel(machine.node(0).kernel()),
-          p(kernel.createProcess("p")),
-          iommu(*machine.node(0).dmaEngine().iommu())
-    {
-        prepareMachine(machine, DmaMethod::Ring);
-        EXPECT_TRUE(kernel.setupRing(p, 4));
-        ctx = *p.dmaGrant().keyContext;
-    }
-
-    bool mapped(Addr vaddr) const
-    {
-        return iommu.table(ctx).lookup(vaddr).has_value();
-    }
-};
-
-TEST(KernelSyscalls, IommuMapPinUnmapFromUserCode)
-{
-    IommuKernel rig;
-    const Addr va =
-        rig.kernel.allocate(rig.p, 2 * pageSize, Rights::ReadWrite);
-    const std::size_t pinned = rig.iommu.pinnedPages(rig.ctx);
-    std::vector<bool> mapped;
-    std::vector<std::size_t> pins;
-    const auto r = runTraps(
-        rig.machine, rig.p,
-        {{sys::iommuMap, va, 2 * pageSize},
-         {sys::iommuPin, va, 2 * pageSize},
-         {sys::iommuUnmap, va, pageSize}},
-        [&](std::size_t) {
-            mapped.push_back(rig.mapped(va));
-            mapped.push_back(rig.mapped(va + pageSize));
-            pins.push_back(rig.iommu.pinnedPages(rig.ctx));
-        });
-    EXPECT_EQ(r[0].v0, 0u);
-    EXPECT_EQ(r[1].v0, 0u);
-    EXPECT_EQ(r[2].v0, 0u);
-    EXPECT_EQ(mapped, (std::vector<bool>{true, true, true, true,
-                                         false, true}));
-    // PinPolicy::OnMap (the default) pins at map time.
-    EXPECT_EQ(pins, (std::vector<std::size_t>{pinned + 2, pinned + 2,
-                                              pinned + 1}));
-}
-
-TEST(KernelSyscalls, IommuRangeThatWrapsIsRefusedAtTrapCost)
-{
-    IommuKernel rig;
-    std::vector<std::size_t> pins;
-    const std::size_t pinned = rig.iommu.pinnedPages(rig.ctx);
-    const auto r = runTraps(
-        rig.machine, rig.p,
-        {{sys::noop},
-         {sys::iommuMap, ~std::uint64_t(0) - 8 * 1024 + 1, 16 * 1024},
-         {sys::iommuPin, ~std::uint64_t(0) - 8 * 1024 + 1, 16 * 1024}},
-        [&](std::size_t) { pins.push_back(rig.iommu.pinnedPages(rig.ctx)); });
-    EXPECT_GE(r[0].ticks, rig.kernel.cpu().cyclesToTicks(
-                              rig.kernel.params().syscallOverheadCycles));
-    EXPECT_EQ(r[1].v0, refused);
-    EXPECT_EQ(r[2].v0, refused);
-    EXPECT_EQ(r[1].ticks, r[0].ticks);
-    EXPECT_EQ(r[2].ticks, r[0].ticks);
-    EXPECT_EQ(pins, (std::vector<std::size_t>{pinned, pinned, pinned}));
-}
-
-TEST(KernelSyscalls, IommuUnmapOutsideTheAddressSpaceIsRefused)
-{
-    IommuKernel rig;
-    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
-    ASSERT_TRUE(rig.kernel.iommuMapRange(rig.p, va, pageSize, false));
-    std::vector<bool> mapped;
-    const auto r = runTraps(
-        rig.machine, rig.p,
-        {{sys::noop},
-         {sys::iommuUnmap, va, std::uint64_t(1) << 38},
-         {sys::iommuUnmap, 0, pageSize},
-         {sys::iommuUnmap, va, 0}},
-        [&](std::size_t) { mapped.push_back(rig.mapped(va)); });
-    for (std::size_t i = 1; i < r.size(); ++i) {
-        EXPECT_EQ(r[i].v0, refused) << "trap " << i;
-        EXPECT_EQ(r[i].ticks, r[0].ticks) << "trap " << i;
-    }
-    EXPECT_EQ(mapped, (std::vector<bool>(4, true)));
-}
-
-TEST(KernelSyscalls, CapGrantDelegateRevokeFromUserCode)
-{
-    CapKernel rig;
-    Process &target = rig.kernel.createProcess("target");
-    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
-    std::vector<std::uint64_t> generations;
-    std::vector<std::size_t> target_slots;
-    unsigned rate = 0;
-    const auto r = runTraps(
-        rig.machine, rig.p,
-        {{sys::capGrant, va, pageSize, 1},
-         {sys::capDelegate, 0, static_cast<std::uint64_t>(target.pid())},
-         {sys::capRevoke, 0}},
-        [&](std::size_t i) {
-            generations.push_back(rig.table().generation(0));
-            target_slots.push_back(target.dmaGrant().capSlots.size());
-            if (i == 0)
-                rate = rig.table().rateClass(0);
-        });
-    EXPECT_EQ(r[0].v0, 0u);   // the slot index
-    EXPECT_EQ(rate, 1u);
-    EXPECT_EQ(r[1].v0, 0u);
-    EXPECT_EQ(r[2].v0, 0u);
-    EXPECT_EQ(target_slots, (std::vector<std::size_t>{0, 1, 1}));
-    ASSERT_EQ(generations.size(), 3u);
-    EXPECT_EQ(generations[1], generations[0]);
-    EXPECT_GT(generations[2], generations[1]);
-}
-
-TEST(KernelSyscalls, CapRevokeChecksTheWholeSlotRegister)
-{
-    CapKernel rig;
-    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
-    ASSERT_EQ(rig.kernel.capGrant(rig.p, va, pageSize, 0), 0);
-    const std::uint64_t generation = rig.table().generation(0);
-    const std::uint64_t word = rig.p.dmaGrant().capWords[0];
-    std::vector<std::uint64_t> generations;
-    std::vector<std::uint64_t> words;
-    const auto r = runTraps(
-        rig.machine, rig.p,
-        {{sys::noop}, {sys::capRevoke, (std::uint64_t(1) << 32) | 0}},
-        [&](std::size_t) {
-            generations.push_back(rig.table().generation(0));
-            words.push_back(rig.p.dmaGrant().capWords[0]);
-        });
-    EXPECT_EQ(r[1].v0, refused);
-    EXPECT_EQ(r[1].ticks, r[0].ticks);
-    EXPECT_EQ(generations, (std::vector<std::uint64_t>(2, generation)));
-    EXPECT_EQ(words, (std::vector<std::uint64_t>(2, word)));
-}
-
-TEST(KernelSyscalls, CapDelegateChecksTheWholePidRegister)
-{
-    CapKernel rig;
-    Process &target = rig.kernel.createProcess("target");
-    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
-    ASSERT_EQ(rig.kernel.capGrant(rig.p, va, pageSize, 0), 0);
-    std::vector<std::size_t> target_slots;
-    const auto r = runTraps(
-        rig.machine, rig.p,
-        {{sys::noop},
-         {sys::capDelegate, 0,
-          (std::uint64_t(1) << 32) |
-              static_cast<std::uint64_t>(target.pid())},
-         {sys::capDelegate, std::uint64_t(1) << 32,
-          static_cast<std::uint64_t>(target.pid())}},
-        [&](std::size_t) {
-            target_slots.push_back(target.dmaGrant().capSlots.size());
-        });
-    EXPECT_EQ(r[1].v0, refused);
-    EXPECT_EQ(r[2].v0, refused);
-    EXPECT_EQ(r[1].ticks, r[0].ticks);
-    EXPECT_EQ(target_slots, (std::vector<std::size_t>(3, 0)));
-}
-
-TEST(KernelSyscalls, CapGrantChecksRateAndRange)
-{
-    CapKernel rig;
-    const Addr va = rig.kernel.allocate(rig.p, pageSize, Rights::ReadWrite);
-    std::vector<std::size_t> slots;
-    const auto r = runTraps(
-        rig.machine, rig.p,
-        {{sys::noop},
-         {sys::capGrant, va, pageSize, (std::uint64_t(1) << 32) | 1},
-         {sys::capGrant, ~std::uint64_t(0) - 8 * 1024 + 1, 16 * 1024, 0},
-         {sys::capGrant, va, std::uint64_t(1) << 38, 0}},
-        [&](std::size_t) {
-            slots.push_back(rig.p.dmaGrant().capSlots.size());
-        });
-    for (std::size_t i = 1; i < r.size(); ++i) {
-        EXPECT_EQ(r[i].v0, refused) << "trap " << i;
-        EXPECT_EQ(r[i].ticks, r[0].ticks) << "trap " << i;
-    }
-    EXPECT_EQ(slots, (std::vector<std::size_t>(4, 0)));
-    EXPECT_FALSE(rig.table().valid(0));
 }
 
 } // namespace

@@ -37,8 +37,9 @@ TEST(OsEdges, DmaPollTracksKernelChannel)
         });
         prog.compute(60000);   // 400 us
     }
-    prog.syscall(sys::dmaWait);
-    prog.syscall(sys::dmaPoll);
+    // Then poll until the channel reports completion.
+    const int poll = prog.syscall(sys::dmaPoll);
+    prog.branchNe(reg::v0, 0, poll);
     prog.callback([&polls](ExecContext &ctx) {
         polls.push_back(ctx.reg(reg::v0));
     });
@@ -50,7 +51,7 @@ TEST(OsEdges, DmaPollTracksKernelChannel)
     ASSERT_EQ(polls.size(), 4u);
     EXPECT_GT(polls[0], polls[1]);
     EXPECT_GT(polls[1], polls[2]);
-    EXPECT_EQ(polls[3], 0u);   // complete after dmaWait
+    EXPECT_EQ(polls[3], 0u);   // complete once the poll loop ends
 }
 
 TEST(OsEdges, Shrimp1PostedStoreAlsoInitiates)
@@ -86,25 +87,36 @@ TEST(OsEdges, Shrimp1PostedStoreAlsoInitiates)
 
 TEST(OsEdges, UnknownSyscallReturnsFailureAndWarns)
 {
-    Machine machine{MachineConfig{}};
-    Kernel &kernel = machine.node(0).kernel();
-    Process &p = kernel.createProcess("p");
+    // Only 0-3 are assigned (os/syscalls.hh).  Any other number costs
+    // what an empty syscall does: the trap alone.
+    for (const std::uint64_t number :
+         {4, 5, 6, 7, 8, 9, 10, 11, 12, 999}) {
+        Machine machine{MachineConfig{}};
+        Kernel &kernel = machine.node(0).kernel();
+        Process &p = kernel.createProcess("p");
 
-    const unsigned warns_before = warnCount();
-    std::uint64_t status = 0;
-    Program prog;
-    prog.syscall(999);
-    prog.callback([&status](ExecContext &ctx) {
-        status = ctx.reg(reg::v0);
-    });
-    prog.exit();
-    kernel.launch(p, std::move(prog));
-    machine.start();
-    ASSERT_TRUE(machine.run(tickPerSec));
+        const unsigned warns_before = warnCount();
+        std::uint64_t status = 0;
+        Tick stamps[3] = {};
+        Program prog;
+        prog.callback([&](ExecContext &) { stamps[0] = machine.now(); });
+        prog.syscall(sys::noop);
+        prog.callback([&](ExecContext &) { stamps[1] = machine.now(); });
+        prog.syscall(number);
+        prog.callback([&](ExecContext &ctx) {
+            stamps[2] = machine.now();
+            status = ctx.reg(reg::v0);
+        });
+        prog.exit();
+        kernel.launch(p, std::move(prog));
+        machine.start();
+        ASSERT_TRUE(machine.run(tickPerSec)) << number;
 
-    EXPECT_EQ(status, ~std::uint64_t(0));
-    EXPECT_GT(warnCount(), warns_before);
-    EXPECT_EQ(p.state(), RunState::Exited);   // not killed
+        EXPECT_EQ(status, ~std::uint64_t(0)) << number;
+        EXPECT_EQ(warnCount(), warns_before + 1) << number;
+        EXPECT_EQ(stamps[2] - stamps[1], stamps[1] - stamps[0]) << number;
+        EXPECT_EQ(p.state(), RunState::Exited) << number;   // not killed
+    }
 }
 
 TEST(OsEdges, RemoteWindowRespectsGrantedRights)

@@ -179,7 +179,7 @@ TEST(AtomicParams, WindowsDisjointFromDmaWindows)
         atomicKernelRegsBase + akregs::blockSize);
     const AddrRange atomic_ctx(
         atomicContextPagesBase,
-        atomicContextPagesBase + atomic.numContexts * pageSize);
+        atomicContextPagesBase + AtomicUnit::numContexts * pageSize);
     const AddrRange dma_regs(dmaKernelRegsBase,
                              dmaKernelRegsBase + kregs::blockSize);
     const AddrRange dma_ctx(

@@ -75,6 +75,14 @@ TEST(ScenarioParse, UnknownMembersAreErrors)
                             "initiations": 3, "sized": 1})"),
         s, &error));
     EXPECT_NE(error.find("sized"), std::string::npos) << error;
+
+    // A translation fault always aborts: no fault policy to pick.
+    EXPECT_FALSE(parseScenario(
+        R"({"schema": "uldma-scenario-v1", "name": "t",
+            "iotlb": {"fault": "trap"},
+            "streams": [)" + std::string(oneStream) + "]}",
+        s, &error));
+    EXPECT_NE(error.find("fault"), std::string::npos) << error;
 }
 
 TEST(ScenarioParse, SchemaAndProtocolAreChecked)
